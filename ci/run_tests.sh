@@ -12,7 +12,8 @@
 #   TDE_SKIP_TSAN     set to 1 to skip the ThreadSanitizer stage
 #
 # The suite runs twice up front: once with stats on (default) and once with
-# TDE_STATS=0, then the perf-regression gate (ci/check_bench.sh) runs last.
+# TDE_STATS=0, with the benchmark self-test (perfbench/selftest.py) in
+# between; the perf-regression gate (ci/check_bench.sh) runs last.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -23,6 +24,13 @@ cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD" -j"$(nproc)"
 
 ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
+
+# Benchmark self-test: runs every perfbench workload at tiny sizes and
+# checks each answer (TPC-H Q1/Q3/Q4lite/Q6/Q12 through ExecuteSql against
+# the all-rewrites-off plans) plus the metric names and units, so a wrong
+# rewritten plan fails here before the longer stages. Builds the
+# benchmark binary into the checkout's .bench_build/ on first use.
+(cd "$ROOT" && python3 perfbench/selftest.py)
 
 # Second pass with the observability layer off: TDE_STATS=0 drops the
 # journal, per-query scopes, and registry counters; every query must still

@@ -1,5 +1,6 @@
 #include "src/exec/hash_join.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "src/encoding/header.h"
@@ -25,10 +26,12 @@ const char* JoinStrategyName(JoinStrategy s) {
 }
 
 HashJoin::HashJoin(std::unique_ptr<Operator> outer,
-                   std::shared_ptr<const Table> inner, HashJoinOptions options)
+                   std::shared_ptr<const Table> inner, HashJoinOptions options,
+                   ExprPtr inner_predicate)
     : outer_(std::move(outer)),
       inner_(std::move(inner)),
-      options_(std::move(options)) {}
+      options_(std::move(options)),
+      inner_predicate_(std::move(inner_predicate)) {}
 
 Result<JoinStrategyChoice> ChooseJoinStrategy(const Table& inner,
                                               const std::string& inner_key) {
@@ -81,10 +84,70 @@ Result<JoinStrategyChoice> ChooseJoinStrategy(const Table& inner,
   return c;
 }
 
+Result<HashJoin::InnerColumn> HashJoin::MaterializeInner(
+    const std::string& name) const {
+  TDE_ASSIGN_OR_RETURN(auto col, inner_->ColumnByName(name));
+  // Hold cold columns resident while their lanes/heap/dict are read; the
+  // emitted heap pointer shares the payload so it outlives eviction.
+  TDE_ASSIGN_OR_RETURN(auto pin, col->Pin());
+  InnerColumn ic;
+  ic.type = col->type();
+  ic.lanes.resize(inner_rows_);
+  if (inner_rows_ > 0) {
+    TDE_RETURN_NOT_OK(col->GetLanes(0, inner_rows_, ic.lanes.data()));
+  }
+  if (col->compression() == CompressionKind::kHeap) {
+    ic.heap = pin ? std::shared_ptr<const StringHeap>(pin->heap)
+                  : std::shared_ptr<const StringHeap>(col, col->heap());
+  } else if (col->compression() == CompressionKind::kArrayDict) {
+    // Decode dictionary tokens for payload delivery.
+    const auto& values = (pin ? pin->dict.get() : col->array_dict())->values;
+    for (Lane& v : ic.lanes) v = values[static_cast<size_t>(v)];
+  }
+  return ic;
+}
+
+Status HashJoin::EvalInnerPredicate() {
+  inner_pass_.clear();
+  inner_rows_passed_ = inner_rows_;
+  if (inner_predicate_ == nullptr) return Status::OK();
+  std::vector<std::string> names;
+  inner_predicate_->CollectColumns(&names);
+  // A predicate that reads no column still needs a block with a row count.
+  if (names.empty()) names.push_back(options_.inner_key);
+  Schema schema;
+  std::vector<InnerColumn> cols;
+  for (const std::string& n : names) {
+    if (schema.FieldIndex(n).ok()) continue;
+    TDE_ASSIGN_OR_RETURN(InnerColumn ic, MaterializeInner(n));
+    schema.AddField({n, ic.type});
+    cols.push_back(std::move(ic));
+  }
+  inner_pass_.assign(inner_rows_, 0);
+  for (uint64_t start = 0; start < inner_rows_; start += kBlockSize) {
+    const uint64_t end = std::min<uint64_t>(inner_rows_, start + kBlockSize);
+    Block b;
+    for (const InnerColumn& ic : cols) {
+      ColumnVector cv;
+      cv.type = ic.type;
+      cv.heap = ic.heap;
+      cv.lanes.assign(ic.lanes.begin() + start, ic.lanes.begin() + end);
+      b.columns.push_back(std::move(cv));
+    }
+    TDE_ASSIGN_OR_RETURN(ColumnVector mask,
+                         inner_predicate_->Eval(b, schema));
+    for (uint64_t r = start; r < end; ++r) {
+      inner_pass_[r] = mask.lanes[r - start] == 1;
+    }
+  }
+  inner_rows_passed_ = static_cast<uint64_t>(
+      std::count(inner_pass_.begin(), inner_pass_.end(), 1));
+  return Status::OK();
+}
+
 Status HashJoin::ChooseStrategy() {
   TDE_ASSIGN_OR_RETURN(auto key_col, inner_->ColumnByName(options_.inner_key));
   const ColumnMetadata& meta = key_col->metadata();
-  inner_rows_ = inner_->rows();
 
   TDE_ASSIGN_OR_RETURN(JoinStrategyChoice choice,
                        ChooseJoinStrategy(*inner_, options_.inner_key));
@@ -103,15 +166,20 @@ Status HashJoin::ChooseStrategy() {
   }
 
   // Find the NULL-sentinel inner row, if the inner table carries one (a
-  // DictionaryTable built with include_null_row); it never
-  // enters the hash map — NULL outer keys are matched to it directly.
+  // DictionaryTable built with include_null_row, or a stored table with a
+  // NULL key); it never enters the hash map — NULL outer keys are matched
+  // to it directly. Rows failing the inner predicate take no part: they
+  // neither match nor count as duplicates.
   null_row_.reset();
+  const auto passes = [&](uint64_t r) {
+    return inner_pass_.empty() || inner_pass_[r] != 0;
+  };
   std::vector<Lane> keys(inner_rows_);
   if (inner_rows_ > 0) {
     TDE_RETURN_NOT_OK(key_col->GetLanes(0, inner_rows_, keys.data()));
   }
   for (uint64_t r = 0; r < inner_rows_; ++r) {
-    if (keys[r] != kNullSentinel) continue;
+    if (keys[r] != kNullSentinel || !passes(r)) continue;
     if (null_row_.has_value()) {
       return Status::InvalidArgument(
           "inner join key is not unique (many-to-one join required)");
@@ -128,7 +196,7 @@ Status HashJoin::ChooseStrategy() {
     map_ = std::make_unique<GroupMap>(algo, meta.min_value, meta.max_value);
     group_to_row_.resize(inner_rows_);
     for (uint64_t r = 0; r < inner_rows_; ++r) {
-      if (keys[r] == kNullSentinel) continue;
+      if (keys[r] == kNullSentinel || !passes(r)) continue;
       const uint32_t before = map_->group_count();
       const uint32_t g = map_->GetOrInsert(keys[r]);
       if (map_->group_count() == before) {
@@ -143,30 +211,15 @@ Status HashJoin::ChooseStrategy() {
 
 Status HashJoin::Open() {
   TDE_RETURN_NOT_OK(outer_->Open());
+  inner_rows_ = inner_->rows();
+  TDE_RETURN_NOT_OK(EvalInnerPredicate());
   TDE_RETURN_NOT_OK(ChooseStrategy());
 
   // Materialize the requested inner payload columns (inner tables are
   // small — dictionaries, filtered dimension tables).
   payload_.clear();
   for (const std::string& name : options_.inner_payload) {
-    TDE_ASSIGN_OR_RETURN(auto col, inner_->ColumnByName(name));
-    // Hold cold columns resident while their lanes/heap/dict are read; the
-    // emitted heap pointer shares the payload so it outlives eviction.
-    TDE_ASSIGN_OR_RETURN(auto pin, col->Pin());
-    InnerColumn ic;
-    ic.type = col->type();
-    ic.lanes.resize(inner_rows_);
-    if (inner_rows_ > 0) {
-      TDE_RETURN_NOT_OK(col->GetLanes(0, inner_rows_, ic.lanes.data()));
-    }
-    if (col->compression() == CompressionKind::kHeap) {
-      ic.heap = pin ? std::shared_ptr<const StringHeap>(pin->heap)
-                    : std::shared_ptr<const StringHeap>(col, col->heap());
-    } else if (col->compression() == CompressionKind::kArrayDict) {
-      // Decode dictionary tokens for payload delivery.
-      const auto& values = (pin ? pin->dict.get() : col->array_dict())->values;
-      for (Lane& v : ic.lanes) v = values[static_cast<size_t>(v)];
-    }
+    TDE_ASSIGN_OR_RETURN(InnerColumn ic, MaterializeInner(name));
     payload_.push_back(std::move(ic));
   }
 
@@ -224,27 +277,32 @@ Status HashJoin::Next(Block* block, bool* eos) {
         const uint32_t g = map_->Find(keys[i]);
         if (g != kNoGroup) row = group_to_row_[g];
       }
+      // Fetch arithmetic reaches every row; the hash map and the NULL row
+      // already hold passing rows only.
+      if (row != kNoGroup && strategy_ == JoinStrategy::kFetch &&
+          !inner_pass_.empty() && inner_pass_[row] == 0) {
+        row = kNoGroup;
+      }
       if (row != kNoGroup) {
-        inner_row[i] = row;
+        inner_row[kept] = row;
         keep[i] = 1;
         ++kept;
       }
     }
     if (kept == 0) continue;
 
+    // Compact the outer columns first, then gather payload for the kept
+    // rows only (inner_row[0, kept) lists their inner rows in order).
     *block = std::move(in);
-    // Attach payload columns before compaction (gather by inner row).
-    for (size_t p = 0; p < payload_.size(); ++p) {
+    if (kept < n) block->Compact(keep);
+    for (const InnerColumn& ic : payload_) {
       ColumnVector cv;
-      cv.type = payload_[p].type;
-      cv.heap = payload_[p].heap;
-      cv.lanes.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        cv.lanes[i] = keep[i] ? payload_[p].lanes[inner_row[i]] : 0;
-      }
+      cv.type = ic.type;
+      cv.heap = ic.heap;
+      cv.lanes.resize(kept);
+      for (size_t j = 0; j < kept; ++j) cv.lanes[j] = ic.lanes[inner_row[j]];
       block->columns.push_back(std::move(cv));
     }
-    if (kept < n) block->Compact(keep);
     return Status::OK();
   }
 }

@@ -8,6 +8,7 @@
 
 #include "src/common/hash.h"
 #include "src/exec/block.h"
+#include "src/exec/expression.h"
 #include "src/storage/table.h"
 
 namespace tde {
@@ -51,14 +52,18 @@ struct HashJoinOptions {
 
 /// Many-to-one join: outer rows joined against a unique-keyed inner table.
 /// Outer rows with no match are dropped, which is exactly how predicates
-/// pushed down to a DictionaryTable take effect on the main table
-/// (Sect. 4.1.1). The inner relation is a materialized table — the TDE
-/// Join operator takes a stop-and-go operator (usually a FlowTable) as its
-/// inner input (Sect. 4.1.2).
+/// pushed down to a DictionaryTable — or to the join itself — take effect
+/// on the main table (Sect. 4.1.1). The inner relation is a materialized
+/// table — the TDE Join operator takes a stop-and-go operator (usually a
+/// FlowTable) as its inner input (Sect. 4.1.2).
 class HashJoin : public Operator {
  public:
+  /// `inner_predicate` (may be null) reads inner columns and is evaluated
+  /// once per inner row at Open(); rows that fail it never enter the
+  /// lookup structures, so outer rows that would match them drop as
+  /// misses.
   HashJoin(std::unique_ptr<Operator> outer, std::shared_ptr<const Table> inner,
-           HashJoinOptions options);
+           HashJoinOptions options, ExprPtr inner_predicate = nullptr);
 
   Status Open() override;
   Status Next(Block* block, bool* eos) override;
@@ -67,13 +72,28 @@ class HashJoin : public Operator {
 
   /// The strategy the tactical optimizer chose (valid after Open).
   JoinStrategy strategy() const { return strategy_; }
+  /// Inner rows, and those that passed `inner_predicate` (all of them when
+  /// there is none); valid after Open.
+  uint64_t inner_rows() const { return inner_rows_; }
+  uint64_t inner_rows_passed() const { return inner_rows_passed_; }
 
  private:
+  // Materialized inner column: lanes as a flow operator would emit them
+  // (string tokens with their heap, array-dictionary tokens decoded).
+  struct InnerColumn {
+    std::vector<Lane> lanes;
+    TypeId type;
+    std::shared_ptr<const StringHeap> heap;
+  };
+
+  Result<InnerColumn> MaterializeInner(const std::string& name) const;
+  Status EvalInnerPredicate();
   Status ChooseStrategy();
 
   std::unique_ptr<Operator> outer_;
   std::shared_ptr<const Table> inner_;
   HashJoinOptions options_;
+  ExprPtr inner_predicate_;
   Schema schema_;
   size_t outer_key_idx_ = 0;
 
@@ -82,6 +102,9 @@ class HashJoin : public Operator {
   int64_t fetch_base_ = 0;
   int64_t fetch_delta_ = 1;
   uint64_t inner_rows_ = 0;
+  // Per inner row: passed `inner_predicate` (empty when there is none).
+  std::vector<char> inner_pass_;
+  uint64_t inner_rows_passed_ = 0;
   // Hash strategies.
   std::unique_ptr<GroupMap> map_;
   std::vector<uint32_t> group_to_row_;
@@ -90,12 +113,6 @@ class HashJoin : public Operator {
   // they are dropped like any other miss.
   std::optional<uint32_t> null_row_;
   // Materialized inner payload columns.
-  struct InnerColumn {
-    std::vector<Lane> lanes;
-    TypeId type;
-    std::shared_ptr<const StringHeap> heap;
-    std::shared_ptr<const ArrayDictionary> dict;
-  };
   std::vector<InnerColumn> payload_;
 };
 

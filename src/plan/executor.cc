@@ -29,6 +29,17 @@ ColumnProps PropsOf(const Column& col) {
   return p;
 }
 
+/// Properties of an inner column as a join emits it: the values (so the
+/// bounds and width) are the inner table's, but the rows follow the outer
+/// input, so the inner table's order facts do not carry over.
+ColumnProps JoinedProps(const Column& col) {
+  ColumnProps p = PropsOf(col);
+  p.meta.sorted = false;
+  p.meta.dense = false;
+  p.meta.unique = false;
+  return p;
+}
+
 /// Wraps the built plan's operator in the instrumentation layer: a stats
 /// node named `name` with the given children (the stats nodes of the
 /// operator's lowered inputs), recorded into by an Instrumented wrapper.
@@ -109,7 +120,11 @@ Result<BuiltPlan> BuildScan(const PlanNode& node,
   for (const std::string& n : node.code_columns) {
     out.notes.push_back("scan(" + n + "): dictionary codes (group key)");
   }
-  std::function<void(observe::OperatorStats*)> on_close;
+  // A scan narrowed by projection pruning reports how many columns it
+  // decodes (0 = every column, not reported).
+  const uint64_t columns = node.columns.size();
+  uint64_t segs = 0;
+  uint64_t rows = 0;
   if (prune != nullptr && prune->segments_pruned > 0) {
     out.notes.push_back("scan: " + std::to_string(prune->segments_pruned) +
                         " segment(s) zone-map pruned (" +
@@ -119,11 +134,17 @@ Result<BuiltPlan> BuildScan(const PlanNode& node,
                         prune->segments_pruned);
     observe::QueryCount(observe::QueryCounter::kRowsPruned,
                         prune->rows_pruned);
-    const uint64_t segs = prune->segments_pruned;
-    const uint64_t rows = prune->rows_pruned;
-    on_close = [segs, rows](observe::OperatorStats* s) {
-      s->extras.emplace_back("segments_pruned", segs);
-      s->extras.emplace_back("rows_pruned", rows);
+    segs = prune->segments_pruned;
+    rows = prune->rows_pruned;
+  }
+  std::function<void(observe::OperatorStats*)> on_close;
+  if (columns > 0 || segs > 0) {
+    on_close = [columns, segs, rows](observe::OperatorStats* s) {
+      if (columns > 0) s->extras.emplace_back("columns", columns);
+      if (segs > 0) {
+        s->extras.emplace_back("segments_pruned", segs);
+        s->extras.emplace_back("rows_pruned", rows);
+      }
     };
   }
   Attach(&out, "TableScan(" + node.table->name() + ")", {},
@@ -388,13 +409,24 @@ Result<BuiltPlan> BuildJoinTable(const PlanNode& node, BuiltPlan child) {
   }
   for (const std::string& p : node.join.inner_payload) {
     TDE_ASSIGN_OR_RETURN(auto c, node.inner_table->ColumnByName(p));
-    out.props[p] = PropsOf(*c);
+    out.props[p] = JoinedProps(*c);
   }
   out.props.insert(child.props.begin(), child.props.end());
-  out.op = std::make_unique<HashJoin>(std::move(child.op), node.inner_table,
-                                      node.join);
+  auto op = std::make_unique<HashJoin>(std::move(child.op), node.inner_table,
+                                       node.join, node.inner_predicate);
+  std::function<void(observe::OperatorStats*)> on_close;
+  if (node.inner_predicate != nullptr) {
+    out.notes.push_back("join(" + node.join.inner_key + "): inner predicate " +
+                        node.inner_predicate->ToString());
+    // How much of the inner table the pushed predicate left joinable.
+    on_close = [raw = op.get()](observe::OperatorStats* s) {
+      s->extras.emplace_back("inner_rows", raw->inner_rows());
+      s->extras.emplace_back("inner_rows_passed", raw->inner_rows_passed());
+    };
+  }
+  out.op = std::move(op);
   Attach(&out, "HashJoin(" + node.join.inner_key + ")",
-         {std::move(child.stats)});
+         {std::move(child.stats)}, std::move(on_close));
   return out;
 }
 
@@ -498,7 +530,7 @@ Result<BuiltPlan> BuildInvisibleJoin(const PlanNode& node) {
   }
   for (const std::string& n : payload) {
     auto ic = inner_table->ColumnByName(n);
-    if (ic.ok()) out.props[n] = PropsOf(*ic.value());
+    if (ic.ok()) out.props[n] = JoinedProps(*ic.value());
   }
   out.op = std::make_unique<Project>(std::move(joined), std::move(keep));
   Attach(&out, "InvisibleJoin(" + c + ")", {});
@@ -1220,8 +1252,12 @@ std::string QueryResult::ToCsv() const {
   return out;
 }
 
+// StrategicOptimize rewrites nodes in place, so both entry points optimize
+// a private deep copy (as Engine::Execute does): the caller's plan stays
+// pristine and can be explained, executed or re-optimized afterwards.
 Result<std::string> ExplainPlan(const Plan& plan) {
-  TDE_ASSIGN_OR_RETURN(PlanNodePtr optimized, StrategicOptimize(plan.root()));
+  TDE_ASSIGN_OR_RETURN(PlanNodePtr optimized,
+                       StrategicOptimize(ClonePlan(plan.root())));
   TDE_ASSIGN_OR_RETURN(BuiltPlan built, BuildExecutable(optimized));
   std::string out = PlanToString(optimized);
   if (!built.notes.empty()) {
@@ -1234,7 +1270,8 @@ Result<std::string> ExplainPlan(const Plan& plan) {
 }
 
 Result<QueryResult> ExecutePlan(const Plan& plan) {
-  TDE_ASSIGN_OR_RETURN(PlanNodePtr optimized, StrategicOptimize(plan.root()));
+  TDE_ASSIGN_OR_RETURN(PlanNodePtr optimized,
+                       StrategicOptimize(ClonePlan(plan.root())));
   return ExecutePlanNode(optimized);
 }
 

@@ -89,6 +89,15 @@ Plan Plan::Materialize(FlowTableOptions options) && {
 }
 
 namespace {
+std::string ListNames(const std::vector<std::string>& names) {
+  std::string out = "[";
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += names[i];
+  }
+  return out + "]";
+}
+
 void Print(const PlanNodePtr& node, int depth, std::string* out) {
   static const char* kNames[] = {
       "Scan",      "Filter",        "Project",     "Aggregate",
@@ -98,7 +107,19 @@ void Print(const PlanNodePtr& node, int depth, std::string* out) {
   out->append(kNames[static_cast<int>(node->kind)]);
   switch (node->kind) {
     case PlanNodeKind::kScan:
+      // A narrowed scan lists the columns it reads.
       out->append("(" + node->table->name() + ")");
+      if (!node->columns.empty()) out->append(ListNames(node->columns));
+      break;
+    case PlanNodeKind::kJoinTable:
+      // Inner table, keys, the inner predicate pushed into the join, and
+      // the payload attached to each match ("[]" = a pure semi-join).
+      out->append("(" + node->inner_table->name() + ": " +
+                  node->join.outer_key + " = " + node->join.inner_key);
+      if (node->inner_predicate != nullptr) {
+        out->append(" WHERE " + node->inner_predicate->ToString());
+      }
+      out->append(")" + ListNames(node->join.inner_payload));
       break;
     case PlanNodeKind::kFilter:
       out->append("(" + node->predicate->ToString() + ")");

@@ -798,6 +798,80 @@ PlanNodePtr TryPushFilterThroughProject(const PlanNodePtr& filter) {
   return new_project;
 }
 
+/// Appends the top-level AND conjuncts of `e` to `out`, left to right.
+void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
+  if (e->Shape() == ExprShape::kAnd) {
+    for (const ExprPtr& k : e->Children()) SplitConjuncts(k, out);
+    return;
+  }
+  out->push_back(e);
+}
+
+/// Left-deep AND of `conjuncts` (the parser's shape); nullptr when empty.
+ExprPtr Conjoin(const std::vector<ExprPtr>& conjuncts) {
+  ExprPtr out;
+  for (const ExprPtr& c : conjuncts) {
+    out = out == nullptr ? c : expr::And(out, c);
+  }
+  return out;
+}
+
+PlanNodePtr MakeFilter(ExprPtr predicate, PlanNodePtr child) {
+  auto f = std::make_shared<PlanNode>();
+  f->kind = PlanNodeKind::kFilter;
+  f->predicate = std::move(predicate);
+  f->children = {std::move(child)};
+  return f;
+}
+
+/// Filtering move-around through joins (Sect. 2.3.1, 4.1.1): Filter over
+/// JoinTable. The join is inner and many-to-one, so each output row is one
+/// outer row plus the payload of the one inner row it matched; a conjunct
+/// can be decided on either side alone when it reads only that side:
+///   - outer-only conjuncts move below the join (toward the scan, where
+///     code predicates and zone maps apply, and so fewer rows are probed);
+///   - payload-only conjuncts join the node's `inner_predicate`, which the
+///     join evaluates once per inner row — failing rows never match;
+///   - mixed conjuncts stay above.
+/// The pushed filter is rewritten again below, so conjuncts sink through
+/// stacked joins one join at a time.
+PlanNodePtr TryPushFilterThroughJoin(const PlanNodePtr& filter) {
+  if (filter->kind != PlanNodeKind::kFilter) return nullptr;
+  const PlanNodePtr& join = filter->children[0];
+  if (join->kind != PlanNodeKind::kJoinTable) return nullptr;
+  const std::vector<std::string>& payload = join->join.inner_payload;
+  std::vector<ExprPtr> conjuncts, outer, inner, stay;
+  SplitConjuncts(filter->predicate, &conjuncts);
+  for (const ExprPtr& c : conjuncts) {
+    std::vector<std::string> cols;
+    c->CollectColumns(&cols);
+    const auto from_inner = std::count_if(
+        cols.begin(), cols.end(), [&](const std::string& n) {
+          return std::find(payload.begin(), payload.end(), n) != payload.end();
+        });
+    if (from_inner == 0) {
+      outer.push_back(c);  // column-free conjuncts too: valid anywhere
+    } else if (static_cast<size_t>(from_inner) == cols.size()) {
+      inner.push_back(c);
+    } else {
+      stay.push_back(c);
+    }
+  }
+  if (outer.empty() && inner.empty()) return nullptr;
+  auto moved = std::make_shared<PlanNode>(*join);
+  if (!outer.empty()) {
+    moved->children = {MakeFilter(Conjoin(outer), join->children[0])};
+  }
+  if (!inner.empty()) {
+    if (join->inner_predicate != nullptr) {
+      inner.insert(inner.begin(), join->inner_predicate);
+    }
+    moved->inner_predicate = Conjoin(inner);
+  }
+  if (stay.empty()) return moved;
+  return MakeFilter(Conjoin(stay), moved);
+}
+
 using ColumnSet = std::set<std::string>;
 
 void CollectExpr(const ExprPtr& e, ColumnSet* out) {
@@ -878,6 +952,25 @@ void PruneScans(const PlanNodePtr& node, const ColumnSet* required) {
       PruneScans(node->children[0], &need);
       return;
     }
+    case PlanNodeKind::kJoinTable: {
+      // Output = outer columns + payload. Keep only the payload read above
+      // (the inner predicate reads the inner table, not the payload), and
+      // ask the outer side for what is read above plus the join key —
+      // names that are not outer columns are ignored further down. A
+      // stacked join's outer key arrives here as a read column, so the
+      // payload carrying it survives.
+      if (required == nullptr) break;
+      std::vector<std::string>& payload = node->join.inner_payload;
+      payload.erase(std::remove_if(payload.begin(), payload.end(),
+                                   [&](const std::string& n) {
+                                     return required->count(n) == 0;
+                                   }),
+                    payload.end());
+      ColumnSet need = *required;
+      need.insert(node->join.outer_key);
+      PruneScans(node->children[0], &need);
+      return;
+    }
     case PlanNodeKind::kExchange:
     case PlanNodeKind::kLimit:
     case PlanNodeKind::kMaterialize:
@@ -887,9 +980,9 @@ void PruneScans(const PlanNodePtr& node, const ColumnSet* required) {
     default:
       break;
   }
-  // Joins, invisible joins, indexed scans, and pass-throughs with an
-  // unknown requirement: column flow is operator-specific, so stay
-  // conservative and require everything below.
+  // Invisible joins, indexed scans, and pass-throughs with an unknown
+  // requirement: column flow is operator-specific, so stay conservative
+  // and require everything below.
   for (const auto& c : node->children) PruneScans(c, nullptr);
 }
 
@@ -905,6 +998,9 @@ PlanNodePtr Rewrite(PlanNodePtr node, const StrategicOptions& options) {
     }
     if (options.enable_filter_pushdown && next == nullptr) {
       next = TryPushFilterThroughProject(node);
+    }
+    if (options.enable_filter_pushdown && next == nullptr) {
+      next = TryPushFilterThroughJoin(node);
     }
     if (options.enable_metadata_pruning && next == nullptr) {
       next = TryMetadataPrune(node);

@@ -59,6 +59,7 @@ const char* ShapeName(ColumnShape s) {
     case ColumnShape::kRunny: return "runny";
     case ColumnShape::kLowCard: return "lowcard";
     case ColumnShape::kScattered: return "scattered";
+    case ColumnShape::kRowId: return "rowid";
   }
   return "?";
 }
@@ -88,6 +89,7 @@ std::string TableSpec::ToString() const {
     out += ShapeName(c.shape);
     out += ":null=" + std::to_string(c.null_chance);
     if (c.range > 0) out += ":range=" + std::to_string(c.range);
+    if (c.null_row >= 0) out += ":null_row=" + std::to_string(c.null_row);
   }
   return out + "]";
 }
@@ -110,7 +112,8 @@ Dataset GenerateDataset(const TableSpec& spec) {
     for (uint64_t r = 0; r < spec.rows; ++r) {
       RefValue v;
       v.type = cs.type;
-      const bool is_null = rng.U(256) < cs.null_chance;
+      const bool is_null = rng.U(256) < cs.null_chance ||
+                           static_cast<int64_t>(r) == cs.null_row;
       // Advance the run state even for NULL rows so runs survive sparse
       // NULLs instead of restarting after each one.
       const bool new_run = cs.shape == ColumnShape::kRunny && run_left == 0;
@@ -124,6 +127,9 @@ Dataset GenerateDataset(const TableSpec& spec) {
             break;
           }
           switch (cs.shape) {
+            case ColumnShape::kRowId:
+              v.i = static_cast<int64_t>(r);
+              break;
             case ColumnShape::kSequential:
               v.i = static_cast<int64_t>(r) * 3 + static_cast<int64_t>(rng.U(3));
               break;
@@ -149,6 +155,7 @@ Dataset GenerateDataset(const TableSpec& spec) {
           // floating-point drift the comparison would mistake for a bug.
           switch (cs.shape) {
             case ColumnShape::kSequential:
+            case ColumnShape::kRowId:
               v.d = static_cast<double>(r) * 0.25;
               break;
             case ColumnShape::kNarrow:
@@ -192,6 +199,7 @@ Dataset GenerateDataset(const TableSpec& spec) {
         case TypeId::kDate: {
           switch (cs.shape) {
             case ColumnShape::kSequential:
+            case ColumnShape::kRowId:
               v.i = epoch + static_cast<int64_t>(r);
               break;
             case ColumnShape::kNarrow:
@@ -276,10 +284,26 @@ TableSpec MakeDimSpec(uint64_t seed, uint64_t rows) {
   t.name = "dim";
   t.seed = seed;
   t.rows = rows;
+  const int64_t null_row = rows > 0 ? static_cast<int64_t>(seed % rows) : -1;
   t.columns = {
-      {"dk", TypeId::kInteger, ColumnShape::kSequential, 0},
+      {"dk", TypeId::kInteger, ColumnShape::kSequential, 0, 0, null_row},
+      // Also the join key into dim2.ek: [0, 60) against ek's [0, rows).
       {"dv", TypeId::kInteger, ColumnShape::kNarrow, 13},
       {"dn", TypeId::kString, ColumnShape::kLowCard, 13},
+  };
+  return t;
+}
+
+TableSpec MakeDim2Spec(uint64_t seed, uint64_t rows) {
+  TableSpec t;
+  t.name = "dim2";
+  t.seed = seed;
+  t.rows = rows;
+  t.columns = {
+      // Dense: dim -> dim2 runs as a fetch join, dim's keys as a hash join.
+      {"ek", TypeId::kInteger, ColumnShape::kRowId, 0},
+      {"ev", TypeId::kInteger, ColumnShape::kLowCard, 13},
+      {"es", TypeId::kString, ColumnShape::kScattered, 13},
   };
   return t;
 }
@@ -476,25 +500,29 @@ struct AggChoice {
 }  // namespace
 
 GeneratedQuery GenerateQuery(uint64_t seed, const Dataset& fact,
-                             const Dataset& dim) {
+                             const Dataset& dim, const Dataset& dim2) {
   Rng rng{seed * 0x2545F4914F6CDD1Dull + 0x9E3779B97F4A7C15ull};
   GeneratedQuery q;
   q.has_join = rng.Chance(30);
+  // Drawn only for join queries, so single-table seeds keep their SQL.
+  q.has_second_join = q.has_join && rng.Chance(40);
 
   std::vector<GenColumn> cols;
-  for (size_t i = 0; i < fact.ref.fields.size(); ++i) {
-    cols.push_back({fact.ref.fields[i].name, fact.ref.fields[i].type, &fact, i});
-  }
-  if (q.has_join) {
-    for (size_t i = 0; i < dim.ref.fields.size(); ++i) {
-      if (dim.ref.fields[i].name == "dk") continue;  // join key, not payload
-      cols.push_back({dim.ref.fields[i].name, dim.ref.fields[i].type, &dim, i});
+  // Every column of `d` except its join key (which is not payload).
+  const auto add_columns = [&](const Dataset& d, const std::string& key) {
+    for (size_t i = 0; i < d.ref.fields.size(); ++i) {
+      if (d.ref.fields[i].name == key) continue;
+      cols.push_back({d.ref.fields[i].name, d.ref.fields[i].type, &d, i});
     }
-  }
+  };
+  add_columns(fact, "");
+  if (q.has_join) add_columns(dim, "dk");
+  if (q.has_second_join) add_columns(dim2, "ek");
   SqlBuilder b(&rng, cols);
 
-  const std::string from =
-      q.has_join ? "FROM fact JOIN dim ON dim.dk = fk" : "FROM fact";
+  std::string from = "FROM fact";
+  if (q.has_join) from += " JOIN dim ON dim.dk = fk";
+  if (q.has_second_join) from += " JOIN dim2 ON dim2.ek = dv";
   q.is_aggregate = rng.Chance(45);
 
   std::string where;

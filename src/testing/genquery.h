@@ -18,6 +18,8 @@ enum class ColumnShape {
   kRunny,       // long value runs -> run-length
   kLowCard,     // few distinct values -> dictionary
   kScattered,   // wide uniform -> uncompressed
+  kRowId,       // the row number itself: dense, unique, sorted -> a fetch
+                // join's key
 };
 
 struct ColumnSpec {
@@ -30,6 +32,9 @@ struct ColumnSpec {
   /// [0, range) regardless of shape — used for the join key, whose domain
   /// must line up with the dimension table's key space.
   int64_t range = 0;
+  /// When >= 0, this row is NULL on top of `null_chance` — gives a unique
+  /// join key exactly one NULL row.
+  int64_t null_row = -1;
 };
 
 struct TableSpec {
@@ -53,16 +58,22 @@ struct Dataset {
 
 Dataset GenerateDataset(const TableSpec& spec);
 
-/// The standard differential pair: a fact table covering every shape ×
-/// type combination the engine encodes, and a unique-keyed dimension table
-/// for many-to-one joins (`fk` references `dk`, with some dangling keys).
+/// The standard differential tables: a fact table covering every shape ×
+/// type combination the engine encodes, a unique-keyed dimension table for
+/// many-to-one joins (`fk` references `dk`, with some dangling keys; `dk`
+/// has exactly one NULL row, which NULL `fk` rows join), and a second
+/// dimension `dim2` reached through `dim.dv` (`dv` references `ek`), the
+/// chain shape of TPC-H Q3's orders -> customer.
 TableSpec MakeFactSpec(uint64_t seed, uint64_t rows);
 TableSpec MakeDimSpec(uint64_t seed, uint64_t rows);
+TableSpec MakeDim2Spec(uint64_t seed, uint64_t rows);
 
 struct GeneratedQuery {
   std::string sql;
   bool is_aggregate = false;
   bool has_join = false;
+  /// Also joins dim2 through dim's payload column `dv` (implies has_join).
+  bool has_second_join = false;
   bool has_order_by = false;
   bool has_limit = false;
   /// The LIMIT count when has_limit (for the harness's prefix check on
@@ -71,16 +82,18 @@ struct GeneratedQuery {
 };
 
 /// Generates one SQL statement, fully determined by `seed`, over the fact
-/// table (and the dimension table, when joining). Coverage: filters (=,
+/// table (and the dimension tables, when joining). Coverage: filters (=,
 /// <>, <, <=, >, >=, BETWEEN, IN, NOT IN, LIKE, IS [NOT] NULL) under
 /// AND/OR/NOT, computed projections (arithmetic, date and string
 /// functions, CASE), single- and multi-key GROUP BY with every aggregate,
-/// HAVING, ORDER BY ASC/DESC over nullable keys, LIMIT, and two-table
-/// joins. Aggregate ORDER BY lists always end with every grouping key, so
-/// an ordered result is totally ordered and engine/oracle rows can be
-/// compared positionally.
+/// HAVING, ORDER BY ASC/DESC over nullable keys, LIMIT, and fact JOIN dim
+/// joins, part of them chained on to dim2. Predicates over joins mix
+/// columns of every joined table, so filters that can move through a join
+/// and filters that cannot are both generated. Aggregate ORDER BY lists
+/// always end with every grouping key, so an ordered result is totally
+/// ordered and engine/oracle rows can be compared positionally.
 GeneratedQuery GenerateQuery(uint64_t seed, const Dataset& fact,
-                             const Dataset& dim);
+                             const Dataset& dim, const Dataset& dim2);
 
 }  // namespace testing
 }  // namespace tde

@@ -594,6 +594,9 @@ Result<RefRelation> EvalAggregate(const PlanNode& node, RefRelation in) {
 Result<RefRelation> EvalJoin(const PlanNode& node, RefRelation outer,
                              const std::map<std::string, const RefTable*>& tables) {
   if (node.inner_table == nullptr) return {OracleError("join without inner")};
+  if (node.inner_predicate != nullptr) {
+    return {OracleError("join carries a rewrite-only inner predicate")};
+  }
   const auto it = tables.find(node.inner_table->name());
   if (it == tables.end()) {
     return {OracleError("no decoded table '" + node.inner_table->name() + "'")};
@@ -606,11 +609,13 @@ Result<RefRelation> EvalJoin(const PlanNode& node, RefRelation outer,
     TDE_ASSIGN_OR_RETURN(size_t i, FieldIndex(inner.fields, p));
     payload_idx.push_back(i);
   }
-  // Many-to-one: the inner key must be unique.
+  // Many-to-one: the inner key must be unique. NULL is a key value like
+  // any other (Tableau join semantics): a NULL outer key matches the one
+  // inner row whose key is NULL, and a second NULL inner key is a
+  // duplicate.
   std::map<Row, size_t, KeyLess> inner_of;
   for (size_t r = 0; r < inner.rows.size(); ++r) {
     const RefValue& k = inner.rows[r][inner_key];
-    if (k.null) continue;  // a NULL inner key can never be matched
     if (!inner_of.try_emplace(Row{k}, r).second) {
       return {OracleError("duplicate inner join key")};
     }
@@ -620,7 +625,6 @@ Result<RefRelation> EvalJoin(const PlanNode& node, RefRelation outer,
   for (size_t i : payload_idx) out.fields.push_back(inner.fields[i]);
   for (Row& r : outer.rows) {
     const RefValue& k = r[outer_key];
-    if (k.null) continue;  // NULL never matches
     const auto match = inner_of.find(Row{k});
     if (match == inner_of.end()) continue;  // unmatched outer rows drop
     Row joined = std::move(r);

@@ -24,6 +24,7 @@
 #include "src/sql/parser.h"
 #include "src/testing/genquery.h"
 #include "src/testing/reference.h"
+#include "tests/test_util.h"
 
 namespace tde {
 namespace {
@@ -177,22 +178,7 @@ std::vector<Config> MakeConfigs() {
   std::vector<Config> configs;
   configs.push_back({"default", StrategicOptions{}});
 
-  StrategicOptions off;
-  off.enable_invisible_join = false;
-  off.enable_rank_join = false;
-  off.enable_simplification = false;
-  off.enable_filter_pushdown = false;
-  off.enable_projection_pruning = false;
-  off.enable_metadata_pruning = false;
-  off.enable_run_filters = false;
-  off.enable_dict_predicates = false;
-  off.enable_dict_grouping = false;
-  off.enable_run_aggregation = false;
-  off.enable_metadata_aggregates = false;
-  off.enable_topn = false;
-  off.enable_dict_sort = false;
-  off.enable_sort_pruning = false;
-  configs.push_back({"everything-off", off});
+  configs.push_back({"everything-off", testutil::AllRewritesOff()});
 
   StrategicOptions o = StrategicOptions{};
   o.enable_dict_grouping = false;
@@ -270,15 +256,15 @@ class DifferentialTest : public ::testing::Test {
     seg_rows_ = seg_rows;
     fact_ = testing::GenerateDataset(testing::MakeFactSpec(data_seed, fact_rows));
     dim_ = testing::GenerateDataset(testing::MakeDimSpec(data_seed + 1, 40));
-    tables_ = {{"fact", &fact_.ref}, {"dim", &dim_.ref}};
-
-    ASSERT_TRUE(mono_.ImportTextBuffer(fact_.csv, "fact").ok());
-    ASSERT_TRUE(mono_.ImportTextBuffer(dim_.csv, "dim").ok());
+    dim2_ = testing::GenerateDataset(testing::MakeDim2Spec(data_seed + 2, 20));
+    tables_ = {{"fact", &fact_.ref}, {"dim", &dim_.ref}, {"dim2", &dim2_.ref}};
 
     ImportOptions seg;
     seg.flow.segment_rows = seg_rows;
-    ASSERT_TRUE(seg_.ImportTextBuffer(fact_.csv, "fact", seg).ok());
-    ASSERT_TRUE(seg_.ImportTextBuffer(dim_.csv, "dim", seg).ok());
+    for (const testing::Dataset* d : {&fact_, &dim_, &dim2_}) {
+      ASSERT_TRUE(mono_.ImportTextBuffer(d->csv, d->spec.name).ok());
+      ASSERT_TRUE(seg_.ImportTextBuffer(d->csv, d->spec.name, seg).ok());
+    }
   }
 
   std::string Repro(uint64_t data_seed, uint64_t seed,
@@ -291,6 +277,7 @@ class DifferentialTest : public ::testing::Test {
     s += "sql: " + q.sql + "\n";
     s += fact_.spec.ToString() + "\n";
     s += dim_.spec.ToString() + "\n";
+    s += dim2_.spec.ToString() + "\n";
     s += "repro: TDE_DIFF_DATA_SEED=" + std::to_string(data_seed) +
          " TDE_DIFF_ROWS=" + std::to_string(fact_.spec.rows) +
          " TDE_DIFF_SEG_ROWS=" + std::to_string(seg_rows_) +
@@ -302,6 +289,7 @@ class DifferentialTest : public ::testing::Test {
 
   testing::Dataset fact_;
   testing::Dataset dim_;
+  testing::Dataset dim2_;
   std::map<std::string, const testing::RefTable*> tables_;
   uint64_t seg_rows_ = 256;
   Engine mono_;
@@ -322,10 +310,12 @@ TEST_F(DifferentialTest, RandomizedSweep) {
   TaskScheduler pool2(2);
 
   uint64_t executed = 0;
+  uint64_t chained = 0;
   int failures = 0;
   for (uint64_t seed = 1; seed <= num_seeds; ++seed) {
     const testing::GeneratedQuery q =
-        testing::GenerateQuery(seed, fact_, dim_);
+        testing::GenerateQuery(seed, fact_, dim_, dim2_);
+    if (q.has_second_join) ++chained;
 
     // Oracle: interpret the *parsed* (pre-optimization) plan.
     auto parsed = sql::ParseQuery(q.sql, *mono_.database());
@@ -429,7 +419,12 @@ TEST_F(DifferentialTest, RandomizedSweep) {
     }
   }
   RecordProperty("executions", static_cast<int>(executed));
+  RecordProperty("chained_join_queries", static_cast<int>(chained));
   EXPECT_GE(executed, num_seeds * configs.size() * 2);
+  // Q3-shaped fact -> dim -> dim2 chains must be part of every real sweep.
+  if (num_seeds >= 100) {
+    EXPECT_GT(chained, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -311,6 +311,50 @@ TEST(Engine, NullSentinelsJoinLikeValues) {
   EXPECT_EQ(r.ValueString(1, 2), "missing");  // NULL joined to NULL
 }
 
+TEST(Engine, InnerPredicateDecidesTheNullKeyRow) {
+  // A payload conjunct pushed into the join runs over the inner rows, the
+  // NULL-keyed one included, so it keeps or drops the NULL-keyed outer
+  // rows exactly as the filter above the join did.
+  Engine engine;
+  ASSERT_TRUE(
+      engine.ImportTextBuffer("k,name\n,missing\n1,one\n2,two\n", "dim").ok());
+  ASSERT_TRUE(engine
+                  .ImportTextBuffer("k,v\n1,10\n,20\n1,30\n2,40\n,50\n",
+                                    "facts")
+                  .ok());
+  const std::vector<std::pair<std::string, uint64_t>> cases = {
+      {"name = 'missing'", 2}, {"name <> 'missing'", 3}, {"name IS NULL", 0}};
+  for (const auto& [where, rows] : cases) {
+    const std::string sql =
+        "SELECT v, name FROM facts JOIN dim USING (k) WHERE " + where;
+    SCOPED_TRACE(sql);
+    auto explain = engine.ExecuteSql("EXPLAIN " + sql);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_EQ(explain.value().ValueString(1, 0),
+              "  JoinTable(dim: k = k WHERE " +
+                  (where == "name IS NULL" ? where : "(" + where + ")") +
+                  ")[name]");
+    auto on = engine.ExecuteSql(sql);
+    auto off = engine.ExecuteSql(sql, testutil::AllRewritesOff());
+    ASSERT_TRUE(on.ok()) << on.status().ToString();
+    ASSERT_TRUE(off.ok()) << off.status().ToString();
+    EXPECT_EQ(on.value().num_rows(), rows);
+    EXPECT_EQ(off.value().num_rows(), rows);
+    EXPECT_EQ(on.value().ToCsv(), off.value().ToCsv());
+  }
+  // EXPLAIN ANALYZE reports how much of the inner table stayed joinable.
+  auto analyze = engine.ExecuteSql(
+      "EXPLAIN ANALYZE SELECT v FROM facts JOIN dim USING (k) "
+      "WHERE name = 'missing'");
+  ASSERT_TRUE(analyze.ok()) << analyze.status().ToString();
+  std::string text;
+  for (uint64_t i = 0; i < analyze.value().num_rows(); ++i) {
+    text += analyze.value().ValueString(i, 0) + "\n";
+  }
+  EXPECT_NE(text.find("inner_rows=3 inner_rows_passed=1"), std::string::npos)
+      << text;
+}
+
 TEST(Engine, SortedImportImprovesEncoding) {
   // Dates arriving shuffled: without sorting the column cannot run-length
   // encode; sorting on import restores the runs (Sect. 5.2).

@@ -1,5 +1,6 @@
 #include "src/plan/plan.h"
 
+#include <algorithm>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -204,6 +205,252 @@ TEST(Executor, TacticalHashChoiceFlowsFromMetadata) {
   std::vector<Block> blocks;
   ASSERT_TRUE(DrainOperator(agg, &blocks).ok());
   EXPECT_EQ(agg->algorithm_used(), HashAlgorithm::kDirect);
+}
+
+// --- Filtering move-around and column pruning through joins --------------
+
+/// fact(k, v, w) -> dim(dk, grade, rk, name) -> region(rid, zone): the
+/// chain shape of TPC-H Q3's lineitem -> orders -> customer. dim's keys are
+/// unsorted (a hash join); region's are dense (a fetch join). fact has a
+/// dangling key (9) and a NULL key; dim has a NULL grade.
+struct JoinTables {
+  std::shared_ptr<Table> fact, dim, region;
+};
+
+std::shared_ptr<Table> Named(std::unique_ptr<VectorSource> src,
+                             std::string name) {
+  FlowTableOptions opts;
+  opts.table_name = std::move(name);
+  return FlowTable::Build(std::move(src), opts).MoveValue();
+}
+
+JoinTables MakeJoinTables() {
+  JoinTables t;
+  t.fact = Named(VectorSource::Ints(
+                     {{"k", {3, 1, 4, 0, 3, 1, 4, 0, 9, kNullSentinel, 4, 1}},
+                      {"v", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}},
+                      {"w", {5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10}}}),
+                 "fact");
+  auto dim = VectorSource::Ints({{"dk", {3, 1, 4, 0}},
+                                 {"grade", {10, kNullSentinel, 30, 40}},
+                                 {"rk", {0, 1, 1, 0}}});
+  dim->AddStringColumn("name", {"three", "one", "four", "zero"});
+  t.dim = Named(std::move(dim), "dim");
+  auto region = VectorSource::Ints({{"rid", {0, 1}}});
+  region->AddStringColumn("zone", {"east", "west"});
+  t.region = Named(std::move(region), "region");
+  return t;
+}
+
+HashJoinOptions JoinOn(std::string outer, std::string inner,
+                       std::vector<std::string> payload) {
+  HashJoinOptions j;
+  j.outer_key = std::move(outer);
+  j.inner_key = std::move(inner);
+  j.inner_payload = std::move(payload);
+  return j;
+}
+
+Plan FactJoinDim(const JoinTables& t) {
+  return Plan::Scan(t.fact).Join(t.dim,
+                                 JoinOn("k", "dk", {"grade", "rk", "name"}));
+}
+
+/// Rows rendered as text and sorted: rewrites may change row order.
+std::vector<std::string> SortedRows(const QueryResult& r) {
+  std::vector<std::string> rows;
+  for (uint64_t i = 0; i < r.num_rows(); ++i) {
+    std::string row;
+    for (size_t c = 0; c < r.schema().num_fields(); ++c) {
+      row += r.schema().field(c).name + "=" + r.ValueString(i, c) + ";";
+    }
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// Runs `plan` optimized and with every rewrite off; the answers must
+/// agree. Returns the optimized tree for shape checks.
+PlanNodePtr OptimizeAndCheck(const Plan& plan, size_t expected_rows) {
+  auto control = ExecutePlanNode(
+      StrategicOptimize(ClonePlan(plan.root()), testutil::AllRewritesOff())
+          .MoveValue());
+  EXPECT_TRUE(control.ok()) << control.status().ToString();
+  PlanNodePtr optimized =
+      StrategicOptimize(ClonePlan(plan.root())).MoveValue();
+  auto rewritten = ExecutePlanNode(optimized);
+  EXPECT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  if (control.ok() && rewritten.ok()) {
+    EXPECT_EQ(control.value().num_rows(), expected_rows);
+    EXPECT_EQ(SortedRows(control.value()), SortedRows(rewritten.value()));
+  }
+  return optimized;
+}
+
+TEST(StrategicJoin, ConjunctsSplitByTheSideTheyRead) {
+  const JoinTables t = MakeJoinTables();
+  // Outer-only (v > 3) goes below the join, payload-only (grade > 15)
+  // into the join's inner predicate.
+  PlanNodePtr root = OptimizeAndCheck(
+      FactJoinDim(t).Filter(
+          And(Gt(Col("v"), Int(3)), Gt(Col("grade"), Int(15)))),
+      4);  // v = 4, 7, 8, 11 reach grade 30/40
+  ASSERT_EQ(root->kind, PlanNodeKind::kJoinTable);
+  ASSERT_NE(root->inner_predicate, nullptr);
+  EXPECT_EQ(root->inner_predicate->ToString(), "(grade > 15)");
+  const PlanNodePtr& below = root->children[0];
+  ASSERT_EQ(below->kind, PlanNodeKind::kFilter);
+  EXPECT_EQ(below->predicate->ToString(), "(v > 3)");
+  EXPECT_EQ(below->children[0]->kind, PlanNodeKind::kScan);
+}
+
+TEST(StrategicJoin, MixedConjunctsAndSpanningOrStayAbove) {
+  const JoinTables t = MakeJoinTables();
+  // (w * 4 > grade) reads both sides; the OR spans both sides as a
+  // whole; only (v > 1) can move.
+  PlanNodePtr root = OptimizeAndCheck(
+      FactJoinDim(t).Filter(
+          And(And(Gt(Arith(ArithOp::kMul, Col("w"), Int(4)), Col("grade")),
+                  Or(Lt(Col("v"), Int(6)), Gt(Col("grade"), Int(25)))),
+              Gt(Col("v"), Int(1)))),
+      3);  // v = 5, 7, 11
+  ASSERT_EQ(root->kind, PlanNodeKind::kFilter);
+  EXPECT_EQ(root->predicate->ToString(),
+            "(((w * 4) > grade) AND ((v < 6) OR (grade > 25)))");
+  const PlanNodePtr& join = root->children[0];
+  ASSERT_EQ(join->kind, PlanNodeKind::kJoinTable);
+  EXPECT_EQ(join->inner_predicate, nullptr);
+  ASSERT_EQ(join->children[0]->kind, PlanNodeKind::kFilter);
+  EXPECT_EQ(join->children[0]->predicate->ToString(), "(v > 1)");
+}
+
+TEST(StrategicJoin, StackedJoinsInQ3Shape) {
+  const JoinTables t = MakeJoinTables();
+  // fact JOIN dim JOIN region WHERE zone = 'east' AND grade < 35 AND v > 2,
+  // then SUM(v) by name: every conjunct sinks to its own side, the scan
+  // and both payloads narrow, and region's key (rk) stays in dim's payload
+  // because the upper join reads it.
+  auto plan = FactJoinDim(t)
+                  .Join(t.region, JoinOn("rk", "rid", {"zone"}))
+                  .Filter(And(And(Eq(Col("zone"), Str("east")),
+                                  Lt(Col("grade"), Int(35))),
+                              Gt(Col("v"), Int(2))))
+                  .Aggregate({"name"}, {{AggKind::kSum, "v", "total"}});
+  PlanNodePtr root = OptimizeAndCheck(plan, 1);  // "three": v = 5
+  EXPECT_EQ(PlanToString(root),
+            "Aggregate\n"
+            "  JoinTable(region: rk = rid WHERE (zone = 'east'))[]\n"
+            "    JoinTable(dim: k = dk WHERE (grade < 35))[rk, name]\n"
+            "      Filter((v > 2))\n"
+            "        Scan(fact)[k, v]\n");
+  // Both strategies apply their inner predicate: a hash join over dim's
+  // unsorted keys, a fetch join over region's dense ones.
+  auto explain = ExplainPlan(plan);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain.value().find("join(dk): hash-"), std::string::npos)
+      << explain.value();
+  EXPECT_NE(explain.value().find("join(rid): fetch"), std::string::npos)
+      << explain.value();
+}
+
+TEST(StrategicJoin, IsNullOnPayloadBecomesInnerPredicate) {
+  const JoinTables t = MakeJoinTables();
+  // dim's NULL grade belongs to dk = 1: fact rows with k = 1 survive.
+  PlanNodePtr root = OptimizeAndCheck(
+      FactJoinDim(t)
+          .Filter(IsNull(Col("grade")))
+          .Project({{Col("v"), "v"}, {Col("name"), "name"}}),
+      3);
+  ASSERT_EQ(root->kind, PlanNodeKind::kProject);
+  const PlanNodePtr& join = root->children[0];
+  ASSERT_EQ(join->kind, PlanNodeKind::kJoinTable);
+  ASSERT_NE(join->inner_predicate, nullptr);
+  EXPECT_EQ(join->inner_predicate->ToString(), "grade IS NULL");
+  EXPECT_EQ(join->join.inner_payload, (std::vector<std::string>{"name"}));
+  EXPECT_EQ(join->children[0]->kind, PlanNodeKind::kScan);
+}
+
+TEST(StrategicJoin, EitherSwitchOffKeepsTodaysPlan) {
+  const JoinTables t = MakeJoinTables();
+  auto make = [&] {
+    return FactJoinDim(t)
+        .Filter(And(Gt(Col("v"), Int(3)), Gt(Col("grade"), Int(15))))
+        .Aggregate({"name"}, {{AggKind::kCountStar, "", "n"}});
+  };
+  const std::string parsed = PlanToString(make().root());
+
+  StrategicOptions no_pushdown;
+  no_pushdown.enable_filter_pushdown = false;
+  PlanNodePtr root = StrategicOptimize(make().root(), no_pushdown).MoveValue();
+  const PlanNodePtr& filter = root->children[0];
+  ASSERT_EQ(filter->kind, PlanNodeKind::kFilter);
+  ASSERT_EQ(filter->children[0]->kind, PlanNodeKind::kJoinTable);
+  EXPECT_EQ(filter->children[0]->inner_predicate, nullptr);
+
+  StrategicOptions no_pruning;
+  no_pruning.enable_projection_pruning = false;
+  root = StrategicOptimize(make().root(), no_pruning).MoveValue();
+  ASSERT_EQ(root->children[0]->kind, PlanNodeKind::kJoinTable);
+  EXPECT_EQ(root->children[0]->join.inner_payload,
+            (std::vector<std::string>{"grade", "rk", "name"}));
+  EXPECT_TRUE(root->children[0]->children[0]->children[0]->columns.empty());
+
+  StrategicOptions both = no_pushdown;
+  both.enable_projection_pruning = false;
+  EXPECT_EQ(PlanToString(StrategicOptimize(make().root(), both).MoveValue()),
+            parsed);
+}
+
+TEST(Executor, EntryPointsLeaveTheCallersPlanUntouched) {
+  // Both plans rewrite: the first into an invisible join, the second
+  // through the join. The caller's tree must read the same afterwards.
+  const JoinTables t = MakeJoinTables();
+  const std::vector<Plan> plans = {
+      Plan::Scan(ColorTable()).Filter(Eq(Col("color"), Str("red"))),
+      FactJoinDim(t)
+          .Filter(And(Gt(Col("v"), Int(3)), Gt(Col("grade"), Int(15))))
+          .Aggregate({"name"}, {{AggKind::kSum, "v", "total"}})};
+  for (const Plan& plan : plans) {
+    const std::string before = PlanToString(plan.root());
+    ASSERT_TRUE(ExplainPlan(plan).ok());
+    EXPECT_EQ(PlanToString(plan.root()), before);
+    ASSERT_TRUE(ExecutePlan(plan).ok());
+    EXPECT_EQ(PlanToString(plan.root()), before);
+    ASSERT_TRUE(ExplainAnalyzePlan(plan).ok());
+    EXPECT_EQ(PlanToString(plan.root()), before);
+  }
+}
+
+TEST(Executor, JoinOutputIsNotOrderedByTheInnerTable) {
+  // Payload values follow the outer row order, whatever order the inner
+  // table keeps them in. A Top-N that believed the inner column's
+  // "sorted" metadata stopped its drain early and returned wrong rows.
+  auto dim = Named(VectorSource::Ints({{"dk", {0, 1, 2, 3}},
+                                       {"rank", {10, 20, 30, 40}}}),
+                   "ranks");
+  const std::vector<Plan> plans = {
+      // Invisible join: the dictionary table is sorted by value.
+      Plan::Scan(ColorTable())
+          .Filter(Ne(Col("color"), Str("violet")))
+          .OrderBy({{"color", true}})
+          .Limit(2),
+      // JoinTable: `rank` is sorted in the inner table, not in the output
+      // (outer keys 1, 2, 0, 3 -> ranks 20, 30, 10, 40).
+      Plan::Scan(Named(VectorSource::Ints({{"k", {1, 2, 0, 3}}}), "outer"))
+          .Join(dim, JoinOn("k", "dk", {"rank"}))
+          .OrderBy({{"rank", true}})
+          .Limit(1)};
+  for (const Plan& plan : plans) {
+    auto control = ExecutePlanNode(
+        StrategicOptimize(ClonePlan(plan.root()), testutil::AllRewritesOff())
+            .MoveValue());
+    auto rewritten = ExecutePlan(plan);
+    ASSERT_TRUE(control.ok()) << control.status().ToString();
+    ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+    EXPECT_EQ(rewritten.value().ToCsv(), control.value().ToCsv())
+        << PlanToString(plan.root());
+  }
 }
 
 TEST(Plan, ToStringRendersTree) {

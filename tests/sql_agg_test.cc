@@ -20,6 +20,7 @@
 #include "src/plan/strategic.h"
 #include "src/sql/parser.h"
 #include "src/workload/tpch_queries.h"
+#include "tests/test_util.h"
 
 namespace tde {
 namespace {
@@ -494,17 +495,78 @@ TEST_F(SqlAggTest, GroupByOverEmptyInput) {
 TEST(SqlAggTpch, RollupQueriesMatchWithRewritesOff) {
   Engine engine;
   ASSERT_TRUE(LoadTpchTables(&engine, 0.002).ok());
-  const StrategicOptions control = DecodeThenAggregate();
+  // Two controls: the compressed-domain paths off (filter pushdown and
+  // pruning still on), and every rewrite off — the plan as parsed, with
+  // Q3's and Q12's filters above their joins.
+  const std::vector<StrategicOptions> controls = {DecodeThenAggregate(),
+                                                  testutil::AllRewritesOff()};
   for (const auto& q : TpchQueries()) {
     SCOPED_TRACE(q.id);
     auto parsed = sql::ParseQuery(q.sql, *engine.database());
     ASSERT_TRUE(parsed.ok()) << parsed.status().message();
     auto on = engine.Execute(parsed.value().plan);
     ASSERT_TRUE(on.ok()) << on.status().message();
-    auto off = engine.Execute(parsed.value().plan, control);
-    ASSERT_TRUE(off.ok()) << off.status().message();
-    EXPECT_EQ(SortedRows(on.value()), SortedRows(off.value()));
     EXPECT_GT(on.value().num_rows(), 0u);
+    for (const StrategicOptions& control : controls) {
+      auto off = engine.Execute(parsed.value().plan, control);
+      ASSERT_TRUE(off.ok()) << off.status().message();
+      EXPECT_EQ(SortedRows(on.value()), SortedRows(off.value()));
+    }
+  }
+}
+
+TEST(SqlAggTpch, JoinQueriesFilterAndNarrowLineitemBelowTheJoins) {
+  Engine engine;
+  ASSERT_TRUE(LoadTpchTables(&engine, 0.002).ok());
+  // Columns the lineitem scan still reads: Q3's key, two revenue inputs
+  // and l_shipdate; Q12's key, l_shipmode and l_receiptdate.
+  const std::map<std::string, size_t> scan_columns = {{"Q3", 4}, {"Q12", 3}};
+  for (const auto& q : TpchQueries()) {
+    const auto want = scan_columns.find(q.id);
+    if (want == scan_columns.end()) continue;
+    SCOPED_TRACE(q.id);
+    auto parsed = sql::ParseQuery(q.sql, *engine.database());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    auto explain = ExplainPlan(parsed.value().plan);
+    ASSERT_TRUE(explain.ok()) << explain.status().message();
+    // The plan tree: one node per line, before the tactical notes.
+    std::vector<std::string> tree;
+    size_t start = 0;
+    while (start < explain.value().size()) {
+      size_t end = explain.value().find('\n', start);
+      if (end == std::string::npos) end = explain.value().size();
+      std::string line = explain.value().substr(start, end - start);
+      if (line == "tactical decisions:") break;
+      tree.push_back(std::move(line));
+      start = end + 1;
+    }
+    SCOPED_TRACE(explain.value());
+    ASSERT_GE(tree.size(), 3u);
+    // No filter is left above the joins...
+    for (const std::string& line : tree) {
+      if (line.find("JoinTable(") != std::string::npos) break;
+      EXPECT_EQ(line.find("Filter("), std::string::npos);
+    }
+    // ...the lineitem conjuncts sit on the scan, under the joins...
+    const std::string& filter = tree[tree.size() - 2];
+    const std::string& scan = tree.back();
+    EXPECT_NE(tree[tree.size() - 3].find("JoinTable("), std::string::npos);
+    EXPECT_NE(filter.find("Filter("), std::string::npos);
+    EXPECT_NE(filter.find("l_"), std::string::npos);
+    ASSERT_EQ(scan.find("Scan(lineitem)["), scan.find_first_not_of(' '));
+    EXPECT_GT(filter.find_first_not_of(' '),
+              tree[tree.size() - 3].find_first_not_of(' '));
+    // ...and the scan reads only the columns the plan uses.
+    const auto commas = std::count(scan.begin(), scan.end(), ',');
+    EXPECT_EQ(static_cast<size_t>(commas) + 1, want->second);
+    // EXPLAIN ANALYZE reports the same width for the executed scan.
+    auto analyze = ExplainAnalyzePlan(parsed.value().plan);
+    ASSERT_TRUE(analyze.ok()) << analyze.status().message();
+    EXPECT_NE(analyze.value().find("TableScan(lineitem)"), std::string::npos);
+    EXPECT_NE(analyze.value().find(
+                  "columns=" + std::to_string(want->second)),
+              std::string::npos)
+        << analyze.value();
   }
 }
 

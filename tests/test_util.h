@@ -13,10 +13,33 @@
 
 #include "src/exec/block.h"
 #include "src/exec/flow_table.h"
+#include "src/plan/strategic.h"
 #include "src/storage/heap_accelerator.h"
 
 namespace tde {
 namespace testutil {
+
+/// Every strategic rewrite off: the plan runs as parsed — decode, then
+/// filter, join, aggregate and sort — the control that rewritten plans are
+/// compared against.
+inline StrategicOptions AllRewritesOff() {
+  StrategicOptions off;
+  off.enable_invisible_join = false;
+  off.enable_rank_join = false;
+  off.enable_simplification = false;
+  off.enable_filter_pushdown = false;
+  off.enable_projection_pruning = false;
+  off.enable_metadata_pruning = false;
+  off.enable_run_filters = false;
+  off.enable_dict_predicates = false;
+  off.enable_dict_grouping = false;
+  off.enable_run_aggregation = false;
+  off.enable_metadata_aggregates = false;
+  off.enable_topn = false;
+  off.enable_dict_sort = false;
+  off.enable_sort_pruning = false;
+  return off;
+}
 
 /// A flow operator backed by in-memory lanes (column-major).
 class VectorSource : public Operator {

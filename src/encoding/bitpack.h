@@ -17,7 +17,11 @@ inline size_t PackedBytes(size_t n, uint8_t bits) {
 /// to 64.
 void PackBits(const uint64_t* values, size_t n, uint8_t bits, uint8_t* out);
 
-/// Inverse of PackBits.
+/// Inverse of PackBits. Reads only the PackedBytes(n, bits) bytes at `in`:
+/// widths 1..56 load one 8-byte window per value through a kernel
+/// specialized for the width, except for the last values, whose window
+/// would cross the end of the packed data; those, and widths 57..63, are
+/// assembled a byte at a time.
 void UnpackBits(const uint8_t* in, size_t n, uint8_t bits, uint64_t* out);
 
 }  // namespace tde

@@ -76,7 +76,9 @@ void DeltaStream::PackBlock(const Lane* values) {
 void DeltaStream::DecodeBlock(uint64_t block_idx, Lane* out) const {
   const uint64_t md = static_cast<uint64_t>(min_delta());
   const uint8_t* data = BlockData(block_idx);
-  uint64_t packed[kBlockSize];
+  // Unpack the deltas into `out` (Lane aliases uint64_t legally), then
+  // turn them into a running total in place.
+  uint64_t* packed = reinterpret_cast<uint64_t*>(out);
   UnpackBits(data + 8, kBlockSize, bits(), packed);
   uint64_t v = LoadUnsigned(data, 8);
   out[0] = static_cast<Lane>(v);

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <unordered_set>
@@ -19,38 +20,39 @@ void DictStream::Cuckoo::Init(uint64_t capacity_pow2) {
   vals.assign(capacity_pow2, 0);
   used.assign(capacity_pow2, 0);
   mask = capacity_pow2 - 1;
+  count = 0;
 }
 
 uint32_t DictStream::Cuckoo::Find(Lane key) const {
-  const uint64_t h1 = Mix64(static_cast<uint64_t>(key)) & mask;
+  if (keys.empty()) return kAbsent;
+  const uint64_t h1 = Bucket1(key);
   if (used[h1] && keys[h1] == key) return vals[h1];
-  const uint64_t h2 = Mix64(~static_cast<uint64_t>(key)) & mask;
+  const uint64_t h2 = Bucket2(key);
   if (used[h2] && keys[h2] == key) return vals[h2];
   return kAbsent;
 }
 
 void DictStream::Cuckoo::Insert(Lane key, uint32_t val) {
-  // Displacement loop with a relocation bound; grow and retry on a cycle.
+  // Two-choice cuckoo hashing stays cheap below half load.
+  if ((count + 1) * 2 > mask + 1) Grow();
   Lane k = key;
   uint32_t v = val;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const uint64_t h1 = Mix64(static_cast<uint64_t>(k)) & mask;
-    if (!used[h1]) {
-      keys[h1] = k;
-      vals[h1] = v;
-      used[h1] = 1;
+  uint64_t pos = Bucket1(k);
+  if (used[pos] && !used[Bucket2(k)]) pos = Bucket2(k);
+  // Displacement walk with a relocation bound; grow and retry on a cycle.
+  for (int kick = 0; kick < 128; ++kick) {
+    if (!used[pos]) {
+      keys[pos] = k;
+      vals[pos] = v;
+      used[pos] = 1;
+      ++count;
       return;
     }
-    const uint64_t h2 = Mix64(~static_cast<uint64_t>(k)) & mask;
-    if (!used[h2]) {
-      keys[h2] = k;
-      vals[h2] = v;
-      used[h2] = 1;
-      return;
-    }
-    // Evict the occupant of the first bucket and re-place it.
-    std::swap(k, keys[h1]);
-    std::swap(v, vals[h1]);
+    std::swap(k, keys[pos]);
+    std::swap(v, vals[pos]);
+    // The displaced key moves to its other bucket, never back to this one.
+    const uint64_t h1 = Bucket1(k);
+    pos = pos == h1 ? Bucket2(k) : h1;
   }
   Grow();
   Insert(k, v);
@@ -84,29 +86,24 @@ std::unique_ptr<DictStream> DictStream::FromBuffer(std::vector<uint8_t> buf) {
   auto s = std::unique_ptr<DictStream>(new DictStream());
   *s->mutable_buffer() = std::move(buf);
   s->finalized_ = s->header().logical_size();
+  // A finalized stream never looks a value up, so it carries no map.
   s->finalized_stream_ = true;
-  s->map_.Init(256);
-  s->RebuildMap();
   return s;
 }
 
-void DictStream::RebuildMap() {
-  const uint64_t n = entry_count();
-  for (uint64_t i = 0; i < n; ++i) {
-    map_.Insert(Entry(i), static_cast<uint32_t>(i));
-  }
-}
-
-Lane DictStream::Entry(uint64_t idx) const {
-  const uint8_t w = width();
-  return LoadLane(buf_.data() + kEntriesOffset + idx * w, w,
-                  SignExtendOf(header()));
+Status DictStream::Finalize() {
+  TDE_RETURN_NOT_OK(BlockedStream::Finalize());
+  map_ = Cuckoo();  // no appends from here on
+  return Status::OK();
 }
 
 std::vector<Lane> DictStream::Entries() const {
   const uint64_t n = entry_count();
+  const uint8_t w = width();
+  const bool se = SignExtendOf(header());
+  const uint8_t* entries = buf_.data() + kEntriesOffset;
   std::vector<Lane> out(n);
-  for (uint64_t i = 0; i < n; ++i) out[i] = Entry(i);
+  for (uint64_t i = 0; i < n; ++i) out[i] = LoadLane(entries + i * w, w, se);
   return out;
 }
 
@@ -157,11 +154,43 @@ void DictStream::PackBlock(const Lane* values) {
   PackBits(packed, kBlockSize, bits(), buf_.data() + old);
 }
 
-void DictStream::DecodeBlock(uint64_t block_idx, Lane* out) const {
-  uint64_t packed[kBlockSize];
-  UnpackBits(BlockData(block_idx), kBlockSize, bits(), packed);
+namespace {
+
+/// Replaces each code in `lanes` by its `T`-sized entry; the integer
+/// conversion from T sign- or zero-extends exactly like LoadLane.
+template <typename T>
+void GatherEntries(const uint8_t* entries, Lane* lanes) {
   for (uint32_t i = 0; i < kBlockSize; ++i) {
-    out[i] = Entry(packed[i]);
+    T e;
+    std::memcpy(&e, entries + static_cast<size_t>(lanes[i]) * sizeof(T),
+                sizeof(T));
+    lanes[i] = static_cast<Lane>(e);
+  }
+}
+
+}  // namespace
+
+void DictStream::DecodeBlock(uint64_t block_idx, Lane* out) const {
+  // Unpack the codes into `out` (Lane is the signed counterpart of
+  // uint64_t, so the cast aliases legally), then gather entries in place.
+  // Every code is below 2^bits, and the header reserves room for 2^bits
+  // entries, so the gather stays inside the entry area.
+  UnpackBits(BlockData(block_idx), kBlockSize, bits(),
+             reinterpret_cast<uint64_t*>(out));
+  const uint8_t* entries = buf_.data() + kEntriesOffset;
+  const bool se = SignExtendOf(header());
+  switch (width()) {
+    case 1:
+      return se ? GatherEntries<int8_t>(entries, out)
+                : GatherEntries<uint8_t>(entries, out);
+    case 2:
+      return se ? GatherEntries<int16_t>(entries, out)
+                : GatherEntries<uint16_t>(entries, out);
+    case 4:
+      return se ? GatherEntries<int32_t>(entries, out)
+                : GatherEntries<uint32_t>(entries, out);
+    default:  // 8: element widths are 1, 2, 4 or 8
+      return GatherEntries<int64_t>(entries, out);
   }
 }
 

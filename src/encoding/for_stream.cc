@@ -54,11 +54,12 @@ void ForStream::PackBlock(const Lane* values) {
 }
 
 void ForStream::DecodeBlock(uint64_t block_idx, Lane* out) const {
-  const int64_t f = frame();
-  uint64_t packed[kBlockSize];
+  const uint64_t f = static_cast<uint64_t>(frame());
+  // Unpack into `out` (Lane aliases uint64_t legally), then add the frame.
+  uint64_t* packed = reinterpret_cast<uint64_t*>(out);
   UnpackBits(BlockData(block_idx), kBlockSize, bits(), packed);
   for (uint32_t i = 0; i < kBlockSize; ++i) {
-    out[i] = static_cast<Lane>(static_cast<uint64_t>(f) + packed[i]);
+    out[i] = static_cast<Lane>(f + packed[i]);
   }
 }
 

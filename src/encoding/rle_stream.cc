@@ -22,14 +22,24 @@ std::unique_ptr<RleStream> RleStream::FromBuffer(std::vector<uint8_t> buf) {
   *s->mutable_buffer() = std::move(buf);
   s->total_ = s->header().logical_size();
   s->finalized_stream_ = true;
+  const uint64_t pairs = s->StoredPairs();
+  s->checkpoints_.reserve(pairs / kCheckpointStride + 1);
+  for (uint64_t i = 0; i < pairs; ++i) s->RecordPair(i, s->RunCount(i));
   return s;
 }
 
+void RleStream::RecordPair(uint64_t pair_idx, uint64_t run_len) {
+  if (pair_idx % kCheckpointStride == 0) checkpoints_.push_back(stored_rows_);
+  stored_rows_ += run_len;
+}
+
+uint64_t RleStream::StoredPairs() const {
+  return (buf_.size() - header().data_offset()) /
+         (count_width() + value_width());
+}
+
 uint64_t RleStream::run_count() const {
-  const uint64_t pair_bytes = count_width() + value_width();
-  const uint64_t stored =
-      (buf_.size() - header().data_offset()) / pair_bytes;
-  return stored + (in_run_ ? 1 : 0);
+  return StoredPairs() + (in_run_ ? 1 : 0);
 }
 
 Lane RleStream::RunValue(uint64_t pair_idx) const {
@@ -50,6 +60,7 @@ uint64_t RleStream::RunCount(uint64_t pair_idx) const {
 void RleStream::EmitRun() {
   const uint8_t cw = count_width();
   const uint8_t vw = value_width();
+  RecordPair(StoredPairs(), cur_count_);
   const size_t old = buf_.size();
   buf_.resize(old + cw + vw);
   StoreBytes(buf_.data() + old, cur_count_, cw);
@@ -132,17 +143,17 @@ Status RleStream::Get(uint64_t row, size_t count, Lane* out) const {
   if (row + count > total_) {
     return Status::OutOfRange("read past end of stream");
   }
-  const uint64_t stored_pairs =
-      (buf_.size() - header().data_offset()) / (count_width() + value_width());
-  // Seeking backwards requires a sequential scan from the start of the
-  // data stream (Sect. 4.3) — that asymmetry is why the planner keeps RLE
-  // off hash-join inner sides.
-  if (row < cursor_row_) {
-    cursor_pair_ = 0;
-    cursor_row_ = 0;
+  const uint64_t stored_pairs = StoredPairs();
+  // Start from the last checkpoint at or before `row`.
+  uint64_t pair = 0;
+  uint64_t pair_start = 0;
+  const auto after =
+      std::upper_bound(checkpoints_.begin(), checkpoints_.end(), row);
+  if (after != checkpoints_.begin()) {
+    const uint64_t k = static_cast<uint64_t>(after - checkpoints_.begin()) - 1;
+    pair = k * kCheckpointStride;
+    pair_start = checkpoints_[k];
   }
-  uint64_t pair = cursor_pair_;
-  uint64_t pair_start = cursor_row_;
   size_t produced = 0;
   while (produced < count) {
     uint64_t run_len;
@@ -166,15 +177,12 @@ Status RleStream::Get(uint64_t row, size_t count, Lane* out) const {
     for (size_t i = 0; i < take; ++i) out[produced + i] = value;
     produced += take;
   }
-  cursor_pair_ = pair;
-  cursor_row_ = pair_start;
   return Status::OK();
 }
 
 Status RleStream::GetRuns(std::vector<RleRun>* out) const {
   out->clear();
-  const uint64_t stored_pairs =
-      (buf_.size() - header().data_offset()) / (count_width() + value_width());
+  const uint64_t stored_pairs = StoredPairs();
   out->reserve(stored_pairs + 1);
   for (uint64_t i = 0; i < stored_pairs; ++i) {
     out->push_back({RunValue(i), RunCount(i)});

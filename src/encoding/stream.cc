@@ -80,6 +80,12 @@ Status BlockedStream::Get(uint64_t row, size_t count, Lane* out) const {
       const uint64_t abs = row + produced;
       const uint64_t block = abs / kBlockSize;
       const uint64_t in_block = abs % kBlockSize;
+      if (in_block == 0 && count - produced >= kBlockSize &&
+          finalized_ - abs >= kBlockSize) {
+        DecodeBlock(block, out + produced);  // a whole block: no staging
+        produced += kBlockSize;
+        continue;
+      }
       DecodeBlock(block, block_buf);
       const size_t take = static_cast<size_t>(
           std::min<uint64_t>(kBlockSize - in_block,

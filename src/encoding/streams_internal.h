@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/encoding/stream.h"
 
 namespace tde {
@@ -103,8 +104,9 @@ class DeltaStream : public BlockedStream {
 
 /// Dictionary (Sect. 3.1.3): header holds the entry count followed by space
 /// for 2^bits entries of `width` bytes, so the dictionary can grow in place
-/// up to the limit; packed values are indexes. The value->index map is a
-/// cuckoo hash (kept small because entries are capped at 2^15).
+/// up to the limit; packed values are indexes. While the stream accepts
+/// appends, a cuckoo hash maps value->index (kept small because entries are
+/// capped at 2^15); a finalized stream only decodes and carries no map.
 class DictStream : public BlockedStream {
  public:
   static constexpr uint64_t kEntryCountOffset = 24;
@@ -114,11 +116,13 @@ class DictStream : public BlockedStream {
                                           uint8_t bits);
   static std::unique_ptr<DictStream> FromBuffer(std::vector<uint8_t> buf);
 
+  Status Finalize() override;
+
   uint64_t entry_count() const { return header().GetU64(kEntryCountOffset); }
-  /// Dictionary entry `idx` as a lane.
-  Lane Entry(uint64_t idx) const;
   /// All entries, in index order.
   std::vector<Lane> Entries() const;
+  /// Slots of the value->index map (0 once finalized or opened).
+  uint64_t map_slots() const { return map_.keys.size(); }
 
   /// Compressed-domain reads: codes are the packed indexes themselves, so
   /// this skips the per-row entry decode of Get().
@@ -133,19 +137,27 @@ class DictStream : public BlockedStream {
   void OnCommit(const Lane* values, size_t count) override;
 
  private:
-  /// Cuckoo hash value->index; two buckets per key, relocation on insert.
+  /// Cuckoo hash value->index: two buckets per key, load kept at most 1/2;
+  /// an insert that finds both buckets taken walks a displacement chain
+  /// in which each evicted key moves to its other bucket.
   struct Cuckoo {
     std::vector<Lane> keys;
     std::vector<uint32_t> vals;
     std::vector<uint8_t> used;
     uint64_t mask = 0;
+    uint64_t count = 0;
+    uint64_t Bucket1(Lane k) const {
+      return Mix64(static_cast<uint64_t>(k)) & mask;
+    }
+    uint64_t Bucket2(Lane k) const {
+      return Mix64(~static_cast<uint64_t>(k)) & mask;
+    }
     void Init(uint64_t capacity_pow2);
     uint32_t Find(Lane key) const;  // UINT32_MAX if absent
     void Insert(Lane key, uint32_t val);
     void Grow();
   };
 
-  void RebuildMap();
   uint32_t Lookup(Lane v) const { return map_.Find(v); }
 
   Cuckoo map_;
@@ -172,14 +184,19 @@ class AffineStream : public BlockedStream {
 };
 
 /// Run-length (Sect. 3.1.5): its own format — the common prefix plus two
-/// field-width bytes, then length/value pairs. Backwards seeks degrade to a
-/// sequential scan from the start of the stream, which is why the strategic
-/// optimizer keeps RLE off hash-join inner sides (Sect. 4.3).
+/// field-width bytes, then length/value pairs. A read finds its first run
+/// by binary search over sparse checkpoints (the start row of every
+/// kCheckpointStride-th pair, recorded as pairs are emitted or when a
+/// stream is opened) and walks at most kCheckpointStride pairs from there,
+/// so forward and backward seeks cost the same and concurrent readers
+/// share no state. The planner still keeps RLE off hash-join inner sides
+/// (Sect. 4.3): each random probe pays that search.
 class RleStream : public EncodedStream {
  public:
   static constexpr uint64_t kCountWidthOffset = 24;
   static constexpr uint64_t kValueWidthOffset = 25;
   static constexpr uint64_t kPairsOffset = 32;
+  static constexpr uint64_t kCheckpointStride = 64;
 
   static std::unique_ptr<RleStream> Make(uint8_t width, bool sign_extend,
                                          uint8_t count_width,
@@ -200,6 +217,9 @@ class RleStream : public EncodedStream {
 
  private:
   void EmitRun();
+  /// Notes stored pair `pair_idx` (of `run_len` rows) in the checkpoints.
+  void RecordPair(uint64_t pair_idx, uint64_t run_len);
+  uint64_t StoredPairs() const;
   Lane RunValue(uint64_t pair_idx) const;
   uint64_t RunCount(uint64_t pair_idx) const;
 
@@ -208,10 +228,10 @@ class RleStream : public EncodedStream {
   Lane cur_value_ = 0;
   uint64_t cur_count_ = 0;
   bool finalized_stream_ = false;
-  // Sequential-access cursor (Sect. 4.3): remembers the last decoded
-  // position; a backwards seek resets it to the start.
-  mutable uint64_t cursor_pair_ = 0;
-  mutable uint64_t cursor_row_ = 0;
+  // checkpoints_[k] = first row of stored pair k * kCheckpointStride;
+  // stored_rows_ = rows covered by the stored pairs.
+  std::vector<uint64_t> checkpoints_;
+  uint64_t stored_rows_ = 0;
 };
 
 }  // namespace internal

@@ -52,12 +52,33 @@ void UncompressedStream::PackBlock(const Lane* values) {
   }
 }
 
+namespace {
+
+/// Widens kBlockSize contiguous `T` values; the integer conversion from T
+/// sign- or zero-extends exactly like LoadLane.
+template <typename T>
+void WidenBlock(const uint8_t* in, Lane* out) {
+  for (uint32_t i = 0; i < kBlockSize; ++i) {
+    T v;
+    std::memcpy(&v, in + static_cast<size_t>(i) * sizeof(T), sizeof(T));
+    out[i] = static_cast<Lane>(v);
+  }
+}
+
+}  // namespace
+
 void UncompressedStream::DecodeBlock(uint64_t block_idx, Lane* out) const {
-  const uint8_t w = width();
   const bool se = SignExtendOf(header());
   const uint8_t* in = BlockData(block_idx);
-  for (uint32_t i = 0; i < kBlockSize; ++i) {
-    out[i] = LoadLane(in + static_cast<size_t>(i) * w, w, se);
+  switch (width()) {
+    case 1:
+      return se ? WidenBlock<int8_t>(in, out) : WidenBlock<uint8_t>(in, out);
+    case 2:
+      return se ? WidenBlock<int16_t>(in, out) : WidenBlock<uint16_t>(in, out);
+    case 4:
+      return se ? WidenBlock<int32_t>(in, out) : WidenBlock<uint32_t>(in, out);
+    default:  // 8: element widths are 1, 2, 4 or 8
+      std::memcpy(out, in, static_cast<size_t>(kBlockSize) * sizeof(Lane));
   }
 }
 

@@ -2,13 +2,13 @@
 
 namespace tde {
 
-void Block::Compact(const std::vector<char>& keep) {
+void Block::Compact(const SelectionVector& sel) {
   for (auto& col : columns) {
-    size_t out = 0;
-    for (size_t i = 0; i < col.lanes.size(); ++i) {
-      if (keep[i]) col.lanes[out++] = col.lanes[i];
-    }
-    col.lanes.resize(out);
+    // Distinct ascending ids: as many as rows means every row.
+    if (sel.size() == col.lanes.size()) continue;
+    Lane* lanes = col.lanes.data();
+    for (size_t j = 0; j < sel.size(); ++j) lanes[j] = lanes[sel[j]];
+    col.lanes.resize(sel.size());
   }
 }
 

@@ -27,6 +27,9 @@ struct ColumnVector {
   std::string_view GetString(size_t i) const { return heap->Get(lanes[i]); }
 };
 
+/// Ids of selected rows within a block, ascending and distinct.
+using SelectionVector = std::vector<uint32_t>;
+
 /// A block of rows (Sect. 2.3.1): the unit passed between Volcano-style
 /// flow operators. At most kBlockSize rows.
 struct Block {
@@ -39,8 +42,8 @@ struct Block {
     for (auto& c : columns) c.lanes.clear();
   }
 
-  /// Keeps only the rows whose `keep` flag is set (all columns).
-  void Compact(const std::vector<char>& keep);
+  /// Keeps only the rows listed in `sel` (all columns).
+  void Compact(const SelectionVector& sel);
 };
 
 /// The block-iterated Volcano operator interface (Sect. 2.3.1). Flow

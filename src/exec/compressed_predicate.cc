@@ -1,140 +1,93 @@
 #include "src/exec/compressed_predicate.h"
 
-#include <algorithm>
-#include <mutex>
-#include <unordered_set>
-#include <utility>
-#include <vector>
-
 namespace tde {
 namespace expr {
 
-namespace {
-
-/// The compiled form of one predicate against one heap: the subtree's
-/// truth table over the token domain. Tokens of a heap ascend strictly
-/// (each entry starts past the previous one), so when the matching tokens
-/// are consecutive entries the whole set collapses to one interval — the
-/// O(1)-per-row payoff of the Sect. 3.4 header sort, since a sorted heap
-/// lays range predicates out contiguously.
-struct DictTranslation {
-  bool is_range = true;
-  Lane lo = 1, hi = 0;  // empty interval unless filled in
-  std::unordered_set<Lane> tokens;
-  bool null_result = false;
-
-  bool Matches(Lane token) const {
-    if (is_range) return token >= lo && token <= hi;
-    return tokens.count(token) != 0;
+Result<ColumnVector> DictCodePredicate::Eval(const Block& block,
+                                             const Schema& schema) const {
+  auto idx = schema.FieldIndex(column_);
+  if (!idx.ok()) return inner_->Eval(block, schema);
+  const ColumnVector& cv = block.columns[idx.value()];
+  if (cv.type != TypeId::kString || cv.heap == nullptr) {
+    return inner_->Eval(block, schema);  // nothing compressed to leverage
   }
-};
-
-class DictCodePredicate : public Expression {
- public:
-  DictCodePredicate(std::string column, ExprPtr inner)
-      : column_(std::move(column)), inner_(std::move(inner)) {}
-
-  Result<ColumnVector> Eval(const Block& block,
-                            const Schema& schema) const override {
-    auto idx = schema.FieldIndex(column_);
-    if (!idx.ok()) return inner_->Eval(block, schema);
-    const ColumnVector& cv = block.columns[idx.value()];
-    if (cv.type != TypeId::kString || cv.heap == nullptr) {
-      return inner_->Eval(block, schema);  // nothing compressed to leverage
-    }
-    TDE_ASSIGN_OR_RETURN(std::shared_ptr<const DictTranslation> t,
-                         Translate(cv.heap));
-    ColumnVector out;
-    out.type = TypeId::kBool;
-    const size_t n = block.rows();
-    out.lanes.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Lane lane = cv.lanes[i];
-      out.lanes[i] =
-          (lane == kNullSentinel ? t->null_result : t->Matches(lane)) ? 1 : 0;
-    }
-    return out;
+  TDE_ASSIGN_OR_RETURN(std::shared_ptr<const DictTranslation> t,
+                       Translate(cv.heap));
+  ColumnVector out;
+  out.type = TypeId::kBool;
+  const size_t n = block.rows();
+  out.lanes.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Lane lane = cv.lanes[i];
+    out.lanes[i] =
+        (lane == kNullSentinel ? t->null_result : t->Matches(lane)) ? 1 : 0;
   }
-  Result<TypeId> ResultType(const Schema&) const override {
-    return TypeId::kBool;
-  }
-  std::string ToString() const override {
-    return "dict_code[" + inner_->ToString() + "]";
-  }
-  void CollectColumns(std::vector<std::string>* out) const override {
-    inner_->CollectColumns(out);
-  }
-  std::vector<ExprPtr> Children() const override { return {inner_}; }
-  ExprPtr WithChildren(std::vector<ExprPtr> c) const override {
-    return std::make_shared<DictCodePredicate>(column_, std::move(c[0]));
-  }
+  return out;
+}
 
-  const ExprPtr& inner() const { return inner_; }
-
- private:
-  /// Blocks of one query normally share one column heap, but expression-
-  /// produced strings carry a fresh heap per block; a few slots absorb
-  /// both shapes without growing unboundedly.
-  static constexpr size_t kMaxCachedHeaps = 4;
-
-  Result<std::shared_ptr<const DictTranslation>> Translate(
-      const std::shared_ptr<const StringHeap>& heap) const {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& [h, t] : cache_) {
-        if (h == heap) return t;
-      }
-    }
-    // Evaluate the original subtree once over the whole token domain plus
-    // the NULL sentinel (IS NULL / NOT make NULL rows pass, so the null
-    // verdict must come from the expression itself, not be assumed false).
-    const std::vector<Lane> domain = heap->AllTokens();
-    Block b;
-    b.columns.resize(1);
-    ColumnVector& col = b.columns[0];
-    col.type = TypeId::kString;
-    col.heap = heap;
-    col.lanes = domain;
-    col.lanes.push_back(kNullSentinel);
-    Schema schema;
-    schema.AddField({column_, TypeId::kString});
-    TDE_ASSIGN_OR_RETURN(ColumnVector mask, inner_->Eval(b, schema));
-
-    auto t = std::make_shared<DictTranslation>();
-    t->null_result = mask.lanes.back() == 1;
-    size_t first = domain.size(), last = 0, count = 0;
-    for (size_t i = 0; i < domain.size(); ++i) {
-      if (mask.lanes[i] != 1) continue;
-      if (count == 0) first = i;
-      last = i;
-      ++count;
-    }
-    if (count > 0 && count == last - first + 1) {
-      t->lo = domain[first];  // consecutive entries -> one interval
-      t->hi = domain[last];
-    } else if (count > 0) {
-      t->is_range = false;
-      t->tokens.reserve(count);
-      for (size_t i = first; i <= last; ++i) {
-        if (mask.lanes[i] == 1) t->tokens.insert(domain[i]);
-      }
-    }
+Result<std::shared_ptr<const DictTranslation>> DictCodePredicate::Translate(
+    const std::shared_ptr<const StringHeap>& heap) const {
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    if (cache_.size() >= kMaxCachedHeaps) cache_.erase(cache_.begin());
-    cache_.emplace_back(heap, t);
-    return {std::shared_ptr<const DictTranslation>(t)};
+    for (const auto& [h, t] : cache_) {
+      if (h == heap) return t;
+    }
   }
+  // Evaluate the original subtree once over the whole token domain plus
+  // the NULL sentinel (IS NULL / NOT make NULL rows pass, so the null
+  // verdict must come from the expression itself, not be assumed false).
+  const std::vector<Lane> domain = heap->AllTokens();
+  Block b;
+  b.columns.resize(1);
+  ColumnVector& col = b.columns[0];
+  col.type = TypeId::kString;
+  col.heap = heap;
+  col.lanes = domain;
+  col.lanes.push_back(kNullSentinel);
+  Schema schema;
+  schema.AddField({column_, TypeId::kString});
+  TDE_ASSIGN_OR_RETURN(ColumnVector mask, inner_->Eval(b, schema));
 
-  std::string column_;
-  ExprPtr inner_;
-  // Keyed by the owning shared_ptr: holding it pins the heap's identity,
-  // so a recycled address can never alias a cached translation. Exchange
-  // workers evaluate one shared predicate concurrently, hence the mutex.
-  mutable std::mutex mu_;
-  mutable std::vector<std::pair<std::shared_ptr<const StringHeap>,
-                                std::shared_ptr<const DictTranslation>>>
-      cache_;
-};
+  auto t = std::make_shared<DictTranslation>();
+  t->null_result = mask.lanes.back() == 1;
+  size_t first = domain.size(), last = 0, count = 0;
+  for (size_t i = 0; i < domain.size(); ++i) {
+    if (mask.lanes[i] != 1) continue;
+    if (count == 0) first = i;
+    last = i;
+    ++count;
+  }
+  if (count > 0) {
+    t->lo = domain[first];
+    t->hi = domain[last];
+  }
+  if (count > 0 && count != last - first + 1) {
+    // Not consecutive entries: a bitmap over the token span when it costs
+    // at most a few words per match, else the sorted tokens themselves.
+    t->interval = false;
+    const uint64_t span = static_cast<uint64_t>(t->hi - t->lo) + 1;
+    const uint64_t words = (span + 63) / 64;
+    if (words <= 4 * count + 64) {
+      t->bitmap.assign(words, 0);
+      for (size_t i = first; i <= last; ++i) {
+        if (mask.lanes[i] != 1) continue;
+        const uint64_t bit = static_cast<uint64_t>(domain[i] - t->lo);
+        t->bitmap[bit >> 6] |= uint64_t{1} << (bit & 63);
+      }
+    } else {
+      t->sorted.reserve(count);
+      for (size_t i = first; i <= last; ++i) {
+        if (mask.lanes[i] == 1) t->sorted.push_back(domain[i]);
+      }
+    }
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (cache_.size() >= kMaxCachedHeaps) cache_.erase(cache_.begin());
+  cache_.emplace_back(heap, t);
+  return {std::shared_ptr<const DictTranslation>(t)};
+}
+
+namespace {
 
 /// The single column a predicate reads, if exactly one.
 bool SingleColumnOf(const ExprPtr& e, std::string* name) {
@@ -177,8 +130,8 @@ ExprPtr RewriteDictPredicates(const ExprPtr& pred, const Schema& schema,
   return rebuilt != nullptr ? rebuilt : pred;
 }
 
-bool IsDictCodePredicate(const ExprPtr& e) {
-  return dynamic_cast<const DictCodePredicate*>(e.get()) != nullptr;
+const DictCodePredicate* AsDictCodePredicate(const ExprPtr& e) {
+  return dynamic_cast<const DictCodePredicate*>(e.get());
 }
 
 }  // namespace expr

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "src/encoding/header.h"
+#include "src/exec/filter.h"
 
 namespace tde {
 
@@ -115,33 +116,25 @@ Status HashJoin::EvalInnerPredicate() {
   inner_predicate_->CollectColumns(&names);
   // A predicate that reads no column still needs a block with a row count.
   if (names.empty()) names.push_back(options_.inner_key);
+  // One block over every inner row: the bound predicate takes any row
+  // count.
   Schema schema;
-  std::vector<InnerColumn> cols;
+  Block b;
   for (const std::string& n : names) {
     if (schema.FieldIndex(n).ok()) continue;
     TDE_ASSIGN_OR_RETURN(InnerColumn ic, MaterializeInner(n));
     schema.AddField({n, ic.type});
-    cols.push_back(std::move(ic));
+    ColumnVector cv;
+    cv.type = ic.type;
+    cv.heap = std::move(ic.heap);
+    cv.lanes = std::move(ic.lanes);
+    b.columns.push_back(std::move(cv));
   }
+  SelectionVector sel;
+  TDE_RETURN_NOT_OK(BoundPredicate(inner_predicate_, schema).Select(b, &sel));
   inner_pass_.assign(inner_rows_, 0);
-  for (uint64_t start = 0; start < inner_rows_; start += kBlockSize) {
-    const uint64_t end = std::min<uint64_t>(inner_rows_, start + kBlockSize);
-    Block b;
-    for (const InnerColumn& ic : cols) {
-      ColumnVector cv;
-      cv.type = ic.type;
-      cv.heap = ic.heap;
-      cv.lanes.assign(ic.lanes.begin() + start, ic.lanes.begin() + end);
-      b.columns.push_back(std::move(cv));
-    }
-    TDE_ASSIGN_OR_RETURN(ColumnVector mask,
-                         inner_predicate_->Eval(b, schema));
-    for (uint64_t r = start; r < end; ++r) {
-      inner_pass_[r] = mask.lanes[r - start] == 1;
-    }
-  }
-  inner_rows_passed_ = static_cast<uint64_t>(
-      std::count(inner_pass_.begin(), inner_pass_.end(), 1));
+  for (const uint32_t r : sel) inner_pass_[r] = 1;
+  inner_rows_passed_ = sel.size();
   return Status::OK();
 }
 
@@ -244,8 +237,9 @@ Status HashJoin::Next(Block* block, bool* eos) {
     if (n == 0) continue;
 
     // Resolve each outer row's inner row id; misses drop the row.
+    // sel[j] is the j-th kept outer row and inner_row[j] its inner row.
     std::vector<uint32_t> inner_row(n);
-    std::vector<char> keep(n, 0);
+    SelectionVector sel(n);
     size_t kept = 0;
     const std::vector<Lane>& keys = in.columns[outer_key_idx_].lanes;
     const bool unit_fetch =
@@ -285,16 +279,17 @@ Status HashJoin::Next(Block* block, bool* eos) {
       }
       if (row != kNoGroup) {
         inner_row[kept] = row;
-        keep[i] = 1;
+        sel[kept] = static_cast<uint32_t>(i);
         ++kept;
       }
     }
     if (kept == 0) continue;
 
     // Compact the outer columns first, then gather payload for the kept
-    // rows only (inner_row[0, kept) lists their inner rows in order).
+    // rows only.
+    sel.resize(kept);
     *block = std::move(in);
-    if (kept < n) block->Compact(keep);
+    block->Compact(sel);
     for (const InnerColumn& ic : payload_) {
       ColumnVector cv;
       cv.type = ic.type;

@@ -18,7 +18,9 @@ struct ProjectedColumn {
 };
 
 /// Flow operator: evaluates expressions over each block (the TDE's Project
-/// / computation operator).
+/// / computation operator). Bare column references are resolved to input
+/// columns at Open() and pass their lanes through by move (by copy only
+/// when the same input column is referenced again later).
 class Project : public Operator {
  public:
   Project(std::unique_ptr<Operator> child, std::vector<ProjectedColumn> cols);
@@ -32,6 +34,10 @@ class Project : public Operator {
   std::unique_ptr<Operator> child_;
   std::vector<ProjectedColumn> cols_;
   Schema schema_;
+  // Per output column: the input column a bare reference reads (-1 for a
+  // computed column), and whether this is that input's last reference.
+  std::vector<int> source_;
+  std::vector<char> move_;
 };
 
 }  // namespace tde

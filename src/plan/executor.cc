@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
+#include <optional>
 
 #include "src/exec/compressed_predicate.h"
 #include "src/exec/dictionary_table.h"
@@ -566,18 +568,14 @@ Result<BuiltPlan> BuildIndexedScan(const PlanNode& node, bool* grouped) {
     b.columns[0].heap = value_heap;
     b.columns[0].lanes.reserve(index.size());
     for (const IndexEntry& e : index) b.columns[0].lanes.push_back(e.value);
-    TDE_ASSIGN_OR_RETURN(ColumnVector mask,
-                         node.index_predicate->Eval(b, index_schema));
+    SelectionVector sel;
+    TDE_RETURN_NOT_OK(
+        BoundPredicate(node.index_predicate, index_schema).Select(b, &sel));
     std::vector<IndexEntry> kept;
-    kept.reserve(index.size());
-    for (size_t i = 0; i < index.size(); ++i) {
-      if (mask.lanes[i] == 1) {
-        kept.push_back(index[i]);
-      } else {
-        ++runs_skipped;
-        rows_pruned += index[i].count;
-      }
-    }
+    kept.reserve(sel.size());
+    for (const uint32_t i : sel) kept.push_back(index[i]);
+    runs_skipped = index.size() - kept.size();
+    rows_pruned = IndexRowCount(index) - IndexRowCount(kept);
     index = std::move(kept);
     observe::QueryCount(observe::QueryCounter::kRunsSkipped, runs_skipped);
     observe::QueryCount(observe::QueryCounter::kRowsPruned, rows_pruned);
@@ -649,6 +647,27 @@ Result<BuiltPlan> BuildIndexedScan(const PlanNode& node, bool* grouped) {
   return out;
 }
 
+/// An exchange worker's filter: `pred` is bound once, against the schema
+/// of the first block any worker transforms (every source of one exchange
+/// has the same schema), and the bound state is then shared read-only.
+BlockTransform FilterTransform(ExprPtr pred) {
+  struct Shared {
+    ExprPtr pred;
+    std::once_flag once;
+    std::optional<BoundPredicate> bound;
+  };
+  auto shared = std::make_shared<Shared>();
+  shared->pred = std::move(pred);
+  return [shared](const Schema& schema, Block* block) -> Status {
+    std::call_once(shared->once,
+                   [&] { shared->bound.emplace(shared->pred, schema); });
+    SelectionVector sel;
+    TDE_RETURN_NOT_OK(shared->bound->Select(*block, &sel));
+    block->Compact(sel);
+    return Status::OK();
+  };
+}
+
 Result<BuiltPlan> BuildExchange(const PlanNode& node) {
   // If the exchange sits directly above a filter, route the filter into
   // the workers (that is the parallelized segment).
@@ -708,16 +727,7 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
         ExprPtr pred = LowerPredicate(child->predicate, child->compressed_eval,
                                       sources[0]->output_schema(), &out.notes,
                                       &dict_rewrites);
-        opts.transform = [pred](const Schema& schema,
-                                Block* block) -> Status {
-          TDE_ASSIGN_OR_RETURN(ColumnVector mask, pred->Eval(*block, schema));
-          std::vector<char> keep(block->rows());
-          for (size_t i = 0; i < keep.size(); ++i) {
-            keep[i] = mask.lanes[i] == 1;
-          }
-          block->Compact(keep);
-          return Status::OK();
-        };
+        opts.transform = FilterTransform(std::move(pred));
         for (auto& [name, p] : out.props) p.meta.dense = false;
         if (prune.segments_pruned > 0) {
           out.notes.push_back(
@@ -765,13 +775,7 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
         LowerPredicate(child->predicate, child->compressed_eval,
                        built_child.op->output_schema(), &built_child.notes,
                        &dict_rewrites);
-    opts.transform = [pred](const Schema& schema, Block* block) -> Status {
-      TDE_ASSIGN_OR_RETURN(ColumnVector mask, pred->Eval(*block, schema));
-      std::vector<char> keep(block->rows());
-      for (size_t i = 0; i < keep.size(); ++i) keep[i] = mask.lanes[i] == 1;
-      block->Compact(keep);
-      return Status::OK();
-    };
+    opts.transform = FilterTransform(std::move(pred));
     for (auto& [name, p] : built_child.props) p.meta.dense = false;
   } else {
     TDE_ASSIGN_OR_RETURN(built_child, BuildExecutable(child));

@@ -362,6 +362,30 @@ class SqlBuilder {
     return c.type == TypeId::kString ? "'oak'" : "0";
   }
 
+  /// A literal of the other numeric type near an actual value: a real
+  /// literal for an integer column (exact or halfway to the next value)
+  /// and an integer literal for a real column; other columns get their own
+  /// type.
+  std::string SampleCrossLiteral(const GenColumn& c) {
+    if (c.type != TypeId::kInteger && c.type != TypeId::kReal) {
+      return SampleLiteral(c);
+    }
+    const auto& rows = c.source->ref.rows;
+    for (int attempt = 0; attempt < 16; ++attempt) {
+      const RefValue& v = rows[rng_->U(rows.size())][c.source_col];
+      if (v.null) continue;
+      if (v.type == TypeId::kInteger) {
+        // Beyond 2^53 a double cannot hold the value; keep to exact ones.
+        if (v.i > (int64_t{1} << 53) || v.i < -(int64_t{1} << 53)) continue;
+        const double d = static_cast<double>(v.i);
+        return FormatReal(rng_->Chance(50) ? d : d + 0.5);
+      }
+      if (!std::isfinite(v.d) || std::fabs(v.d) > 1e15) continue;
+      return std::to_string(static_cast<int64_t>(std::llround(v.d)));
+    }
+    return c.type == TypeId::kReal ? "0" : "0.50";
+  }
+
   std::string SampleString(const GenColumn& c) {
     const auto& rows = c.source->ref.rows;
     for (int attempt = 0; attempt < 16; ++attempt) {
@@ -402,10 +426,21 @@ class SqlBuilder {
   std::string Atom() {
     const GenColumn& c = AnyColumn();
     static const char* kCmp[] = {"=", "<>", "<", "<=", ">", ">="};
-    switch (rng_->U(6)) {
+    switch (rng_->U(8)) {
       case 0:  // comparison with a literal
         return "(" + c.name + " " + kCmp[rng_->U(6)] + " " +
                SampleLiteral(c) + ")";
+      case 6:  // the literal on the left
+        return "(" + SampleLiteral(c) + " " + kCmp[rng_->U(6)] + " " +
+               c.name + ")";
+      case 7: {  // integer column vs real literal, or the reverse
+        const GenColumn& n =
+            TypedColumn(rng_->Chance(50) ? TypeId::kInteger : TypeId::kReal);
+        const std::string lit = SampleCrossLiteral(n);
+        const char* op = kCmp[rng_->U(6)];
+        return rng_->Chance(30) ? "(" + lit + " " + op + " " + n.name + ")"
+                                : "(" + n.name + " " + op + " " + lit + ")";
+      }
       case 1: {  // BETWEEN (occasionally reversed -> provably empty)
         std::string lo = SampleLiteral(c);
         std::string hi = SampleLiteral(c);
@@ -435,6 +470,13 @@ class SqlBuilder {
   }
 
   std::string Predicate(int depth = 0) {
+    if (depth == 0 && rng_->Chance(20)) {
+      // A flat AND chain of 3-5 atoms, the shape of TPC-H Q6's filter.
+      const size_t n = 3 + rng_->U(3);
+      std::string chain = "(" + Atom();
+      for (size_t i = 1; i < n; ++i) chain += " AND " + Atom();
+      return chain + ")";
+    }
     if (depth >= 2 || rng_->Chance(45)) {
       std::string a = Atom();
       return rng_->Chance(20) ? "NOT " + a : a;

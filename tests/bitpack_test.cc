@@ -1,5 +1,6 @@
 #include "src/encoding/bitpack.h"
 
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -81,6 +82,29 @@ TEST_P(BitPackRoundTrip, ExtremeValues) {
   std::vector<uint64_t> back(vals.size());
   UnpackBits(buf.data(), back.size(), bits, back.data());
   EXPECT_EQ(back, vals);
+}
+
+TEST_P(BitPackRoundTrip, ExactlySizedBufferAtEveryLength) {
+  // The word-at-a-time kernel loads 8 bytes per value; the input buffer
+  // here ends exactly at PackedBytes(n, bits), so a load past the packed
+  // data reads outside the allocation (the ASan stage reports it).
+  const uint8_t bits = static_cast<uint8_t>(GetParam());
+  const uint64_t mask =
+      bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+  std::vector<size_t> lengths = {1023, 1024, 1025};
+  for (size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  std::mt19937_64 rng(7 * bits + 1);
+  for (const size_t n : lengths) {
+    std::vector<uint64_t> vals(n);
+    for (auto& v : vals) v = rng() & mask;
+    if (bits > 0) vals[n - 1] = mask;  // all ones in the last field
+    const size_t bytes = PackedBytes(n, bits);
+    std::unique_ptr<uint8_t[]> buf(new uint8_t[bytes > 0 ? bytes : 1]);
+    PackBits(vals.data(), n, bits, buf.get());
+    std::vector<uint64_t> back(n, 0xdeadbeef);
+    UnpackBits(buf.get(), n, bits, back.data());
+    EXPECT_EQ(back, vals) << "bits=" << static_cast<int>(bits) << " n=" << n;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, BitPackRoundTrip,

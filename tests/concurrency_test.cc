@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/engine.h"
+#include "src/encoding/stream.h"
 #include "src/exec/scheduler.h"
 #include "tests/test_util.h"
 
@@ -220,6 +221,50 @@ TEST(ConcurrentQueries, AppendsNeverTearForConcurrentReaders) {
         return Status::OK();
       });
   ASSERT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST(ConcurrentReads, RunLengthColumnSharesNoCursor) {
+  // One run-length stream read by several threads at once, each walking
+  // forward and backward windows in turn: every read positions itself
+  // from the stream's fixed checkpoints, so reads never disturb each
+  // other and always match the single-threaded read.
+  std::vector<Lane> v;
+  for (int run = 0; run < 3000; ++run) {
+    v.insert(v.end(), 1 + run % 17, static_cast<Lane>((run * 7919) % 101));
+  }
+  EncodingStats stats;
+  stats.Update(v.data(), v.size());
+  auto created = EncodedStream::Create(EncodingType::kRunLength, 8,
+                                       /*sign_extend=*/true, stats, 0);
+  ASSERT_TRUE(created.ok());
+  std::shared_ptr<EncodedStream> s = created.MoveValue();
+  ASSERT_TRUE(s->Append(v.data(), v.size()).ok());
+  ASSERT_TRUE(s->Finalize().ok());
+  std::vector<Lane> expected(v.size());
+  ASSERT_TRUE(s->Get(0, expected.size(), expected.data()).ok());
+  ASSERT_EQ(expected, v);
+
+  const uint64_t n = v.size();
+  const Status st = testutil::RunConcurrently(
+      StressThreads(), [&](int t) -> Status {
+        std::vector<Lane> out(300);
+        for (uint64_t step = 0; step < 400; ++step) {
+          const uint64_t width = 1 + (step * 13 + t) % out.size();
+          const uint64_t fwd = (step * 211 + t * 37) % (n - width);
+          const uint64_t back = n - width - (step * 97 + t * 53) % (n - width);
+          for (const uint64_t start : {fwd, back}) {
+            TDE_RETURN_NOT_OK(s->Get(start, width, out.data()));
+            for (uint64_t i = 0; i < width; ++i) {
+              if (out[i] != expected[start + i]) {
+                return Status::Internal("row " + std::to_string(start + i) +
+                                        " read differently");
+              }
+            }
+          }
+        }
+        return Status::OK();
+      });
+  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 }  // namespace

@@ -18,11 +18,13 @@ using testutil::VectorSource;
 
 BlockTransform KeepEven() {
   return [](const Schema&, Block* b) -> Status {
-    std::vector<char> keep(b->rows());
-    for (size_t i = 0; i < keep.size(); ++i) {
-      keep[i] = b->columns[0].lanes[i] % 2 == 0;
+    SelectionVector sel;
+    for (size_t i = 0; i < b->rows(); ++i) {
+      if (b->columns[0].lanes[i] % 2 == 0) {
+        sel.push_back(static_cast<uint32_t>(i));
+      }
     }
-    b->Compact(keep);
+    b->Compact(sel);
     return Status::OK();
   };
 }

@@ -1,10 +1,12 @@
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <limits>
 #include <numeric>
 
 #include <gtest/gtest.h>
 
+#include "src/exec/compressed_predicate.h"
 #include "src/exec/filter.h"
 #include "src/exec/hash_aggregate.h"
 #include "src/exec/ordered_aggregate.h"
@@ -46,6 +48,187 @@ TEST(Filter, SpansManyBlocks) {
   const auto got = Flatten(Drain(&f), 0);
   ASSERT_EQ(got.size(), v.size() / 2);
   EXPECT_EQ(got[1], 2);
+}
+
+Lane RealLane(double d) { return std::bit_cast<Lane>(d); }
+
+/// Six rows with a NULL in each column, NaN, -inf and an extreme integer.
+struct FilterFixture {
+  Schema schema;
+  Block block;
+  FilterFixture() {
+    schema.AddField({"i", TypeId::kInteger});
+    schema.AddField({"r", TypeId::kReal});
+    block.columns.resize(2);
+    block.columns[0].type = TypeId::kInteger;
+    block.columns[0].lanes = {kNullSentinel, -5, 0, 3, 7,
+                              std::numeric_limits<Lane>::max()};
+    block.columns[1].type = TypeId::kReal;
+    block.columns[1].lanes = {
+        RealLane(std::numeric_limits<double>::quiet_NaN()),
+        RealLane(-std::numeric_limits<double>::infinity()), RealLane(1.5),
+        kNullSentinel, RealLane(3.0), RealLane(7.0)};
+  }
+  SelectionVector Select(const ExprPtr& pred) const {
+    SelectionVector sel = {99};  // overwritten
+    EXPECT_TRUE(BoundPredicate(pred, schema).Select(block, &sel).ok());
+    return sel;
+  }
+  /// The rows the expression itself evaluates to true.
+  SelectionVector EvalRows(const ExprPtr& pred) const {
+    auto mask = pred->Eval(block, schema);
+    EXPECT_TRUE(mask.ok());
+    SelectionVector rows;
+    for (size_t r = 0; r < mask.value().lanes.size(); ++r) {
+      if (mask.value().lanes[r] == 1) rows.push_back(static_cast<uint32_t>(r));
+    }
+    return rows;
+  }
+};
+
+TEST(BoundPredicate, ComparisonsMatchExpressionSemantics) {
+  // Every operator, a literal on either side and of either numeric type
+  // (NaN and NULL included), and column against column: the selection is
+  // exactly the rows the comparison expression evaluates to true.
+  const FilterFixture f;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<ExprPtr> literals = {
+      Int(3),  Int(-5),    Real(3.0),           Real(2.5),
+      Real(nan), Real(-std::numeric_limits<double>::infinity()),
+      Null(TypeId::kInteger), Null(TypeId::kReal)};
+  for (int op_i = 0; op_i < 6; ++op_i) {
+    const CompareOp op = static_cast<CompareOp>(op_i);
+    for (const char* col : {"i", "r"}) {
+      for (const ExprPtr& lit : literals) {
+        for (const ExprPtr& pred : {Cmp(op, Col(col), lit),
+                                    Cmp(op, lit, Col(col))}) {
+          EXPECT_EQ(f.Select(pred), f.EvalRows(pred)) << pred->ToString();
+        }
+      }
+    }
+    for (const ExprPtr& pred :
+         {Cmp(op, Col("i"), Col("r")), Cmp(op, Col("r"), Col("i")),
+          Cmp(op, Col("i"), Col("i")), Cmp(op, Col("r"), Col("r"))}) {
+      EXPECT_EQ(f.Select(pred), f.EvalRows(pred)) << pred->ToString();
+    }
+  }
+}
+
+TEST(BoundPredicate, NullsNaNAndMixedTypesByHand) {
+  const FilterFixture f;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using Rows = SelectionVector;
+  // NULL on either side is false, for every operator.
+  EXPECT_EQ(f.Select(Ne(Col("i"), Int(0))), (Rows{1, 3, 4, 5}));
+  EXPECT_EQ(f.Select(Le(Col("i"), Null(TypeId::kInteger))), Rows{});
+  // NaN equals NaN and sorts above every number, +inf included.
+  EXPECT_EQ(f.Select(Eq(Col("r"), Real(nan))), (Rows{0}));
+  EXPECT_EQ(f.Select(Ne(Col("r"), Real(nan))), (Rows{1, 2, 4, 5}));
+  EXPECT_EQ(f.Select(Lt(Col("r"), Real(nan))), (Rows{1, 2, 4, 5}));
+  EXPECT_EQ(f.Select(Le(Col("r"), Real(nan))), (Rows{0, 1, 2, 4, 5}));
+  EXPECT_EQ(f.Select(Gt(Col("r"), Real(nan))), Rows{});
+  EXPECT_EQ(f.Select(Ge(Col("r"), Real(nan))), (Rows{0}));
+  EXPECT_EQ(
+      f.Select(Gt(Col("r"), Real(std::numeric_limits<double>::infinity()))),
+      (Rows{0}));
+  // Integer column against a real literal, and the reverse.
+  EXPECT_EQ(f.Select(Lt(Col("i"), Real(2.5))), (Rows{1, 2}));
+  EXPECT_EQ(f.Select(Eq(Col("i"), Real(3.0))), (Rows{3}));
+  EXPECT_EQ(f.Select(Ge(Col("r"), Int(3))), (Rows{0, 4, 5}));
+  // A literal on the left.
+  EXPECT_EQ(f.Select(Lt(Int(3), Col("i"))), (Rows{4, 5}));
+  EXPECT_EQ(f.Select(Ge(Real(1.5), Col("r"))), (Rows{1, 2}));
+}
+
+TEST(BoundPredicate, ConjunctsNarrowInOrderAndErrorsReturnAsStatus) {
+  const FilterFixture f;
+  // LIKE over an integer column fails when it is evaluated.
+  const ExprPtr bad = Like(Col("i"), "x%");
+  // The first conjunct keeps nothing: the rest is never reached.
+  SelectionVector sel = {1, 2, 3};
+  ASSERT_TRUE(BoundPredicate(And(Lt(Col("i"), Int(-100)), bad), f.schema)
+                  .Select(f.block, &sel)
+                  .ok());
+  EXPECT_TRUE(sel.empty());
+  // Rows survive, so the failing conjunct runs and its error comes back.
+  const Status st = BoundPredicate(And(Lt(Col("i"), Int(100)), bad), f.schema)
+                        .Select(f.block, &sel);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  // A generic conjunct between two bound ones is intersected.
+  const ExprPtr chain =
+      And(And(Gt(Col("i"), Int(-10)), Eq(Arith(ArithOp::kMod, Col("i"),
+                                                Int(2)),
+                                          Int(1))),
+          Lt(Col("r"), Real(5.0)));
+  EXPECT_EQ(f.Select(chain), f.EvalRows(chain));
+  EXPECT_EQ(f.Select(chain), (SelectionVector{4}));
+}
+
+TEST(BoundPredicate, DictionaryCodesUseIntervalBitmapOrSortedTokens) {
+  // 2000 strings added to the heap in order, so tokens ascend with the
+  // text; the IN lists below translate to an interval, a bitmap (nearby
+  // tokens) and a sorted token list (tokens far apart), and NOT IN lets
+  // NULL rows through the NULL verdict. One 3000-row block: any row count
+  // binds.
+  auto heap = std::make_shared<StringHeap>();
+  HeapAccelerator acc(heap.get());
+  Block block;
+  block.columns.resize(1);
+  block.columns[0].type = TypeId::kString;
+  std::vector<Lane>& lanes = block.columns[0].lanes;
+  for (int r = 0; r < 3000; ++r) {
+    char w[8];
+    std::snprintf(w, sizeof(w), "s%04d", r < 2000 ? r : (r * 7) % 2000);
+    lanes.push_back(acc.Add(w));
+  }
+  lanes[5] = kNullSentinel;
+  lanes[2500] = kNullSentinel;
+  block.columns[0].heap = heap;
+  Schema schema;
+  schema.AddField({"s", TypeId::kString});
+  enum Form { kInterval, kBitmap, kSorted };
+  const std::vector<std::pair<ExprPtr, Form>> preds = {
+      {In(Col("s"), {Str("s0001"), Str("s0002"), Str("s0003")}), kInterval},
+      {In(Col("s"), {Str("s0000"), Str("s0007"), Str("s0014")}), kBitmap},
+      {In(Col("s"), {Str("s0000"), Str("s1995")}), kSorted},
+      {Not(In(Col("s"), {Str("s0000"), Str("s1995")})), kBitmap},
+      {IsNull(Col("s")), kInterval}};
+  for (const auto& [pred, form] : preds) {
+    int rewrites = 0;
+    const ExprPtr wrapped = RewriteDictPredicates(pred, schema, &rewrites);
+    ASSERT_EQ(rewrites, 1) << pred->ToString();
+    auto t = AsDictCodePredicate(wrapped)->Translate(heap);
+    ASSERT_TRUE(t.ok());
+    EXPECT_EQ(t.value()->interval, form == kInterval) << pred->ToString();
+    EXPECT_EQ(!t.value()->bitmap.empty(), form == kBitmap);
+    EXPECT_EQ(!t.value()->sorted.empty(), form == kSorted);
+    SelectionVector sel;
+    ASSERT_TRUE(BoundPredicate(wrapped, schema).Select(block, &sel).ok());
+    auto mask = pred->Eval(block, schema);
+    ASSERT_TRUE(mask.ok());
+    SelectionVector want;
+    for (size_t r = 0; r < block.rows(); ++r) {
+      if (mask.value().lanes[r] == 1) want.push_back(static_cast<uint32_t>(r));
+    }
+    EXPECT_EQ(sel, want) << pred->ToString();
+    EXPECT_FALSE(want.empty()) << pred->ToString();
+  }
+}
+
+TEST(Project, BareReferencesPassLanesThrough) {
+  // The same input column twice, once computed and once bare: every copy
+  // sees the input lanes.
+  auto src = VectorSource::Ints({{"x", {1, 2, 3}}, {"y", {4, 5, 6}}});
+  Project p(std::move(src), {{Col("x"), "a"},
+                             {Add(Col("x"), Col("y")), "b"},
+                             {Col("y"), "c"},
+                             {Col("x"), "d"}});
+  std::vector<Block> blocks;
+  ASSERT_TRUE(DrainOperator(&p, &blocks).ok());
+  EXPECT_EQ(Flatten(blocks, 0), (std::vector<Lane>{1, 2, 3}));
+  EXPECT_EQ(Flatten(blocks, 1), (std::vector<Lane>{5, 7, 9}));
+  EXPECT_EQ(Flatten(blocks, 2), (std::vector<Lane>{4, 5, 6}));
+  EXPECT_EQ(Flatten(blocks, 3), (std::vector<Lane>{1, 2, 3}));
 }
 
 TEST(Project, ComputesExpressions) {

@@ -2,7 +2,9 @@
 // every element width it can be narrowed to, and the dictionary cuckoo hash
 // must survive adversarial loads.
 
+#include <limits>
 #include <random>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
@@ -118,6 +120,94 @@ TEST(DictCuckoo, ClusteredKeysStillResolve) {
   ASSERT_TRUE(s->Get(0, back.size(), back.data()).ok());
   EXPECT_EQ(back, keys);
 }
+
+TEST(DictCuckoo, FullDictionaryStaysSmallAndKeepsItsCodes) {
+  // 2^15 random keys in insertion order. Each displaced key moves to its
+  // other bucket, so the map reaches at most 2^17 slots; codes are
+  // assigned in insertion order whatever the map's layout.
+  std::mt19937_64 rng(8);
+  std::vector<Lane> keys;
+  std::unordered_set<Lane> seen;
+  while (keys.size() < kMaxDictEntries) {
+    const Lane k = static_cast<Lane>(rng());
+    if (seen.insert(k).second) keys.push_back(k);
+  }
+  auto s = internal::DictStream::Make(8, /*sign_extend=*/true, /*bits=*/15);
+  ASSERT_TRUE(s->Append(keys.data(), keys.size()).ok());
+  EXPECT_LE(s->map_slots(), uint64_t{1} << 17);
+  std::vector<Lane> codes(keys.size());
+  ASSERT_TRUE(s->GetCodes(0, codes.size(), codes.data()));
+  for (size_t i = 0; i < codes.size(); ++i) {
+    ASSERT_EQ(codes[i], static_cast<Lane>(i)) << "row " << i;
+  }
+  ASSERT_TRUE(s->Finalize().ok());
+  EXPECT_EQ(s->map_slots(), 0u);  // finalized: decode only
+  auto reopened = EncodedStream::Open(s->buffer());
+  ASSERT_TRUE(reopened.ok());
+  const auto* r = static_cast<const internal::DictStream*>(
+      reopened.value().get());
+  EXPECT_EQ(r->map_slots(), 0u);  // opening builds no map
+  std::vector<Lane> back(keys.size());
+  ASSERT_TRUE(r->Get(0, back.size(), back.data()).ok());
+  EXPECT_EQ(back, keys);
+  ASSERT_TRUE(r->GetCodes(0, codes.size(), codes.data()));
+  for (size_t i = 0; i < codes.size(); ++i) {
+    ASSERT_EQ(codes[i], static_cast<Lane>(i)) << "row " << i;
+  }
+}
+
+class DictEntryWidths
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(DictEntryWidths, GatherDecodesEveryEntry) {
+  // The per-width gather sign- or zero-extends each entry exactly like
+  // LoadLane, for the extremes of the width's range and (8-byte signed)
+  // the NULL sentinel stored as an ordinary entry.
+  const auto [width_i, sign_extend] = GetParam();
+  const uint8_t width = static_cast<uint8_t>(width_i);
+  const int bits = 8 * width;
+  std::vector<Lane> domain;
+  if (sign_extend) {
+    const Lane lo = width == 8 ? std::numeric_limits<Lane>::min()
+                               : -(Lane{1} << (bits - 1));
+    const Lane hi = width == 8 ? std::numeric_limits<Lane>::max()
+                               : (Lane{1} << (bits - 1)) - 1;
+    domain = {lo, lo + 1, -1, 0, 1, hi - 1, hi};
+    if (width == 8) domain.push_back(kNullSentinel + 7);
+  } else {
+    const Lane hi = width == 8 ? static_cast<Lane>(~uint64_t{0})
+                               : static_cast<Lane>((uint64_t{1} << bits) - 1);
+    domain = {0, 1, 2, hi - 1, hi};
+  }
+  if (sign_extend && width == 8) {
+    EXPECT_EQ(domain[0], kNullSentinel);  // the sentinel is an entry
+  }
+  std::mt19937_64 rng(width * 2 + sign_extend);
+  std::vector<Lane> v(3 * kBlockSize + 77);  // finalized blocks + a tail
+  for (Lane& x : v) x = domain[rng() % domain.size()];
+  auto s = internal::DictStream::Make(width, sign_extend, /*bits=*/4);
+  ASSERT_TRUE(s->Append(v.data(), v.size()).ok());
+  std::vector<Lane> back(v.size());
+  ASSERT_TRUE(s->Get(0, back.size(), back.data()).ok());
+  EXPECT_EQ(back, v);
+  ASSERT_TRUE(s->Finalize().ok());
+  auto reopened = EncodedStream::Open(s->buffer());
+  ASSERT_TRUE(reopened.ok());
+  std::fill(back.begin(), back.end(), 0);
+  ASSERT_TRUE(reopened.value()->Get(0, back.size(), back.data()).ok());
+  EXPECT_EQ(back, v);
+  // Unaligned windows go through the staging block.
+  ASSERT_TRUE(reopened.value()->Get(1000, 100, back.data()).ok());
+  for (size_t i = 0; i < 100; ++i) EXPECT_EQ(back[i], v[1000 + i]);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, DictEntryWidths,
+    ::testing::Combine(::testing::Values(1, 2, 4, 8), ::testing::Bool()),
+    [](const auto& info) {
+      return "w" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_signed" : "_unsigned");
+    });
 
 TEST(NarrowedStreams, AppendAfterNarrowRespectsWidth) {
   // A narrowed dictionary stream must reject entries that no longer fit.

@@ -16,7 +16,7 @@
 
 #include "bench/bench_util.h"
 #include "src/exec/flow_table.h"
-#include "src/storage/database_file.h"
+#include "src/storage/pager/format.h"
 #include "src/textscan/text_scan.h"
 #include "src/workload/flights.h"
 #include "src/workload/tpch.h"
@@ -101,7 +101,9 @@ double Import(const std::string& data, char sep, bool scalars_only,
   // include its write so encodings get credit for the I/O they save.
   Database db;
   db.AddTable(table.value());
-  if (!WriteDatabase(db, "/tmp/tde_bench_parsing.tde").ok()) std::exit(1);
+  if (!pager::WriteDatabaseV2(db, "/tmp/tde_bench_parsing.tde").ok()) {
+    std::exit(1);
+  }
   if (physical != nullptr) *physical = table.value()->PhysicalSize();
   return t.Seconds();
 }

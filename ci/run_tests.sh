@@ -56,6 +56,14 @@ TDE_DIFF_SEEDS="${TDE_DIFF_SEEDS:-800}" TDE_DIFF_DATA_SEED=3 \
 TDE_DIFF_ROWS=300 TDE_DIFF_SEG_ROWS=100 \
     "$BUILD/tests/differential_test"
 
+# The two benches that save and reopen the single-file database, at tiny
+# sizes: an import written through the paged writer (bench_parsing) and
+# lazy cold opens of v2 and v3 files (bench_storage). Either exits nonzero
+# when a save, open or query fails.
+for b in bench_parsing bench_storage; do
+  TDE_SF=0.001 TDE_FLIGHTS_ROWS=1000 "$BUILD/bench/$b" > /dev/null
+done
+
 # Same suite under AddressSanitizer + UndefinedBehaviorSanitizer: the
 # storage pager and the corruption sweeps must be clean under both.
 if [[ "${TDE_SKIP_SANITIZE:-0}" != "1" ]]; then

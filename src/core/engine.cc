@@ -536,26 +536,11 @@ Status Engine::SaveDatabase(const std::string& path) const {
 
 Result<Engine> Engine::OpenDatabase(const std::string& path,
                                     OpenOptions options) {
-  // Sniff the magic: v2 opens lazily (O(directory)), everything else takes
-  // the eager v1 route, which also accepts v2 images for compatibility.
-  uint8_t magic[8] = {0};
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    const size_t got = std::fread(magic, 1, sizeof(magic), f);
-    std::fclose(f);
-    if (options.lazy && pager::IsV2Magic(magic, got)) {
-      auto cache =
-          std::make_shared<pager::ColumnCache>(options.cache_budget_bytes);
-      TDE_ASSIGN_OR_RETURN(Database db,
-                           pager::OpenDatabaseV2(path, cache));
-      Engine e;
-      *e.database() = std::move(db);
-      e.cache_ = std::move(cache);
-      return e;
-    }
-  }
-  TDE_ASSIGN_OR_RETURN(Database db, ReadDatabase(path));
+  auto cache = std::make_shared<pager::ColumnCache>(options.cache_budget_bytes);
+  TDE_ASSIGN_OR_RETURN(Database db, pager::OpenDatabaseV2(path, cache));
   Engine e;
   *e.database() = std::move(db);
+  e.cache_ = std::move(cache);
   return e;
 }
 

@@ -16,12 +16,8 @@
 
 namespace tde {
 
-/// How Engine::OpenDatabase materializes a v2 file.
+/// Options of Engine::OpenDatabase.
 struct OpenDatabaseOptions {
-  /// Lazy (default): columns stay cold until a query touches them, and
-  /// materialized payloads live in a byte-budget LRU cache. False forces
-  /// the eager v1-style load. v1 files are always eager.
-  bool lazy = true;
   /// Budget of the column cache, charged in compressed (on-disk) bytes.
   uint64_t cache_budget_bytes = 256ull << 20;
 };
@@ -114,22 +110,28 @@ class Engine {
   TaskScheduler& scheduler() const { return TaskScheduler::Global(); }
 
   /// Persists the whole database as a single file (Sect. 2.3.3), in the
-  /// paged v2 format: page-aligned checksummed column blobs behind a
-  /// directory, so a later open is O(directory) and queries fault in only
-  /// the columns they touch.
+  /// paged format (v2, or v3 once a column is segmented): page-aligned
+  /// checksummed column blobs behind a directory, so a later open is
+  /// O(directory) and queries fault in only the columns they touch.
   Status SaveDatabase(const std::string& path) const;
 
-  /// How OpenDatabase materializes a v2 file (OpenDatabaseOptions; aliased
-  /// here for call-site brevity: Engine::OpenOptions).
+  /// OpenDatabaseOptions, aliased here for call-site brevity.
   using OpenOptions = OpenDatabaseOptions;
 
-  /// Loads a single-file database — v1 ("TDEDB001", eager) or v2
-  /// ("TDEDB002", lazy by default: the open reads only the directory).
+  /// Opens a single-file database written by SaveDatabase (format v2/v3,
+  /// "TDEDB002"). The open is lazy: it reads and validates only the header
+  /// and directory, every column starts cold, and a query faults in the
+  /// columns (and, for segmented columns, the segments) it touches through
+  /// a column cache of `options.cache_budget_bytes`. A file that is not a
+  /// whole v2/v3 image (empty, truncated, another format, or a corrupt
+  /// header or directory) fails the open with an IOError; a corrupt column
+  /// blob fails the first query that touches it.
   static Result<Engine> OpenDatabase(const std::string& path,
                                      OpenOptions options = {});
 
-  /// The column cache of a lazily opened v2 database (null otherwise).
-  /// Exposes residency and lets callers retune the budget at runtime.
+  /// The column cache of a database opened by OpenDatabase (null for an
+  /// engine built in memory). Exposes residency and lets callers retune
+  /// the budget at runtime.
   pager::ColumnCache* column_cache() const { return cache_.get(); }
 
   /// References an external flat file (Sect. 8's future-work direction):

@@ -213,7 +213,6 @@ Result<BuiltPlan> BuildProject(const PlanNode& node, BuiltPlan child) {
 
 Result<BuiltPlan> BuildAggregate(const PlanNode& node, BuiltPlan child) {
   AggregateOptions agg = node.agg;
-  agg.dict_code_keys = node.agg.dict_code_keys && node.compressed_agg;
   BuiltPlan out;
   out.notes = std::move(child.notes);
   // Dictionary-code grouping engages per string key (the operator decides

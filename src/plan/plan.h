@@ -65,10 +65,6 @@ struct PlanNode {
   bool grouped_input = false;
   /// Force hash aggregation even over grouped input (benchmark control).
   bool force_hash_agg = false;
-  /// Lowering may group string keys on per-heap dictionary codes with late
-  /// key materialization. Cleared by the strategic optimizer when
-  /// StrategicOptions::enable_dict_grouping is off.
-  bool compressed_agg = true;
   /// Set by the run-aggregation rewrite: the child is an IndexedScan over
   /// the aggregate's only input column, and every aggregate folds whole
   /// (value, count) runs in O(1) instead of consuming expanded rows.

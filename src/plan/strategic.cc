@@ -456,7 +456,6 @@ void DisableDictPredicates(const PlanNodePtr& node) {
 }
 
 void DisableDictGrouping(const PlanNodePtr& node) {
-  node->compressed_agg = false;
   node->agg.dict_code_keys = false;
   node->code_columns.clear();
   for (const auto& c : node->children) DisableDictGrouping(c);
@@ -637,8 +636,8 @@ PlanNodePtr TryRunFoldAggregate(const PlanNodePtr& agg) {
 /// would see indexes, not values.
 PlanNodePtr TryDictCodeScan(const PlanNodePtr& agg) {
   if (agg->kind != PlanNodeKind::kAggregate || agg->metadata_answered ||
-      agg->fold_runs || agg->grouped_input || !agg->compressed_agg ||
-      !agg->agg.dict_code_keys || agg->agg.group_by.empty()) {
+      agg->fold_runs || agg->grouped_input || !agg->agg.dict_code_keys ||
+      agg->agg.group_by.empty()) {
     return nullptr;
   }
   const PlanNodePtr& scan = agg->children[0];

@@ -36,9 +36,9 @@ const char* ResidencyName(ColumnResidency r);
 /// A stored column: a fixed-width encoded stream, optional dictionary
 /// (array or heap), and the metadata extracted while it was built.
 ///
-/// A column is either *hot* (built in memory or eagerly deserialized — the
+/// A column is either *hot* (built in memory or warmed — the
 /// stream/heap/dictionary members are populated directly) or *cold* (opened
-/// from a v2 database file: only directory facts are resident and the data
+/// from a database file: only directory facts are resident and the data
 /// blobs are materialized through the ColumnCache on first touch, and may
 /// be evicted again under budget pressure). Everything the planner consults
 /// — rows, widths, encoding type, metadata, physical/logical size — answers
@@ -157,7 +157,7 @@ class Column {
 
   /// Promotes a cold column to a plain hot column (materializes, adopts the
   /// shared payload as the direct members, detaches from the cache). Used
-  /// by eager v2 reads and by in-place column transformations. Safe to call
+  /// by in-place column transformations and appends. Safe to call
   /// while other threads read the column: the view swaps atomically under
   /// the internal mutex. Idempotent.
   Status Warm();

@@ -12,6 +12,10 @@ namespace tde {
 
 /// An in-memory database: a set of named tables.
 ///
+/// The catalog only. Its on-disk form is the single paged file of
+/// src/storage/pager/format.h (Sect. 2.3.3): `pager::WriteDatabaseV2`
+/// saves it, `pager::OpenDatabaseV2` opens it lazily.
+///
 /// Thread-safe for the reader/replacer mix the engine produces: queries
 /// resolve tables to shared_ptr snapshots (GetTable / tables()), so a
 /// concurrent ReplaceTable swaps the catalog entry without disturbing
@@ -67,26 +71,6 @@ class Database {
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<Table>> tables_;
 };
-
-/// Single-file database format (Sect. 2.3.3): a TDE database must be
-/// choosable in a file dialog, i.e. one file. Column-level compression
-/// directly reduces the unavoidable cost of producing this copy.
-///
-/// v1 layout ("TDEDB001"): magic, table directory, then per-column blobs
-/// (serialized encoded stream, heap bytes, array dictionary, metadata) —
-/// all little-endian, read eagerly and sequentially.
-///
-/// ReadDatabase / DeserializeDatabase also accept the paged v2 format
-/// ("TDEDB002", see src/storage/pager/format.h), materializing every column
-/// eagerly. Lazy v2 opens go through Engine::OpenDatabase / OpenDatabaseV2.
-Status WriteDatabase(const Database& db, const std::string& path);
-Result<Database> ReadDatabase(const std::string& path);
-
-/// Serializes to / restores from a byte buffer (the file format without the
-/// file), used by tests and by WriteDatabase itself. Cold (paged) columns
-/// are pinned and copied through.
-Status SerializeDatabase(const Database& db, std::vector<uint8_t>* out);
-Result<Database> DeserializeDatabase(const std::vector<uint8_t>& bytes);
 
 }  // namespace tde
 

@@ -20,30 +20,52 @@ namespace {
 /// footprint (shape + loader closure).
 constexpr uint64_t kSegmentShellCharge = 64;
 
-/// Fetches one blob, verifies its checksum, and copies it into an owned
-/// buffer. Errors name the table and column so a corrupt file is
-/// diagnosable from the Status alone.
-Result<std::vector<uint8_t>> FetchBlob(const ColdSource& src,
-                                       const ColumnCache::BlobReadFn& read,
-                                       const BlobRef& ref, const char* what,
-                                       observe::Counter* checksum_failures) {
+/// Reads one blob, verifies its CRC32C, and returns its bytes in an owned
+/// buffer. `column` ("table.column") and `blob` ("stream", "segment 3", ...)
+/// name it in errors, so a corrupt file is diagnosable from the Status
+/// alone.
+Result<std::vector<uint8_t>> ReadCheckedBlob(
+    const FileReader& file, const BlobRef& ref, const std::string& column,
+    const std::string& blob, observe::Counter* checksum_failures) {
   std::vector<uint8_t> scratch;
-  auto span_r = read(ref, &scratch);
+  auto span_r = file.Read(ref.offset, ref.length, &scratch);
   if (!span_r.ok()) {
-    return {Status::IOError("column " + src.table_name + "." +
-                            src.column_name + " " + what + " blob: " +
+    return {Status::IOError("column " + column + " " + blob + " blob: " +
                             span_r.status().message())};
   }
   const std::span<const uint8_t> span = span_r.value();
   if (Crc32c(span.data(), span.size()) != ref.crc32c) {
-    if (checksum_failures != nullptr) checksum_failures->Add();
-    return {Status::IOError("checksum mismatch in column " + src.table_name +
-                            "." + src.column_name + " (" + what + " blob, " +
-                            std::to_string(ref.length) + " bytes at offset " +
-                            std::to_string(ref.offset) + ")")};
+    checksum_failures->Add();
+    return {Status::IOError("checksum mismatch in column " + column + " (" +
+                            blob + " blob, " + std::to_string(ref.length) +
+                            " bytes at offset " + std::to_string(ref.offset) +
+                            ")")};
   }
   if (!scratch.empty()) return scratch;  // pread path already owns the bytes
   return std::vector<uint8_t>(span.begin(), span.end());
+}
+
+/// ReadCheckedBlob, then opens the bytes as an encoded stream that must
+/// hold exactly the `rows` rows the directory promises.
+Result<std::shared_ptr<EncodedStream>> ReadStream(
+    const FileReader& file, const BlobRef& ref, uint64_t rows,
+    const std::string& column, const std::string& blob,
+    observe::Counter* checksum_failures) {
+  TDE_ASSIGN_OR_RETURN(
+      auto bytes,
+      ReadCheckedBlob(file, ref, column, blob, checksum_failures));
+  auto stream_r = EncodedStream::Open(std::move(bytes));
+  if (!stream_r.ok()) {
+    return {Status::IOError("column " + column + " " + blob + ": " +
+                            stream_r.status().message())};
+  }
+  std::shared_ptr<EncodedStream> stream(stream_r.MoveValue());
+  if (stream->size() != rows) {
+    return {Status::IOError("column " + column + " " + blob + " holds " +
+                            std::to_string(stream->size()) +
+                            " rows, directory says " + std::to_string(rows))};
+  }
+  return stream;
 }
 
 /// Self-contained loader for one cold segment. Captures everything by
@@ -53,129 +75,55 @@ Result<std::vector<uint8_t>> FetchBlob(const ColdSource& src,
 SegmentedStream::Loader MakeSegmentLoader(
     const ColdSource& src, const ColdSegment& seg, size_t index,
     observe::Counter* checksum_failures) {
-  std::shared_ptr<FileReader> file = src.file;
-  const BlobRef blob = seg.blob;
-  const uint64_t rows = seg.shape.rows;
-  const std::string name =
-      src.table_name + "." + src.column_name + " segment " +
-      std::to_string(index);
-  return [file, blob, rows, name,
+  return [file = src.file, blob = seg.blob, rows = seg.shape.rows,
+          column = src.table_name + "." + src.column_name, index,
           checksum_failures]() -> Result<std::shared_ptr<EncodedStream>> {
-    std::vector<uint8_t> scratch;
-    auto span_r = file->Read(blob.offset, blob.length, &scratch);
-    if (!span_r.ok()) {
-      return {Status::IOError("column " + name + " blob: " +
-                              span_r.status().message())};
-    }
-    const std::span<const uint8_t> span = span_r.value();
-    if (Crc32c(span.data(), span.size()) != blob.crc32c) {
-      if (checksum_failures != nullptr) checksum_failures->Add();
-      return {Status::IOError("checksum mismatch in column " + name + " (" +
-                              std::to_string(blob.length) +
-                              " bytes at offset " +
-                              std::to_string(blob.offset) + ")")};
-    }
-    std::vector<uint8_t> owned =
-        scratch.empty() ? std::vector<uint8_t>(span.begin(), span.end())
-                        : std::move(scratch);
-    auto stream_r = EncodedStream::Open(std::move(owned));
-    if (!stream_r.ok()) {
-      return {Status::IOError("column " + name + ": " +
-                              stream_r.status().message())};
-    }
-    std::shared_ptr<EncodedStream> stream(stream_r.MoveValue());
-    if (stream->size() != rows) {
-      return {Status::IOError("column " + name + " holds " +
-                              std::to_string(stream->size()) +
-                              " rows, directory says " +
-                              std::to_string(rows))};
-    }
+    TDE_ASSIGN_OR_RETURN(
+        auto stream,
+        ReadStream(*file, blob, rows, column,
+                   "segment " + std::to_string(index), checksum_failures));
     observe::QueryCount(observe::QueryCounter::kCacheBytesRead, blob.length);
     return stream;
   };
 }
 
-Result<std::shared_ptr<const LoadedColumn>> LoadPayloadImpl(
-    const ColdSource& src, const ColumnCache::BlobReadFn& read,
-    bool count_bytes_read, bool lazy_segments,
-    observe::Counter* checksum_failures) {
+/// Materializes a cold column's payload from its file. A segmented column
+/// (format v3) becomes a shell of cold segments built from directory facts;
+/// each segment's blob faults in on first touch, so a pruned query reads
+/// only the segments it scans.
+Result<std::shared_ptr<const LoadedColumn>> LoadPayload(
+    const ColdSource& src, observe::Counter* checksum_failures) {
+  const std::string column = src.table_name + "." + src.column_name;
   auto payload = std::make_shared<LoadedColumn>();
 
   if (src.segments.empty()) {
+    TDE_ASSIGN_OR_RETURN(payload->stream,
+                         ReadStream(*src.file, src.stream, src.rows, column,
+                                    "stream", checksum_failures));
     payload->compressed_bytes = src.CompressedBytes();
-    TDE_ASSIGN_OR_RETURN(
-        auto stream_bytes, FetchBlob(src, read, src.stream, "stream",
-                                     checksum_failures));
-    auto stream_r = EncodedStream::Open(std::move(stream_bytes));
-    if (!stream_r.ok()) {
-      return {Status::IOError("column " + src.table_name + "." +
-                              src.column_name + " stream: " +
-                              stream_r.status().message())};
-    }
-    payload->stream = std::shared_ptr<EncodedStream>(stream_r.MoveValue());
   } else {
-    // Segmented (format v3): the shell is built from directory facts; lazy
-    // mode defers each segment's blob to first touch so a pruned query
-    // faults in only the segments it scans.
     auto seg = std::make_shared<SegmentedStream>();
-    uint64_t segment_bytes = 0;
     for (size_t i = 0; i < src.segments.size(); ++i) {
       const ColdSegment& s = src.segments[i];
-      if (lazy_segments) {
-        TDE_RETURN_NOT_OK(seg->AddCold(
-            s.shape, MakeSegmentLoader(src, s, i, checksum_failures)));
-      } else {
-        TDE_ASSIGN_OR_RETURN(
-            auto bytes, FetchBlob(src, read, s.blob, "segment",
-                                  checksum_failures));
-        auto stream_r = EncodedStream::Open(std::move(bytes));
-        if (!stream_r.ok()) {
-          return {Status::IOError("column " + src.table_name + "." +
-                                  src.column_name + " segment " +
-                                  std::to_string(i) + ": " +
-                                  stream_r.status().message())};
-        }
-        std::shared_ptr<EncodedStream> stream(stream_r.MoveValue());
-        if (stream->size() != s.shape.rows) {
-          return {Status::IOError("column " + src.table_name + "." +
-                                  src.column_name + " segment " +
-                                  std::to_string(i) + " holds " +
-                                  std::to_string(stream->size()) +
-                                  " rows, directory says " +
-                                  std::to_string(s.shape.rows))};
-        }
-        TDE_RETURN_NOT_OK(seg->AddSealed(std::move(stream), s.shape.zone));
-        segment_bytes += s.blob.length;
-      }
-    }
-    // In lazy mode no segment blob is resident yet, but the shell itself
-    // (cold descriptors + loaders) is, and it must carry a nonzero charge:
-    // a zero-cost entry would survive any budget, leaving the column
-    // permanently "resident" even at budget 0.
-    if (lazy_segments) {
-      segment_bytes = src.segments.size() * kSegmentShellCharge;
+      TDE_RETURN_NOT_OK(seg->AddCold(
+          s.shape, MakeSegmentLoader(src, s, i, checksum_failures)));
     }
     payload->stream = std::move(seg);
+    // No segment blob is resident yet, but the shell itself (cold
+    // descriptors + loaders) is, and it must carry a nonzero charge: a
+    // zero-cost entry would survive any budget, leaving the column
+    // permanently "resident" even at budget 0.
     payload->compressed_bytes = (src.has_heap ? src.heap.length : 0) +
                                 (src.has_dict ? src.dict.length : 0) +
-                                segment_bytes;
+                                src.segments.size() * kSegmentShellCharge;
   }
-  if (count_bytes_read) {
-    observe::QueryCount(observe::QueryCounter::kCacheBytesRead,
-                        payload->compressed_bytes);
-  }
-  if (payload->stream->size() != src.rows) {
-    return {Status::IOError("column " + src.table_name + "." +
-                            src.column_name + " stream holds " +
-                            std::to_string(payload->stream->size()) +
-                            " rows, directory says " +
-                            std::to_string(src.rows))};
-  }
+  observe::QueryCount(observe::QueryCounter::kCacheBytesRead,
+                      payload->compressed_bytes);
 
   if (src.has_heap) {
-    TDE_ASSIGN_OR_RETURN(
-        auto heap_bytes,
-        FetchBlob(src, read, src.heap, "heap", checksum_failures));
+    TDE_ASSIGN_OR_RETURN(auto heap_bytes,
+                         ReadCheckedBlob(*src.file, src.heap, column, "heap",
+                                         checksum_failures));
     payload->heap = std::make_shared<StringHeap>(
         StringHeap::FromParts(std::move(heap_bytes), src.heap_entries,
                               src.heap_sorted, src.heap_collation));
@@ -183,15 +131,14 @@ Result<std::shared_ptr<const LoadedColumn>> LoadPayloadImpl(
 
   if (src.has_dict) {
     if (src.dict.length != src.dict_entries * sizeof(Lane)) {
-      return {Status::IOError("column " + src.table_name + "." +
-                              src.column_name + " dictionary blob is " +
+      return {Status::IOError("column " + column + " dictionary blob is " +
                               std::to_string(src.dict.length) +
                               " bytes, expected " +
                               std::to_string(src.dict_entries) + " entries")};
     }
-    TDE_ASSIGN_OR_RETURN(
-        auto dict_bytes,
-        FetchBlob(src, read, src.dict, "dictionary", checksum_failures));
+    TDE_ASSIGN_OR_RETURN(auto dict_bytes,
+                         ReadCheckedBlob(*src.file, src.dict, column,
+                                         "dictionary", checksum_failures));
     auto dict = std::make_shared<ArrayDictionary>();
     dict->type = src.dict_type;
     dict->sorted = src.dict_sorted;
@@ -200,13 +147,6 @@ Result<std::shared_ptr<const LoadedColumn>> LoadPayloadImpl(
     payload->dict = std::move(dict);
   }
   return {std::shared_ptr<const LoadedColumn>(std::move(payload))};
-}
-
-/// Blob reads backed by the cold source's file reader.
-ColumnCache::BlobReadFn FileReadFn(const ColdSource& src) {
-  return [&src](const BlobRef& ref, std::vector<uint8_t>* scratch) {
-    return src.file->Read(ref.offset, ref.length, scratch);
-  };
 }
 
 }  // namespace
@@ -219,12 +159,6 @@ ColumnCache::ColumnCache(uint64_t budget_bytes) : budget_(budget_bytes) {
 }
 
 ColumnCache::~ColumnCache() = default;
-
-Result<std::shared_ptr<const LoadedColumn>> ColumnCache::LoadPayloadFrom(
-    const ColdSource& src, const BlobReadFn& read) {
-  return LoadPayloadImpl(src, read, /*count_bytes_read=*/false,
-                         /*lazy_segments=*/false, nullptr);
-}
 
 Status ColumnCache::Ensure(const Column* col) {
   const ColdSource* src = col->cold_source();
@@ -251,10 +185,7 @@ Status ColumnCache::Ensure(const Column* col) {
 
   // Blob fetch, checksum and decode run outside the cache lock, so one slow
   // cold materialization never serializes unrelated queries.
-  auto payload_r = LoadPayloadImpl(*src, FileReadFn(*src),
-                                   /*count_bytes_read=*/true,
-                                   /*lazy_segments=*/true,
-                                   checksum_failures_);
+  auto payload_r = LoadPayload(*src, checksum_failures_);
   if (payload_r.ok() && (*payload_r.value()).stream->segmented()) {
     // Segment fault-ins charge the cache as they happen. The cache outlives
     // every column it serves (each ColdSource holds a shared_ptr to it), so

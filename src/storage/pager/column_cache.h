@@ -3,11 +3,9 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -90,17 +88,6 @@ class ColumnCache {
   };
   /// Residency snapshot in LRU order, most recently used first.
   std::vector<EntrySnapshot> EntriesSnapshot() const;
-
-  /// Fetches the bytes of one blob into a span (possibly backed by
-  /// `*scratch`). Abstracts over mmap files, pread files, and in-memory
-  /// images.
-  using BlobReadFn = std::function<Result<std::span<const uint8_t>>(
-      const BlobRef&, std::vector<uint8_t>*)>;
-
-  /// Loads and verifies a column's blobs into a payload. No cache
-  /// bookkeeping — also the substrate of the eager v2 read path.
-  static Result<std::shared_ptr<const LoadedColumn>> LoadPayloadFrom(
-      const ColdSource& src, const BlobReadFn& read);
 
  private:
   void EvictLocked(const Column* keep);

@@ -1,13 +1,15 @@
 #include "src/storage/pager/format.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
 #include "src/storage/column.h"
-#include "src/storage/pager/column_cache.h"
 #include "src/storage/pager/crc32c.h"
 #include "src/storage/pager/file_reader.h"
 #include "src/storage/segment/segmented_stream.h"
@@ -86,7 +88,7 @@ class DirReader {
   Status U64(uint64_t* v) { return Raw(v, 8); }
   Status I64(int64_t* v) { return Raw(v, 8); }
   Status Str(std::string* s) {
-    uint32_t n;
+    uint32_t n = 0;
     TDE_RETURN_NOT_OK(U32(&n));
     if (n > in_.size() - pos_) return Corrupt("name");
     s->assign(reinterpret_cast<const char*>(in_.data() + pos_), n);
@@ -167,7 +169,7 @@ Status ValidateBlob(const BlobRef& b, uint64_t file_size, const char* what) {
 Status ReadColumnEntry(DirReader* r, uint64_t file_size, uint32_t version,
                        ColumnEntry* e) {
   TDE_RETURN_NOT_OK(r->Str(&e->name));
-  uint8_t type_raw, comp_raw, enc_raw;
+  uint8_t type_raw = 0, comp_raw = 0, enc_raw = 0;
   TDE_RETURN_NOT_OK(r->U8(&type_raw));
   TDE_RETURN_NOT_OK(r->U8(&comp_raw));
   TDE_RETURN_NOT_OK(r->U8(&enc_raw));
@@ -195,7 +197,7 @@ Status ReadColumnEntry(DirReader* r, uint64_t file_size, uint32_t version,
   e->compression = comp_raw;
   e->encoding = static_cast<EncodingType>(enc_raw);
 
-  uint8_t flags;
+  uint8_t flags = 0;
   TDE_RETURN_NOT_OK(r->U8(&flags));
   UnpackMetadataFlags(flags, &e->metadata);
   TDE_RETURN_NOT_OK(r->I64(&e->metadata.min_value));
@@ -380,16 +382,29 @@ std::shared_ptr<Column> MakeColdColumn(const ColumnEntry& e,
 
 }  // namespace
 
-bool IsV2Magic(const uint8_t* bytes, size_t n) {
-  return n >= sizeof(kMagicV2) &&
-         std::memcmp(bytes, kMagicV2, sizeof(kMagicV2)) == 0;
-}
-
 Status WriteFileAtomic(const std::string& path,
                        const std::vector<uint8_t>& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open '" + tmp + "'");
+  // One temp name per call (pid + process-wide counter), created
+  // exclusively with fopen's 0666 mode; a name left by a crashed process
+  // of the same pid is skipped.
+  static std::atomic<uint64_t> next_tmp{0};
+  std::string tmp;
+  int fd = -1;
+  do {
+    tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+          std::to_string(next_tmp.fetch_add(1));
+    fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  } while (fd < 0 && errno == EEXIST);
+  if (fd < 0) {
+    return Status::IOError("cannot create '" + tmp +
+                           "': " + std::strerror(errno));
+  }
+  std::FILE* f = ::fdopen(fd, "wb");
+  if (f == nullptr) {
+    ::close(fd);
+    std::remove(tmp.c_str());
+    return Status::IOError("cannot open '" + tmp + "'");
+  }
   bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
   ok = std::fflush(f) == 0 && ok;
   if (ok) ok = ::fsync(::fileno(f)) == 0;
@@ -612,7 +627,7 @@ Status ParseHeaderV2(std::span<const uint8_t> header, uint64_t actual_size,
     return Status::IOError("v2 file shorter than its header");
   }
   const uint8_t* h = header.data();
-  if (!IsV2Magic(h, header.size())) {
+  if (std::memcmp(h, kMagicV2, sizeof(kMagicV2)) != 0) {
     return Status::IOError("not a TDE v2 database file");
   }
   if (Crc32c(h, kHeaderCrcOff) != GetU32(h + kHeaderCrcOff)) {
@@ -658,13 +673,13 @@ Result<DirectoryV2> ParseDirectoryBody(const HeaderV2& header,
   dir.version = header.version;
 
   DirReader r(dir_span);
-  uint32_t table_count;
+  uint32_t table_count = 0;
   TDE_RETURN_NOT_OK(r.U32(&table_count));
   for (uint32_t ti = 0; ti < table_count; ++ti) {
     TableEntry te;
     TDE_RETURN_NOT_OK(r.Str(&te.name));
     TDE_RETURN_NOT_OK(r.U64(&te.rows));
-    uint32_t column_count;
+    uint32_t column_count = 0;
     TDE_RETURN_NOT_OK(r.U32(&column_count));
     for (uint32_t ci = 0; ci < column_count; ++ci) {
       ColumnEntry e;
@@ -717,39 +732,6 @@ Result<Database> OpenDatabaseV2(const std::string& path,
       auto src = std::make_shared<const ColdSource>(
           MakeColdSource(e, te.name, file, cache));
       table->AddColumn(MakeColdColumn(e, std::move(src)));
-    }
-    db.AddTable(std::move(table));
-  }
-  return db;
-}
-
-Result<Database> ReadDatabaseV2Eager(std::span<const uint8_t> file_bytes) {
-  TDE_ASSIGN_OR_RETURN(DirectoryV2 dir, ParseDirectoryV2(file_bytes));
-  const ColumnCache::BlobReadFn read =
-      [file_bytes](const BlobRef& ref,
-                   std::vector<uint8_t>*) -> Result<std::span<const uint8_t>> {
-    if (ref.length > file_bytes.size() ||
-        ref.offset > file_bytes.size() - ref.length) {
-      return {Status::IOError("v2 blob out of bounds")};
-    }
-    return file_bytes.subspan(static_cast<size_t>(ref.offset),
-                              static_cast<size_t>(ref.length));
-  };
-  Database db;
-  for (const TableEntry& te : dir.tables) {
-    auto table = std::make_shared<Table>(te.name);
-    for (const ColumnEntry& e : te.columns) {
-      const ColdSource src = MakeColdSource(e, te.name, nullptr, nullptr);
-      TDE_ASSIGN_OR_RETURN(auto payload,
-                           ColumnCache::LoadPayloadFrom(src, read));
-      auto col = std::make_shared<Column>(e.name, e.type);
-      col->set_compression(static_cast<CompressionKind>(e.compression));
-      *col->mutable_metadata() = e.metadata;
-      col->set_encoding_changes(static_cast<int>(e.encoding_changes));
-      col->set_data(payload->stream);
-      col->set_heap(payload->heap);
-      col->set_array_dict(payload->dict);
-      table->AddColumn(std::move(col));
     }
     db.AddTable(std::move(table));
   }

@@ -46,9 +46,6 @@ constexpr uint32_t kFormatVersion2 = 2;
 constexpr uint32_t kFormatVersion3 = 3;
 constexpr size_t kHeaderSizeV2 = 64;
 
-/// True when `bytes` starts with the v2 magic.
-bool IsV2Magic(const uint8_t* bytes, size_t n);
-
 /// Directory entry for one segment of a segmented column (format v3).
 struct SegmentEntry {
   BlobRef blob;
@@ -119,11 +116,13 @@ Status SerializeDatabaseV2(const Database& db, std::vector<uint8_t>* out,
 Status WriteDatabaseV2(const Database& db, const std::string& path,
                        const WriteOptionsV2& options = {});
 
-/// Writes `bytes` to a sibling temp file, fsyncs, and rename()s it over
-/// `path`. The switch is atomic: a crash mid-write leaves the old file
-/// intact, and an engine lazily reading from `path` keeps its mmap/fd on
-/// the old inode, so its directory offsets stay valid instead of dangling
-/// over a truncated in-place rewrite. Used by both the v1 and v2 writers.
+/// Writes `bytes` to a fresh sibling temp file (named per call, so
+/// concurrent saves to one path never share an inode), fsyncs, and
+/// rename()s it over `path`. The switch is atomic: a crash mid-write leaves
+/// the old file intact, concurrent saves each publish a whole image (the
+/// last rename wins), and an engine lazily reading from `path` keeps its
+/// mmap/fd on the old inode, so its directory offsets stay valid instead of
+/// dangling over a truncated in-place rewrite.
 Status WriteFileAtomic(const std::string& path,
                        const std::vector<uint8_t>& bytes);
 
@@ -137,10 +136,6 @@ Result<DirectoryV2> ParseDirectoryV2(std::span<const uint8_t> file_bytes);
 /// file reader and cache alive via shared ownership.
 Result<Database> OpenDatabaseV2(const std::string& path,
                                 std::shared_ptr<ColumnCache> cache);
-
-/// Eager read of a v2 image from memory: every column materialized and
-/// warmed, nothing retained. The v2 counterpart of DeserializeDatabase.
-Result<Database> ReadDatabaseV2Eager(std::span<const uint8_t> file_bytes);
 
 }  // namespace pager
 }  // namespace tde

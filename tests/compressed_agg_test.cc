@@ -347,7 +347,6 @@ TEST(CompressedAgg, DictGroupingKillSwitchFallsBack) {
   };
   PlanNodePtr node = StrategicOptimize(make().root(), off).MoveValue();
   EXPECT_FALSE(node->agg.dict_code_keys);
-  EXPECT_FALSE(node->compressed_agg);
   ExpectIdentical(RunPlan(make(), off), RunPlan(make(), DecodeThenAggregate()),
                   "kill switch");
 }

@@ -1,13 +1,19 @@
 // Failure injection: corrupt or truncated serialized streams and database
-// files must fail with clean IOError statuses, never fault.
+// files must fail with clean IOError statuses, never fault. Database files
+// go through the one open path the engine has (pager::OpenDatabaseV2).
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
 #include <random>
 
 #include <gtest/gtest.h>
 
 #include "src/encoding/stream.h"
 #include "src/exec/flow_table.h"
-#include "src/storage/database_file.h"
 #include "src/storage/pager/column_cache.h"
 #include "src/storage/pager/crc32c.h"
 #include "src/storage/pager/format.h"
@@ -114,19 +120,95 @@ TEST(CorruptStream, RleZeroFieldWidthRejected) {
   EXPECT_EQ(EncodedStream::Open(buf).status().code(), StatusCode::kIOError);
 }
 
+/// One database image on disk, written once. A probe overwrites a few
+/// bytes in place (pwrite), opens the file the way every engine does — the
+/// lazy, O(directory) open — reads every row of every column, and puts the
+/// good bytes back, so a sweep of thousands of flips never rewrites the
+/// whole file.
+class ImageFile {
+ public:
+  ImageFile(const std::string& name, std::vector<uint8_t> good)
+      : path_(::testing::TempDir() + "/" + name), good_(std::move(good)) {
+    fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    EXPECT_GE(fd_, 0) << path_;
+    Write(0, good_.data(), good_.size());
+  }
+  ~ImageFile() {
+    ::close(fd_);
+    std::remove(path_.c_str());
+  }
+  ImageFile(const ImageFile&) = delete;
+  ImageFile& operator=(const ImageFile&) = delete;
+
+  const std::string& path() const { return path_; }
+  const std::vector<uint8_t>& good() const { return good_; }
+
+  void Write(uint64_t pos, const uint8_t* bytes, size_t n) {
+    ASSERT_EQ(::pwrite(fd_, bytes, n, static_cast<off_t>(pos)),
+              static_cast<ssize_t>(n));
+  }
+  /// XORs `mask` into the byte at `pos`.
+  void Flip(uint64_t pos, uint8_t mask) {
+    const uint8_t b = good_[pos] ^ mask;
+    Write(pos, &b, 1);
+  }
+  /// Puts the good bytes [pos, pos + n) back.
+  void Restore(uint64_t pos, size_t n = 1) {
+    Write(pos, good_.data() + pos, n);
+  }
+  /// Cuts the file to `size` bytes; Restore(size, good().size() - size)
+  /// grows it back.
+  void Truncate(uint64_t size) {
+    ASSERT_EQ(::ftruncate(fd_, static_cast<off_t>(size)), 0);
+  }
+
+  /// Opens the current file lazily and reads every row of every column, a
+  /// block at a time (a corrupt row count must not size an allocation).
+  /// Returns the first failure (the open's or a read's); every failure must
+  /// be a clean IOError, never a crash.
+  Status OpenAndReadAll() const {
+    auto cache = std::make_shared<pager::ColumnCache>(64ull << 20);
+    TDE_ASSIGN_OR_RETURN(Database db, pager::OpenDatabaseV2(path_, cache));
+    std::vector<Lane> lanes(1024);
+    for (const auto& t : db.tables()) {
+      for (size_t c = 0; c < t->num_columns(); ++c) {
+        const Column& col = t->column(c);
+        for (uint64_t row = 0; row < col.rows(); row += lanes.size()) {
+          const size_t n = static_cast<size_t>(
+              std::min<uint64_t>(lanes.size(), col.rows() - row));
+          TDE_RETURN_NOT_OK(col.GetLanes(row, n, lanes.data()));
+        }
+      }
+    }
+    return Status::OK();
+  }
+
+ private:
+  std::string path_;
+  std::vector<uint8_t> good_;
+  int fd_ = -1;
+};
+
+/// Fails the test unless `st` is OK or an IOError.
+void ExpectCleanFailure(const Status& st, const std::string& where) {
+  if (!st.ok()) {
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << where << ": "
+                                               << st.ToString();
+  }
+}
+
 /// Parametrized over the file format version: the sweeps must hold for the
-/// eager v1 layout, the paged, checksummed v2 layout, and the segmented v3
-/// directory extension alike (DeserializeDatabase sniffs the magic and
-/// takes the right path).
+/// paged, checksummed v2 layout and the segmented v3 directory extension
+/// alike.
 class CorruptDatabase : public ::testing::TestWithParam<int> {
  protected:
   std::vector<uint8_t> GoodDatabase() {
     Database db;
     auto t = std::make_shared<Table>("t");
     FlowTableOptions fopt;
-    // v3: segment the columns (2000 rows / 400 = 5 segments each). The
-    // other formats pin a threshold above the row count so the fixture
-    // stays monolithic whatever TDE_SEGMENT_ROWS the suite runs under.
+    // v3: segment the columns (2000 rows / 400 = 5 segments each). v2 pins
+    // a threshold above the row count so the fixture stays monolithic
+    // whatever TDE_SEGMENT_ROWS the suite runs under.
     fopt.segment_rows = GetParam() == 3 ? 400 : 1 << 20;
     ColumnBuildInput in;
     in.name = "x";
@@ -147,82 +229,72 @@ class CorruptDatabase : public ::testing::TestWithParam<int> {
     sin.accel_arrived_sorted = acc.arrived_sorted();
     t->AddColumn(BuildColumn(std::move(sin), fopt).MoveValue());
     db.AddTable(t);
+    // Small pages keep the sweep positions dense across real content.
+    pager::WriteOptionsV2 opts;
+    opts.page_size = 512;
     std::vector<uint8_t> bytes;
-    if (GetParam() >= 2) {
-      // Small pages keep the sweep positions dense across real content.
-      pager::WriteOptionsV2 opts;
-      opts.page_size = 512;
-      EXPECT_TRUE(pager::SerializeDatabaseV2(db, &bytes, opts).ok());
-    } else {
-      EXPECT_TRUE(SerializeDatabase(db, &bytes).ok());
-    }
+    EXPECT_TRUE(pager::SerializeDatabaseV2(db, &bytes, opts).ok());
     return bytes;
+  }
+
+  std::string FileName(const char* sweep) const {
+    return std::string("corrupt_") + sweep + "_v" +
+           std::to_string(GetParam()) + ".tde";
   }
 };
 
 TEST_P(CorruptDatabase, TruncationAtManyOffsetsFailsCleanly) {
-  const auto good = GoodDatabase();
-  ASSERT_TRUE(DeserializeDatabase(good).ok());
+  ImageFile file(FileName("truncate"), GoodDatabase());
+  const auto& good = file.good();
+  ASSERT_TRUE(file.OpenAndReadAll().ok());
   for (size_t cut = 0; cut < good.size(); cut += good.size() / 37 + 1) {
-    std::vector<uint8_t> bad(good.begin(),
-                             good.begin() + static_cast<ptrdiff_t>(cut));
-    const auto r = DeserializeDatabase(bad);
-    EXPECT_FALSE(r.ok()) << "cut at " << cut;
+    file.Truncate(cut);
+    const Status st = file.OpenAndReadAll();
+    EXPECT_FALSE(st.ok()) << "cut at " << cut;
+    ExpectCleanFailure(st, "cut at " + std::to_string(cut));
+    file.Restore(cut, good.size() - cut);
   }
+  EXPECT_TRUE(file.OpenAndReadAll().ok());
 }
 
 TEST_P(CorruptDatabase, BitFlipsInStreamHeadersFailCleanlyOrRoundTrip) {
-  const auto good = GoodDatabase();
   // Flip a byte at a sweep of positions; each must either fail cleanly or
-  // produce a database that can still be walked without faulting.
-  for (size_t pos = 8; pos < good.size(); pos += good.size() / 53 + 1) {
-    std::vector<uint8_t> bad = good;
-    bad[pos] ^= 0x5A;
-    auto r = DeserializeDatabase(bad);
-    if (!r.ok()) continue;
-    for (const auto& t : r.value().tables()) {
-      for (size_t c = 0; c < t->num_columns(); ++c) {
-        const Column& col = t->column(c);
-        std::vector<Lane> lanes(
-            std::min<uint64_t>(col.rows(), 64));
-        (void)col.GetLanes(0, lanes.size(), lanes.data());
-      }
-    }
+  // produce a database whose every row still reads.
+  ImageFile file(FileName("sparse"), GoodDatabase());
+  const size_t size = file.good().size();
+  for (size_t pos = 8; pos < size; pos += size / 53 + 1) {
+    file.Flip(pos, 0x5A);
+    ExpectCleanFailure(file.OpenAndReadAll(), "pos " + std::to_string(pos));
+    file.Restore(pos);
   }
 }
 
 TEST_P(CorruptDatabase, DenseBitFlipsNearTheFrontFailCleanlyOrRoundTrip) {
-  // The first kilobyte holds the format's most load-bearing bytes (v1:
-  // table/column counts and the first stream header; v2: the entire file
-  // header). Walk it exhaustively with every single-bit flip.
-  const auto good = GoodDatabase();
-  const size_t limit = std::min<size_t>(good.size(), 1024);
+  // The first kilobyte holds the format's most load-bearing bytes: the
+  // entire file header and the first column's blob. Walk it exhaustively
+  // with every single-bit flip.
+  ImageFile file(FileName("dense"), GoodDatabase());
+  const size_t limit = std::min<size_t>(file.good().size(), 1024);
   for (size_t pos = 0; pos < limit; ++pos) {
     for (int bit = 0; bit < 8; ++bit) {
-      std::vector<uint8_t> bad = good;
-      bad[pos] ^= static_cast<uint8_t>(1u << bit);
-      auto r = DeserializeDatabase(bad);
-      if (!r.ok()) continue;
-      for (const auto& t : r.value().tables()) {
-        for (size_t c = 0; c < t->num_columns(); ++c) {
-          const Column& col = t->column(c);
-          std::vector<Lane> lanes(std::min<uint64_t>(col.rows(), 16));
-          (void)col.GetLanes(0, lanes.size(), lanes.data());
-        }
-      }
+      file.Flip(pos, static_cast<uint8_t>(1u << bit));
+      ExpectCleanFailure(file.OpenAndReadAll(),
+                         "pos " + std::to_string(pos) + " bit " +
+                             std::to_string(bit));
     }
+    file.Restore(pos);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Formats, CorruptDatabase,
-                         ::testing::Values(1, 2, 3),
+INSTANTIATE_TEST_SUITE_P(Formats, CorruptDatabase, ::testing::Values(2, 3),
                          [](const auto& info) {
                            return "v" + std::to_string(info.param);
                          });
 
-TEST(CorruptDatabaseV2, BlobCorruptionIsCaughtByChecksumOnEagerLoad) {
+TEST(CorruptDatabaseV2, BlobCorruptionIsCaughtByChecksumOnFirstRead) {
   // v2 blob bytes are CRC-protected: any flip inside a column blob must be
-  // rejected at materialization, naming the column it hit.
+  // rejected when the column materializes, naming the column it hit. The
+  // open itself reads only the header and directory, so it succeeds.
   Database db;
   auto t = std::make_shared<Table>("t");
   ColumnBuildInput in;
@@ -244,13 +316,14 @@ TEST(CorruptDatabaseV2, BlobCorruptionIsCaughtByChecksumOnEagerLoad) {
   ASSERT_TRUE(dir.ok());
   const pager::BlobRef& blob = dir.value().tables[0].columns[0].stream;
   ASSERT_GT(blob.length, 0u);
-  std::vector<uint8_t> bad = good;
-  bad[blob.offset + blob.length / 2] ^= 0x01;
-  const auto r = DeserializeDatabase(bad);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
-  EXPECT_NE(r.status().ToString().find("t.x"), std::string::npos)
-      << r.status().ToString();
+  ImageFile file("corrupt_blob_v2.tde", good);
+  file.Flip(blob.offset + blob.length / 2, 0x01);
+  const Status st = file.OpenAndReadAll();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_NE(st.ToString().find("t.x"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.ToString().find("checksum"), std::string::npos)
+      << st.ToString();
 }
 
 // ------------------------------------------------- v3 segment corruption
@@ -284,15 +357,16 @@ TEST(CorruptDatabaseV3, SegmentBlobCorruptionCaughtByChecksum) {
   ASSERT_EQ(segs.size(), 5u);
   ASSERT_GT(segs[2].blob.length, 0u);
 
-  // Flip one byte in the middle of segment 2's blob: the eager load must
-  // reject the file, naming the column.
-  std::vector<uint8_t> bad = good;
-  bad[segs[2].blob.offset + segs[2].blob.length / 2] ^= 0x01;
-  const auto r = DeserializeDatabase(bad);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
-  EXPECT_NE(r.status().ToString().find("t.x"), std::string::npos)
-      << r.status().ToString();
+  // Flip one byte in the middle of segment 2's blob: reading the column
+  // must fail when segment 2 faults in, naming the column.
+  ImageFile file("corrupt_segment_v3.tde", good);
+  file.Flip(segs[2].blob.offset + segs[2].blob.length / 2, 0x01);
+  const Status st = file.OpenAndReadAll();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_NE(st.ToString().find("t.x"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.ToString().find("checksum"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(CorruptDatabaseV3, CorruptSegmentLeavesSiblingSegmentsReadable) {
@@ -301,22 +375,14 @@ TEST(CorruptDatabaseV3, CorruptSegmentLeavesSiblingSegmentsReadable) {
   ASSERT_TRUE(dir.ok());
   const auto& segs = dir.value().tables[0].columns[0].segments;
   ASSERT_EQ(segs.size(), 5u);
-  std::vector<uint8_t> bad = good;
-  bad[segs[2].blob.offset + segs[2].blob.length / 2] ^= 0x01;
+  ImageFile file("corrupt_sibling_v3.tde", good);
+  file.Flip(segs[2].blob.offset + segs[2].blob.length / 2, 0x01);
 
-  const std::string path = ::testing::TempDir() + "/corrupt_seg_v3.tde";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bad.data(), 1, bad.size(), f), bad.size());
-    std::fclose(f);
-  }
-
-  // On the lazy path a segment faults in only when touched: rows in the
-  // corrupt segment fail with a clean Status, rows in its siblings keep
-  // answering correctly.
+  // A segment faults in only when touched: rows in the corrupt segment
+  // fail with a clean Status, rows in its siblings keep answering
+  // correctly.
   auto cache = std::make_shared<pager::ColumnCache>(64ull << 20);
-  auto db = pager::OpenDatabaseV2(path, cache);
+  auto db = pager::OpenDatabaseV2(file.path(), cache);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   auto col = db.value().GetTable("t").value()->ColumnByName("x").value();
 
@@ -330,7 +396,6 @@ TEST(CorruptDatabaseV3, CorruptSegmentLeavesSiblingSegmentsReadable) {
   EXPECT_EQ(corrupt.code(), StatusCode::kIOError);
   // The siblings stay readable afterwards too.
   EXPECT_TRUE(col->GetLanes(400, 64, lanes.data()).ok());    // segment 1
-  std::remove(path.c_str());
 }
 
 TEST(CorruptDatabaseV3, DirectoryFlipsWithFixedCrcsFailCleanlyOrRoundTrip) {
@@ -338,40 +403,36 @@ TEST(CorruptDatabaseV3, DirectoryFlipsWithFixedCrcsFailCleanlyOrRoundTrip) {
   // CRCs recomputed: this drives the structural validation itself —
   // truncated segment tables, segment row-count overflows, dangling blob
   // refs — rather than the checksum. Every flip must either be rejected
-  // with a Status or produce a database that walks without faulting.
-  const auto good = GoodSegmentedV3();
+  // with a Status or produce a database whose every row reads.
+  ImageFile file("corrupt_directory_v3.tde", GoodSegmentedV3());
+  std::vector<uint8_t> bad = file.good();
   auto u64 = [](const uint8_t* p) {
     uint64_t v;
     std::memcpy(&v, p, 8);
     return v;
   };
-  const uint64_t dir_offset = u64(good.data() + 16);
-  const uint64_t dir_length = u64(good.data() + 24);
-  ASSERT_EQ(dir_offset + dir_length, good.size());
+  const uint64_t dir_offset = u64(bad.data() + 16);
+  const uint64_t dir_length = u64(bad.data() + 24);
+  ASSERT_EQ(dir_offset + dir_length, bad.size());
 
   for (uint64_t pos = dir_offset; pos < dir_offset + dir_length; ++pos) {
-    std::vector<uint8_t> bad = good;
     bad[pos] ^= 0x5A;
     const uint32_t dir_crc =
         pager::Crc32c(bad.data() + dir_offset, dir_length);
     std::memcpy(bad.data() + 32, &dir_crc, 4);
     const uint32_t header_crc = pager::Crc32c(bad.data(), 56);
     std::memcpy(bad.data() + 56, &header_crc, 4);
+    file.Write(pos, bad.data() + pos, 1);
+    file.Write(32, bad.data() + 32, 4);
+    file.Write(56, bad.data() + 56, 4);
 
-    auto r = DeserializeDatabase(bad);
-    if (!r.ok()) continue;
-    for (const auto& t : r.value().tables()) {
-      for (size_t c = 0; c < t->num_columns(); ++c) {
-        const Column& col = t->column(c);
-        std::vector<Lane> lanes(std::min<uint64_t>(col.rows(), 64));
-        (void)col.GetLanes(0, lanes.size(), lanes.data());
-      }
-    }
+    ExpectCleanFailure(file.OpenAndReadAll(), "pos " + std::to_string(pos));
+
+    bad[pos] ^= 0x5A;
+    file.Restore(pos);
+    file.Restore(32, 4);
+    file.Restore(56, 4);
   }
-}
-
-TEST(CorruptDatabase2, EmptyFileRejected) {
-  EXPECT_FALSE(DeserializeDatabase({}).ok());
 }
 
 TEST(CorruptText, RandomGarbageImportsOrFailsCleanly) {

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -77,10 +79,24 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+/// Counts the save temp files ("<path>.tmp...") left next to `path`.
+int TempFilesOf(const std::string& path) {
+  const std::filesystem::path p(path);
+  const std::string prefix = p.filename().string() + ".tmp";
+  int n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(p.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
+  }
+  return n;
+}
+
 void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  if (!bytes.empty()) {  // fwrite's buffer must not be null, even for 0 bytes
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 
@@ -120,20 +136,6 @@ TEST(Crc32cTest, KnownVectors) {
   const char* s = "123456789";
   EXPECT_EQ(Crc32c(reinterpret_cast<const uint8_t*>(s), 9), 0xE3069283u);
   EXPECT_EQ(Crc32c(nullptr, 0), 0u);
-}
-
-TEST(FormatV2, EagerRoundTripThroughDeserializeDatabase) {
-  Database db = MakeDatabase();
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(pager::SerializeDatabaseV2(db, &bytes).ok());
-  ASSERT_TRUE(pager::IsV2Magic(bytes.data(), bytes.size()));
-
-  // DeserializeDatabase sniffs the v2 magic and takes the eager v2 path.
-  auto back = DeserializeDatabase(bytes);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  auto t = back.value().GetTable("facts");
-  ASSERT_TRUE(t.ok());
-  CheckFactsTable(*t.value());
 }
 
 TEST(FormatV2, LazyOpenRoundTrip) {
@@ -351,17 +353,11 @@ TEST(FormatV2, SaveOfLazyDatabaseCopiesThrough) {
   auto db = pager::OpenDatabaseV2(path, cache);
   ASSERT_TRUE(db.ok());
 
-  // Serializing a cold database pins each column in turn (v1 and v2).
+  // Serializing a cold database pins each column in turn.
   ASSERT_TRUE(pager::WriteDatabaseV2(db.value(), path2).ok());
   auto back = pager::OpenDatabaseV2(path2, cache);
   ASSERT_TRUE(back.ok());
   CheckFactsTable(*back.value().GetTable("facts").value());
-
-  std::vector<uint8_t> v1_bytes;
-  ASSERT_TRUE(SerializeDatabase(db.value(), &v1_bytes).ok());
-  auto v1_back = DeserializeDatabase(v1_bytes);
-  ASSERT_TRUE(v1_back.ok());
-  CheckFactsTable(*v1_back.value().GetTable("facts").value());
   std::remove(path.c_str());
   std::remove(path2.c_str());
 }
@@ -382,9 +378,7 @@ TEST(FormatV2, SaveToSourcePathOfLazyDatabaseKeepsColdReadsValid) {
   // reading from. The temp-file + rename() switch keeps the old inode
   // alive under the engine's mmap/fd, so cold directory offsets stay valid.
   ASSERT_TRUE(pager::WriteDatabaseV2(db.value(), path).ok());
-  std::FILE* leftover = std::fopen((path + ".tmp").c_str(), "rb");
-  EXPECT_EQ(leftover, nullptr) << "temp file must not survive the rename";
-  if (leftover != nullptr) std::fclose(leftover);
+  EXPECT_EQ(TempFilesOf(path), 0) << "temp file must not survive the rename";
 
   // Still-cold columns fault in through the original mapping.
   CheckFactsTable(*t);
@@ -402,6 +396,56 @@ TEST(FormatV2, SaveToSourcePathOfLazyDatabaseKeepsColdReadsValid) {
   auto reopened = pager::OpenDatabaseV2(path, cache2);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   CheckFactsTable(*reopened.value().GetTable("facts").value());
+  std::remove(path.c_str());
+}
+
+TEST(FormatV2, ConcurrentSavesToOnePathEachPublishAWholeImage) {
+  // Two saves race to one path, round after round. Each call writes its
+  // own temp file, so both succeed, the last rename wins, and the file
+  // left behind is always one whole image — never a mix of the two.
+  std::vector<Lane> values[2];
+  Database dbs[2];
+  const uint64_t rows[2] = {200000, 150000};
+  for (int w = 0; w < 2; ++w) {
+    values[w].resize(rows[w]);
+    for (uint64_t i = 0; i < rows[w]; ++i) {
+      values[w][i] = static_cast<Lane>((i * (w + 3)) % 1000);
+    }
+    auto t = std::make_shared<Table>("t");
+    t->AddColumn(MakeIntColumn("x", values[w]));
+    dbs[w].AddTable(t);
+  }
+
+  const std::string path = TempPath("pager_concurrent_save.tde");
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<int> ready{0};
+    Status saved[2];
+    std::vector<std::thread> savers;
+    for (int w = 0; w < 2; ++w) {
+      savers.emplace_back([&, w] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) std::this_thread::yield();
+        saved[w] = pager::WriteDatabaseV2(dbs[w], path);
+      });
+    }
+    for (auto& th : savers) th.join();
+    ASSERT_TRUE(saved[0].ok()) << "round " << round << ": "
+                               << saved[0].ToString();
+    ASSERT_TRUE(saved[1].ok()) << "round " << round << ": "
+                               << saved[1].ToString();
+
+    auto cache = std::make_shared<ColumnCache>(64ull << 20);
+    auto back = pager::OpenDatabaseV2(path, cache);
+    ASSERT_TRUE(back.ok()) << "round " << round << ": "
+                           << back.status().ToString();
+    auto col = back.value().GetTable("t").value()->ColumnByName("x").value();
+    std::vector<Lane> got(col->rows());
+    const Status read = col->GetLanes(0, got.size(), got.data());
+    ASSERT_TRUE(read.ok()) << "round " << round << ": " << read.ToString();
+    ASSERT_TRUE(got == values[0] || got == values[1])
+        << "round " << round << ": " << got.size() << " rows match neither";
+  }
+  EXPECT_EQ(TempFilesOf(path), 0);
   std::remove(path.c_str());
 }
 
@@ -513,15 +557,37 @@ TEST(EngineV2, OpenDatabaseIsLazyAndStatsAreVisibleInSql) {
   std::remove(path.c_str());
 }
 
-TEST(EngineV2, V1FilesStillOpen) {
-  Database db = MakeDatabase();
-  const std::string path = TempPath("pager_v1.tde");
-  ASSERT_TRUE(WriteDatabase(db, path).ok());  // v1 writer
-  auto e = Engine::OpenDatabase(path);
-  ASSERT_TRUE(e.ok()) << e.status().ToString();
-  EXPECT_EQ(e.value().column_cache(), nullptr);  // eager: no cache
-  CheckFactsTable(*e.value().database()->GetTable("facts").value());
+TEST(EngineV2, OpenDatabaseRejectsFilesItCannotRead) {
+  // OpenDatabase has one path, the lazy open of the paged format. Anything
+  // else — including a file of the retired first format — is an IOError,
+  // never a crash.
+  std::vector<uint8_t> good;
+  ASSERT_TRUE(pager::SerializeDatabaseV2(MakeDatabase(), &good).ok());
+  std::vector<uint8_t> retired = good;
+  std::memcpy(retired.data(), "TDEDB001", 8);
+  const struct {
+    const char* name;
+    std::vector<uint8_t> bytes;
+  } cases[] = {
+      {"garbage", {1, 2, 3, 4, 5, 6, 7, 8, 9}},
+      {"empty", {}},
+      {"truncated",
+       std::vector<uint8_t>(good.begin(),
+                            good.begin() +
+                                static_cast<ptrdiff_t>(good.size() / 2))},
+      {"v1 magic", retired},
+  };
+  const std::string path = TempPath("pager_rejected.tde");
+  for (const auto& c : cases) {
+    WriteFile(path, c.bytes);
+    auto e = Engine::OpenDatabase(path);
+    ASSERT_FALSE(e.ok()) << c.name;
+    EXPECT_EQ(e.status().code(), StatusCode::kIOError)
+        << c.name << ": " << e.status().ToString();
+  }
   std::remove(path.c_str());
+  EXPECT_EQ(Engine::OpenDatabase(path).status().code(), StatusCode::kIOError)
+      << "missing file";
 }
 
 TEST(EngineV2, OptimizeTableDoesNotDetachRejectedForCandidates) {

@@ -365,7 +365,7 @@ TEST(AppendRows, RejectsMalformedBlocks) {
   EXPECT_FALSE(engine.AppendRows("t", wrong_type).ok());
 }
 
-TEST(AppendRows, PersistsThroughV3AndV1) {
+TEST(AppendRows, PersistsThroughV3) {
   Engine engine;
   auto t = std::make_shared<Table>("t");
   std::vector<Lane> init(10);
@@ -391,18 +391,6 @@ TEST(AppendRows, PersistsThroughV3AndV1) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().Value(0, 0), expected);
   std::remove(path.c_str());
-
-  // The v1 writer materializes segmented columns monolithic.
-  std::vector<uint8_t> v1;
-  ASSERT_TRUE(SerializeDatabase(*engine.database(), &v1).ok());
-  auto eager = DeserializeDatabase(v1);
-  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
-  auto col = eager.value().GetTable("t").value()->ColumnByName("x").value();
-  EXPECT_FALSE(col->segmented_storage());
-  std::vector<Lane> got(17);
-  ASSERT_TRUE(col->GetLanes(0, 17, got.data()).ok());
-  EXPECT_EQ(got[0], 0);
-  EXPECT_EQ(got[16], 1006);
 }
 
 TEST(Observability, TdeSegmentsAndStorageReport) {

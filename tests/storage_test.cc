@@ -6,23 +6,29 @@
 
 #include "src/exec/flow_table.h"
 #include "src/storage/heap_accelerator.h"
+#include "src/storage/pager/column_cache.h"
+#include "src/storage/pager/format.h"
 
 namespace tde {
 namespace {
 
 std::shared_ptr<Column> MakeIntColumn(const std::string& name,
-                                      const std::vector<Lane>& v) {
+                                      const std::vector<Lane>& v,
+                                      uint64_t segment_rows = 0) {
   ColumnBuildInput in;
   in.name = name;
   in.type = TypeId::kInteger;
   in.lanes = v;
-  auto r = BuildColumn(std::move(in), FlowTableOptions{});
+  FlowTableOptions opts;
+  opts.segment_rows = segment_rows;
+  auto r = BuildColumn(std::move(in), opts);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.MoveValue();
 }
 
 std::shared_ptr<Column> MakeStringColumn(
-    const std::string& name, const std::vector<std::string>& strings) {
+    const std::string& name, const std::vector<std::string>& strings,
+    uint64_t segment_rows = 0) {
   ColumnBuildInput in;
   in.name = name;
   in.type = TypeId::kString;
@@ -32,7 +38,9 @@ std::shared_ptr<Column> MakeStringColumn(
   in.accel_active = true;
   in.accel_distinct = acc.distinct_count();
   in.accel_arrived_sorted = acc.arrived_sorted();
-  auto r = BuildColumn(std::move(in), FlowTableOptions{});
+  FlowTableOptions opts;
+  opts.segment_rows = segment_rows;
+  auto r = BuildColumn(std::move(in), opts);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.MoveValue();
 }
@@ -65,36 +73,68 @@ TEST(Table, ColumnLookup) {
   EXPECT_EQ(t.GetSchema().ToString(), "(a: integer, b: integer)");
 }
 
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name;
+}
+
+/// Saves `db` as a single file and opens it back the one way the engine
+/// opens files: lazily, every column cold until first touch.
+Database SaveAndOpen(const Database& db, const std::string& path) {
+  EXPECT_TRUE(pager::WriteDatabaseV2(db, path).ok());
+  auto back = pager::OpenDatabaseV2(
+      path, std::make_shared<pager::ColumnCache>(64ull << 20));
+  EXPECT_TRUE(back.ok()) << back.status().ToString();
+  return back.ok() ? back.MoveValue() : Database();
+}
+
+uint64_t FileSize(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return 0;
+  std::fseek(f, 0, SEEK_END);
+  const long n = std::ftell(f);
+  std::fclose(f);
+  return n < 0 ? 0 : static_cast<uint64_t>(n);
+}
+
 TEST(DatabaseFile, RoundTripsTablesColumnsAndMetadata) {
+  // Two-row segments: every column is segmented, so this is a v3 file.
   Database db;
   auto t = std::make_shared<Table>("facts");
-  t->AddColumn(MakeIntColumn("id", {1, 2, 3, 4, 5}));
-  t->AddColumn(MakeIntColumn("v", {9, 9, 9, 9, 9}));
-  t->AddColumn(MakeStringColumn("tag", {"b", "a", "b", "c", "a"}));
+  t->AddColumn(MakeIntColumn("id", {1, 2, 3, 4, 5}, /*segment_rows=*/2));
+  t->AddColumn(MakeIntColumn("v", {9, 9, 9, 9, 9}, /*segment_rows=*/2));
+  t->AddColumn(
+      MakeStringColumn("tag", {"b", "a", "b", "c", "a"}, /*segment_rows=*/2));
   db.AddTable(t);
 
-  std::vector<uint8_t> bytes;
-  SerializeDatabase(db, &bytes);
-  auto back = DeserializeDatabase(bytes);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ASSERT_EQ(back.value().num_tables(), 1u);
-  auto ft = back.value().GetTable("facts").value();
+  const std::string path = TempPath("storage_roundtrip.tde");
+  Database back = SaveAndOpen(db, path);
+  ASSERT_EQ(back.num_tables(), 1u);
+  auto ft = back.GetTable("facts").value();
   EXPECT_EQ(ft->rows(), 5u);
   ASSERT_EQ(ft->num_columns(), 3u);
 
-  // Metadata survives: id was dense/unique/sorted.
+  // Metadata survives: id was dense/unique/sorted. It answers from the
+  // directory, before any column is read.
   auto id = ft->ColumnByName("id").value();
+  EXPECT_TRUE(id->cold());
+  EXPECT_FALSE(id->resident());
+  EXPECT_TRUE(id->segmented_storage());
   EXPECT_TRUE(id->metadata().dense);
   EXPECT_TRUE(id->metadata().unique);
   EXPECT_EQ(id->metadata().min_value, 1);
   EXPECT_EQ(id->metadata().max_value, 5);
+  std::vector<Lane> lanes(5);
+  ASSERT_TRUE(id->GetLanes(0, 5, lanes.data()).ok());
+  EXPECT_EQ(lanes, (std::vector<Lane>{1, 2, 3, 4, 5}));
 
   // String column resolves through its restored heap.
   auto tag = ft->ColumnByName("tag").value();
-  std::vector<Lane> lanes(5);
+  auto pin = tag->Pin();
+  ASSERT_TRUE(pin.ok()) << pin.status().ToString();
   ASSERT_TRUE(tag->GetLanes(0, 5, lanes.data()).ok());
   EXPECT_EQ(tag->GetString(lanes[0]), "b");
   EXPECT_EQ(tag->GetString(lanes[3]), "c");
+  std::remove(path.c_str());
 }
 
 TEST(DatabaseFile, SingleFileOnDisk) {
@@ -102,38 +142,20 @@ TEST(DatabaseFile, SingleFileOnDisk) {
   auto t = std::make_shared<Table>("t");
   t->AddColumn(MakeIntColumn("x", {1, 2, 3}));
   db.AddTable(t);
-  const std::string path = ::testing::TempDir() + "/tde_test.tde";
-  ASSERT_TRUE(WriteDatabase(db, path).ok());
-  auto back = ReadDatabase(path);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back.value().GetTable("t").value()->rows(), 3u);
+  const std::string path = TempPath("tde_test.tde");
+  Database back = SaveAndOpen(db, path);
+  EXPECT_EQ(back.GetTable("t").value()->rows(), 3u);
   std::remove(path.c_str());
-}
-
-TEST(DatabaseFile, RejectsGarbage) {
-  std::vector<uint8_t> garbage = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  EXPECT_EQ(DeserializeDatabase(garbage).status().code(),
-            StatusCode::kIOError);
-}
-
-TEST(DatabaseFile, RejectsTruncation) {
-  Database db;
-  auto t = std::make_shared<Table>("t");
-  t->AddColumn(MakeIntColumn("x", {1, 2, 3}));
-  db.AddTable(t);
-  std::vector<uint8_t> bytes;
-  SerializeDatabase(db, &bytes);
-  bytes.resize(bytes.size() / 2);
-  EXPECT_FALSE(DeserializeDatabase(bytes).ok());
 }
 
 TEST(DatabaseFile, CompressionShrinksTheSingleFileCopy) {
   // Sect. 2.3.3: the single-file copy is unavoidable; encodings shrink it.
+  constexpr uint64_t kSegmentRows = 16384;
   std::vector<Lane> v(100000);
   for (size_t i = 0; i < v.size(); ++i) v[i] = static_cast<Lane>(i % 100);
 
   auto encoded = std::make_shared<Table>("e");
-  encoded->AddColumn(MakeIntColumn("x", v));
+  encoded->AddColumn(MakeIntColumn("x", v, kSegmentRows));
   Database db_enc;
   db_enc.AddTable(encoded);
 
@@ -143,15 +165,28 @@ TEST(DatabaseFile, CompressionShrinksTheSingleFileCopy) {
   in.lanes = v;
   FlowTableOptions off;
   off.enable_encodings = false;
+  off.segment_rows = kSegmentRows;
   auto unencoded = std::make_shared<Table>("u");
   unencoded->AddColumn(BuildColumn(std::move(in), off).MoveValue());
   Database db_raw;
   db_raw.AddTable(unencoded);
 
-  std::vector<uint8_t> enc_bytes, raw_bytes;
-  SerializeDatabase(db_enc, &enc_bytes);
-  SerializeDatabase(db_raw, &raw_bytes);
-  EXPECT_LT(enc_bytes.size() * 4, raw_bytes.size());
+  const std::string enc_path = TempPath("storage_encoded.tde");
+  const std::string raw_path = TempPath("storage_raw.tde");
+  Database enc_back = SaveAndOpen(db_enc, enc_path);
+  Database raw_back = SaveAndOpen(db_raw, raw_path);
+  EXPECT_LT(FileSize(enc_path) * 4, FileSize(raw_path));
+
+  // Both copies are segmented (v3) and read back the same values.
+  for (const Database* back : {&enc_back, &raw_back}) {
+    const auto table = back->tables().at(0);
+    EXPECT_TRUE(table->column(0).segmented_storage());
+    std::vector<Lane> got(v.size());
+    ASSERT_TRUE(table->column(0).GetLanes(0, got.size(), got.data()).ok());
+    EXPECT_EQ(got, v);
+  }
+  std::remove(enc_path.c_str());
+  std::remove(raw_path.c_str());
 }
 
 }  // namespace

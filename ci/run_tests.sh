@@ -86,6 +86,11 @@ if [[ "${TDE_SKIP_TSAN:-0}" != "1" ]]; then
   cmake --build "$TSAN_BUILD" -j"$(nproc)"
   TSAN_OPTIONS=halt_on_error=1 TDE_WORKERS=4 \
       ctest --test-dir "$TSAN_BUILD" --output-on-failure -j"$(nproc)"
+  # A longer concurrency soak (20 iterations, tier-1 runs 3): concurrent
+  # queries' segment-morsel tasks overlap on the shared pool long enough
+  # for TSan to see the shared join builds, code tables and partials.
+  TSAN_OPTIONS=halt_on_error=1 TDE_WORKERS=4 TDE_STRESS_ITERS=20 \
+      "$TSAN_BUILD/tests/concurrency_test"
 fi
 
 # Archive one bench run with per-operator stats. Keep CI cheap: the bench's

@@ -116,7 +116,6 @@ uint32_t GroupMap::Find(Lane key) const {
       uint64_t idx = Mix64(static_cast<uint64_t>(key)) & mask_;
       while (slot_groups_[idx] != kEmpty) {
         if (slot_keys_[idx] == key) return slot_groups_[idx];
-        ++collisions_;
         idx = (idx + 1) & mask_;
       }
       return kEmpty;

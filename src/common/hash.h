@@ -57,8 +57,10 @@ class GroupMap {
   /// The distinct keys in insertion (group-id) order.
   const std::vector<Lane>& keys() const { return keys_; }
 
-  /// Number of probe collisions observed (always 0 for direct/perfect);
-  /// exposed so benchmarks can show the cost the tactical choice avoids.
+  /// Number of probe collisions GetOrInsert observed (always 0 for
+  /// direct/perfect); exposed so benchmarks can show the cost the tactical
+  /// choice avoids. Find does not count: it is const, and a join build
+  /// shares one map read-only across concurrent probes.
   uint64_t collisions() const { return collisions_; }
 
  private:
@@ -73,7 +75,7 @@ class GroupMap {
   std::vector<uint32_t> slot_groups_;
   uint64_t mask_ = 0;
   uint64_t used_ = 0;
-  mutable uint64_t collisions_ = 0;
+  uint64_t collisions_ = 0;
   std::vector<Lane> keys_;
 };
 

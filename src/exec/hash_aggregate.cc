@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <string>
+#include <thread>
+
+#include "src/exec/scheduler.h"
 
 namespace tde {
 
@@ -96,10 +100,14 @@ Status UpdateColumn(AggKind kind, TypeId type, const Lane* v,
           ++s.n;
         }
       } else {
+        // 128 bits cannot overflow (2^32 rows of 2^63); the range of the
+        // running total is what decides overflow, at SettleSum.
         for (size_t r = 0; r < n; ++r) {
           if (v[r] == kNullSentinel) continue;
           AggState& s = s0[g[r] * stride];
-          if (__builtin_add_overflow(s.i, v[r], &s.i)) return SumOverflow();
+          s.total += v[r];
+          s.low = std::min(s.low, s.total);
+          s.high = std::max(s.high, s.total);
           ++s.n;
         }
       }
@@ -156,6 +164,66 @@ Status UpdateRun(AggKind kind, TypeId type, Lane v, uint64_t count,
       s->values.insert(s->values.end(), static_cast<size_t>(count), v);
       break;
   }
+  return Status::OK();
+}
+
+void Merge(AggKind kind, TypeId type, AggState* into, AggState* from,
+           const StringHeap* heap) {
+  switch (kind) {
+    case AggKind::kCountStar:
+    case AggKind::kCount:
+      into->n += from->n;
+      break;
+    case AggKind::kSum:
+      if (type == TypeId::kReal) {
+        into->d += from->d;
+      } else {
+        // `from`'s running totals start where `into`'s total ends.
+        into->low = std::min(into->low, into->total + from->low);
+        into->high = std::max(into->high, into->total + from->high);
+        into->total += from->total;
+      }
+      into->n += from->n;
+      break;
+    case AggKind::kMin:
+    case AggKind::kMax:
+      if (from->seen) {
+        // Ties keep the earlier value, as the row path's strict compare
+        // does.
+        const int c = into->seen ? CompareLanes(type, heap, from->i, into->i)
+                                 : 0;
+        if (!into->seen || (kind == AggKind::kMin ? c < 0 : c > 0)) {
+          into->i = from->i;
+        }
+        into->seen = true;
+      }
+      break;
+    case AggKind::kAvg:
+      into->d += from->d;
+      into->n += from->n;
+      break;
+    case AggKind::kCountDistinct:
+      if (into->distinct.size() == 0) {
+        std::swap(into->distinct, from->distinct);
+      } else {
+        into->distinct.merge(from->distinct);
+      }
+      break;
+    case AggKind::kMedian:
+      if (into->values.empty()) {
+        into->values.swap(from->values);
+      } else {
+        into->values.insert(into->values.end(), from->values.begin(),
+                            from->values.end());
+      }
+      break;
+  }
+}
+
+Status SettleSum(AggKind kind, TypeId type, AggState* s) {
+  if (kind != AggKind::kSum || type == TypeId::kReal) return Status::OK();
+  if (s->low < INT64_MIN || s->high > INT64_MAX) return SumOverflow();
+  s->i = static_cast<int64_t>(s->total);
   return Status::OK();
 }
 
@@ -300,13 +368,259 @@ std::shared_ptr<const StringHeap> StringKeyNormalizer::emit_heap() const {
   return heaps_.empty() ? nullptr : heaps_[0]->keep;
 }
 
+namespace {
+
+/// Maps key rows to dense group ids, assigned in first-occurrence order —
+/// the grouping half of an aggregation, shared by the per-input partials
+/// (over input blocks) and the merge (over the partials' groups).
+class GroupIndex {
+ public:
+  /// `merging`: the rows are finished partial keys (string keys are tokens
+  /// of per-partial heaps), so every string key groups through a
+  /// normalizer, which matches equal strings across heaps.
+  GroupIndex(const AggregateOptions& options,
+             const std::vector<TypeId>& key_types, bool merging)
+      : options_(options),
+        key_types_(key_types),
+        merging_(merging),
+        nkeys_(key_types.size()),
+        norms_(nkeys_),
+        norm_state_(nkeys_, -1),
+        key_dicts_(nkeys_),
+        code_groups_(nkeys_),
+        keys_(nkeys_),
+        key_heaps_(nkeys_),
+        keyrow_(nkeys_) {
+    algorithm_ = options.hash_algorithm.value_or(HashAlgorithm::kCollision);
+    if (nkeys_ == 0) ngroups_ = 1;  // a global aggregate has one group
+    if (nkeys_ == 1) {
+      single_ = std::make_unique<GroupMap>(algorithm_, options.key_min,
+                                           options.key_max);
+    }
+    if (nkeys_ > 1) {
+      mk_slots_.assign(1u << 12, 0);
+      mk_mask_ = mk_slots_.size() - 1;
+      algorithm_ = HashAlgorithm::kCollision;
+    }
+  }
+
+  uint64_t groups() const { return ngroups_; }
+  HashAlgorithm algorithm() const { return algorithm_; }
+
+  /// Sets gids[r] for rows [0, n) of block `b`, whose key columns are at
+  /// `key_idx`, creating groups in row order.
+  void Resolve(const Block& b, const std::vector<size_t>& key_idx, size_t n,
+               uint32_t* gids) {
+    for (size_t k = 0; k < nkeys_; ++k) {
+      const ColumnVector& cv = b.columns[key_idx[k]];
+      if (norm_state_[k] == -1 && n > 0) {
+        if (cv.dict != nullptr) {
+          // Pre-coded lanes must be interpreted against the entry table
+          // regardless of the dict_code_keys option — the kill switch
+          // gates the plan rewrite, not this consumption.
+          norm_state_[k] = 2;
+          key_dicts_[k] = cv.dict;
+          code_groups_[k].assign(cv.dict->values.size(), 0);
+        } else {
+          const bool on =
+              key_types_[k] == TypeId::kString &&
+              (merging_ || (options_.dict_code_keys && cv.heap != nullptr));
+          norm_state_[k] = on ? 1 : 0;
+          if (on) norms_[k] = std::make_unique<StringKeyNormalizer>();
+        }
+      }
+      if (key_heaps_[k] == nullptr) key_heaps_[k] = cv.heap;
+    }
+    if (nkeys_ == 0) {
+      std::fill(gids, gids + n, 0u);
+      return;
+    }
+    if (nkeys_ == 1) {
+      const ColumnVector& kv = b.columns[key_idx[0]];
+      const Lane* key_lanes = kv.lanes.data();
+      for (size_t r = 0; r < n; ++r) {
+        uint32_t g;
+        if (norm_state_[0] == 1) {
+          // Codes are dense and first-occurrence ordered: the code IS the
+          // group id, no hashing at all.
+          g = norms_[0]->Code(kv.heap, key_lanes[r]);
+          if (g >= ngroups_) ngroups_ = g + 1;
+        } else if (norm_state_[0] == 2) {
+          // Pre-coded: one array slot per dictionary entry, and the key
+          // token materializes from the entry table once per group.
+          uint32_t& slot = code_groups_[0][static_cast<size_t>(key_lanes[r])];
+          if (slot == 0) {
+            keys_[0].push_back(
+                key_dicts_[0]->values[static_cast<size_t>(key_lanes[r])]);
+            slot = static_cast<uint32_t>(ngroups_) + 1;
+            ++ngroups_;
+          }
+          g = slot - 1;
+        } else {
+          g = single_->GetOrInsert(key_lanes[r]);
+          if (g >= ngroups_) {
+            ngroups_ = g + 1;
+            keys_[0].push_back(key_lanes[r]);
+          }
+        }
+        gids[r] = g;
+      }
+      return;
+    }
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t k = 0; k < nkeys_; ++k) {
+        const ColumnVector& kv = b.columns[key_idx[k]];
+        keyrow_[k] =
+            norm_state_[k] == 1
+                ? static_cast<Lane>(norms_[k]->Code(kv.heap, kv.lanes[r]))
+            : norm_state_[k] == 2
+                // Resolve pre-coded lanes to tokens: multi-key groups
+                // hash the tuple, so keys must be a stable namespace.
+                ? key_dicts_[k]->values[static_cast<size_t>(kv.lanes[r])]
+                : kv.lanes[r];
+      }
+      gids[r] = TupleGroup();
+    }
+  }
+
+  /// Moves the group keys into `keys`/`heaps`: string keys grouped on
+  /// codes resolve back to tokens here — one per group, never one per row.
+  /// Returns whether any key was late-materialized that way.
+  bool Finish(std::vector<std::vector<Lane>>* keys,
+              std::vector<std::shared_ptr<const StringHeap>>* heaps) {
+    bool late = false;
+    for (size_t k = 0; k < nkeys_; ++k) {
+      if (norm_state_[k] == 2) {
+        // Pre-coded keys materialized from the entry table as groups were
+        // created — already one decode per group.
+        late = true;
+        if (nkeys_ == 1) algorithm_ = HashAlgorithm::kDirect;
+        continue;
+      }
+      if (norm_state_[k] != 1) continue;
+      late = true;
+      key_heaps_[k] = norms_[k]->emit_heap();
+      if (nkeys_ == 1) {
+        keys_[0].resize(ngroups_);
+        for (uint64_t g = 0; g < ngroups_; ++g) {
+          keys_[0][g] = norms_[0]->Token(static_cast<uint32_t>(g));
+        }
+        algorithm_ = HashAlgorithm::kDirect;
+      } else {
+        for (uint64_t g = 0; g < ngroups_; ++g) {
+          keys_[k][g] = norms_[k]->Token(static_cast<uint32_t>(keys_[k][g]));
+        }
+      }
+    }
+    *keys = std::move(keys_);
+    *heaps = std::move(key_heaps_);
+    return late;
+  }
+
+ private:
+  /// Multi-key path: open-addressed map over mixed hashes of keyrow_.
+  uint32_t TupleGroup() {
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (size_t k = 0; k < nkeys_; ++k) {
+      h = Mix64(h ^ static_cast<uint64_t>(keyrow_[k]));
+    }
+    uint64_t idx = h & mk_mask_;
+    while (true) {
+      if (mk_slots_[idx] == 0) {
+        // New group.
+        const uint32_t g = static_cast<uint32_t>(ngroups_);
+        mk_slots_[idx] = g + 1;
+        ++ngroups_;
+        for (size_t k = 0; k < nkeys_; ++k) keys_[k].push_back(keyrow_[k]);
+        if (ngroups_ * 2 > mk_slots_.size()) Grow();  // half full
+        return g;
+      }
+      const uint32_t cand = static_cast<uint32_t>(mk_slots_[idx] - 1);
+      bool same = true;
+      for (size_t k = 0; k < nkeys_; ++k) {
+        if (keys_[k][cand] != keyrow_[k]) {
+          same = false;
+          break;
+        }
+      }
+      if (same) return cand;
+      idx = (idx + 1) & mk_mask_;
+    }
+  }
+
+  void Grow() {
+    mk_slots_.assign(mk_slots_.size() * 2, 0);
+    mk_mask_ = mk_slots_.size() - 1;
+    for (uint64_t gid = 0; gid < ngroups_; ++gid) {
+      uint64_t h = 0xcbf29ce484222325ULL;
+      for (size_t k = 0; k < nkeys_; ++k) {
+        h = Mix64(h ^ static_cast<uint64_t>(keys_[k][gid]));
+      }
+      uint64_t i = h & mk_mask_;
+      while (mk_slots_[i] != 0) i = (i + 1) & mk_mask_;
+      mk_slots_[i] = gid + 1;
+    }
+  }
+
+  const AggregateOptions& options_;
+  const std::vector<TypeId>& key_types_;
+  const bool merging_;
+  const size_t nkeys_;
+  HashAlgorithm algorithm_;
+  // Dictionary-code grouping (Sect. 4, "decode as late as possible"): each
+  // string key gets a per-heap translation cache; the per-key decision is
+  // made on the first non-empty block, when the key's heap is visible.
+  std::vector<std::unique_ptr<StringKeyNormalizer>> norms_;
+  // -1 undecided, 0 raw, 1 codes, 2 pre-coded (dict-code scan: lanes are
+  // dense entry-table codes, decoded once per group on first occurrence)
+  std::vector<int> norm_state_;
+  std::vector<std::shared_ptr<const ArrayDictionary>> key_dicts_;
+  std::vector<std::vector<uint32_t>> code_groups_;  // code -> g + 1
+  std::unique_ptr<GroupMap> single_;  // tactical single-key path
+  std::vector<uint64_t> mk_slots_;    // group id + 1, 0 = empty
+  uint64_t mk_mask_ = 0;
+  std::vector<std::vector<Lane>> keys_;  // [key][group]
+  std::vector<std::shared_ptr<const StringHeap>> key_heaps_;
+  std::vector<Lane> keyrow_;
+  uint64_t ngroups_ = 0;
+};
+
+uint64_t NowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+}  // namespace
+
+/// One input's aggregation before finalization: the group keys in
+/// first-occurrence order (string keys as tokens of `key_heaps`), one state
+/// per (group, aggregate), and the heaps the aggregate inputs' tokens
+/// resolve against.
+struct HashAggregate::Partial {
+  std::vector<std::vector<Lane>> keys;  // [key][group]
+  std::vector<std::shared_ptr<const StringHeap>> key_heaps;
+  std::vector<std::shared_ptr<const StringHeap>> agg_heaps;
+  std::vector<AggState> states;  // [group * naggs + agg]
+  uint64_t groups = 0;
+  bool late = false;  // keys late-materialized from codes
+  HashAlgorithm algorithm = HashAlgorithm::kCollision;
+};
+
 HashAggregate::HashAggregate(std::unique_ptr<Operator> child,
                              AggregateOptions options)
-    : child_(std::move(child)), options_(std::move(options)) {}
+    : options_(std::move(options)) {
+  inputs_.push_back(std::move(child));
+}
+
+HashAggregate::HashAggregate(std::vector<std::unique_ptr<Operator>> inputs,
+                             AggregateOptions options)
+    : inputs_(std::move(inputs)), options_(std::move(options)) {}
 
 Status HashAggregate::BuildSchema() {
   schema_ = Schema();
-  const Schema& in = child_->output_schema();
+  const Schema& in = inputs_[0]->output_schema();
   key_types_.clear();
   agg_types_.clear();
   for (const std::string& k : options_.group_by) {
@@ -327,11 +641,8 @@ Status HashAggregate::BuildSchema() {
   return Status::OK();
 }
 
-Status HashAggregate::Open() {
-  TDE_RETURN_NOT_OK(child_->Open());
-  TDE_RETURN_NOT_OK(BuildSchema());
-  const Schema& in = child_->output_schema();
-
+Status HashAggregate::Consume(Operator* input, Partial* out) const {
+  const Schema& in = input->output_schema();
   std::vector<size_t> key_idx;
   for (const std::string& k : options_.group_by) {
     TDE_ASSIGN_OR_RETURN(size_t i, in.FieldIndex(k));
@@ -345,232 +656,177 @@ Status HashAggregate::Open() {
     }
     agg_idx.push_back(i);
   }
-
-  const size_t nkeys = key_idx.size();
   const size_t naggs = agg_idx.size();
-  out_keys_.assign(nkeys, {});
-  out_aggs_.assign(naggs, {});
-  key_heaps_.assign(nkeys, nullptr);
-  agg_heaps_.assign(naggs, nullptr);
-  groups_late_materialized_ = 0;
-
-  // Dictionary-code grouping (Sect. 4, "decode as late as possible"): each
-  // string key gets a per-heap translation cache; the per-key decision is
-  // made on the first non-empty block, when the key's heap is visible.
-  std::vector<std::unique_ptr<StringKeyNormalizer>> norms(nkeys);
-  // -1 undecided, 0 raw, 1 codes, 2 pre-coded (dict-code scan: lanes are
-  // dense entry-table codes, decoded once per group on first occurrence)
-  std::vector<int> norm_state(nkeys, -1);
-  std::vector<std::shared_ptr<const ArrayDictionary>> key_dicts(nkeys);
-  std::vector<std::vector<uint32_t>> code_groups(nkeys);  // code -> g + 1
-
-  // Tactical single-key path: GroupMap with the hinted algorithm.
-  std::unique_ptr<GroupMap> single;
-  algorithm_used_ = options_.hash_algorithm.value_or(HashAlgorithm::kCollision);
-  if (nkeys == 1) {
-    single = std::make_unique<GroupMap>(algorithm_used_, options_.key_min,
-                                        options_.key_max);
-  }
-  // Multi-key path: open-addressed map over mixed hashes of the tuple.
-  std::vector<uint64_t> mk_slots;   // group id + 1, 0 = empty
-  uint64_t mk_mask = 0;
-  if (nkeys > 1) {
-    mk_slots.assign(1u << 12, 0);
-    mk_mask = mk_slots.size() - 1;
-    algorithm_used_ = HashAlgorithm::kCollision;
-  }
-
-  // One state per (group, aggregate) pair, stride naggs.
-  uint64_t ngroups = nkeys == 0 ? 1 : 0;
-  std::vector<AggState> states(ngroups * naggs);
-  std::vector<Lane> keyrow(nkeys);
+  GroupIndex index(options_, key_types_, /*merging=*/false);
+  out->agg_heaps.assign(naggs, nullptr);
+  out->states.assign(index.groups() * naggs, AggState{});
 
   // The update loop below runs once per (row, aggregate): keep its operands
   // in flat arrays instead of chasing options_/schema indirections per row.
   std::vector<AggKind> agg_kinds(naggs);
   for (size_t a = 0; a < naggs; ++a) agg_kinds[a] = options_.aggs[a].kind;
   std::vector<const Lane*> agg_lanes(naggs, nullptr);
-  const TypeId* agg_ts = agg_types_.data();
   std::vector<uint32_t> gids;  // per-block row -> group id
 
   while (true) {
     Block b;
     bool eos = false;
-    TDE_RETURN_NOT_OK(child_->Next(&b, &eos));
+    TDE_RETURN_NOT_OK(input->Next(&b, &eos));
     if (eos) break;
     const size_t n = b.rows();
-    for (size_t k = 0; k < nkeys; ++k) {
-      if (norm_state[k] == -1 && n > 0) {
-        const ColumnVector& cv = b.columns[key_idx[k]];
-        if (cv.dict != nullptr) {
-          // Pre-coded lanes must be interpreted against the entry table
-          // regardless of the dict_code_keys option — the kill switch
-          // gates the plan rewrite, not this consumption.
-          norm_state[k] = 2;
-          key_dicts[k] = cv.dict;
-          code_groups[k].assign(cv.dict->values.size(), 0);
-        } else {
-          const bool on = options_.dict_code_keys &&
-                          cv.type == TypeId::kString && cv.heap != nullptr;
-          norm_state[k] = on ? 1 : 0;
-          if (on) norms[k] = std::make_unique<StringKeyNormalizer>();
-        }
-      }
-      if (key_heaps_[k] == nullptr) key_heaps_[k] = b.columns[key_idx[k]].heap;
-    }
     for (size_t a = 0; a < naggs; ++a) {
-      if (agg_heaps_[a] == nullptr && agg_kinds[a] != AggKind::kCountStar) {
-        agg_heaps_[a] = b.columns[agg_idx[a]].heap;
+      if (out->agg_heaps[a] == nullptr && agg_kinds[a] != AggKind::kCountStar) {
+        out->agg_heaps[a] = b.columns[agg_idx[a]].heap;
       }
       agg_lanes[a] = agg_kinds[a] == AggKind::kCountStar
                          ? nullptr
                          : b.columns[agg_idx[a]].lanes.data();
     }
-    const Lane* key_lanes = nkeys == 1
-                                ? b.columns[key_idx[0]].lanes.data()
-                                : nullptr;
     // Group resolution and aggregate updates run column-at-a-time: resolve
     // every row's group first, then fold each aggregate input with a single
     // kind/type dispatch for the block.
     if (gids.size() < n) gids.resize(n);
-    for (size_t r = 0; r < n; ++r) {
-      uint32_t g;
-      if (nkeys == 0) {
-        g = 0;
-      } else if (nkeys == 1) {
-        const ColumnVector& kv = b.columns[key_idx[0]];
-        if (norm_state[0] == 1) {
-          // Codes are dense and first-occurrence ordered: the code IS the
-          // group id, no hashing at all.
-          g = norms[0]->Code(kv.heap, key_lanes[r]);
-          if (g >= ngroups) {
-            ngroups = g + 1;
-            states.resize(ngroups * naggs);
-          }
-        } else if (norm_state[0] == 2) {
-          // Pre-coded: one array slot per dictionary entry, and the key
-          // token materializes from the entry table once per group.
-          uint32_t& slot = code_groups[0][static_cast<size_t>(key_lanes[r])];
-          if (slot == 0) {
-            out_keys_[0].push_back(
-                key_dicts[0]->values[static_cast<size_t>(key_lanes[r])]);
-            slot = static_cast<uint32_t>(ngroups) + 1;
-            ++ngroups;
-            states.resize(ngroups * naggs);
-          }
-          g = slot - 1;
-        } else {
-          g = single->GetOrInsert(key_lanes[r]);
-          if (g >= ngroups) {
-            ngroups = g + 1;
-            states.resize(ngroups * naggs);
-            out_keys_[0].push_back(key_lanes[r]);
-          }
-        }
-      } else {
-        for (size_t k = 0; k < nkeys; ++k) {
-          const ColumnVector& kv = b.columns[key_idx[k]];
-          keyrow[k] =
-              norm_state[k] == 1
-                  ? static_cast<Lane>(norms[k]->Code(kv.heap, kv.lanes[r]))
-              : norm_state[k] == 2
-                  // Resolve pre-coded lanes to tokens: multi-key groups
-                  // hash the tuple, so keys must be a stable namespace.
-                  ? key_dicts[k]->values[static_cast<size_t>(kv.lanes[r])]
-                  : kv.lanes[r];
-        }
-        uint64_t h = 0xcbf29ce484222325ULL;
-        for (size_t k = 0; k < nkeys; ++k) {
-          h = Mix64(h ^ static_cast<uint64_t>(keyrow[k]));
-        }
-        uint64_t idx = h & mk_mask;
-        while (true) {
-          if (mk_slots[idx] == 0) {
-            // New group.
-            g = static_cast<uint32_t>(ngroups);
-            mk_slots[idx] = g + 1;
-            ++ngroups;
-            states.resize(ngroups * naggs);
-            for (size_t k = 0; k < nkeys; ++k) {
-              out_keys_[k].push_back(keyrow[k]);
-            }
-            // Grow when half full.
-            if (ngroups * 2 > mk_slots.size()) {
-              std::vector<uint64_t> old = std::move(mk_slots);
-              mk_slots.assign(old.size() * 2, 0);
-              mk_mask = mk_slots.size() - 1;
-              for (uint64_t gid = 0; gid < ngroups; ++gid) {
-                uint64_t h2 = 0xcbf29ce484222325ULL;
-                for (size_t k = 0; k < nkeys; ++k) {
-                  h2 = Mix64(h2 ^ static_cast<uint64_t>(out_keys_[k][gid]));
-                }
-                uint64_t i2 = h2 & mk_mask;
-                while (mk_slots[i2] != 0) i2 = (i2 + 1) & mk_mask;
-                mk_slots[i2] = gid + 1;
-              }
-            }
-            break;
-          }
-          const uint32_t cand = static_cast<uint32_t>(mk_slots[idx] - 1);
-          bool same = true;
-          for (size_t k = 0; k < nkeys; ++k) {
-            if (out_keys_[k][cand] != keyrow[k]) {
-              same = false;
-              break;
-            }
-          }
-          if (same) {
-            g = cand;
-            break;
-          }
-          idx = (idx + 1) & mk_mask;
-        }
-      }
-      gids[r] = g;
-    }
+    index.Resolve(b, key_idx, n, gids.data());
+    out->states.resize(index.groups() * naggs);
     for (size_t a = 0; a < naggs; ++a) {
       TDE_RETURN_NOT_OK(agg_internal::UpdateColumn(
-          agg_kinds[a], agg_ts[a], agg_lanes[a], gids.data(), n, naggs,
-          states.data() + a, agg_heaps_[a].get()));
+          agg_kinds[a], agg_types_[a], agg_lanes[a], gids.data(), n, naggs,
+          out->states.data() + a, out->agg_heaps[a].get()));
     }
   }
-  child_->Close();
+  out->groups = index.groups();
+  out->late = index.Finish(&out->keys, &out->key_heaps);
+  out->algorithm = index.algorithm();
+  return Status::OK();
+}
 
-  groups_ = ngroups;
-  // Late materialization: resolve group codes back to key tokens — one
-  // string per group, never one per row.
-  bool late = false;
-  for (size_t k = 0; k < nkeys; ++k) {
-    if (norm_state[k] == 2) {
-      // Pre-coded keys materialized from the entry table as groups were
-      // created — already one decode per group.
-      late = true;
-      if (nkeys == 1) algorithm_used_ = HashAlgorithm::kDirect;
-      continue;
-    }
-    if (norm_state[k] != 1) continue;
-    late = true;
-    key_heaps_[k] = norms[k]->emit_heap();
-    if (nkeys == 1) {
-      out_keys_[0].resize(groups_);
-      for (uint64_t g = 0; g < groups_; ++g) {
-        out_keys_[0][g] = norms[0]->Token(static_cast<uint32_t>(g));
-      }
-      algorithm_used_ = HashAlgorithm::kDirect;
-    } else {
-      for (uint64_t g = 0; g < groups_; ++g) {
-        out_keys_[k][g] =
-            norms[k]->Token(static_cast<uint32_t>(out_keys_[k][g]));
-      }
+void HashAggregate::Merge(std::vector<Partial>* parts, Partial* out) const {
+  const size_t nkeys = key_types_.size();
+  const size_t naggs = agg_types_.size();
+  out->agg_heaps.assign(naggs, nullptr);
+  for (const Partial& p : *parts) {
+    for (size_t a = 0; a < naggs; ++a) {
+      if (out->agg_heaps[a] == nullptr) out->agg_heaps[a] = p.agg_heaps[a];
     }
   }
-  if (late) groups_late_materialized_ = groups_;
+  GroupIndex index(options_, key_types_, /*merging=*/true);
+  std::vector<size_t> key_idx(nkeys);
+  for (size_t k = 0; k < nkeys; ++k) key_idx[k] = k;
+  std::vector<uint32_t> gids;
+  for (Partial& p : *parts) {
+    // The partial's groups are the rows: its keys, in its group order.
+    Block b;
+    b.columns.resize(nkeys);
+    for (size_t k = 0; k < nkeys; ++k) {
+      b.columns[k].type = key_types_[k];
+      b.columns[k].heap = p.key_heaps[k];
+      b.columns[k].lanes = std::move(p.keys[k]);
+    }
+    gids.resize(p.groups);
+    index.Resolve(b, key_idx, p.groups, gids.data());
+    out->states.resize(index.groups() * naggs);
+    for (uint64_t g = 0; g < p.groups; ++g) {
+      for (size_t a = 0; a < naggs; ++a) {
+        agg_internal::Merge(options_.aggs[a].kind, agg_types_[a],
+                            &out->states[gids[g] * naggs + a],
+                            &p.states[g * naggs + a],
+                            out->agg_heaps[a].get());
+      }
+    }
+    out->late = out->late || p.late;
+  }
+  out->groups = index.groups();
+  index.Finish(&out->keys, &out->key_heaps);
+  // The partials' grouping, as decided by the first one that saw rows.
+  out->algorithm = parts->front().algorithm;
+  for (const Partial& p : *parts) {
+    if (p.groups == 0) continue;
+    out->algorithm = p.algorithm;
+    break;
+  }
+}
+
+Status HashAggregate::RunMorsels(Partial* out) {
+  const size_t n = inputs_.size();
+  // The first input opens here, before any task runs: what its Open builds
+  // for every morsel (a shared join build, code tables) is built once, and
+  // its schema is the output's.
+  TDE_RETURN_NOT_OK(inputs_[0]->Open());
+  if (Status st = BuildSchema(); !st.ok()) {
+    inputs_[0]->Close();
+    return st;
+  }
+  std::vector<Partial> parts(n);
+  std::vector<Status> errors(n);
+  std::vector<char> ran(n, 0);
+  std::vector<std::thread::id> threads(n);
+  std::vector<uint64_t> cpu_ns(n, 0);
+  std::shared_ptr<TaskScheduler::Group> group =
+      TaskScheduler::Global().CreateGroup();
+  TaskScheduler::Group* raw = group.get();
+  const uint64_t t0 = NowNs();
+  for (size_t m = 0; m < n; ++m) {
+    group->Submit([&, m, raw] {
+      const uint64_t start = NowNs();
+      ran[m] = 1;
+      threads[m] = std::this_thread::get_id();
+      Operator* input = inputs_[m].get();
+      Status st = m == 0 ? Status::OK() : input->Open();
+      if (st.ok()) st = Consume(input, &parts[m]);
+      input->Close();
+      if (!st.ok()) {
+        errors[m] = std::move(st);
+        raw->Cancel();  // retire the morsels still queued
+      }
+      cpu_ns[m] = NowNs() - start;
+    });
+  }
+  group->Wait();
+  morsel_wall_ns_ = NowNs() - t0;
+  if (!ran[0]) inputs_[0]->Close();  // cancelled after its Open above
+  std::vector<std::thread::id> distinct;
+  morsel_cpu_ns_ = 0;
+  for (size_t m = 0; m < n; ++m) {
+    morsel_cpu_ns_ += cpu_ns[m];
+    if (ran[m] &&
+        std::find(distinct.begin(), distinct.end(), threads[m]) ==
+            distinct.end()) {
+      distinct.push_back(threads[m]);
+    }
+  }
+  morsel_threads_ = distinct.size();
+  for (const Status& st : errors) TDE_RETURN_NOT_OK(st);
+  Merge(&parts, out);
+  return Status::OK();
+}
+
+Status HashAggregate::Open() {
+  Partial result;
+  if (inputs_.size() == 1) {
+    Operator* input = inputs_[0].get();
+    TDE_RETURN_NOT_OK(input->Open());
+    TDE_RETURN_NOT_OK(BuildSchema());
+    TDE_RETURN_NOT_OK(Consume(input, &result));
+    input->Close();
+  } else {
+    TDE_RETURN_NOT_OK(RunMorsels(&result));
+  }
+  const size_t naggs = options_.aggs.size();
+  groups_ = result.groups;
+  algorithm_used_ = result.algorithm;
+  groups_late_materialized_ = result.late ? groups_ : 0;
+  out_keys_ = std::move(result.keys);
+  key_heaps_ = std::move(result.key_heaps);
+  agg_heaps_ = std::move(result.agg_heaps);
+  out_aggs_.assign(naggs, {});
   for (size_t a = 0; a < naggs; ++a) {
     out_aggs_[a].resize(groups_);
     for (uint64_t g = 0; g < groups_; ++g) {
+      AggState* st = &result.states[g * naggs + a];
+      TDE_RETURN_NOT_OK(
+          agg_internal::SettleSum(options_.aggs[a].kind, agg_types_[a], st));
       out_aggs_[a][g] = agg_internal::Finalize(
-          options_.aggs[a].kind, agg_types_[a], &states[g * naggs + a],
-          agg_heaps_[a].get());
+          options_.aggs[a].kind, agg_types_[a], st, agg_heaps_[a].get());
     }
   }
   emit_ = 0;

@@ -5,7 +5,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -48,13 +47,59 @@ struct AggregateOptions {
   bool dict_code_keys = true;
 };
 
+/// COUNTD's distinct lanes: open addressing over one flat array, so a
+/// group's set is built, merged and freed without an allocation per value
+/// (a morsel's partial holds one per group). NULL (kNullSentinel) never
+/// enters it — aggregates skip NULL inputs — and marks empty slots.
+class DistinctSet {
+ public:
+  void insert(Lane v) {
+    if ((size_ + 1) * 2 > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>(Mix64(static_cast<uint64_t>(v))) & mask;
+    while (slots_[i] != kNullSentinel) {
+      if (slots_[i] == v) return;
+      i = (i + 1) & mask;
+    }
+    slots_[i] = v;
+    ++size_;
+  }
+  /// Adds every value of `other`.
+  void merge(const DistinctSet& other) {
+    for (const Lane v : other.slots_) {
+      if (v != kNullSentinel) insert(v);
+    }
+  }
+  size_t size() const { return size_; }
+
+ private:
+  void Grow() {
+    std::vector<Lane> old = std::move(slots_);
+    slots_.assign(old.empty() ? 8 : old.size() * 2, kNullSentinel);
+    size_ = 0;
+    for (const Lane v : old) {
+      if (v != kNullSentinel) insert(v);
+    }
+  }
+
+  std::vector<Lane> slots_;  // power-of-two size, at most half full
+  size_t size_ = 0;
+};
+
 /// Per-group aggregate state shared by the hash and ordered variants.
 struct AggState {
   int64_t i = 0;            // sum / min / max / count
   double d = 0;             // real sum
   uint64_t n = 0;           // non-null inputs (avg / count)
   bool seen = false;
-  std::unordered_set<Lane> distinct;   // COUNTD
+  /// HashAggregate's integer SUM (UpdateColumn): the exact running total
+  /// and the lowest and highest values it took after any row (0 before
+  /// the first). States of consecutive row ranges merge into exactly the
+  /// serial fold's first-overflow verdict; SettleSum turns it into `i`.
+  __int128 total = 0;
+  __int128 low = 0;
+  __int128 high = 0;
+  DistinctSet distinct;                // COUNTD
   std::vector<Lane> values;            // MEDIAN
 };
 
@@ -68,11 +113,25 @@ Status Update(AggKind kind, TypeId type, Lane v, AggState* s,
               const StringHeap* heap = nullptr);
 /// Column-at-a-time Update: folds `v[r]` into the state of group `g[r]` for
 /// all `n` rows with one kind/type dispatch for the whole column. `v` may be
-/// null for COUNT(*). `s0[g * stride]` must be row r's state; row order (and
-/// so first-overflow SUM errors) matches n calls to Update exactly.
+/// null for COUNT(*). `s0[g * stride]` must be row r's state; row order
+/// matches n calls to Update. Integer SUM differs from Update: it keeps
+/// the wide running total (AggState::total/low/high) and leaves the
+/// overflow verdict to SettleSum.
 Status UpdateColumn(AggKind kind, TypeId type, const Lane* v,
                     const uint32_t* g, size_t n, size_t stride, AggState* s0,
                     const StringHeap* heap = nullptr);
+/// Folds `from`, the state of rows that follow `into`'s in row order, into
+/// `into`: counts and sums add (AVG adds its sum and count), MIN/MAX
+/// compare under the input's semantics (collated strings through `heap`),
+/// COUNTD takes the union, MEDIAN concatenates, and an integer SUM's
+/// running-total range shifts by `into`'s total. `from` is left
+/// unspecified.
+void Merge(AggKind kind, TypeId type, AggState* into, AggState* from,
+           const StringHeap* heap = nullptr);
+/// Resolves an integer SUM kept by UpdateColumn/Merge into `i`, failing
+/// exactly when some row-order prefix of the sum left int64 (the row
+/// path's first-overflow rule). A no-op for every other kind and type.
+Status SettleSum(AggKind kind, TypeId type, AggState* s);
 /// Folds `count` copies of `v` in O(1) (SUM adds v*count, COUNT adds count,
 /// MIN/MAX/COUNTD see the value once). MEDIAN degenerates to O(count).
 Status UpdateRun(AggKind kind, TypeId type, Lane v, uint64_t count,
@@ -129,13 +188,27 @@ class StringKeyNormalizer {
   uint32_t null_code_ = UINT32_MAX;               // unassigned until seen
 };
 
-/// Stop-and-go hash aggregation. The group map for single-key grouping is
-/// chosen tactically: direct table for narrow keys, perfect hash when the
-/// key range is known and small, collision hashing otherwise. String keys
-/// group on dictionary codes (see StringKeyNormalizer) unless disabled.
+/// Stop-and-go hash aggregation over one or more input pipelines. The
+/// group map for single-key grouping is chosen tactically: direct table
+/// for narrow keys, perfect hash when the key range is known and small,
+/// collision hashing otherwise. String keys group on dictionary codes (see
+/// StringKeyNormalizer) unless disabled.
+///
+/// A serial plan has one input. Morsel-parallel aggregation (DESIGN.md
+/// "Morsel-parallel aggregation") passes one input per segment morsel, in
+/// row order: each is opened, drained into its own partial aggregate and
+/// closed as one task of a TaskScheduler group (the calling thread helps
+/// through Group::Wait), and the partials then merge in input order, so
+/// groups come out in the same first-occurrence order as the serial
+/// operator's. The first input opens on the calling thread before the
+/// others are dispatched, so per-query work done at Open (a shared join
+/// build, code tables) happens once. A failing input's Status is the
+/// query's, and its queued siblings are cancelled.
 class HashAggregate : public Operator {
  public:
   HashAggregate(std::unique_ptr<Operator> child, AggregateOptions options);
+  HashAggregate(std::vector<std::unique_ptr<Operator>> inputs,
+                AggregateOptions options);
 
   Status Open() override;
   Status Next(Block* block, bool* eos) override;
@@ -148,10 +221,28 @@ class HashAggregate : public Operator {
     return groups_late_materialized_;
   }
 
- private:
-  Status BuildSchema();
+  /// Inputs aggregated (1 for a serial plan).
+  size_t morsels() const { return inputs_.size(); }
+  /// For more than one input, valid after Open: the distinct threads that
+  /// ran the inputs' tasks, the tasks' run time summed (CPU time, each
+  /// task covering its whole pipeline), and the wall time from dispatch
+  /// until the last task finished.
+  uint64_t morsel_threads() const { return morsel_threads_; }
+  uint64_t morsel_cpu_ns() const { return morsel_cpu_ns_; }
+  uint64_t morsel_wall_ns() const { return morsel_wall_ns_; }
 
-  std::unique_ptr<Operator> child_;
+ private:
+  struct Partial;
+
+  Status BuildSchema();
+  /// Drains the opened `input` into `out` (one partial aggregate).
+  Status Consume(Operator* input, Partial* out) const;
+  /// Runs every input as one task and merges the partials into `out`.
+  Status RunMorsels(Partial* out);
+  /// Merges `parts` (in row order) into `out`.
+  void Merge(std::vector<Partial>* parts, Partial* out) const;
+
+  std::vector<std::unique_ptr<Operator>> inputs_;
   AggregateOptions options_;
   Schema schema_;
   HashAlgorithm algorithm_used_ = HashAlgorithm::kCollision;
@@ -166,6 +257,9 @@ class HashAggregate : public Operator {
   uint64_t emit_ = 0;
   uint64_t groups_ = 0;
   uint64_t groups_late_materialized_ = 0;
+  uint64_t morsel_threads_ = 0;
+  uint64_t morsel_cpu_ns_ = 0;
+  uint64_t morsel_wall_ns_ = 0;
 };
 
 }  // namespace tde

@@ -26,13 +26,22 @@ const char* JoinStrategyName(JoinStrategy s) {
   return "unknown";
 }
 
+JoinBuild::JoinBuild(std::shared_ptr<const Table> inner,
+                     HashJoinOptions options, ExprPtr inner_predicate)
+    : inner_(std::move(inner)),
+      options_(std::move(options)),
+      inner_predicate_(std::move(inner_predicate)) {}
+
 HashJoin::HashJoin(std::unique_ptr<Operator> outer,
                    std::shared_ptr<const Table> inner, HashJoinOptions options,
                    ExprPtr inner_predicate)
     : outer_(std::move(outer)),
-      inner_(std::move(inner)),
-      options_(std::move(options)),
-      inner_predicate_(std::move(inner_predicate)) {}
+      build_(std::make_shared<JoinBuild>(std::move(inner), std::move(options),
+                                         std::move(inner_predicate))) {}
+
+HashJoin::HashJoin(std::unique_ptr<Operator> outer,
+                   std::shared_ptr<JoinBuild> build)
+    : outer_(std::move(outer)), build_(std::move(build)) {}
 
 Result<JoinStrategyChoice> ChooseJoinStrategy(const Table& inner,
                                               const std::string& inner_key) {
@@ -85,7 +94,7 @@ Result<JoinStrategyChoice> ChooseJoinStrategy(const Table& inner,
   return c;
 }
 
-Result<HashJoin::InnerColumn> HashJoin::MaterializeInner(
+Result<JoinBuild::InnerColumn> JoinBuild::MaterializeInner(
     const std::string& name) const {
   TDE_ASSIGN_OR_RETURN(auto col, inner_->ColumnByName(name));
   // Hold cold columns resident while their lanes/heap/dict are read; the
@@ -108,7 +117,7 @@ Result<HashJoin::InnerColumn> HashJoin::MaterializeInner(
   return ic;
 }
 
-Status HashJoin::EvalInnerPredicate() {
+Status JoinBuild::EvalInnerPredicate() {
   inner_pass_.clear();
   inner_rows_passed_ = inner_rows_;
   if (inner_predicate_ == nullptr) return Status::OK();
@@ -138,7 +147,7 @@ Status HashJoin::EvalInnerPredicate() {
   return Status::OK();
 }
 
-Status HashJoin::ChooseStrategy() {
+Status JoinBuild::ChooseStrategy() {
   TDE_ASSIGN_OR_RETURN(auto key_col, inner_->ColumnByName(options_.inner_key));
   const ColumnMetadata& meta = key_col->metadata();
 
@@ -202,12 +211,19 @@ Status HashJoin::ChooseStrategy() {
   return Status::OK();
 }
 
-Status HashJoin::Open() {
-  TDE_RETURN_NOT_OK(outer_->Open());
+Status JoinBuild::Build() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!built_) {
+    status_ = BuildOnce();
+    built_ = true;
+  }
+  return status_;
+}
+
+Status JoinBuild::BuildOnce() {
   inner_rows_ = inner_->rows();
   TDE_RETURN_NOT_OK(EvalInnerPredicate());
   TDE_RETURN_NOT_OK(ChooseStrategy());
-
   // Materialize the requested inner payload columns (inner tables are
   // small — dictionaries, filtered dimension tables).
   payload_.clear();
@@ -215,19 +231,62 @@ Status HashJoin::Open() {
     TDE_ASSIGN_OR_RETURN(InnerColumn ic, MaterializeInner(name));
     payload_.push_back(std::move(ic));
   }
+  return Status::OK();
+}
 
+uint32_t JoinBuild::Lookup(Lane key) const {
+  uint32_t row = kNoGroup;
+  if (key == kNullSentinel) {
+    // NULL keys match only the designated NULL inner row (if any); the
+    // strategies below must not see the sentinel as a value.
+    return null_row_.has_value() ? *null_row_ : kNoGroup;
+  }
+  if (strategy_ == JoinStrategy::kFetch) {
+    if (fetch_delta_ == 1) {
+      // The fastest join available (Sect. 2.3.5): row id = key - base.
+      // Unsigned arithmetic: a null-sentinel key must wrap far out of
+      // range, not overflow.
+      const uint64_t r =
+          static_cast<uint64_t>(key) - static_cast<uint64_t>(fetch_base_);
+      if (r < inner_rows_) row = static_cast<uint32_t>(r);
+    } else {
+      const int64_t num = static_cast<int64_t>(
+          static_cast<uint64_t>(key) - static_cast<uint64_t>(fetch_base_));
+      if (num % fetch_delta_ == 0) {
+        const int64_t r = num / fetch_delta_;
+        if (r >= 0 && static_cast<uint64_t>(r) < inner_rows_) {
+          row = static_cast<uint32_t>(r);
+        }
+      }
+    }
+    // Fetch arithmetic reaches every row; the hash map and the NULL row
+    // hold passing rows only.
+    if (row != kNoGroup && !inner_pass_.empty() && inner_pass_[row] == 0) {
+      row = kNoGroup;
+    }
+    return row;
+  }
+  const uint32_t g = map_->Find(key);
+  return g == kNoGroup ? kNoGroup : group_to_row_[g];
+}
+
+Status HashJoin::Open() {
+  TDE_RETURN_NOT_OK(outer_->Open());
+  TDE_RETURN_NOT_OK(build_->Build());
+  const HashJoinOptions& options = build_->options();
   schema_ = Schema();
   const Schema& outer_schema = outer_->output_schema();
   for (const Field& f : outer_schema.fields()) schema_.AddField(f);
-  for (size_t i = 0; i < options_.inner_payload.size(); ++i) {
-    schema_.AddField({options_.inner_payload[i], payload_[i].type});
+  for (size_t i = 0; i < options.inner_payload.size(); ++i) {
+    schema_.AddField({options.inner_payload[i], build_->payload()[i].type});
   }
   TDE_ASSIGN_OR_RETURN(outer_key_idx_,
-                       outer_schema.FieldIndex(options_.outer_key));
+                       outer_schema.FieldIndex(options.outer_key));
   return Status::OK();
 }
 
 Status HashJoin::Next(Block* block, bool* eos) {
+  const JoinBuild& build = *build_;
   while (true) {
     Block in;
     TDE_RETURN_NOT_OK(outer_->Next(&in, eos));
@@ -242,41 +301,8 @@ Status HashJoin::Next(Block* block, bool* eos) {
     SelectionVector sel(n);
     size_t kept = 0;
     const std::vector<Lane>& keys = in.columns[outer_key_idx_].lanes;
-    const bool unit_fetch =
-        strategy_ == JoinStrategy::kFetch && fetch_delta_ == 1;
     for (size_t i = 0; i < n; ++i) {
-      uint32_t row = kNoGroup;
-      if (keys[i] == kNullSentinel) {
-        // NULL keys match only the designated NULL inner row (if any);
-        // the strategies below must not see the sentinel as a value.
-        if (null_row_.has_value()) row = *null_row_;
-      } else if (unit_fetch) {
-        // The fastest join available (Sect. 2.3.5): row id = key - base.
-        // Unsigned arithmetic: a null-sentinel key must wrap far out of
-        // range, not overflow.
-        const uint64_t r = static_cast<uint64_t>(keys[i]) -
-                           static_cast<uint64_t>(fetch_base_);
-        if (r < inner_rows_) row = static_cast<uint32_t>(r);
-      } else if (strategy_ == JoinStrategy::kFetch) {
-        const int64_t num = static_cast<int64_t>(
-            static_cast<uint64_t>(keys[i]) -
-            static_cast<uint64_t>(fetch_base_));
-        if (num % fetch_delta_ == 0) {
-          const int64_t r = num / fetch_delta_;
-          if (r >= 0 && static_cast<uint64_t>(r) < inner_rows_) {
-            row = static_cast<uint32_t>(r);
-          }
-        }
-      } else {
-        const uint32_t g = map_->Find(keys[i]);
-        if (g != kNoGroup) row = group_to_row_[g];
-      }
-      // Fetch arithmetic reaches every row; the hash map and the NULL row
-      // already hold passing rows only.
-      if (row != kNoGroup && strategy_ == JoinStrategy::kFetch &&
-          !inner_pass_.empty() && inner_pass_[row] == 0) {
-        row = kNoGroup;
-      }
+      const uint32_t row = build.Lookup(keys[i]);
       if (row != kNoGroup) {
         inner_row[kept] = row;
         sel[kept] = static_cast<uint32_t>(i);
@@ -290,7 +316,7 @@ Status HashJoin::Next(Block* block, bool* eos) {
     sel.resize(kept);
     *block = std::move(in);
     block->Compact(sel);
-    for (const InnerColumn& ic : payload_) {
+    for (const JoinBuild::InnerColumn& ic : build.payload()) {
       ColumnVector cv;
       cv.type = ic.type;
       cv.heap = ic.heap;

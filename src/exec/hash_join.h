@@ -2,6 +2,7 @@
 #define TDE_EXEC_HASH_JOIN_H_
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,34 +51,30 @@ struct HashJoinOptions {
   std::optional<JoinStrategy> force_strategy;
 };
 
-/// Many-to-one join: outer rows joined against a unique-keyed inner table.
-/// Outer rows with no match are dropped, which is exactly how predicates
-/// pushed down to a DictionaryTable — or to the join itself — take effect
-/// on the main table (Sect. 4.1.1). The inner relation is a materialized
-/// table — the TDE Join operator takes a stop-and-go operator (usually a
-/// FlowTable) as its inner input (Sect. 4.1.2).
-class HashJoin : public Operator {
+/// The inner side of a many-to-one join, built once and read-only after:
+/// the inner predicate's pass, the tactical strategy, the lookup structure
+/// (hash map or fetch arithmetic), the NULL-key row and the materialized
+/// payload columns. One lowered join shares one build across every probe
+/// — morsel-parallel aggregation runs one probe per segment morsel — so a
+/// query builds each join once, whatever its parallelism.
+class JoinBuild {
  public:
   /// `inner_predicate` (may be null) reads inner columns and is evaluated
-  /// once per inner row at Open(); rows that fail it never enter the
-  /// lookup structures, so outer rows that would match them drop as
-  /// misses.
-  HashJoin(std::unique_ptr<Operator> outer, std::shared_ptr<const Table> inner,
-           HashJoinOptions options, ExprPtr inner_predicate = nullptr);
+  /// once per inner row; rows that fail it never enter the lookup
+  /// structures, so outer rows that would match them drop as misses.
+  JoinBuild(std::shared_ptr<const Table> inner, HashJoinOptions options,
+            ExprPtr inner_predicate = nullptr);
 
-  Status Open() override;
-  Status Next(Block* block, bool* eos) override;
-  void Close() override { outer_->Close(); }
-  const Schema& output_schema() const override { return schema_; }
+  /// Builds on the first call; later calls (from any thread) wait for it
+  /// and return its status.
+  Status Build();
 
-  /// The strategy the tactical optimizer chose (valid after Open).
+  const HashJoinOptions& options() const { return options_; }
+  /// Valid after a successful Build().
   JoinStrategy strategy() const { return strategy_; }
-  /// Inner rows, and those that passed `inner_predicate` (all of them when
-  /// there is none); valid after Open.
   uint64_t inner_rows() const { return inner_rows_; }
   uint64_t inner_rows_passed() const { return inner_rows_passed_; }
 
- private:
   // Materialized inner column: lanes as a flow operator would emit them
   // (string tokens with their heap, array-dictionary tokens decoded).
   struct InnerColumn {
@@ -86,16 +83,24 @@ class HashJoin : public Operator {
     std::shared_ptr<const StringHeap> heap;
   };
 
+  /// Inner row matching outer key `key` (passing the inner predicate), or
+  /// UINT32_MAX for a miss. NULL keys match only the NULL-key row.
+  uint32_t Lookup(Lane key) const;
+  const std::vector<InnerColumn>& payload() const { return payload_; }
+
+ private:
+  Status BuildOnce();
   Result<InnerColumn> MaterializeInner(const std::string& name) const;
   Status EvalInnerPredicate();
   Status ChooseStrategy();
 
-  std::unique_ptr<Operator> outer_;
   std::shared_ptr<const Table> inner_;
   HashJoinOptions options_;
   ExprPtr inner_predicate_;
-  Schema schema_;
-  size_t outer_key_idx_ = 0;
+
+  std::mutex mu_;
+  bool built_ = false;
+  Status status_;
 
   JoinStrategy strategy_ = JoinStrategy::kHashCollision;
   // Fetch strategy: row = (key - base) / delta.
@@ -114,6 +119,41 @@ class HashJoin : public Operator {
   std::optional<uint32_t> null_row_;
   // Materialized inner payload columns.
   std::vector<InnerColumn> payload_;
+};
+
+/// Many-to-one join: outer rows joined against a unique-keyed inner table.
+/// Outer rows with no match are dropped, which is exactly how predicates
+/// pushed down to a DictionaryTable — or to the join itself — take effect
+/// on the main table (Sect. 4.1.1). The inner relation is a materialized
+/// table — the TDE Join operator takes a stop-and-go operator (usually a
+/// FlowTable) as its inner input (Sect. 4.1.2) — built at Open() through a
+/// JoinBuild, which this probe may share with others.
+class HashJoin : public Operator {
+ public:
+  /// A probe with a build of its own (see JoinBuild for
+  /// `inner_predicate`).
+  HashJoin(std::unique_ptr<Operator> outer, std::shared_ptr<const Table> inner,
+           HashJoinOptions options, ExprPtr inner_predicate = nullptr);
+  /// A probe of a shared build.
+  HashJoin(std::unique_ptr<Operator> outer, std::shared_ptr<JoinBuild> build);
+
+  Status Open() override;
+  Status Next(Block* block, bool* eos) override;
+  void Close() override { outer_->Close(); }
+  const Schema& output_schema() const override { return schema_; }
+
+  /// The strategy the tactical optimizer chose (valid after Open).
+  JoinStrategy strategy() const { return build_->strategy(); }
+  /// Inner rows, and those that passed `inner_predicate` (all of them when
+  /// there is none); valid after Open.
+  uint64_t inner_rows() const { return build_->inner_rows(); }
+  uint64_t inner_rows_passed() const { return build_->inner_rows_passed(); }
+
+ private:
+  std::unique_ptr<Operator> outer_;
+  std::shared_ptr<JoinBuild> build_;
+  Schema schema_;
+  size_t outer_key_idx_ = 0;
 };
 
 /// Convenience wrapper that forces the fetch-join strategy (Sect. 2.3.5):

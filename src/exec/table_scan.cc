@@ -71,8 +71,25 @@ Status TableScan::Open() {
   for (size_t i = 0; i < cols_.size(); ++i) {
     TDE_ASSIGN_OR_RETURN(pins_[i], cols_[i]->Pin());
   }
-  // Entry tables for code-mode columns. Built once here so every block
-  // shares one table and the mode cannot change mid-scan.
+  // Entry tables for code-mode columns, built once here (once for every
+  // copy sharing `code_tables`) so every block shares one table and the
+  // mode cannot change mid-scan.
+  if (ScanCodeTables* shared = options_.code_tables.get()) {
+    std::lock_guard<std::mutex> lock(shared->mu);
+    if (!shared->built) {
+      BuildCodeDicts();
+      shared->dicts = code_dicts_;
+      shared->built = true;
+    } else {
+      code_dicts_ = shared->dicts;
+    }
+  } else {
+    BuildCodeDicts();
+  }
+  return Status::OK();
+}
+
+void TableScan::BuildCodeDicts() {
   code_dicts_.assign(cols_.size(), nullptr);
   for (size_t i = 0; i < first_token_col_; ++i) {
     const auto& names = options_.code_columns;
@@ -92,7 +109,6 @@ Status TableScan::Open() {
     d->values = stream->CodeEntries();
     code_dicts_[i] = std::move(d);
   }
-  return Status::OK();
 }
 
 void TableScan::Close() {

@@ -2,6 +2,7 @@
 #define TDE_EXEC_TABLE_SCAN_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,15 @@
 #include "src/storage/table.h"
 
 namespace tde {
+
+/// The code_columns entry tables of one lowered scan, shared by its copies
+/// (the per-segment scans of morsel-parallel aggregation): the first copy
+/// to open builds them, the others reuse them.
+struct ScanCodeTables {
+  std::mutex mu;
+  bool built = false;
+  std::vector<std::shared_ptr<const ArrayDictionary>> dicts;
+};
 
 struct TableScanOptions {
   /// Columns to scan (empty = all), in output order.
@@ -32,6 +42,9 @@ struct TableScanOptions {
   /// clamped to the table) at Open. Rows outside the ranges are never
   /// decoded — for a segmented cold column their segments never fault in.
   std::vector<RowRange> ranges;
+  /// Entry tables for `code_columns` shared with other copies of this
+  /// scan; null = built privately at Open.
+  std::shared_ptr<ScanCodeTables> code_tables;
 };
 
 /// Scans a stored table block by block, decoding each column's encoded
@@ -47,6 +60,8 @@ class TableScan : public Operator {
   const Schema& output_schema() const override { return schema_; }
 
  private:
+  void BuildCodeDicts();
+
   std::shared_ptr<const Table> table_;
   TableScanOptions options_;
   std::vector<std::shared_ptr<Column>> cols_;

@@ -22,6 +22,47 @@
 
 namespace tde {
 
+/// The stats of a replicated chain's copies. Every copy of a chain
+/// operator records into a node of its own, so concurrent morsel tasks
+/// never write one node; Fold sums them into the node the plan's stats
+/// tree shows once the tasks are done.
+class MorselStats {
+ public:
+  /// Wraps one copy of the chain operator shown as `shown` (returned bare
+  /// when stats are off).
+  std::unique_ptr<Operator> Wrap(
+      std::unique_ptr<Operator> op,
+      const std::shared_ptr<observe::OperatorStats>& shown,
+      const std::function<void(observe::OperatorStats*)>& on_close) {
+    if (shown == nullptr) return op;
+    auto node = std::make_shared<observe::OperatorStats>();
+    node->name = shown->name;
+    copies_.emplace_back(shown.get(), node);
+    return std::make_unique<Instrumented>(std::move(op), std::move(node),
+                                          on_close);
+  }
+
+  /// Sums the copies' rows, blocks and times into their shown nodes, so
+  /// each chain operator shows once with its CPU time summed over morsels.
+  /// Extras describe the query, not the morsel: one copy's are kept.
+  void Fold() {
+    for (const auto& [shown, copy] : copies_) {
+      shown->rows += copy->rows;
+      shown->blocks += copy->blocks;
+      shown->open_ns += copy->open_ns;
+      shown->next_ns += copy->next_ns;
+      shown->close_ns += copy->close_ns;
+      if (shown->extras.empty()) shown->extras = copy->extras;
+    }
+    copies_.clear();
+  }
+
+ private:
+  std::vector<std::pair<observe::OperatorStats*,
+                        std::shared_ptr<observe::OperatorStats>>>
+      copies_;
+};
+
 namespace {
 
 ColumnProps PropsOf(const Column& col) {
@@ -80,77 +121,163 @@ Status ScanProps(const PlanNode& node, BuiltPlan* out) {
   return Status::OK();
 }
 
-/// Segment boundaries of the first multi-segment column the scan reads, as
-/// row ranges. Any consistent partition of the row space is correct for
-/// parallel scans; aligning with one column's segments keeps that column's
-/// blob faults partition-local. Empty when every scanned column is
-/// monolithic.
-std::vector<RowRange> SegmentAlignedRanges(const PlanNode& node) {
-  std::vector<std::string> names = node.columns;
-  if (names.empty()) {
-    for (size_t i = 0; i < node.table->num_columns(); ++i) {
-      names.push_back(node.table->column(i).name());
+using OnClose = std::function<void(observe::OperatorStats*)>;
+
+/// What zone-map pruning leaves of a scan, by segment (SurvivingSegments).
+struct ScanSegments {
+  /// Whether the scan reads a multi-segment column (else `ranges` stays
+  /// empty, barring pruning on a column it does not read).
+  bool segmented = false;
+  /// Surviving segment-aligned row ranges, in row order, each with its
+  /// segment's zone map.
+  std::vector<RowRange> ranges;
+  std::vector<SegmentZone> zones;
+  uint64_t segments_pruned = 0;
+  uint64_t rows_pruned = 0;
+
+  /// The visit list of one scan over all of them: empty (everything)
+  /// unless pruning dropped a segment; {0,0} when it dropped all.
+  std::vector<RowRange> Visit() const {
+    if (segments_pruned == 0) return {};
+    if (ranges.empty()) return {{0, 0}};
+    return ranges;
+  }
+
+  /// Records the pruning as EXPLAIN's note and the query's
+  /// kSegmentsPruned / kRowsPruned counts. The operator that applies the
+  /// pruning calls it, once.
+  void Record(std::vector<std::string>* notes) const {
+    if (segments_pruned == 0) return;
+    notes->push_back("scan: " + std::to_string(segments_pruned) +
+                     " segment(s) zone-map pruned (" +
+                     std::to_string(rows_pruned) + " rows skipped)");
+    observe::QueryCount(observe::QueryCounter::kSegmentsPruned,
+                        segments_pruned);
+    observe::QueryCount(observe::QueryCounter::kRowsPruned, rows_pruned);
+  }
+
+  /// The pruning figures as operator stats extras.
+  void AddExtras(observe::OperatorStats* s) const {
+    if (segments_pruned == 0) return;
+    s->extras.emplace_back("segments_pruned", segments_pruned);
+    s->extras.emplace_back("rows_pruned", rows_pruned);
+  }
+};
+
+/// The one place that turns a scan's segments into row ranges: the
+/// segments of `zone_column` — or, when empty, of the first multi-segment
+/// column the scan reads, which keeps that column's blob faults
+/// range-local — clipped to what zone-map pruning under `predicate` (may
+/// be null) leaves to visit, each with that segment's zone. Any consistent
+/// partition of the row space is correct for the scans built from it.
+/// Consults directory facts only.
+ScanSegments SurvivingSegments(const PlanNode& scan, const ExprPtr& predicate,
+                               const std::string& zone_column = "") {
+  ScanSegments out;
+  const Table& table = *scan.table;
+  const SegmentPruneResult prune = PruneScanSegments(table, predicate);
+  out.segments_pruned = prune.segments_pruned;
+  out.rows_pruned = prune.rows_pruned;
+  const std::vector<RowRange> visit =
+      prune.segments_pruned > 0 ? prune.ranges
+                                : std::vector<RowRange>{{0, table.rows()}};
+  std::vector<std::string> names;
+  if (!zone_column.empty()) {
+    names.push_back(zone_column);
+  } else if (!scan.columns.empty()) {
+    names = scan.columns;
+  } else {
+    for (size_t i = 0; i < table.num_columns(); ++i) {
+      names.push_back(table.column(i).name());
     }
   }
   for (const std::string& n : names) {
-    auto c = node.table->ColumnByName(n);
+    auto c = table.ColumnByName(n);
     if (!c.ok()) continue;
     const std::vector<SegmentShape> shapes = c.value()->SegmentShapes();
     if (shapes.size() <= 1) continue;
-    std::vector<RowRange> out;
-    out.reserve(shapes.size());
+    out.segmented = true;
     for (const SegmentShape& s : shapes) {
-      out.push_back({s.start_row, s.start_row + s.rows});
+      for (const RowRange& v : visit) {
+        const uint64_t b = std::max(s.start_row, v.begin);
+        const uint64_t e = std::min(s.start_row + s.rows, v.end);
+        if (b < e) {
+          out.ranges.push_back({b, e});
+          out.zones.push_back(s.zone);
+        }
+      }
     }
     return out;
   }
-  return {};
+  if (prune.segments_pruned > 0) out.ranges = prune.ranges;
+  return out;
 }
 
+using MakeOp =
+    std::function<std::unique_ptr<Operator>(std::unique_ptr<Operator>)>;
+
+/// Lowers one chain operator (filter, projection, join) over `child`:
+/// `make(child.op)`, instrumented as `name`. While the child is replicable
+/// so is the result: a copy is `make` over a copy of the child, so
+/// whatever `make` captures (a lowered predicate, a join build) is shared.
+void Chain(BuiltPlan* out, BuiltPlan child, std::string name, MakeOp make,
+           OnClose on_close = {}) {
+  out->op = make(std::move(child.op));
+  const OnClose copy_close = on_close;
+  Attach(out, std::move(name), {std::move(child.stats)}, std::move(on_close));
+  if (!child.replicate) return;
+  out->morsels = std::move(child.morsels);
+  out->replicate = [rep = std::move(child.replicate), make = std::move(make),
+                    shown = out->stats,
+                    copy_close](RowRange range, MorselStats* stats) {
+    return stats->Wrap(make(rep(range, stats)), shown, copy_close);
+  };
+}
+
+/// Lowers a scan, pruned by the zone maps of `predicate` (the filter
+/// directly above it, if any). A scan of a segmented table is replicable:
+/// each copy reads one surviving segment range.
 Result<BuiltPlan> BuildScan(const PlanNode& node,
-                            const SegmentPruneResult* prune = nullptr) {
-  TableScanOptions opts;
-  opts.columns = node.columns;
-  opts.token_columns = node.token_columns;
-  opts.code_columns = node.code_columns;
-  if (prune != nullptr && prune->segments_pruned > 0) {
-    opts.ranges = prune->ranges;
-  }
+                            const ExprPtr& predicate = nullptr) {
   BuiltPlan out;
-  out.op = std::make_unique<TableScan>(node.table, std::move(opts));
   TDE_RETURN_NOT_OK(ScanProps(node, &out));
   for (const std::string& n : node.code_columns) {
     out.notes.push_back("scan(" + n + "): dictionary codes (group key)");
   }
+  const ScanSegments segs = SurvivingSegments(node, predicate);
+  segs.Record(&out.notes);
+  TableScanOptions opts;
+  opts.columns = node.columns;
+  opts.token_columns = node.token_columns;
+  opts.code_columns = node.code_columns;
+  opts.ranges = segs.Visit();
+  if (!node.code_columns.empty()) {
+    opts.code_tables = std::make_shared<ScanCodeTables>();
+  }
+  out.op = std::make_unique<TableScan>(node.table, opts);
   // A scan narrowed by projection pruning reports how many columns it
   // decodes (0 = every column, not reported).
   const uint64_t columns = node.columns.size();
-  uint64_t segs = 0;
-  uint64_t rows = 0;
-  if (prune != nullptr && prune->segments_pruned > 0) {
-    out.notes.push_back("scan: " + std::to_string(prune->segments_pruned) +
-                        " segment(s) zone-map pruned (" +
-                        std::to_string(prune->rows_pruned) +
-                        " rows skipped)");
-    observe::QueryCount(observe::QueryCounter::kSegmentsPruned,
-                        prune->segments_pruned);
-    observe::QueryCount(observe::QueryCounter::kRowsPruned,
-                        prune->rows_pruned);
-    segs = prune->segments_pruned;
-    rows = prune->rows_pruned;
-  }
-  std::function<void(observe::OperatorStats*)> on_close;
-  if (columns > 0 || segs > 0) {
-    on_close = [columns, segs, rows](observe::OperatorStats* s) {
+  OnClose on_close;
+  if (columns > 0 || segs.segments_pruned > 0) {
+    on_close = [columns, segs](observe::OperatorStats* s) {
       if (columns > 0) s->extras.emplace_back("columns", columns);
-      if (segs > 0) {
-        s->extras.emplace_back("segments_pruned", segs);
-        s->extras.emplace_back("rows_pruned", rows);
-      }
+      segs.AddExtras(s);
     };
   }
+  const OnClose copy_close = on_close;
   Attach(&out, "TableScan(" + node.table->name() + ")", {},
          std::move(on_close));
+  if (segs.segmented) {
+    out.morsels = segs.ranges;
+    out.replicate = [table = node.table, opts, shown = out.stats, copy_close](
+                        RowRange range, MorselStats* stats) {
+      TableScanOptions copy = opts;
+      copy.ranges = {range};
+      return stats->Wrap(std::make_unique<TableScan>(table, std::move(copy)),
+                         shown, copy_close);
+    };
+  }
   return out;
 }
 
@@ -179,20 +306,25 @@ Result<BuiltPlan> BuildFilter(const PlanNode& node, BuiltPlan child) {
   ExprPtr pred =
       LowerPredicate(node.predicate, node.compressed_eval,
                      child.op->output_schema(), &out.notes, &dict_rewrites);
-  out.op = std::make_unique<Filter>(std::move(child.op), std::move(pred));
   // Filtering keeps value bounds and order but can destroy density
   // (Sect. 3.4.2: "the filter will remove an existing dense attribute").
   out.props = std::move(child.props);
   for (auto& [name, p] : out.props) p.meta.dense = false;
   out.grouped_on = child.grouped_on;
-  std::function<void(observe::OperatorStats*)> on_close;
+  OnClose on_close;
   if (dict_rewrites > 0) {
     on_close = [dict_rewrites](observe::OperatorStats* s) {
       s->extras.emplace_back("dict_rewrites",
                              static_cast<uint64_t>(dict_rewrites));
     };
   }
-  Attach(&out, "Filter", {std::move(child.stats)}, std::move(on_close));
+  // Copies share the lowered predicate, and so its dictionary
+  // translations.
+  Chain(&out, std::move(child), "Filter",
+        [pred](std::unique_ptr<Operator> in) -> std::unique_ptr<Operator> {
+          return std::make_unique<Filter>(std::move(in), pred);
+        },
+        std::move(on_close));
   return out;
 }
 
@@ -206,8 +338,11 @@ Result<BuiltPlan> BuildProject(const PlanNode& node, BuiltPlan child) {
       if (child.grouped_on == *ref) out.grouped_on = pc.name;
     }
   }
-  out.op = std::make_unique<Project>(std::move(child.op), node.projections);
-  Attach(&out, "Project", {std::move(child.stats)});
+  Chain(&out, std::move(child), "Project",
+        [projections = node.projections](
+            std::unique_ptr<Operator> in) -> std::unique_ptr<Operator> {
+          return std::make_unique<Project>(std::move(in), projections);
+        });
   return out;
 }
 
@@ -233,6 +368,7 @@ Result<BuiltPlan> BuildAggregate(const PlanNode& node, BuiltPlan child) {
        (agg.group_by.size() == 1 && child.grouped_on == agg.group_by[0]));
   HashAggregate* hash_raw = nullptr;
   OrderedAggregate* ordered_raw = nullptr;
+  std::shared_ptr<MorselStats> morsel_stats;
   if (ordered) {
     if (!agg.group_by.empty()) {
       out.notes.push_back("aggregate(" + agg.group_by[0] +
@@ -262,8 +398,29 @@ Result<BuiltPlan> BuildAggregate(const PlanNode& node, BuiltPlan child) {
                      agg.hash_algorithm.value_or(HashAlgorithm::kCollision)) +
                      std::string(" hash")));
     }
-    auto op =
-        std::make_unique<HashAggregate>(std::move(child.op), std::move(agg));
+    std::unique_ptr<HashAggregate> op;
+    if (child.replicate && child.morsels.size() >= 2) {
+      // Morsel-parallel aggregation: one copy of the input chain per
+      // surviving segment range, each run as one task into a partial
+      // aggregate; the partials merge in segment order. The whole-table
+      // chain built above never runs.
+      morsel_stats = std::make_shared<MorselStats>();
+      std::vector<std::unique_ptr<Operator>> inputs;
+      for (const RowRange& r : child.morsels) {
+        inputs.push_back(child.replicate(r, morsel_stats.get()));
+      }
+      child.op.reset();
+      out.notes.push_back(
+          "aggregate" +
+          (agg.group_by.empty() ? std::string()
+                                : "(" + agg.group_by[0] + ")") +
+          ": " + std::to_string(inputs.size()) +
+          " segment morsels in parallel");
+      op = std::make_unique<HashAggregate>(std::move(inputs), std::move(agg));
+    } else {
+      op = std::make_unique<HashAggregate>(std::move(child.op),
+                                           std::move(agg));
+    }
     hash_raw = op.get();
     out.op = std::move(op);
   }
@@ -271,11 +428,24 @@ Result<BuiltPlan> BuildAggregate(const PlanNode& node, BuiltPlan child) {
     auto it = child.props.find(k);
     if (it != child.props.end()) out.props[k] = it->second;
   }
-  std::function<void(observe::OperatorStats*)> on_close;
-  if (dict_keys) {
+  OnClose on_close;
+  if (dict_keys || morsel_stats != nullptr) {
     // The wrapper's Close runs after the aggregate's pipeline finishes, so
-    // the group count is final here.
-    on_close = [hash_raw, ordered_raw](observe::OperatorStats* s) {
+    // the group count and the morsel figures are final here.
+    on_close = [hash_raw, ordered_raw, dict_keys,
+                morsel_stats](observe::OperatorStats* s) {
+      if (morsel_stats != nullptr) {
+        morsel_stats->Fold();
+        // The chain below reports CPU time summed over morsels; so does
+        // this node's self time: the tasks' time replaces the wall time
+        // spent waiting for them.
+        const uint64_t wall = s->total_ns();
+        const uint64_t waited = std::min(wall, hash_raw->morsel_wall_ns());
+        s->cpu_ns = wall - waited + hash_raw->morsel_cpu_ns();
+        s->extras.emplace_back("morsels", hash_raw->morsels());
+        s->extras.emplace_back("threads", hash_raw->morsel_threads());
+      }
+      if (!dict_keys) return;
       const uint64_t groups = hash_raw != nullptr
                                   ? hash_raw->groups_late_materialized()
                                   : ordered_raw->groups_late_materialized();
@@ -413,21 +583,24 @@ Result<BuiltPlan> BuildJoinTable(const PlanNode& node, BuiltPlan child) {
     out.props[p] = JoinedProps(*c);
   }
   out.props.insert(child.props.begin(), child.props.end());
-  auto op = std::make_unique<HashJoin>(std::move(child.op), node.inner_table,
-                                       node.join, node.inner_predicate);
-  std::function<void(observe::OperatorStats*)> on_close;
+  // One build per query, shared by every probe copy.
+  auto build = std::make_shared<JoinBuild>(node.inner_table, node.join,
+                                           node.inner_predicate);
+  OnClose on_close;
   if (node.inner_predicate != nullptr) {
     out.notes.push_back("join(" + node.join.inner_key + "): inner predicate " +
                         node.inner_predicate->ToString());
     // How much of the inner table the pushed predicate left joinable.
-    on_close = [raw = op.get()](observe::OperatorStats* s) {
-      s->extras.emplace_back("inner_rows", raw->inner_rows());
-      s->extras.emplace_back("inner_rows_passed", raw->inner_rows_passed());
+    on_close = [build](observe::OperatorStats* s) {
+      s->extras.emplace_back("inner_rows", build->inner_rows());
+      s->extras.emplace_back("inner_rows_passed", build->inner_rows_passed());
     };
   }
-  out.op = std::move(op);
-  Attach(&out, "HashJoin(" + node.join.inner_key + ")",
-         {std::move(child.stats)}, std::move(on_close));
+  Chain(&out, std::move(child), "HashJoin(" + node.join.inner_key + ")",
+        [build](std::unique_ptr<Operator> outer) -> std::unique_ptr<Operator> {
+          return std::make_unique<HashJoin>(std::move(outer), build);
+        },
+        std::move(on_close));
   return out;
 }
 
@@ -690,21 +863,9 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
     if (!opts.order_preserving && opts.workers >= 2 &&
         grand->kind == PlanNodeKind::kScan && grand->table != nullptr &&
         child->predicate != nullptr) {
-      SegmentPruneResult prune =
-          PruneScanSegments(*grand->table, child->predicate);
-      const std::vector<RowRange> visit =
-          prune.segments_pruned > 0
-              ? prune.ranges
-              : std::vector<RowRange>{{0, grand->table->rows()}};
-      std::vector<RowRange> pieces;
-      for (const RowRange& s : SegmentAlignedRanges(*grand)) {
-        for (const RowRange& v : visit) {
-          const uint64_t b = std::max(s.begin, v.begin);
-          const uint64_t e = std::min(s.end, v.end);
-          if (b < e) pieces.push_back({b, e});
-        }
-      }
-      if (pieces.size() >= 2) {
+      const ScanSegments segs = SurvivingSegments(*grand, child->predicate);
+      const std::vector<RowRange>& pieces = segs.ranges;
+      if (segs.segmented && pieces.size() >= 2) {
         const size_t nparts = std::min<size_t>(
             static_cast<size_t>(opts.workers), pieces.size());
         std::vector<std::vector<RowRange>> parts(nparts);
@@ -728,16 +889,7 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
                                       &dict_rewrites);
         opts.transform = FilterTransform(std::move(pred));
         for (auto& [name, p] : out.props) p.meta.dense = false;
-        if (prune.segments_pruned > 0) {
-          out.notes.push_back(
-              "scan: " + std::to_string(prune.segments_pruned) +
-              " segment(s) zone-map pruned (" +
-              std::to_string(prune.rows_pruned) + " rows skipped)");
-          observe::QueryCount(observe::QueryCounter::kSegmentsPruned,
-                              prune.segments_pruned);
-          observe::QueryCount(observe::QueryCounter::kRowsPruned,
-                              prune.rows_pruned);
-        }
+        segs.Record(&out.notes);
         out.notes.push_back("exchange: segment-partitioned scan, " +
                             std::to_string(nparts) + " partitions over " +
                             std::to_string(pieces.size()) +
@@ -745,17 +897,12 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
         auto exchange = std::make_unique<Exchange>(std::move(sources), opts);
         Exchange* raw = exchange.get();
         out.op = std::move(exchange);
-        const uint64_t segs = prune.segments_pruned;
-        const uint64_t rows = prune.rows_pruned;
         Attach(&out,
                "Exchange(partitioned, " + std::to_string(nparts) + " scans)",
-               {}, [raw, segs, rows](observe::OperatorStats* s) {
+               {}, [raw, segs](observe::OperatorStats* s) {
                  const ExchangeRunStats& rs = raw->run_stats();
                  s->extras.emplace_back("blocks_in", rs.blocks_in);
-                 if (segs > 0) {
-                   s->extras.emplace_back("segments_pruned", segs);
-                   s->extras.emplace_back("rows_pruned", rows);
-                 }
+                 segs.AddExtras(s);
                  for (size_t i = 0; i < rs.workers.size(); ++i) {
                    s->extras.emplace_back("w" + std::to_string(i) + "_blocks",
                                           rs.workers[i].blocks);
@@ -845,23 +992,24 @@ Result<BuiltPlan> BuildTopN(const PlanNodePtr& node) {
          col_r.value()->type() == TypeId::kDate ||
          col_r.value()->type() == TypeId::kDateTime ||
          col_r.value()->type() == TypeId::kBool)) {
-      const std::vector<SegmentShape> shapes = col_r.value()->SegmentShapes();
-      if (shapes.size() > 1) {
+      const ScanSegments segs = SurvivingSegments(*child, nullptr, key0);
+      if (segs.ranges.size() > 1) {
         BuiltPlan out;
         TDE_RETURN_NOT_OK(ScanProps(*child, &out));
         std::vector<TopNSource> sources;
-        sources.reserve(shapes.size());
-        for (const SegmentShape& s : shapes) {
+        sources.reserve(segs.ranges.size());
+        for (size_t i = 0; i < segs.ranges.size(); ++i) {
           TableScanOptions sopts;
           sopts.columns = child->columns;
-          sopts.ranges = {{s.start_row, s.start_row + s.rows}};
+          sopts.ranges = {segs.ranges[i]};
           TopNSource src;
           src.op = std::make_unique<TableScan>(child->table, std::move(sopts));
-          if (s.zone.meta.min_max_known) {
+          const ColumnMetadata& zone = segs.zones[i].meta;
+          if (zone.min_max_known) {
             src.zone_known = true;
-            src.min_value = s.zone.meta.min_value;
-            src.max_value = s.zone.meta.max_value;
-            src.has_nulls = !s.zone.meta.null_known || s.zone.meta.has_nulls;
+            src.min_value = zone.min_value;
+            src.max_value = zone.max_value;
+            src.has_nulls = !zone.null_known || zone.has_nulls;
           }
           sources.push_back(std::move(src));
         }
@@ -948,21 +1096,17 @@ Result<BuiltPlan> BuildExecutable(const PlanNodePtr& node) {
     case PlanNodeKind::kScan:
       return BuildScan(*node);
     case PlanNodeKind::kFilter: {
-      // Zone-map segment pruning: when the filter sits directly on a scan
-      // of a segmented table, fold the predicate against each segment's
-      // zone map and hand the scan the surviving row ranges. Pruned
-      // segments' blobs never fault in on the lazy v3 path.
+      // Zone-map segment pruning: a filter directly on a scan of a
+      // segmented table hands the scan its predicate, and segments whose
+      // zone maps prove it false are never visited — their blobs never
+      // fault in on the lazy v3 path.
       const PlanNodePtr& c = node->children[0];
-      if (c->kind == PlanNodeKind::kScan && c->table != nullptr &&
-          node->predicate != nullptr) {
-        const SegmentPruneResult prune =
-            PruneScanSegments(*c->table, node->predicate);
-        if (prune.segments_pruned > 0) {
-          TDE_ASSIGN_OR_RETURN(BuiltPlan child, BuildScan(*c, &prune));
-          return BuildFilter(*node, std::move(child));
-        }
+      BuiltPlan child;
+      if (c->kind == PlanNodeKind::kScan && c->table != nullptr) {
+        TDE_ASSIGN_OR_RETURN(child, BuildScan(*c, node->predicate));
+      } else {
+        TDE_ASSIGN_OR_RETURN(child, BuildExecutable(c));
       }
-      TDE_ASSIGN_OR_RETURN(BuiltPlan child, BuildExecutable(node->children[0]));
       return BuildFilter(*node, std::move(child));
     }
     case PlanNodeKind::kProject: {

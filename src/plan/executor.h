@@ -1,14 +1,19 @@
 #ifndef TDE_PLAN_EXECUTOR_H_
 #define TDE_PLAN_EXECUTOR_H_
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/observe/query_stats.h"
 #include "src/plan/plan.h"
 #include "src/plan/tactical.h"
+#include "src/storage/segment/segment.h"
 
 namespace tde {
+
+class MorselStats;
 
 /// A lowered plan: the operator tree plus the column properties derived
 /// while lowering (which the tactical optimizer consumed along the way).
@@ -24,6 +29,17 @@ struct BuiltPlan {
   /// Root of the per-operator stats tree `op` records into (null when
   /// stats collection is disabled). Mirrors the lowered operator tree.
   std::shared_ptr<observe::OperatorStats> stats;
+  /// Set while `op` is a chain that morsel-parallel aggregation can run
+  /// once per segment morsel: a scan of a segmented table under any
+  /// filters, projections and joins. `replicate(range, stats)` builds
+  /// another copy of `op` that reads only the scan rows in `range`,
+  /// sharing what lowering built once (lowered predicates with their
+  /// dictionary translations, join builds, code tables); the copy's
+  /// operators record into `stats`. `morsels` are the scan's surviving
+  /// segment ranges, in row order.
+  std::function<std::unique_ptr<Operator>(RowRange range, MorselStats* stats)>
+      replicate;
+  std::vector<RowRange> morsels;
 };
 
 /// Lowers a logical plan to an executable operator tree, making tactical

@@ -269,13 +269,31 @@ Status SegmentedStream::GetRuns(std::vector<RleRun>* out) const {
   return Status::OK();
 }
 
-Status SegmentedStream::EnsureCodeTableLocked(
-    std::unique_lock<std::mutex>* lock) const {
-  if (codes_.has_value()) {
-    return codes_->valid ? Status::OK()
-                         : Status::InvalidArgument("not dictionary coded");
+Result<std::shared_ptr<const SegmentedStream::CodeTable>>
+SegmentedStream::CodeTableLocked(std::unique_lock<std::mutex>* lock) const {
+  // One build at a time: the build drops the lock while segments fault
+  // in, and a second concurrent build would replace (and free) the table
+  // the first caller's readers are using.
+  cv_.wait(*lock, [&] { return codes_ != nullptr || !codes_building_; });
+  if (codes_ == nullptr) {
+    codes_building_ = true;
+    Result<std::shared_ptr<const CodeTable>> built =
+        BuildCodeTableLocked(lock);
+    codes_building_ = false;
+    cv_.notify_all();
+    TDE_RETURN_NOT_OK(built.status());
+    codes_ = built.MoveValue();
   }
-  CodeTable table;
+  if (!codes_->valid) {
+    return {Status::InvalidArgument("not dictionary coded")};
+  }
+  return codes_;
+}
+
+Result<std::shared_ptr<const SegmentedStream::CodeTable>>
+SegmentedStream::BuildCodeTableLocked(
+    std::unique_lock<std::mutex>* lock) const {
+  auto table = std::make_shared<CodeTable>();
   bool eligible = !slots_.empty() && tail_.empty();
   for (const Slot& s : slots_) {
     if (s.shape.encoding != EncodingType::kDictionary) {
@@ -283,47 +301,47 @@ Status SegmentedStream::EnsureCodeTableLocked(
       break;
     }
   }
-  if (!eligible) {
-    codes_.emplace(std::move(table));  // valid = false
-    return Status::InvalidArgument("not dictionary coded");
-  }
+  if (!eligible) return {std::shared_ptr<const CodeTable>(std::move(table))};
   // Build the global union code table: one entry per distinct decoded
   // lane, plus a local-code -> global-code remap per segment. Faults every
   // segment in — the dictionary-grouping rewrite reads the whole column
   // anyway.
   std::unordered_map<Lane, Lane> global;
-  table.remap.resize(slots_.size());
-  for (size_t si = 0; si < slots_.size(); ++si) {
+  const size_t num_slots = slots_.size();
+  table->remap.resize(num_slots);
+  for (size_t si = 0; si < num_slots; ++si) {
     TDE_ASSIGN_OR_RETURN(std::shared_ptr<EncodedStream> stream,
                          StreamAtLocked(lock, si));
     lock->unlock();
     const std::vector<Lane> entries = stream->CodeEntries();
     lock->lock();
-    std::vector<Lane>& remap = table.remap[si];
+    std::vector<Lane>& remap = table->remap[si];
     remap.reserve(entries.size());
     for (const Lane e : entries) {
       auto [it, inserted] =
-          global.emplace(e, static_cast<Lane>(table.entries.size()));
-      if (inserted) table.entries.push_back(e);
+          global.emplace(e, static_cast<Lane>(table->entries.size()));
+      if (inserted) table->entries.push_back(e);
       remap.push_back(it->second);
     }
   }
-  table.valid = true;
-  codes_.emplace(std::move(table));
-  return Status::OK();
+  table->valid = true;
+  return {std::shared_ptr<const CodeTable>(std::move(table))};
 }
 
 bool SegmentedStream::GetCodes(uint64_t row, size_t count, Lane* out) const {
   std::unique_lock<std::mutex> lock(mu_);
   if (row + count > sealed_rows_) return false;
-  if (!EnsureCodeTableLocked(&lock).ok()) return false;
+  Result<std::shared_ptr<const CodeTable>> codes = CodeTableLocked(&lock);
+  if (!codes.ok()) return false;
+  // Held across the unlocks below: the table outlives any reset.
+  const std::shared_ptr<const CodeTable> table = codes.MoveValue();
   while (count > 0) {
     const size_t si = SlotForRowLocked(row);
     const uint64_t seg_start = slots_[si].shape.start_row;
     const uint64_t seg_rows = slots_[si].shape.rows;
     Result<std::shared_ptr<EncodedStream>> stream = StreamAtLocked(&lock, si);
     if (!stream.ok()) return false;
-    const std::vector<Lane>& remap = codes_->remap[si];
+    const std::vector<Lane>& remap = table->remap[si];
     const size_t n = static_cast<size_t>(
         std::min<uint64_t>(count, seg_start + seg_rows - row));
     lock.unlock();
@@ -343,8 +361,9 @@ bool SegmentedStream::GetCodes(uint64_t row, size_t count, Lane* out) const {
 
 std::vector<Lane> SegmentedStream::CodeEntries() const {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!EnsureCodeTableLocked(&lock).ok()) return {};
-  return codes_->entries;
+  Result<std::shared_ptr<const CodeTable>> codes = CodeTableLocked(&lock);
+  if (!codes.ok()) return {};
+  return codes.value()->entries;
 }
 
 uint64_t SegmentedStream::size() const {

@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "src/encoding/dynamic_encoder.h"
@@ -133,7 +132,20 @@ class SegmentedStream : public EncodedStream {
       std::unique_lock<std::mutex>* lock, size_t idx) const;
   /// Index of the slot containing `row`; slots_.size() for tail rows.
   size_t SlotForRowLocked(uint64_t row) const;
-  Status EnsureCodeTableLocked(std::unique_lock<std::mutex>* lock) const;
+  struct CodeTable {
+    bool valid = false;
+    std::vector<Lane> entries;             // global code -> decoded lane
+    std::vector<std::vector<Lane>> remap;  // per segment: local -> global
+  };
+  /// The published code table, built by the first caller while later
+  /// callers wait on cv_. The table is immutable once published, so the
+  /// returned pointer stays valid across unlocks even if a writer resets
+  /// codes_. Errors when the column is not dictionary coded (cached) or a
+  /// segment failed to load (not cached: the next caller retries).
+  Result<std::shared_ptr<const CodeTable>> CodeTableLocked(
+      std::unique_lock<std::mutex>* lock) const;
+  Result<std::shared_ptr<const CodeTable>> BuildCodeTableLocked(
+      std::unique_lock<std::mutex>* lock) const;
 
   DynamicEncoderOptions options_;
   uint64_t target_rows_;
@@ -147,12 +159,8 @@ class SegmentedStream : public EncodedStream {
   int changes_ = 0;
   uint64_t bytes_written_ = 0;
 
-  struct CodeTable {
-    bool valid = false;
-    std::vector<Lane> entries;             // global code -> decoded lane
-    std::vector<std::vector<Lane>> remap;  // per segment: local -> global
-  };
-  mutable std::optional<CodeTable> codes_;
+  mutable std::shared_ptr<const CodeTable> codes_;
+  mutable bool codes_building_ = false;
 };
 
 }  // namespace tde

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -21,6 +22,8 @@
 #include "src/core/engine.h"
 #include "src/encoding/stream.h"
 #include "src/exec/scheduler.h"
+#include "src/storage/segment/segmented_stream.h"
+#include "src/workload/flights.h"
 #include "tests/test_util.h"
 
 namespace tde {
@@ -139,6 +142,78 @@ TEST(ConcurrentQueries, ExchangeWrappedPlansShareThePool) {
         return Status::OK();
       });
   ASSERT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST(ConcurrentQueries, TwoClientsOverALazilyReopenedSegmentedDatabase) {
+  // The dashboard shape: Flights in many segments (so every eligible
+  // aggregate runs as one task per segment), saved and reopened lazily
+  // with a column cache a quarter of the compressed bytes, so segments
+  // fault in and evict while two clients run all seven dashboard
+  // statements. Every answer must match the in-memory engine's.
+  ImportOptions import;
+  import.flow.segment_rows = 2048;
+  Engine mem;
+  ASSERT_TRUE(
+      mem.ImportTextBuffer(GenerateFlights(24000, 7), "flights", import).ok());
+  const std::string path = ::testing::TempDir() + "/concurrency_flights.tde";
+  ASSERT_TRUE(mem.SaveDatabase(path).ok());
+  uint64_t compressed = 0;
+  for (const auto& t : mem.database()->tables()) {
+    compressed += t->PhysicalSize();
+  }
+  Engine::OpenOptions open;
+  open.cache_budget_bytes = compressed / 4;
+  auto opened = Engine::OpenDatabase(path, open);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Engine lazy = opened.MoveValue();
+
+  const std::vector<std::string> queries = {
+      "SELECT carrier, AVG(arr_delay) AS avg_delay, COUNT(*) AS flights "
+      "FROM flights GROUP BY carrier ORDER BY carrier",
+      "SELECT TRUNC_MONTH(flight_date) AS month, COUNT(*) AS flights, "
+      "AVG(dep_delay) AS avg_dep FROM flights "
+      "WHERE flight_date >= DATE '2003-01-01' AND "
+      "flight_date < DATE '2004-01-01' GROUP BY month ORDER BY month",
+      "SELECT carrier, COUNTD(dest) AS destinations FROM flights "
+      "GROUP BY carrier ORDER BY carrier",
+      "SELECT arr_delay FROM flights ORDER BY arr_delay DESC LIMIT 10",
+      "SELECT MIN(flight_date) AS first_day, MAX(flight_date) AS last_day, "
+      "COUNT(*) AS flights FROM flights",
+      "SELECT dest, COUNT(*) AS flights FROM flights WHERE origin = 'ADH' "
+      "GROUP BY dest ORDER BY flights DESC, dest LIMIT 10",
+      "SELECT carrier, COUNT(*) AS cancelled FROM flights "
+      "WHERE cancelled = TRUE GROUP BY carrier ORDER BY carrier",
+  };
+  std::vector<std::string> expected;
+  for (const std::string& q : queries) {
+    auto r = mem.ExecuteSql(q);
+    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+    expected.push_back(r.value().ToCsv());
+  }
+  auto explain = lazy.ExecuteSql("EXPLAIN " + queries[0]);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain.value().ToCsv().find("segment morsels in parallel"),
+            std::string::npos);
+
+  const int rounds = StressIters();
+  const Status st = testutil::RunConcurrently(2, [&](int t) -> Status {
+    for (int round = 0; round < rounds; ++round) {
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const size_t q = (qi + static_cast<size_t>(t) * 3) % queries.size();
+        auto r = lazy.ExecuteSql(queries[q]);
+        if (!r.ok()) {
+          return Status::Internal(queries[q] + ": " + r.status().ToString());
+        }
+        if (r.value().ToCsv() != expected[q]) {
+          return Status::Internal(queries[q] +
+                                  ": answer differs from the in-memory one");
+        }
+      }
+    }
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  std::remove(path.c_str());
 }
 
 TEST(ConcurrentQueries, AppendsNeverTearForConcurrentReaders) {
@@ -265,6 +340,48 @@ TEST(ConcurrentReads, RunLengthColumnSharesNoCursor) {
         return Status::OK();
       });
   EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST(ConcurrentReads, SegmentedCodeTableBuildsOnce) {
+  // The first GetCodes calls on a segmented dictionary stream build its
+  // global code table. Several threads making those first calls at once
+  // must share one table: a second concurrent build used to replace (and
+  // free) the table another reader was still remapping through.
+  std::vector<Lane> v(64 * 64);
+  for (size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<Lane>((i * 7 + i / 64) % 5) * 1000000007LL;
+  }
+  DynamicEncoderOptions opts;
+  opts.prefer_dictionary = true;
+  for (int round = 0; round < 4 * StressIters(); ++round) {
+    SegmentedStream s(opts, /*target_rows=*/64);
+    ASSERT_TRUE(s.Append(v.data(), v.size()).ok());
+    ASSERT_TRUE(s.Finalize().ok());
+    ASSERT_EQ(s.segment_count(), 64u);
+    for (const SegmentShape& shape : s.Shapes()) {
+      ASSERT_EQ(shape.encoding, EncodingType::kDictionary);
+    }
+    const Status st = testutil::RunConcurrently(
+        StressThreads(), [&](int t) -> Status {
+          std::vector<Lane> codes(v.size());
+          // Start at different segments so the builds' remap reads race.
+          const uint64_t start = static_cast<uint64_t>(t) * 64 % v.size();
+          const size_t n = v.size() - start;
+          if (!s.GetCodes(start, n, codes.data())) {
+            return Status::Internal("GetCodes refused a dictionary stream");
+          }
+          const std::vector<Lane> entries = s.CodeEntries();
+          for (size_t i = 0; i < n; ++i) {
+            const uint64_t c = static_cast<uint64_t>(codes[i]);
+            if (c >= entries.size() || entries[c] != v[start + i]) {
+              return Status::Internal("row " + std::to_string(start + i) +
+                                      " decoded through a stale code table");
+            }
+          }
+          return Status::OK();
+        });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
 }
 
 }  // namespace

@@ -306,8 +306,11 @@ TEST_F(DifferentialTest, RandomizedSweep) {
 
   // A deliberately tiny shared pool for the pool2-exchange leg: with two
   // workers serving four-way exchanges, admission parking, task rotation
-  // and consumer helping all fire on every query.
+  // and consumer helping all fire on every query. The morsel legs also
+  // run on pools of one and four.
+  TaskScheduler pool1(1);
   TaskScheduler pool2(2);
+  TaskScheduler pool4(4);
 
   uint64_t executed = 0;
   uint64_t chained = 0;
@@ -344,6 +347,16 @@ TEST_F(DifferentialTest, RandomizedSweep) {
     for (const Config& c : configs) {
       runs.push_back({"monolithic", c.name, mono_.ExecuteSql(q.sql, c.opts)});
       runs.push_back({"segmented", c.name, seg_.ExecuteSql(q.sql, c.opts)});
+    }
+    // Morsel legs: in the segmented layout every eligible aggregate runs
+    // as one task per segment; pools of one, two and four workers change
+    // which threads run them and in what order they finish, never the
+    // answer or its order.
+    for (TaskScheduler* pool : {&pool1, &pool2, &pool4}) {
+      TaskScheduler::ScopedOverride override_pool(pool);
+      runs.push_back({"segmented",
+                      "pool" + std::to_string(pool->workers()) + "-morsels",
+                      seg_.ExecuteSql(q.sql)});
     }
     // Exchange variants: parallel scans under the default options. Skipped
     // for unordered LIMIT queries, where "which rows" legitimately depends
@@ -420,7 +433,7 @@ TEST_F(DifferentialTest, RandomizedSweep) {
   }
   RecordProperty("executions", static_cast<int>(executed));
   RecordProperty("chained_join_queries", static_cast<int>(chained));
-  EXPECT_GE(executed, num_seeds * configs.size() * 2);
+  EXPECT_GE(executed, num_seeds * (configs.size() * 2 + 3));
   // Q3-shaped fact -> dim -> dim2 chains must be part of every real sweep.
   if (num_seeds >= 100) {
     EXPECT_GT(chained, 0u);

@@ -571,4 +571,181 @@ TEST(SqlAggTpch, JoinQueriesFilterAndNarrowLineitemBelowTheJoins) {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Morsel merge exactness: the same text imported in small segments (the
+// engine runs each aggregate as one task per segment and merges the
+// partials in segment order) and in one segment (the serial operator).
+// Every answer — its row order too, for a GROUP BY without ORDER BY — and
+// every failure must be the serial one.
+
+namespace {
+
+class MorselMergeTest : public ::testing::Test {
+ protected:
+  void Load(const std::string& csv, uint64_t segment_rows) {
+    ImportOptions seg;
+    seg.flow.segment_rows = segment_rows;
+    ImportOptions one;
+    one.flow.segment_rows = uint64_t{1} << 30;
+    ASSERT_TRUE(morsels_.ImportTextBuffer(csv, "t", seg).ok());
+    ASSERT_TRUE(serial_.ImportTextBuffer(csv, "t", one).ok());
+  }
+
+  /// Morsel-parallel aggregation engages on the segmented import, and both
+  /// imports give the same rows in the same order, or both fail alike.
+  /// Returns the segmented answer.
+  Result<QueryResult> ExpectSame(const std::string& sql) {
+    auto explain = morsels_.ExecuteSql("EXPLAIN " + sql);
+    EXPECT_TRUE(explain.ok()) << sql;
+    if (explain.ok()) {
+      EXPECT_NE(explain.value().ToCsv().find("segment morsels in parallel"),
+                std::string::npos)
+          << sql << "\n"
+          << explain.value().ToCsv();
+    }
+    auto want = serial_.ExecuteSql(sql);
+    auto got = morsels_.ExecuteSql(sql);
+    EXPECT_EQ(want.ok(), got.ok())
+        << sql << "\n  serial: " << want.status().ToString()
+        << "\n  morsels: " << got.status().ToString();
+    if (!want.ok() || !got.ok()) {
+      EXPECT_EQ(want.status().code(), got.status().code()) << sql;
+      EXPECT_EQ(want.status().message(), got.status().message()) << sql;
+    } else {
+      EXPECT_EQ(want.value().ToCsv(), got.value().ToCsv()) << sql;
+    }
+    return got;
+  }
+
+  Engine serial_;
+  Engine morsels_;
+};
+
+TEST_F(MorselMergeTest, IntegerSumOverflowSeenOnlyAcrossASegmentBoundary) {
+  // Segment 0 ends 11 below INT64_MAX; segment 1's first row crosses it and
+  // its second comes back down. Each partial stays inside int64 and so does
+  // the final total, but the serial fold's running total leaves int64 at
+  // row 4: the query must fail, as it does serially.
+  Load("g,v\n"
+       "1,4611686018427387903\n1,4611686018427387893\n1,0\n1,0\n"
+       "1,100\n1,-200\n1,0\n1,0\n",
+       4);
+  auto r = ExpectSame("SELECT g, SUM(v) AS s FROM t GROUP BY g");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("overflow"), std::string::npos);
+  EXPECT_FALSE(ExpectSame("SELECT SUM(v) AS s FROM t WHERE v <> 5").ok());
+}
+
+TEST_F(MorselMergeTest, IntegerSumPartialLeavesInt64WhileEveryPrefixFits) {
+  // Segment 1's own running total reaches 3 * (2^62 - 1), past INT64_MAX,
+  // but it starts from segment 0's total near INT64_MIN, so every
+  // row-order prefix fits and the serial fold succeeds.
+  Load("g,v\n"
+       "1,-4611686018427387904\n1,-4611686018427387900\n1,0\n1,0\n"
+       "1,4611686018427387903\n1,4611686018427387903\n"
+       "1,4611686018427387903\n1,0\n",
+       4);
+  auto r = ExpectSame("SELECT g, SUM(v) AS s FROM t GROUP BY g");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().ValueString(0, 1), "4611686018427387905");
+}
+
+TEST_F(MorselMergeTest, EveryAggregateAndEdgeCaseMatchesTheSerialAnswer) {
+  // 16-row segments. `k` is NULL in every seventh row and "late" only from
+  // row 150; rows 32-63 hold odd `n` only, so the even-`n` filter leaves
+  // those segments empty; `s` mixes case so MIN/MAX/MEDIAN need collation.
+  static const char* kWords[] = {"pear", "Apple", "fig", "banana", "Cherry",
+                                 "apple", "date", "Fig", "kiwi", "Banana"};
+  std::string csv = "k,s,n,x\n";
+  for (int i = 0; i < 230; ++i) {
+    const char* k = i % 7 == 3 ? "" : i >= 150 && i % 3 == 0 ? "late"
+                                 : (i % 5 < 2 ? "red" : "blue");
+    const int n = (i / 32) % 2 == 1 ? 2 * i + 1 : (i * 37) % 101;
+    csv += std::string(k) + "," + kWords[(i * 7) % 10] + "," +
+           std::to_string(n) + "," + std::to_string(i * 0.25 - 7.5) + "\n";
+  }
+  Load(csv, 16);
+  for (const char* sql : {
+           "SELECT k, MIN(s) AS mn, MAX(s) AS mx, COUNTD(s) AS cd, "
+           "MEDIAN(s) AS ms, MEDIAN(n) AS mn2, COUNT(*) AS c, COUNT(k) AS ck "
+           "FROM t GROUP BY k",
+           "SELECT k, SUM(n) AS sn, AVG(n) AS an, SUM(x) AS sx, AVG(x) AS ax, "
+           "MIN(x) AS mnx, MAX(n) AS mxn FROM t WHERE (n % 2) = 0 GROUP BY k",
+           "SELECT s, k, COUNT(*) AS c, COUNTD(n) AS cd FROM t GROUP BY s, k",
+           "SELECT n, COUNT(*) AS c FROM t WHERE (n % 2) = 0 GROUP BY n",
+           "SELECT COUNT(*) AS c, MIN(s) AS mn, SUM(n) AS sn, MEDIAN(x) AS mx "
+           "FROM t WHERE (n % 1000) = 999",
+           "SELECT MIN(s) AS mn, MAX(s) AS mx, COUNTD(k) AS ck, "
+           "MEDIAN(n) AS md FROM t WHERE (n % 3) = 0",
+       }) {
+    auto r = ExpectSame(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+  }
+}
+
+/// Emits one block of `k` lanes, then fails.
+class FailingSource : public Operator {
+ public:
+  FailingSource() { schema_.AddField({"k", TypeId::kInteger}); }
+  Status Open() override { return Status::OK(); }
+  Status Next(Block* block, bool* eos) override {
+    *eos = false;
+    block->columns.assign(1, ColumnVector{});
+    if (emitted_) return Status::Internal("morsel 5 failed");
+    emitted_ = true;
+    block->columns[0].lanes = {1, 2, 3};
+    return Status::OK();
+  }
+  const Schema& output_schema() const override { return schema_; }
+
+ private:
+  Schema schema_;
+  bool emitted_ = false;
+};
+
+TEST(MorselMerge, AFailingMorselFailsTheAggregate) {
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::unique_ptr<Operator>> inputs;
+    for (int m = 0; m < 12; ++m) {
+      if (m == 5) {
+        inputs.push_back(std::make_unique<FailingSource>());
+      } else {
+        inputs.push_back(testutil::VectorSource::Ints(
+            {{"k", std::vector<Lane>(3000, m)}}));
+      }
+    }
+    AggregateOptions opts;
+    opts.group_by = {"k"};
+    opts.aggs = {{AggKind::kCountStar, "", "n"}};
+    HashAggregate agg(std::move(inputs), opts);
+    const Status st = agg.Open();
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.message(), "morsel 5 failed");
+  }
+}
+
+TEST(MorselMerge, PartialsMergeInInputOrder) {
+  // Groups come out in first-occurrence order across the inputs, and a
+  // group first seen in a later input lands after every earlier one.
+  std::vector<std::unique_ptr<Operator>> inputs;
+  inputs.push_back(testutil::VectorSource::Ints({{"k", {7, 3, 7}}}));
+  inputs.push_back(testutil::VectorSource::Ints({{"k", {}}}));
+  inputs.push_back(testutil::VectorSource::Ints({{"k", {9, 3, 1}}}));
+  inputs.push_back(testutil::VectorSource::Ints({{"k", {1, 4}}}));
+  AggregateOptions opts;
+  opts.group_by = {"k"};
+  opts.aggs = {{AggKind::kCountStar, "", "n"}};
+  HashAggregate agg(std::move(inputs), opts);
+  std::vector<Block> blocks;
+  ASSERT_TRUE(DrainOperator(&agg, &blocks).ok());
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_EQ(blocks[0].columns[0].lanes, (std::vector<Lane>{7, 3, 9, 1, 4}));
+  EXPECT_EQ(blocks[0].columns[1].lanes, (std::vector<Lane>{2, 2, 1, 2, 1}));
+  EXPECT_EQ(agg.morsels(), 4u);
+  EXPECT_GE(agg.morsel_threads(), 1u);
+}
+
+}  // namespace
+
 }  // namespace tde

@@ -183,6 +183,8 @@ TEST_F(TpchQueriesFixture, MonthlyShipmentsViaDateFunctions) {
 
 // ------------------------------------------------------- SQL query module
 
+#include "src/exec/scheduler.h"
+#include "src/workload/tpch.h"
 #include "src/workload/tpch_queries.h"
 
 namespace tde {
@@ -238,6 +240,72 @@ TEST(TpchSql, Q6MatchesPlanApiAnswer) {
   const double b = std::bit_cast<double>(
       static_cast<uint64_t>(api.value().Value(0, 0)));
   EXPECT_NEAR(a, b, 1e-6 * std::abs(b));
+}
+
+/// Imports lineitem, orders and customer at `sf` in segments of
+/// `segment_rows`.
+void LoadSegmented(Engine* engine, double sf, uint64_t segment_rows) {
+  ImportOptions opts;
+  opts.text.field_separator = '|';
+  opts.flow.segment_rows = segment_rows;
+  for (TpchTable t : {TpchTable::kLineitem, TpchTable::kOrders,
+                      TpchTable::kCustomer}) {
+    ASSERT_TRUE(engine
+                    ->ImportTextBuffer(GenerateTpchTable(t, sf),
+                                       TpchTableName(t), opts)
+                    .ok());
+  }
+}
+
+TEST(TpchSql, SegmentMorselsMatchSingleSegmentAtEveryPoolSize) {
+  // SF 0.01 in 4,096-row segments: every statement's aggregate runs as one
+  // task per segment and merges the partials. The answers — order
+  // included — must be the single-segment import's, whatever the pool.
+  Engine single;
+  LoadSegmented(&single, 0.01, uint64_t{1} << 30);
+  Engine segmented;
+  LoadSegmented(&segmented, 0.01, 4096);
+  std::vector<QueryResult> want;
+  for (const TpchQuery& q : TpchQueries()) {
+    auto r = single.ExecuteSql(q.sql);
+    ASSERT_TRUE(r.ok()) << q.id << ": " << r.status().ToString();
+    want.push_back(r.MoveValue());
+    auto explain = segmented.ExecuteSql("EXPLAIN " + q.sql);
+    ASSERT_TRUE(explain.ok()) << q.id;
+    EXPECT_NE(explain.value().ToCsv().find("segment morsels in parallel"),
+              std::string::npos)
+        << q.id;
+  }
+  for (int workers : {1, 2, 4}) {
+    TaskScheduler pool(workers);
+    TaskScheduler::ScopedOverride override_pool(&pool);
+    for (size_t i = 0; i < TpchQueries().size(); ++i) {
+      const TpchQuery& q = TpchQueries()[i];
+      auto r = segmented.ExecuteSql(q.sql);
+      ASSERT_TRUE(r.ok()) << q.id << ": " << r.status().ToString();
+      const QueryResult& got = r.value();
+      ASSERT_EQ(got.num_rows(), want[i].num_rows()) << q.id;
+      ASSERT_EQ(got.num_columns(), want[i].num_columns()) << q.id;
+      for (uint64_t row = 0; row < got.num_rows(); ++row) {
+        for (size_t c = 0; c < got.num_columns(); ++c) {
+          if (got.schema().field(c).type == TypeId::kReal &&
+              got.Value(row, c) != kNullSentinel) {
+            const double a = std::bit_cast<double>(
+                static_cast<uint64_t>(got.Value(row, c)));
+            const double b = std::bit_cast<double>(
+                static_cast<uint64_t>(want[i].Value(row, c)));
+            EXPECT_NEAR(a, b, 1e-9 * std::abs(b))
+                << q.id << " row " << row << " col " << c << " pool "
+                << workers;
+          } else {
+            EXPECT_EQ(got.ValueString(row, c), want[i].ValueString(row, c))
+                << q.id << " row " << row << " col " << c << " pool "
+                << workers;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

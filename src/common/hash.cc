@@ -38,12 +38,12 @@ GroupMap::GroupMap(HashAlgorithm algorithm, int64_t min_value,
   switch (algorithm_) {
     case HashAlgorithm::kDirect:
       min_value_ = 0;
-      table_.assign(1u << 16, kEmpty);
+      table_ = LazySlots(1u << 16);
       break;
     case HashAlgorithm::kPerfect: {
       const uint64_t slots = static_cast<uint64_t>(max_value) -
                              static_cast<uint64_t>(min_value) + 1;
-      table_.assign(slots, kEmpty);
+      table_ = LazySlots(static_cast<size_t>(slots));
       break;
     }
     case HashAlgorithm::kCollision: {
@@ -62,21 +62,21 @@ uint32_t GroupMap::GetOrInsert(Lane key) {
       // Keys are at most 2 bytes wide; index by the low 16 bits.
       const uint32_t idx = static_cast<uint32_t>(key) & 0xFFFFu;
       uint32_t& slot = table_[idx];
-      if (slot == kEmpty) {
-        slot = static_cast<uint32_t>(keys_.size());
+      if (slot == 0) {
         keys_.push_back(key);
+        slot = static_cast<uint32_t>(keys_.size());
       }
-      return slot;
+      return slot - 1;
     }
     case HashAlgorithm::kPerfect: {
       const uint64_t idx =
           static_cast<uint64_t>(key) - static_cast<uint64_t>(min_value_);
       uint32_t& slot = table_[idx];
-      if (slot == kEmpty) {
-        slot = static_cast<uint32_t>(keys_.size());
+      if (slot == 0) {
         keys_.push_back(key);
+        slot = static_cast<uint32_t>(keys_.size());
       }
-      return slot;
+      return slot - 1;
     }
     case HashAlgorithm::kCollision: {
       if ((used_ + 1) * 2 > slot_groups_.size()) Grow();
@@ -102,15 +102,16 @@ uint32_t GroupMap::Find(Lane key) const {
       // Inserted keys are at most 2 bytes wide, but probe keys may be
       // arbitrary 64-bit lanes (e.g. the null sentinel): verify the stored
       // key so wide probes that alias in the low 16 bits do not match.
-      const uint32_t g = table_[static_cast<uint32_t>(key) & 0xFFFFu];
-      if (g == kEmpty || keys_[g] != key) return kEmpty;
-      return g;
+      const uint32_t g = table_.Get(static_cast<uint32_t>(key) & 0xFFFFu);
+      if (g == 0 || keys_[g - 1] != key) return kEmpty;
+      return g - 1;
     }
     case HashAlgorithm::kPerfect: {
       const uint64_t idx =
           static_cast<uint64_t>(key) - static_cast<uint64_t>(min_value_);
       if (idx >= table_.size()) return kEmpty;
-      return table_[idx];
+      const uint32_t g = table_.Get(idx);
+      return g == 0 ? kEmpty : g - 1;
     }
     case HashAlgorithm::kCollision: {
       uint64_t idx = Mix64(static_cast<uint64_t>(key)) & mask_;

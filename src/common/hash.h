@@ -1,7 +1,9 @@
 #ifndef TDE_COMMON_HASH_H_
 #define TDE_COMMON_HASH_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/common/types.h"
@@ -36,6 +38,38 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// A zero-initialized array of `n` uint32 slots whose memory is allocated
+/// and zeroed one 4 KiB page at a time, on first write: its cost follows
+/// the slots a caller touches, not `n`. Tables indexed by a key value, a
+/// heap offset or a dictionary code use it, so grouping a few rows (one
+/// small morsel) over a wide key range, a large heap or a large dictionary
+/// pays for those rows only.
+class LazySlots {
+ public:
+  LazySlots() = default;
+  explicit LazySlots(size_t n)
+      : n_(n), pages_((n + kPageSlots - 1) / kPageSlots) {}
+
+  size_t size() const { return n_; }
+  /// Slot `i` for writing; allocates its page.
+  uint32_t& operator[](size_t i) {
+    std::unique_ptr<uint32_t[]>& page = pages_[i / kPageSlots];
+    if (page == nullptr) page = std::make_unique<uint32_t[]>(kPageSlots);
+    return page[i % kPageSlots];
+  }
+  /// Slot `i`'s value (0 on an unallocated page); allocates nothing, so
+  /// concurrent readers are safe once writing is done.
+  uint32_t Get(size_t i) const {
+    const std::unique_ptr<uint32_t[]>& page = pages_[i / kPageSlots];
+    return page == nullptr ? 0 : page[i % kPageSlots];
+  }
+
+ private:
+  static constexpr size_t kPageSlots = 1024;
+  size_t n_ = 0;
+  std::vector<std::unique_ptr<uint32_t[]>> pages_;
+};
+
 /// Maps key lanes to dense group ids [0, group_count) using whichever of the
 /// three algorithms the tactical optimizer selected. This is the shared
 /// grouping kernel behind hash aggregation and hash join builds.
@@ -68,8 +102,8 @@ class GroupMap {
 
   HashAlgorithm algorithm_;
   int64_t min_value_ = 0;
-  // Direct/perfect: slot per possible key value, UINT32_MAX = empty.
-  std::vector<uint32_t> table_;
+  // Direct/perfect: slot per possible key value, group id + 1 (0 = empty).
+  LazySlots table_;
   // Collision: open addressing over (key, group) slots.
   std::vector<Lane> slot_keys_;
   std::vector<uint32_t> slot_groups_;

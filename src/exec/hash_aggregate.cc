@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "src/exec/scheduler.h"
+#include "src/observe/journal.h"
 
 namespace tde {
 
@@ -36,13 +37,28 @@ int CompareLanes(TypeId type, const StringHeap* heap, Lane a, Lane b) {
 }
 }  // namespace
 
-Status Update(AggKind kind, TypeId type, Lane v, AggState* s,
-              const StringHeap* heap) {
+namespace {
+/// Adds `delta` to an integer SUM's running total and widens the range of
+/// values the total has taken (an addition can only lower the low end or
+/// raise the high one). 128 bits cannot overflow (2^63 rows of 2^63 each);
+/// only the range decides overflow, at Finalize.
+void AddToSum(AggState* s, __int128 delta) {
+  s->total += delta;
+  if (delta < 0) {
+    if (s->total < s->low) s->low = s->total;
+  } else if (s->total > s->high) {
+    s->high = s->total;
+  }
+}
+}  // namespace
+
+void Update(AggKind kind, TypeId type, Lane v, AggState* s,
+            const StringHeap* heap) {
   if (kind == AggKind::kCountStar) {
     ++s->n;
-    return Status::OK();
+    return;
   }
-  if (v == kNullSentinel) return Status::OK();  // aggregates ignore NULLs
+  if (v == kNullSentinel) return;  // aggregates ignore NULLs
   switch (kind) {
     case AggKind::kCountStar:
       break;
@@ -52,8 +68,8 @@ Status Update(AggKind kind, TypeId type, Lane v, AggState* s,
     case AggKind::kSum:
       if (type == TypeId::kReal) {
         s->d += AsReal(v);
-      } else if (__builtin_add_overflow(s->i, v, &s->i)) {
-        return SumOverflow();
+      } else {
+        AddToSum(s, v);
       }
       ++s->n;
       break;
@@ -76,21 +92,20 @@ Status Update(AggKind kind, TypeId type, Lane v, AggState* s,
       s->values.push_back(v);
       break;
   }
-  return Status::OK();
 }
 
-Status UpdateColumn(AggKind kind, TypeId type, const Lane* v,
-                    const uint32_t* g, size_t n, size_t stride, AggState* s0,
-                    const StringHeap* heap) {
+void UpdateColumn(AggKind kind, TypeId type, const Lane* v, const uint32_t* g,
+                  size_t n, size_t stride, AggState* s0,
+                  const StringHeap* heap) {
   switch (kind) {
     case AggKind::kCountStar:
       for (size_t r = 0; r < n; ++r) ++s0[g[r] * stride].n;
-      return Status::OK();
+      return;
     case AggKind::kCount:
       for (size_t r = 0; r < n; ++r) {
         if (v[r] != kNullSentinel) ++s0[g[r] * stride].n;
       }
-      return Status::OK();
+      return;
     case AggKind::kSum:
       if (type == TypeId::kReal) {
         for (size_t r = 0; r < n; ++r) {
@@ -100,34 +115,30 @@ Status UpdateColumn(AggKind kind, TypeId type, const Lane* v,
           ++s.n;
         }
       } else {
-        // 128 bits cannot overflow (2^32 rows of 2^63); the range of the
-        // running total is what decides overflow, at SettleSum.
         for (size_t r = 0; r < n; ++r) {
           if (v[r] == kNullSentinel) continue;
           AggState& s = s0[g[r] * stride];
-          s.total += v[r];
-          s.low = std::min(s.low, s.total);
-          s.high = std::max(s.high, s.total);
+          AddToSum(&s, v[r]);
           ++s.n;
         }
       }
-      return Status::OK();
+      return;
     default:
       for (size_t r = 0; r < n; ++r) {
-        TDE_RETURN_NOT_OK(Update(kind, type, v[r], &s0[g[r] * stride], heap));
+        Update(kind, type, v[r], &s0[g[r] * stride], heap);
       }
-      return Status::OK();
+      return;
   }
 }
 
-Status UpdateRun(AggKind kind, TypeId type, Lane v, uint64_t count,
-                 AggState* s, const StringHeap* heap) {
-  if (count == 0) return Status::OK();
+void UpdateRun(AggKind kind, TypeId type, Lane v, uint64_t count, AggState* s,
+               const StringHeap* heap) {
+  if (count == 0) return;
   if (kind == AggKind::kCountStar) {
     s->n += count;
-    return Status::OK();
+    return;
   }
-  if (v == kNullSentinel) return Status::OK();
+  if (v == kNullSentinel) return;
   switch (kind) {
     case AggKind::kCountStar:
       break;
@@ -138,20 +149,16 @@ Status UpdateRun(AggKind kind, TypeId type, Lane v, uint64_t count,
       if (type == TypeId::kReal) {
         s->d += AsReal(v) * static_cast<double>(count);
       } else {
-        // The row-at-a-time path adds v `count` times and errors on the
-        // first overflowing prefix; prefixes are monotonic within a run, so
-        // checking the run total accepts and rejects exactly the same sums.
-        const __int128 total = static_cast<__int128>(s->i) +
-                               static_cast<__int128>(v) *
-                                   static_cast<__int128>(count);
-        if (total > INT64_MAX || total < INT64_MIN) return SumOverflow();
-        s->i = static_cast<int64_t>(total);
+        // The running totals within a run are monotonic, so their extremes
+        // are its ends: one widening covers all `count` rows.
+        AddToSum(s, static_cast<__int128>(v) * static_cast<__int128>(count));
       }
       s->n += count;
       break;
     case AggKind::kMin:
     case AggKind::kMax:
-      return Update(kind, type, v, s, heap);
+      Update(kind, type, v, s, heap);
+      break;
     case AggKind::kAvg:
       s->d += (type == TypeId::kReal ? AsReal(v) : static_cast<double>(v)) *
               static_cast<double>(count);
@@ -164,7 +171,6 @@ Status UpdateRun(AggKind kind, TypeId type, Lane v, uint64_t count,
       s->values.insert(s->values.end(), static_cast<size_t>(count), v);
       break;
   }
-  return Status::OK();
 }
 
 void Merge(AggKind kind, TypeId type, AggState* into, AggState* from,
@@ -220,26 +226,23 @@ void Merge(AggKind kind, TypeId type, AggState* into, AggState* from,
   }
 }
 
-Status SettleSum(AggKind kind, TypeId type, AggState* s) {
-  if (kind != AggKind::kSum || type == TypeId::kReal) return Status::OK();
-  if (s->low < INT64_MIN || s->high > INT64_MAX) return SumOverflow();
-  s->i = static_cast<int64_t>(s->total);
-  return Status::OK();
-}
-
 bool FoldableOverRuns(AggKind kind) {
   return kind != AggKind::kMedian;
 }
 
-Lane Finalize(AggKind kind, TypeId type, AggState* s,
-              const StringHeap* heap) {
+Result<Lane> Finalize(AggKind kind, TypeId type, AggState* s,
+                      const StringHeap* heap) {
   switch (kind) {
     case AggKind::kCountStar:
     case AggKind::kCount:
       return static_cast<Lane>(s->n);
     case AggKind::kSum:
       if (s->n == 0) return kNullSentinel;
-      return type == TypeId::kReal ? RealLane(s->d) : s->i;
+      if (type == TypeId::kReal) return RealLane(s->d);
+      // Some row-order prefix of the sum left int64: the fold's first
+      // overflow.
+      if (s->low < INT64_MIN || s->high > INT64_MAX) return SumOverflow();
+      return static_cast<Lane>(s->total);
     case AggKind::kMin:
     case AggKind::kMax:
       return s->seen ? s->i : kNullSentinel;
@@ -336,7 +339,7 @@ StringKeyNormalizer::HeapCache* StringKeyNormalizer::CacheFor(
   hc->raw = heap.get();
   hc->keep = heap;
   if (heap->byte_size() <= kDirectCacheBytes) {
-    hc->direct.assign(static_cast<size_t>(heap->byte_size()), 0);
+    hc->direct = LazySlots(static_cast<size_t>(heap->byte_size()));
   } else {
     hc->use_direct = false;
   }
@@ -393,10 +396,6 @@ class GroupIndex {
         keyrow_(nkeys_) {
     algorithm_ = options.hash_algorithm.value_or(HashAlgorithm::kCollision);
     if (nkeys_ == 0) ngroups_ = 1;  // a global aggregate has one group
-    if (nkeys_ == 1) {
-      single_ = std::make_unique<GroupMap>(algorithm_, options.key_min,
-                                           options.key_max);
-    }
     if (nkeys_ > 1) {
       mk_slots_.assign(1u << 12, 0);
       mk_mask_ = mk_slots_.size() - 1;
@@ -420,13 +419,17 @@ class GroupIndex {
           // gates the plan rewrite, not this consumption.
           norm_state_[k] = 2;
           key_dicts_[k] = cv.dict;
-          code_groups_[k].assign(cv.dict->values.size(), 0);
+          code_groups_[k] = LazySlots(cv.dict->values.size());
         } else {
           const bool on =
               key_types_[k] == TypeId::kString &&
               (merging_ || (options_.dict_code_keys && cv.heap != nullptr));
           norm_state_[k] = on ? 1 : 0;
           if (on) norms_[k] = std::make_unique<StringKeyNormalizer>();
+          if (!on && nkeys_ == 1) {
+            single_ = std::make_unique<GroupMap>(algorithm_, options_.key_min,
+                                                 options_.key_max);
+          }
         }
       }
       if (key_heaps_[k] == nullptr) key_heaps_[k] = cv.heap;
@@ -575,8 +578,8 @@ class GroupIndex {
   // dense entry-table codes, decoded once per group on first occurrence)
   std::vector<int> norm_state_;
   std::vector<std::shared_ptr<const ArrayDictionary>> key_dicts_;
-  std::vector<std::vector<uint32_t>> code_groups_;  // code -> g + 1
-  std::unique_ptr<GroupMap> single_;  // tactical single-key path
+  std::vector<LazySlots> code_groups_;  // code -> g + 1
+  std::unique_ptr<GroupMap> single_;  // tactical single raw key path
   std::vector<uint64_t> mk_slots_;    // group id + 1, 0 = empty
   uint64_t mk_mask_ = 0;
   std::vector<std::vector<Lane>> keys_;  // [key][group]
@@ -689,9 +692,9 @@ Status HashAggregate::Consume(Operator* input, Partial* out) const {
     index.Resolve(b, key_idx, n, gids.data());
     out->states.resize(index.groups() * naggs);
     for (size_t a = 0; a < naggs; ++a) {
-      TDE_RETURN_NOT_OK(agg_internal::UpdateColumn(
-          agg_kinds[a], agg_types_[a], agg_lanes[a], gids.data(), n, naggs,
-          out->states.data() + a, out->agg_heaps[a].get()));
+      agg_internal::UpdateColumn(agg_kinds[a], agg_types_[a], agg_lanes[a],
+                                 gids.data(), n, naggs, out->states.data() + a,
+                                 out->agg_heaps[a].get());
     }
   }
   out->groups = index.groups();
@@ -700,19 +703,22 @@ Status HashAggregate::Consume(Operator* input, Partial* out) const {
   return Status::OK();
 }
 
-void HashAggregate::Merge(std::vector<Partial>* parts, Partial* out) const {
+void HashAggregate::Merge(std::vector<Partial>* parts,
+                          std::vector<AggState*>* homes) const {
   const size_t nkeys = key_types_.size();
   const size_t naggs = agg_types_.size();
-  out->agg_heaps.assign(naggs, nullptr);
+  std::vector<std::shared_ptr<const StringHeap>> agg_heaps(naggs);
   for (const Partial& p : *parts) {
     for (size_t a = 0; a < naggs; ++a) {
-      if (out->agg_heaps[a] == nullptr) out->agg_heaps[a] = p.agg_heaps[a];
+      if (agg_heaps[a] == nullptr) agg_heaps[a] = p.agg_heaps[a];
     }
   }
   GroupIndex index(options_, key_types_, /*merging=*/true);
   std::vector<size_t> key_idx(nkeys);
   for (size_t k = 0; k < nkeys; ++k) key_idx[k] = k;
   std::vector<uint32_t> gids;
+  bool late = false;
+  homes->clear();
   for (Partial& p : *parts) {
     // The partial's groups are the rows: its keys, in its group order.
     Block b;
@@ -724,42 +730,52 @@ void HashAggregate::Merge(std::vector<Partial>* parts, Partial* out) const {
     }
     gids.resize(p.groups);
     index.Resolve(b, key_idx, p.groups, gids.data());
-    out->states.resize(index.groups() * naggs);
     for (uint64_t g = 0; g < p.groups; ++g) {
+      AggState* from = &p.states[g * naggs];
+      if (gids[g] == homes->size()) {
+        // A group first seen here: its states stay where they are.
+        homes->push_back(from);
+        continue;
+      }
+      AggState* into = (*homes)[gids[g]];
       for (size_t a = 0; a < naggs; ++a) {
-        agg_internal::Merge(options_.aggs[a].kind, agg_types_[a],
-                            &out->states[gids[g] * naggs + a],
-                            &p.states[g * naggs + a],
-                            out->agg_heaps[a].get());
+        agg_internal::Merge(options_.aggs[a].kind, agg_types_[a], into + a,
+                            from + a, agg_heaps[a].get());
       }
     }
-    out->late = out->late || p.late;
+    late = late || p.late;
   }
-  out->groups = index.groups();
-  index.Finish(&out->keys, &out->key_heaps);
   // The partials' grouping, as decided by the first one that saw rows.
-  out->algorithm = parts->front().algorithm;
+  HashAlgorithm algorithm = parts->front().algorithm;
   for (const Partial& p : *parts) {
     if (p.groups == 0) continue;
-    out->algorithm = p.algorithm;
+    algorithm = p.algorithm;
     break;
   }
+  Partial& out = parts->front();
+  out.groups = index.groups();
+  index.Finish(&out.keys, &out.key_heaps);
+  out.agg_heaps = std::move(agg_heaps);
+  out.late = late;
+  out.algorithm = algorithm;
 }
 
-Status HashAggregate::RunMorsels(Partial* out) {
+Status HashAggregate::RunMorsels(std::vector<Partial>* parts) {
   const size_t n = inputs_.size();
   // The first input opens here, before any task runs: what its Open builds
-  // for every morsel (a shared join build, code tables) is built once, and
-  // its schema is the output's.
+  // for every morsel (a shared join build, a segmented column's code
+  // table) is built before the other morsels start, and its schema is the
+  // output's.
   TDE_RETURN_NOT_OK(inputs_[0]->Open());
   if (Status st = BuildSchema(); !st.ok()) {
     inputs_[0]->Close();
     return st;
   }
-  std::vector<Partial> parts(n);
+  parts->resize(n);
   std::vector<Status> errors(n);
   std::vector<char> ran(n, 0);
   std::vector<std::thread::id> threads(n);
+  std::vector<uint64_t> task_ns(n, 0);
   std::vector<uint64_t> cpu_ns(n, 0);
   std::shared_ptr<TaskScheduler::Group> group =
       TaskScheduler::Global().CreateGroup();
@@ -768,25 +784,29 @@ Status HashAggregate::RunMorsels(Partial* out) {
   for (size_t m = 0; m < n; ++m) {
     group->Submit([&, m, raw] {
       const uint64_t start = NowNs();
+      const uint64_t cpu_start = observe::ThreadCpuNs();
       ran[m] = 1;
       threads[m] = std::this_thread::get_id();
       Operator* input = inputs_[m].get();
       Status st = m == 0 ? Status::OK() : input->Open();
-      if (st.ok()) st = Consume(input, &parts[m]);
+      if (st.ok()) st = Consume(input, &(*parts)[m]);
       input->Close();
       if (!st.ok()) {
         errors[m] = std::move(st);
         raw->Cancel();  // retire the morsels still queued
       }
-      cpu_ns[m] = NowNs() - start;
+      task_ns[m] = NowNs() - start;
+      cpu_ns[m] = observe::ThreadCpuNs() - cpu_start;
     });
   }
   group->Wait();
   morsel_wall_ns_ = NowNs() - t0;
   if (!ran[0]) inputs_[0]->Close();  // cancelled after its Open above
   std::vector<std::thread::id> distinct;
+  morsel_task_ns_ = 0;
   morsel_cpu_ns_ = 0;
   for (size_t m = 0; m < n; ++m) {
+    morsel_task_ns_ += task_ns[m];
     morsel_cpu_ns_ += cpu_ns[m];
     if (ran[m] &&
         std::find(distinct.begin(), distinct.end(), threads[m]) ==
@@ -796,22 +816,30 @@ Status HashAggregate::RunMorsels(Partial* out) {
   }
   morsel_threads_ = distinct.size();
   for (const Status& st : errors) TDE_RETURN_NOT_OK(st);
-  Merge(&parts, out);
   return Status::OK();
 }
 
 Status HashAggregate::Open() {
-  Partial result;
+  const size_t naggs = options_.aggs.size();
+  std::vector<Partial> parts(1);
+  // Each output group's states, in group order: [homes[g], homes[g] +
+  // naggs).
+  std::vector<AggState*> homes;
   if (inputs_.size() == 1) {
     Operator* input = inputs_[0].get();
     TDE_RETURN_NOT_OK(input->Open());
     TDE_RETURN_NOT_OK(BuildSchema());
-    TDE_RETURN_NOT_OK(Consume(input, &result));
+    TDE_RETURN_NOT_OK(Consume(input, &parts[0]));
     input->Close();
+    homes.resize(parts[0].groups);
+    for (uint64_t g = 0; g < parts[0].groups; ++g) {
+      homes[g] = &parts[0].states[g * naggs];
+    }
   } else {
-    TDE_RETURN_NOT_OK(RunMorsels(&result));
+    TDE_RETURN_NOT_OK(RunMorsels(&parts));
+    Merge(&parts, &homes);
   }
-  const size_t naggs = options_.aggs.size();
+  Partial& result = parts.front();
   groups_ = result.groups;
   algorithm_used_ = result.algorithm;
   groups_late_materialized_ = result.late ? groups_ : 0;
@@ -822,11 +850,10 @@ Status HashAggregate::Open() {
   for (size_t a = 0; a < naggs; ++a) {
     out_aggs_[a].resize(groups_);
     for (uint64_t g = 0; g < groups_; ++g) {
-      AggState* st = &result.states[g * naggs + a];
-      TDE_RETURN_NOT_OK(
-          agg_internal::SettleSum(options_.aggs[a].kind, agg_types_[a], st));
-      out_aggs_[a][g] = agg_internal::Finalize(
-          options_.aggs[a].kind, agg_types_[a], st, agg_heaps_[a].get());
+      TDE_ASSIGN_OR_RETURN(
+          out_aggs_[a][g],
+          agg_internal::Finalize(options_.aggs[a].kind, agg_types_[a],
+                                 homes[g] + a, agg_heaps_[a].get()));
     }
   }
   emit_ = 0;

@@ -88,14 +88,15 @@ class DistinctSet {
 
 /// Per-group aggregate state shared by the hash and ordered variants.
 struct AggState {
-  int64_t i = 0;            // sum / min / max / count
-  double d = 0;             // real sum
-  uint64_t n = 0;           // non-null inputs (avg / count)
+  int64_t i = 0;            // min / max
+  double d = 0;             // real sum, avg
+  uint64_t n = 0;           // non-null inputs (count / sum / avg)
   bool seen = false;
-  /// HashAggregate's integer SUM (UpdateColumn): the exact running total
-  /// and the lowest and highest values it took after any row (0 before
-  /// the first). States of consecutive row ranges merge into exactly the
-  /// serial fold's first-overflow verdict; SettleSum turns it into `i`.
+  /// Integer SUM: the exact running total and the lowest and highest
+  /// values it took after any row (0 before the first). The sum overflows
+  /// when that range leaves int64 — exactly when a row-order fold meets
+  /// its first overflowing prefix —, and states of consecutive row ranges
+  /// merge into the same range (Merge).
   __int128 total = 0;
   __int128 low = 0;
   __int128 high = 0;
@@ -103,23 +104,23 @@ struct AggState {
   std::vector<Lane> values;            // MEDIAN
 };
 
-/// Folds one input lane into the state and finalizes it; shared kernels.
+/// Folds input lanes into the state, merges states and finalizes them;
+/// shared kernels. Folding never fails: an integer SUM's overflow is
+/// Finalize's verdict, the one place that reports it.
 namespace agg_internal {
 /// `heap` is the string-token context of the input column (may be null for
 /// non-string inputs). MIN/MAX/MEDIAN over strings order tokens *by their
 /// collated text* through it; without it tokens would compare as raw byte
 /// offsets, which is insertion order on an unsorted heap.
-Status Update(AggKind kind, TypeId type, Lane v, AggState* s,
-              const StringHeap* heap = nullptr);
+void Update(AggKind kind, TypeId type, Lane v, AggState* s,
+            const StringHeap* heap = nullptr);
 /// Column-at-a-time Update: folds `v[r]` into the state of group `g[r]` for
 /// all `n` rows with one kind/type dispatch for the whole column. `v` may be
 /// null for COUNT(*). `s0[g * stride]` must be row r's state; row order
-/// matches n calls to Update. Integer SUM differs from Update: it keeps
-/// the wide running total (AggState::total/low/high) and leaves the
-/// overflow verdict to SettleSum.
-Status UpdateColumn(AggKind kind, TypeId type, const Lane* v,
-                    const uint32_t* g, size_t n, size_t stride, AggState* s0,
-                    const StringHeap* heap = nullptr);
+/// matches n calls to Update.
+void UpdateColumn(AggKind kind, TypeId type, const Lane* v, const uint32_t* g,
+                  size_t n, size_t stride, AggState* s0,
+                  const StringHeap* heap = nullptr);
 /// Folds `from`, the state of rows that follow `into`'s in row order, into
 /// `into`: counts and sums add (AVG adds its sum and count), MIN/MAX
 /// compare under the input's semantics (collated strings through `heap`),
@@ -128,18 +129,16 @@ Status UpdateColumn(AggKind kind, TypeId type, const Lane* v,
 /// unspecified.
 void Merge(AggKind kind, TypeId type, AggState* into, AggState* from,
            const StringHeap* heap = nullptr);
-/// Resolves an integer SUM kept by UpdateColumn/Merge into `i`, failing
-/// exactly when some row-order prefix of the sum left int64 (the row
-/// path's first-overflow rule). A no-op for every other kind and type.
-Status SettleSum(AggKind kind, TypeId type, AggState* s);
 /// Folds `count` copies of `v` in O(1) (SUM adds v*count, COUNT adds count,
 /// MIN/MAX/COUNTD see the value once). MEDIAN degenerates to O(count).
-Status UpdateRun(AggKind kind, TypeId type, Lane v, uint64_t count,
-                 AggState* s, const StringHeap* heap = nullptr);
+void UpdateRun(AggKind kind, TypeId type, Lane v, uint64_t count,
+               AggState* s, const StringHeap* heap = nullptr);
 /// True when UpdateRun is O(1) for this kind.
 bool FoldableOverRuns(AggKind kind);
-Lane Finalize(AggKind kind, TypeId type, AggState* s,
-              const StringHeap* heap = nullptr);
+/// The aggregate's value; fails for an integer SUM whose running total
+/// left int64.
+Result<Lane> Finalize(AggKind kind, TypeId type, AggState* s,
+                      const StringHeap* heap = nullptr);
 TypeId OutputType(AggKind kind, TypeId input_type);
 }  // namespace agg_internal
 
@@ -172,7 +171,7 @@ class StringKeyNormalizer {
   struct HeapCache {
     const StringHeap* raw = nullptr;
     std::shared_ptr<const StringHeap> keep;       // pins pointer identity
-    std::vector<uint32_t> direct;                 // token offset -> code + 1
+    LazySlots direct;                             // token offset -> code + 1
     std::unordered_map<Lane, uint32_t> spill;     // oversized heaps
     bool use_direct = true;
   };
@@ -201,9 +200,10 @@ class StringKeyNormalizer {
 /// through Group::Wait), and the partials then merge in input order, so
 /// groups come out in the same first-occurrence order as the serial
 /// operator's. The first input opens on the calling thread before the
-/// others are dispatched, so per-query work done at Open (a shared join
-/// build, code tables) happens once. A failing input's Status is the
-/// query's, and its queued siblings are cancelled.
+/// others are dispatched, so per-query work its Open triggers (a shared
+/// join build, a segmented column's code table) is done before the other
+/// morsels start. A failing input's Status is the query's, and its queued
+/// siblings are cancelled.
 class HashAggregate : public Operator {
  public:
   HashAggregate(std::unique_ptr<Operator> child, AggregateOptions options);
@@ -224,10 +224,12 @@ class HashAggregate : public Operator {
   /// Inputs aggregated (1 for a serial plan).
   size_t morsels() const { return inputs_.size(); }
   /// For more than one input, valid after Open: the distinct threads that
-  /// ran the inputs' tasks, the tasks' run time summed (CPU time, each
-  /// task covering its whole pipeline), and the wall time from dispatch
-  /// until the last task finished.
+  /// ran the inputs' tasks; the tasks' wall time from start to end, summed
+  /// (each task covers its whole pipeline); the same tasks' thread CPU
+  /// time, summed (without time descheduled or blocked); and the wall
+  /// time from dispatch until the last task finished.
   uint64_t morsel_threads() const { return morsel_threads_; }
+  uint64_t morsel_task_ns() const { return morsel_task_ns_; }
   uint64_t morsel_cpu_ns() const { return morsel_cpu_ns_; }
   uint64_t morsel_wall_ns() const { return morsel_wall_ns_; }
 
@@ -237,10 +239,15 @@ class HashAggregate : public Operator {
   Status BuildSchema();
   /// Drains the opened `input` into `out` (one partial aggregate).
   Status Consume(Operator* input, Partial* out) const;
-  /// Runs every input as one task and merges the partials into `out`.
-  Status RunMorsels(Partial* out);
-  /// Merges `parts` (in row order) into `out`.
-  void Merge(std::vector<Partial>* parts, Partial* out) const;
+  /// Runs every input as one task, into one partial each.
+  Status RunMorsels(std::vector<Partial>* parts);
+  /// Merges `parts` (in row order) into the first: its keys become every
+  /// partial's groups in first-occurrence order, and `homes[g]` points at
+  /// group g's states — those of the first partial that saw it, into
+  /// which later partials' states for g fold. No state moves, so a
+  /// near-unique grouping merges at the cost of its keys.
+  void Merge(std::vector<Partial>* parts,
+             std::vector<AggState*>* homes) const;
 
   std::vector<std::unique_ptr<Operator>> inputs_;
   AggregateOptions options_;
@@ -258,6 +265,7 @@ class HashAggregate : public Operator {
   uint64_t groups_ = 0;
   uint64_t groups_late_materialized_ = 0;
   uint64_t morsel_threads_ = 0;
+  uint64_t morsel_task_ns_ = 0;
   uint64_t morsel_cpu_ns_ = 0;
   uint64_t morsel_wall_ns_ = 0;
 };

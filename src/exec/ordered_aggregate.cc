@@ -44,17 +44,19 @@ Status OrderedAggregate::Open() {
   return Status::OK();
 }
 
-void OrderedAggregate::CloseGroup() {
-  if (!group_open_) return;
+Status OrderedAggregate::CloseGroup() {
+  if (!group_open_) return Status::OK();
   pending_keys_.push_back(group_key_);
   if (norm_state_ == 1) ++groups_late_materialized_;
   for (size_t a = 0; a < states_.size(); ++a) {
-    pending_aggs_[a].push_back(agg_internal::Finalize(
-        options_.aggs[a].kind, agg_types_[a], &states_[a],
-        agg_heaps_[a].get()));
+    TDE_ASSIGN_OR_RETURN(Lane v, agg_internal::Finalize(
+                                     options_.aggs[a].kind, agg_types_[a],
+                                     &states_[a], agg_heaps_[a].get()));
+    pending_aggs_[a].push_back(v);
     states_[a] = AggState{};
   }
   group_open_ = false;
+  return Status::OK();
 }
 
 Status OrderedAggregate::Next(Block* block, bool* eos) {
@@ -65,7 +67,7 @@ Status OrderedAggregate::Next(Block* block, bool* eos) {
     TDE_RETURN_NOT_OK(child_->Next(&in, &child_eos));
     if (child_eos) {
       input_done_ = true;
-      CloseGroup();
+      TDE_RETURN_NOT_OK(CloseGroup());
       break;
     }
     const size_t n = in.rows();
@@ -95,7 +97,7 @@ Status OrderedAggregate::Next(Block* block, bool* eos) {
             norm_->Code(in.columns[key_idx_].heap, key));
       }
       if (!group_open_ || key != group_key_) {
-        CloseGroup();
+        TDE_RETURN_NOT_OK(CloseGroup());
         group_open_ = true;
         group_key_ = key;
       }
@@ -103,9 +105,8 @@ Status OrderedAggregate::Next(Block* block, bool* eos) {
         const Lane v = options_.aggs[a].kind == AggKind::kCountStar
                            ? 0
                            : in.columns[agg_idx_[a]].lanes[r];
-        TDE_RETURN_NOT_OK(agg_internal::Update(options_.aggs[a].kind,
-                                               agg_types_[a], v, &states_[a],
-                                               agg_heaps_[a].get()));
+        agg_internal::Update(options_.aggs[a].kind, agg_types_[a], v,
+                             &states_[a], agg_heaps_[a].get());
       }
     }
   }

@@ -31,8 +31,9 @@ class OrderedAggregate : public Operator {
   }
 
  private:
-  /// Finalizes the open group into the pending output row buffer.
-  void CloseGroup();
+  /// Finalizes the open group into the pending output row buffer (fails
+  /// on an overflowing integer SUM).
+  Status CloseGroup();
 
   std::unique_ptr<Operator> child_;
   AggregateOptions options_;

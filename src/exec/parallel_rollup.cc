@@ -46,9 +46,8 @@ Status RunFoldAggregate::Open() {
       }
     }
     for (size_t a = 0; a < naggs; ++a) {
-      TDE_RETURN_NOT_OK(agg_internal::UpdateRun(
-          options_.aggs[a].kind, options_.value_type, e.value, e.count,
-          &states[g * naggs + a]));
+      agg_internal::UpdateRun(options_.aggs[a].kind, options_.value_type,
+                              e.value, e.count, &states[g * naggs + a]);
     }
   }
   runs_folded_ = index_.size();
@@ -59,8 +58,10 @@ Status RunFoldAggregate::Open() {
   for (size_t a = 0; a < naggs; ++a) {
     out_aggs_[a].resize(groups_);
     for (uint64_t g = 0; g < groups_; ++g) {
-      out_aggs_[a][g] = agg_internal::Finalize(
-          options_.aggs[a].kind, options_.value_type, &states[g * naggs + a]);
+      TDE_ASSIGN_OR_RETURN(
+          out_aggs_[a][g],
+          agg_internal::Finalize(options_.aggs[a].kind, options_.value_type,
+                                 &states[g * naggs + a]));
     }
   }
   emit_ = 0;

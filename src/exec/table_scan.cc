@@ -9,6 +9,9 @@ namespace tde {
 TableScan::TableScan(std::shared_ptr<const Table> table,
                      TableScanOptions options)
     : table_(std::move(table)), options_(std::move(options)) {
+  if (options_.code_tables == nullptr) {
+    options_.code_tables = std::make_shared<ScanCodeTables>();
+  }
   if (options_.columns.empty()) {
     for (size_t i = 0; i < table_->num_columns(); ++i) {
       cols_.push_back(table_->column_ptr(i));
@@ -71,26 +74,22 @@ Status TableScan::Open() {
   for (size_t i = 0; i < cols_.size(); ++i) {
     TDE_ASSIGN_OR_RETURN(pins_[i], cols_[i]->Pin());
   }
-  // Entry tables for code-mode columns, built once here (once for every
-  // copy sharing `code_tables`) so every block shares one table and the
-  // mode cannot change mid-scan.
-  if (ScanCodeTables* shared = options_.code_tables.get()) {
-    std::lock_guard<std::mutex> lock(shared->mu);
-    if (!shared->built) {
-      BuildCodeDicts();
-      shared->dicts = code_dicts_;
-      shared->built = true;
-    } else {
-      code_dicts_ = shared->dicts;
-    }
-  } else {
-    BuildCodeDicts();
+  // Entry tables for code-mode columns, built once for every copy of this
+  // scan, so every block shares one table and the mode cannot change
+  // mid-scan.
+  ScanCodeTables& shared = *options_.code_tables;
+  std::lock_guard<std::mutex> lock(shared.mu);
+  if (!shared.built) {
+    shared.dicts = BuildCodeDicts();
+    shared.built = true;
   }
+  code_dicts_ = shared.dicts;
   return Status::OK();
 }
 
-void TableScan::BuildCodeDicts() {
-  code_dicts_.assign(cols_.size(), nullptr);
+std::vector<std::shared_ptr<const ArrayDictionary>>
+TableScan::BuildCodeDicts() const {
+  std::vector<std::shared_ptr<const ArrayDictionary>> dicts(cols_.size());
   for (size_t i = 0; i < first_token_col_; ++i) {
     const auto& names = options_.code_columns;
     if (std::find(names.begin(), names.end(), cols_[i]->name()) ==
@@ -107,8 +106,9 @@ void TableScan::BuildCodeDicts() {
     auto d = std::make_shared<ArrayDictionary>();
     d->type = cols_[i]->type();
     d->values = stream->CodeEntries();
-    code_dicts_[i] = std::move(d);
+    dicts[i] = std::move(d);
   }
+  return dicts;
 }
 
 void TableScan::Close() {

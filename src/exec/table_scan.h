@@ -12,9 +12,11 @@
 
 namespace tde {
 
-/// The code_columns entry tables of one lowered scan, shared by its copies
-/// (the per-segment scans of morsel-parallel aggregation): the first copy
-/// to open builds them, the others reuse them.
+/// The code_columns entry tables of one lowered scan, shared by every copy
+/// of it (the per-segment scans of morsel-parallel aggregation, the
+/// partitions of an Exchange): the first copy to open builds them and the
+/// others reuse them, so a column's dictionary is copied out of its stream
+/// once per query, not once per copy.
 struct ScanCodeTables {
   std::mutex mu;
   bool built = false;
@@ -42,8 +44,8 @@ struct TableScanOptions {
   /// clamped to the table) at Open. Rows outside the ranges are never
   /// decoded — for a segmented cold column their segments never fault in.
   std::vector<RowRange> ranges;
-  /// Entry tables for `code_columns` shared with other copies of this
-  /// scan; null = built privately at Open.
+  /// Entry tables for `code_columns`, shared with the other copies of this
+  /// scan. Null = a table set of this scan's own.
   std::shared_ptr<ScanCodeTables> code_tables;
 };
 
@@ -60,7 +62,8 @@ class TableScan : public Operator {
   const Schema& output_schema() const override { return schema_; }
 
  private:
-  void BuildCodeDicts();
+  /// Copies the code_columns' entry tables out of their streams.
+  std::vector<std::shared_ptr<const ArrayDictionary>> BuildCodeDicts() const;
 
   std::shared_ptr<const Table> table_;
   TableScanOptions options_;

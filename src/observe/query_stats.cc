@@ -21,7 +21,7 @@ void RenderNode(const OperatorStats& node, int depth, std::string* out) {
   *out += "  rows=" + std::to_string(node.rows) +
           " blocks=" + std::to_string(node.blocks) +
           " time=" + Ms(node.total_ns());
-  if (node.cpu_ns > 0) *out += " cpu=" + Ms(node.cpu_ns);
+  if (node.task_ns > 0) *out += " task=" + Ms(node.task_ns);
   if (!node.children.empty()) {
     *out += " (self " + Ms(node.self_ns()) + ")";
   }
@@ -41,7 +41,9 @@ void JsonNode(const OperatorStats& node, std::string* out) {
           ",\"open_ns\":" + std::to_string(node.open_ns) +
           ",\"next_ns\":" + std::to_string(node.next_ns) +
           ",\"close_ns\":" + std::to_string(node.close_ns);
-  if (node.cpu_ns > 0) *out += ",\"cpu_ns\":" + std::to_string(node.cpu_ns);
+  if (node.task_ns > 0) {
+    *out += ",\"task_ns\":" + std::to_string(node.task_ns);
+  }
   if (!node.extras.empty()) {
     *out += ",\"extras\":{";
     bool first = true;
@@ -65,7 +67,7 @@ void JsonNode(const OperatorStats& node, std::string* out) {
 }  // namespace
 
 uint64_t OperatorStats::self_ns() const {
-  uint64_t t = cpu_ns > 0 ? cpu_ns : total_ns();
+  uint64_t t = task_ns > 0 ? task_ns : total_ns();
   for (const auto& child : children) {
     const uint64_t c = child->total_ns();
     t = t > c ? t - c : 0;

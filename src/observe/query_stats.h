@@ -24,19 +24,21 @@ struct OperatorStats {
   uint64_t next_ns = 0;  // total across all Next() calls
   uint64_t close_ns = 0;
   /// Set on an operator whose input ran as parallel morsel tasks (the
-  /// morsel-parallel aggregate): its own and its inputs' CPU time, summed
-  /// over tasks, plus its serial time. The input nodes' times are such
-  /// sums too, so self time subtracts them from this; the parent still
-  /// subtracts the wall time, total_ns(). 0 for every serial operator.
-  uint64_t cpu_ns = 0;
+  /// morsel-parallel aggregate): the tasks' time summed — each task's wall
+  /// time from start to end, so it includes time the thread was
+  /// descheduled or blocked — plus the operator's time outside them. The
+  /// input nodes' times are sums over the same tasks, so self time
+  /// subtracts them from this; the parent still subtracts the wall time,
+  /// total_ns(). 0 for every serial operator.
+  uint64_t task_ns = 0;
   /// Operator-specific observations exported at Close (e.g. Exchange's
   /// per-worker queue-wait and emit counts), as (label, value) pairs.
   std::vector<std::pair<std::string, uint64_t>> extras;
   std::vector<std::shared_ptr<OperatorStats>> children;
 
   uint64_t total_ns() const { return open_ns + next_ns + close_ns; }
-  /// Subtree time spent in this operator alone (CPU time summed over
-  /// tasks when cpu_ns is set), never negative.
+  /// Subtree time spent in this operator alone (time summed over tasks
+  /// when task_ns is set), never negative.
   uint64_t self_ns() const;
 };
 

@@ -43,7 +43,7 @@ class MorselStats {
   }
 
   /// Sums the copies' rows, blocks and times into their shown nodes, so
-  /// each chain operator shows once with its CPU time summed over morsels.
+  /// each chain operator shows once with its time summed over morsels.
   /// Extras describe the query, not the morsel: one copy's are kept.
   void Fold() {
     for (const auto& [shown, copy] : copies_) {
@@ -251,9 +251,7 @@ Result<BuiltPlan> BuildScan(const PlanNode& node,
   opts.token_columns = node.token_columns;
   opts.code_columns = node.code_columns;
   opts.ranges = segs.Visit();
-  if (!node.code_columns.empty()) {
-    opts.code_tables = std::make_shared<ScanCodeTables>();
-  }
+  opts.code_tables = std::make_shared<ScanCodeTables>();
   out.op = std::make_unique<TableScan>(node.table, opts);
   // A scan narrowed by projection pruning reports how many columns it
   // decodes (0 = every column, not reported).
@@ -436,14 +434,16 @@ Result<BuiltPlan> BuildAggregate(const PlanNode& node, BuiltPlan child) {
                 morsel_stats](observe::OperatorStats* s) {
       if (morsel_stats != nullptr) {
         morsel_stats->Fold();
-        // The chain below reports CPU time summed over morsels; so does
+        // The chain below reports time summed over morsel tasks; so does
         // this node's self time: the tasks' time replaces the wall time
-        // spent waiting for them.
+        // spent waiting for them. cpu_us is the tasks' thread CPU time,
+        // which leaves out time a task spent descheduled or blocked.
         const uint64_t wall = s->total_ns();
         const uint64_t waited = std::min(wall, hash_raw->morsel_wall_ns());
-        s->cpu_ns = wall - waited + hash_raw->morsel_cpu_ns();
+        s->task_ns = wall - waited + hash_raw->morsel_task_ns();
         s->extras.emplace_back("morsels", hash_raw->morsels());
         s->extras.emplace_back("threads", hash_raw->morsel_threads());
+        s->extras.emplace_back("cpu_us", hash_raw->morsel_cpu_ns() / 1000);
       }
       if (!dict_keys) return;
       const uint64_t groups = hash_raw != nullptr
@@ -875,11 +875,13 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
         BuiltPlan out;
         TDE_RETURN_NOT_OK(ScanProps(*grand, &out));
         std::vector<std::unique_ptr<Operator>> sources;
+        const auto code_tables = std::make_shared<ScanCodeTables>();
         for (size_t p = 0; p < nparts; ++p) {
           TableScanOptions sopts;
           sopts.columns = grand->columns;
           sopts.token_columns = grand->token_columns;
           sopts.code_columns = grand->code_columns;
+          sopts.code_tables = code_tables;
           sopts.ranges = NormalizeRanges(std::move(parts[p]));
           sources.push_back(
               std::make_unique<TableScan>(grand->table, std::move(sopts)));

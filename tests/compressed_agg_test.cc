@@ -555,29 +555,39 @@ TEST(CompressedAgg, MetadataKillSwitch) {
 TEST(CompressedAgg, SumOverflowKernels) {
   using agg_internal::Update;
   using agg_internal::UpdateRun;
+  // Folding never fails; the state's verdict is Finalize's.
+  const auto sum = [](AggState* s) {
+    return agg_internal::Finalize(AggKind::kSum, TypeId::kInteger, s);
+  };
   // Row path: reaching INT64_MAX exactly is fine, one more overflows.
   AggState s;
-  ASSERT_TRUE(Update(AggKind::kSum, TypeId::kInteger, kInt64Max - 1, &s).ok());
-  ASSERT_TRUE(Update(AggKind::kSum, TypeId::kInteger, 1, &s).ok());
-  EXPECT_EQ(s.i, kInt64Max);
-  Status st = Update(AggKind::kSum, TypeId::kInteger, 1, &s);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("overflow"), std::string::npos);
+  Update(AggKind::kSum, TypeId::kInteger, kInt64Max - 1, &s);
+  Update(AggKind::kSum, TypeId::kInteger, 1, &s);
+  ASSERT_TRUE(sum(&s).ok());
+  EXPECT_EQ(sum(&s).value(), kInt64Max);
+  Update(AggKind::kSum, TypeId::kInteger, 1, &s);
+  auto over = sum(&s);
+  EXPECT_FALSE(over.ok());
+  EXPECT_NE(over.status().message().find("overflow"), std::string::npos);
+  // A later row that brings the total back does not undo the overflow.
+  Update(AggKind::kSum, TypeId::kInteger, -1, &s);
+  EXPECT_FALSE(sum(&s).ok());
   // Negative direction.
   AggState sn;
-  ASSERT_TRUE(
-      Update(AggKind::kSum, TypeId::kInteger, kInt64Min + 2, &sn).ok());
-  EXPECT_FALSE(Update(AggKind::kSum, TypeId::kInteger, -3, &sn).ok());
+  Update(AggKind::kSum, TypeId::kInteger, kInt64Min + 2, &sn);
+  ASSERT_TRUE(sum(&sn).ok());
+  Update(AggKind::kSum, TypeId::kInteger, -3, &sn);
+  EXPECT_FALSE(sum(&sn).ok());
   // Run path: v * count that lands exactly on the boundary is accepted,
   // one past it is rejected — matching what count row-adds would do.
   AggState r;
-  ASSERT_TRUE(
-      UpdateRun(AggKind::kSum, TypeId::kInteger, kInt64Max / 7, 7, &r).ok());
-  EXPECT_FALSE(
-      UpdateRun(AggKind::kSum, TypeId::kInteger, kInt64Max / 7, 7, &r).ok());
+  UpdateRun(AggKind::kSum, TypeId::kInteger, kInt64Max / 7, 7, &r);
+  ASSERT_TRUE(sum(&r).ok());
+  UpdateRun(AggKind::kSum, TypeId::kInteger, kInt64Max / 7, 7, &r);
+  EXPECT_FALSE(sum(&r).ok());
   AggState r2;
-  EXPECT_FALSE(
-      UpdateRun(AggKind::kSum, TypeId::kInteger, kInt64Max / 2, 3, &r2).ok());
+  UpdateRun(AggKind::kSum, TypeId::kInteger, kInt64Max / 2, 3, &r2);
+  EXPECT_FALSE(sum(&r2).ok());
 }
 
 TEST(CompressedAgg, SumOverflowEndToEnd) {

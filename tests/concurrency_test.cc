@@ -22,6 +22,7 @@
 #include "src/core/engine.h"
 #include "src/encoding/stream.h"
 #include "src/exec/scheduler.h"
+#include "src/exec/table_scan.h"
 #include "src/storage/segment/segmented_stream.h"
 #include "src/workload/flights.h"
 #include "tests/test_util.h"
@@ -381,6 +382,68 @@ TEST(ConcurrentReads, SegmentedCodeTableBuildsOnce) {
           return Status::OK();
         });
     ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+}
+
+TEST(ConcurrentReads, ScanCopiesShareOneCodeTable) {
+  // The per-segment copies of one lowered scan (aggregation morsels,
+  // Exchange partitions) take their code-column entry tables from one
+  // ScanCodeTables: opened at once, they emit one table, copied out of
+  // the column's stream once, and every code decodes to its row's value.
+  constexpr uint64_t kSegRows = 256;
+  constexpr int kCopies = 16;
+  std::string csv = "k,n\n";
+  for (uint64_t r = 0; r < kSegRows * kCopies; ++r) {
+    csv += "value-" + std::to_string(r * 7 % 97) + "," + std::to_string(r) +
+           "\n";
+  }
+  Engine engine;
+  ImportOptions import;
+  import.flow.segment_rows = kSegRows;
+  auto imported = engine.ImportTextBuffer(csv, "t", import);
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  const std::shared_ptr<Table> table = imported.MoveValue();
+  for (int round = 0; round < StressIters(); ++round) {
+    const auto shared = std::make_shared<ScanCodeTables>();
+    std::vector<const ArrayDictionary*> seen(kCopies, nullptr);
+    const Status st = testutil::RunConcurrently(
+        StressThreads(), [&](int t) -> Status {
+          for (int m = t; m < kCopies; m += StressThreads()) {
+            TableScanOptions so;
+            so.columns = {"k"};
+            so.code_columns = {"k"};
+            so.code_tables = shared;
+            const uint64_t begin = static_cast<uint64_t>(m) * kSegRows;
+            so.ranges = {{begin, begin + kSegRows}};
+            TableScan scan(table, so);
+            TDE_RETURN_NOT_OK(scan.Open());
+            Block b;
+            bool eos = false;
+            TDE_RETURN_NOT_OK(scan.Next(&b, &eos));
+            const ColumnVector& cv = b.columns[0];
+            if (eos || cv.dict == nullptr || cv.heap == nullptr) {
+              return Status::Internal("copy " + std::to_string(m) +
+                                      " emitted no dictionary codes");
+            }
+            seen[static_cast<size_t>(m)] = cv.dict.get();
+            for (size_t r = 0; r < cv.lanes.size(); ++r) {
+              const Lane token =
+                  cv.dict->values[static_cast<size_t>(cv.lanes[r])];
+              const std::string want =
+                  "value-" + std::to_string((begin + r) * 7 % 97);
+              if (cv.heap->Get(token) != want) {
+                return Status::Internal("row " + std::to_string(begin + r) +
+                                        " decoded wrongly");
+              }
+            }
+            scan.Close();
+          }
+          return Status::OK();
+        });
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    for (int m = 1; m < kCopies; ++m) {
+      EXPECT_EQ(seen[static_cast<size_t>(m)], seen[0]) << "copy " << m;
+    }
   }
 }
 

@@ -98,6 +98,40 @@ TEST(GroupMap, NegativeKeysWorkInCollisionMode) {
   EXPECT_EQ(m.Find(-42), a);
 }
 
+TEST(LazySlots, ZeroUntilWrittenAndPagesIndependent) {
+  LazySlots s(10000);
+  EXPECT_EQ(s.size(), 10000u);
+  EXPECT_EQ(s.Get(0), 0u);
+  EXPECT_EQ(s.Get(9999), 0u);
+  s[1023] = 7;  // last slot of the first page
+  s[1024] = 8;  // first slot of the second
+  s[9999] = 9;
+  EXPECT_EQ(s.Get(1023), 7u);
+  EXPECT_EQ(s.Get(1024), 8u);
+  EXPECT_EQ(s.Get(9999), 9u);
+  EXPECT_EQ(s.Get(1022), 0u);  // same page as a written slot
+  EXPECT_EQ(s.Get(5000), 0u);  // a page never written
+  EXPECT_EQ(s[5000], 0u);      // allocates it, zeroed
+}
+
+// A perfect-hash map over the widest range the tactical choice allows,
+// holding a few keys at its ends: ids, misses and the range check behave
+// as for a dense table.
+TEST(GroupMap, PerfectMapOverAWideRangeWithFewKeys) {
+  const int64_t lo = -5;
+  const int64_t hi = lo + (int64_t{1} << 24) - 1;
+  GroupMap m(HashAlgorithm::kPerfect, lo, hi);
+  EXPECT_EQ(m.GetOrInsert(hi), 0u);
+  EXPECT_EQ(m.GetOrInsert(lo), 1u);
+  EXPECT_EQ(m.GetOrInsert(hi), 0u);
+  EXPECT_EQ(m.Find(lo), 1u);
+  EXPECT_EQ(m.Find(hi), 0u);
+  EXPECT_EQ(m.Find(lo + 1), UINT32_MAX);
+  EXPECT_EQ(m.Find(hi + 1), UINT32_MAX);
+  EXPECT_EQ(m.Find(lo - 1), UINT32_MAX);
+  EXPECT_EQ(m.group_count(), 2u);
+}
+
 TEST(Mix64, IsDeterministicAndSpreads) {
   EXPECT_EQ(Mix64(1), Mix64(1));
   EXPECT_NE(Mix64(1), Mix64(2));

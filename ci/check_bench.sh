@@ -1,122 +1,120 @@
 #!/usr/bin/env bash
-# Perf-regression gate: run bench_rollup and bench_heap_sorting in JSON
-# mode and compare every named measurement against the committed baseline
-# (ci/BENCH_baseline.json).
-# A measurement fails the gate when it is BOTH more than TDE_BENCH_TOLERANCE
-# slower relatively AND more than TDE_BENCH_MIN_MS slower absolutely — the
-# absolute floor keeps sub-millisecond timer noise from failing CI.
+# Perf-regression gate: the change against its base, measured on the same
+# host in the same run. Builds bench_rollup and bench_heap_sorting from a
+# checkout of the base ref with the same CMake build type as <build-dir>
+# (the change's build), runs the two sides' benches alternately, and
+# compares the median of each named measurement.
+# A measurement fails the gate when its median is BOTH more than
+# TDE_BENCH_TOLERANCE slower relatively AND more than TDE_BENCH_MIN_MS
+# slower absolutely than the base's median — the absolute floor keeps
+# sub-millisecond timer noise from failing CI. A measurement whose output
+# row count ("groups") differs between the sides also fails: the bench's
+# answer changed.
 #
-# Usage: ci/check_bench.sh <build-dir> [--rebaseline]
+# Usage: ci/check_bench.sh <build-dir> [base-ref]
+#
+#   base-ref  the commit to compare against (default: HEAD~1). Its tree
+#             comes from `git archive`, so the gate compares committed
+#             code on the base side and <build-dir>'s binaries on the other.
 #
 # Knobs (all optional):
+#   TDE_BENCH_RUNS       runs of each bench per side (default: 5)
 #   TDE_BENCH_TOLERANCE  relative slowdown allowed (default: 0.25 = 25%)
 #   TDE_BENCH_MIN_MS     absolute slowdown floor in ms (default: 20)
-#   TDE_ROLLUP_ROWS      bench table size (default: 1000000 for the gate;
-#                        must match the baseline's "rows" or the gate
-#                        refuses to compare)
-#   TDE_SORT_ROWS        ORDER BY / Top-N table size (default: 1000000;
-#                        recorded in the baseline as "sort_rows")
-#
-# --rebaseline replaces the committed baseline with this run's numbers
-# (use after an intentional perf change, on the reference machine).
+#   TDE_ROLLUP_ROWS      bench_rollup table size (default: 1000000)
+#   TDE_SORT_ROWS        ORDER BY / Top-N table size (default: 1000000)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-BUILD="${1:?usage: ci/check_bench.sh <build-dir> [--rebaseline]}"
+BUILD="${1:?usage: ci/check_bench.sh <build-dir> [base-ref]}"
 BUILD="$(cd "$BUILD" && pwd)"
-MODE="${2:-check}"
-BASELINE="$ROOT/ci/BENCH_baseline.json"
+BASE_REF="${2:-HEAD~1}"
+RUNS="${TDE_BENCH_RUNS:-5}"
 ROWS="${TDE_ROLLUP_ROWS:-1000000}"
 SORT_ROWS="${TDE_SORT_ROWS:-1000000}"
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' "$BUILD/CMakeCache.txt")"
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
-(cd "$WORK" && TDE_ROLLUP_ROWS="$ROWS" "$BUILD/bench/bench_rollup" --json \
-    > bench.out) || { cat "$WORK/bench.out"; exit 1; }
-[[ -f "$WORK/BENCH_rollup.json" ]] || {
-  echo "bench_rollup wrote no BENCH_rollup.json"; exit 1; }
-# The sorting bench's Fig. 6 half replays TPC-H imports; shrink them so
-# the gate only pays for the ORDER BY / Top-N measurements.
-(cd "$WORK" && TDE_SORT_ROWS="$SORT_ROWS" TDE_SF=0.001 \
-    TDE_FLIGHTS_ROWS=1000 "$BUILD/bench/bench_heap_sorting" --json \
-    > sortbench.out) || { cat "$WORK/sortbench.out"; exit 1; }
-[[ -f "$WORK/BENCH_sorting.json" ]] || {
-  echo "bench_heap_sorting wrote no BENCH_sorting.json"; exit 1; }
 
-# One merged doc: measurement names are globally unique across benches.
-FRESH="$WORK/BENCH_fresh.json"
-python3 - "$WORK/BENCH_rollup.json" "$WORK/BENCH_sorting.json" \
-    "$FRESH" <<'EOF'
-import json, sys
-rollup = json.load(open(sys.argv[1]))
-sorting = json.load(open(sys.argv[2]))
-doc = {"bench": "gate", "results": rollup["results"] + sorting["results"]}
-json.dump(doc, open(sys.argv[3], "w"))
-EOF
+# The base side: the base ref's tree, built like the change.
+BASE_COMMIT="$(git -C "$ROOT" rev-parse --verify "$BASE_REF^{commit}")"
+mkdir -p "$WORK/base"
+git -C "$ROOT" archive "$BASE_COMMIT" | tar -x -C "$WORK/base"
+cmake -S "$WORK/base" -B "$WORK/base-build" \
+    -DCMAKE_BUILD_TYPE="${BUILD_TYPE:-RelWithDebInfo}" > "$WORK/base.log" 2>&1
+cmake --build "$WORK/base-build" -j"$(nproc)" \
+    --target bench_rollup --target bench_heap_sorting >> "$WORK/base.log" 2>&1 ||
+    { tail -40 "$WORK/base.log"; exit 1; }
+cmake --build "$BUILD" -j"$(nproc)" \
+    --target bench_rollup --target bench_heap_sorting > /dev/null
 
-if [[ "$MODE" == "--rebaseline" ]]; then
-  python3 - "$FRESH" "$BASELINE" "$ROWS" "$SORT_ROWS" <<'EOF'
-import json, sys
-fresh, baseline = sys.argv[1], sys.argv[2]
-doc = json.load(open(fresh))
-doc["rows"] = int(sys.argv[3])
-doc["sort_rows"] = int(sys.argv[4])
-json.dump(doc, open(baseline, "w"), indent=1)
-open(baseline, "a").write("\n")
-print(f"rebaselined {baseline} at rows={doc['rows']} "
-      f"sort_rows={doc['sort_rows']} ({len(doc['results'])} measurements)")
-EOF
-  exit 0
-fi
-
-[[ -f "$BASELINE" ]] || {
-  echo "no baseline at $BASELINE; run: ci/check_bench.sh $BUILD --rebaseline"
-  exit 1
+# One run of both benches from `bin` into `out`, one JSON doc per bench.
+run_side() {
+  local bin="$1" out="$2"
+  mkdir -p "$out"
+  (cd "$out" && TDE_ROLLUP_ROWS="$ROWS" "$bin/bench_rollup" --json \
+      > rollup.out) || { cat "$out/rollup.out"; exit 1; }
+  # The sorting bench's Fig. 6 half replays TPC-H imports; shrink them so
+  # the gate only pays for the ORDER BY / Top-N measurements.
+  (cd "$out" && TDE_SORT_ROWS="$SORT_ROWS" TDE_SF=0.001 \
+      TDE_FLIGHTS_ROWS=1000 "$bin/bench_heap_sorting" --json \
+      > sorting.out) || { cat "$out/sorting.out"; exit 1; }
 }
 
-python3 - "$FRESH" "$BASELINE" "$ROWS" "$SORT_ROWS" <<'EOF'
-import json, os, sys
-fresh = json.load(open(sys.argv[1]))
-base = json.load(open(sys.argv[2]))
-rows = int(sys.argv[3])
-sort_rows = int(sys.argv[4])
+# Alternate the sides, and which goes first, so host drift during the gate
+# lands on both.
+for ((i = 0; i < RUNS; ++i)); do
+  if ((i % 2 == 0)); then
+    run_side "$WORK/base-build/bench" "$WORK/runs/base/$i"
+    run_side "$BUILD/bench" "$WORK/runs/change/$i"
+  else
+    run_side "$BUILD/bench" "$WORK/runs/change/$i"
+    run_side "$WORK/base-build/bench" "$WORK/runs/base/$i"
+  fi
+done
+
+python3 - "$WORK/runs" "$RUNS" "$BASE_REF" <<'EOF'
+import glob, json, os, statistics, sys
+runs_dir, runs, base_ref = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 tol = float(os.environ.get("TDE_BENCH_TOLERANCE", "0.25"))
 floor_ms = float(os.environ.get("TDE_BENCH_MIN_MS", "20"))
 
-if base.get("rows") != rows:
-    sys.exit(f"baseline was recorded at rows={base.get('rows')}, this run "
-             f"used rows={rows}; set TDE_ROLLUP_ROWS to match or rebaseline")
-if base.get("sort_rows", sort_rows) != sort_rows:
-    sys.exit(f"baseline was recorded at sort_rows={base.get('sort_rows')}, "
-             f"this run used sort_rows={sort_rows}; set TDE_SORT_ROWS to "
-             "match or rebaseline")
+def side(name):
+    ms, groups = {}, {}
+    for path in glob.glob(f"{runs_dir}/{name}/*/BENCH_*.json"):
+        for r in json.load(open(path))["results"]:
+            ms.setdefault(r["name"], []).append(r["ms"])
+            groups.setdefault(r["name"], set()).add(r.get("groups"))
+    return ms, groups
 
-old = {r["name"]: r for r in base["results"]}
-new = {r["name"]: r for r in fresh["results"]}
-missing = sorted(set(old) - set(new))
+base_ms, base_groups = side("base")
+new_ms, new_groups = side("change")
+missing = sorted(set(base_ms) - set(new_ms))
 if missing:
-    sys.exit(f"measurements missing from this run: {missing}")
+    sys.exit(f"measurements missing from the change's runs: {missing}")
 
 failed = []
+print(f"{runs} runs per side; medians against {base_ref}")
 print(f"{'measurement':<28}{'base_ms':>10}{'new_ms':>10}{'delta':>8}")
-for name in sorted(old):
-    b, n = old[name]["ms"], new[name]["ms"]
-    if old[name].get("groups") != new[name].get("groups"):
-        failed.append(f"{name}: groups changed "
-                      f"{old[name].get('groups')} -> {new[name].get('groups')}"
-                      " (bench output drifted; rebaseline deliberately)")
+for name in sorted(base_ms):
+    b = statistics.median(base_ms[name])
+    n = statistics.median(new_ms[name])
+    if base_groups[name] != new_groups[name]:
+        failed.append(f"{name}: groups {sorted(base_groups[name])} -> "
+                      f"{sorted(new_groups[name])} (the bench's answer "
+                      "changed)")
     rel = (n - b) / b if b > 0 else 0.0
     mark = ""
     if n - b > floor_ms and rel > tol:
-        failed.append(f"{name}: {b:.1f}ms -> {n:.1f}ms (+{rel:.0%}, "
+        failed.append(f"{name}: median {b:.1f}ms -> {n:.1f}ms (+{rel:.0%}, "
                       f"tolerance {tol:.0%})")
         mark = "  REGRESSION"
     print(f"{name:<28}{b:>10.1f}{n:>10.1f}{rel:>+8.0%}{mark}")
 
-added = sorted(set(new) - set(old))
+added = sorted(set(new_ms) - set(base_ms))
 if added:
-    print(f"note: new measurements not in baseline (rebaseline to gate "
-          f"them): {added}")
+    print(f"note: measurements the base does not have (not gated): {added}")
 if failed:
     print("\nperf-regression gate FAILED:")
     for f in failed:

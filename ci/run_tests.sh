@@ -10,6 +10,7 @@
 #   TDE_LARGE_ROWS    shrink the bench's large table for CI budgets
 #   TDE_SKIP_SANITIZE set to 1 to skip the ASan+UBSan stage
 #   TDE_SKIP_TSAN     set to 1 to skip the ThreadSanitizer stage
+#   TDE_BENCH_BASE    commit the perf gate compares against (default HEAD~1)
 #
 # The suite runs twice up front: once with stats on (default) and once with
 # TDE_STATS=0, with the benchmark self-test (perfbench/selftest.py) in
@@ -101,6 +102,7 @@ mkdir -p "$ARCHIVE"
     "$BUILD/bench/$BENCH" --json)
 ls -l "$ARCHIVE"/BENCH_*.json
 
-# Perf-regression gate: bench_rollup against the committed baseline
-# (>25% relative AND >20ms absolute slowdown fails; see ci/check_bench.sh).
-"$ROOT/ci/check_bench.sh" "$BUILD"
+# Perf-regression gate: bench_rollup and bench_heap_sorting of this build
+# against the same benches built from the parent commit, alternated, 5 runs
+# a side; a median >25% AND >20ms slower fails (see ci/check_bench.sh).
+"$ROOT/ci/check_bench.sh" "$BUILD" "${TDE_BENCH_BASE:-HEAD~1}"

@@ -505,10 +505,11 @@ Result<QueryResult> Engine::ExecuteSql(const std::string& sql,
       // EXPLAIN ANALYZE executes the plan without going through Execute(),
       // so it takes the append/query read lock itself.
       std::shared_lock<std::shared_mutex> read(*exec_mu_);
-      TDE_ASSIGN_OR_RETURN(std::string text, ExplainAnalyzePlan(q.plan));
+      TDE_ASSIGN_OR_RETURN(std::string text,
+                           ExplainAnalyzePlan(q.plan, nullptr, strategic));
       return TextResult("plan", text);
     }
-    TDE_ASSIGN_OR_RETURN(std::string text, ExplainPlan(q.plan));
+    TDE_ASSIGN_OR_RETURN(std::string text, ExplainPlan(q.plan, strategic));
     return TextResult("plan", text);
   }
   return Execute(q.plan, strategic);

@@ -11,8 +11,6 @@
 
 namespace tde {
 
-namespace agg_internal {
-
 namespace {
 double AsReal(Lane v) { return std::bit_cast<double>(static_cast<uint64_t>(v)); }
 Lane RealLane(double d) { return static_cast<Lane>(std::bit_cast<uint64_t>(d)); }
@@ -20,12 +18,10 @@ Lane RealLane(double d) { return static_cast<Lane>(std::bit_cast<uint64_t>(d)); 
 Status SumOverflow() {
   return Status::OutOfRange("integer overflow in SUM: result exceeds int64");
 }
-}  // namespace
 
-namespace {
 /// Three-way comparison of two input lanes under the input's semantics:
-/// collated text for string tokens (O(1) on a sorted heap), double for
-/// reals, raw int64 otherwise.
+/// collated text for string tokens of one heap (O(1) on a sorted heap),
+/// double for reals, raw int64 otherwise.
 int CompareLanes(TypeId type, const StringHeap* heap, Lane a, Lane b) {
   if (type == TypeId::kString && heap != nullptr) {
     return heap->CompareTokens(a, b);
@@ -35,14 +31,12 @@ int CompareLanes(TypeId type, const StringHeap* heap, Lane a, Lane b) {
   }
   return a < b ? -1 : (a > b ? 1 : 0);
 }
-}  // namespace
 
-namespace {
 /// Adds `delta` to an integer SUM's running total and widens the range of
 /// values the total has taken (an addition can only lower the low end or
 /// raise the high one). 128 bits cannot overflow (2^63 rows of 2^63 each);
 /// only the range decides overflow, at Finalize.
-void AddToSum(AggState* s, __int128 delta) {
+void AddToSum(IntSum* s, __int128 delta) {
   s->total += delta;
   if (delta < 0) {
     if (s->total < s->low) s->low = s->total;
@@ -50,217 +44,368 @@ void AddToSum(AggState* s, __int128 delta) {
     s->high = s->total;
   }
 }
+
+/// MIN/MAX's verdict: whether `c` (a three-way comparison of the new value
+/// with the held one) replaces it. Ties keep the earlier value.
+bool Wins(AggKind kind, int c) { return kind == AggKind::kMin ? c < 0 : c > 0; }
 }  // namespace
 
-void Update(AggKind kind, TypeId type, Lane v, AggState* s,
-            const StringHeap* heap) {
-  if (kind == AggKind::kCountStar) {
-    ++s->n;
-    return;
-  }
-  if (v == kNullSentinel) return;  // aggregates ignore NULLs
+AggStates::AggStates(AggKind k, TypeId t, size_t groups) : kind(k), type(t) {
+  Resize(groups);
+}
+
+bool AggStates::strings() const {
+  return type == TypeId::kString &&
+         (kind == AggKind::kMin || kind == AggKind::kMax ||
+          kind == AggKind::kCountDistinct || kind == AggKind::kMedian);
+}
+
+template <typename F>
+void AggStates::ForKind(F f) {
   switch (kind) {
     case AggKind::kCountStar:
-      break;
     case AggKind::kCount:
-      ++s->n;
-      break;
+      return f(counts, uint64_t{0});
     case AggKind::kSum:
-      if (type == TypeId::kReal) {
-        s->d += AsReal(v);
-      } else {
-        AddToSum(s, v);
-      }
-      ++s->n;
-      break;
-    case AggKind::kMin:
-      if (!s->seen || CompareLanes(type, heap, v, s->i) < 0) s->i = v;
-      s->seen = true;
-      break;
-    case AggKind::kMax:
-      if (!s->seen || CompareLanes(type, heap, v, s->i) > 0) s->i = v;
-      s->seen = true;
-      break;
+      if (type != TypeId::kReal) return f(ints, IntSum{});
+      return f(reals, RealSum{});
     case AggKind::kAvg:
-      s->d += type == TypeId::kReal ? AsReal(v) : static_cast<double>(v);
-      ++s->n;
-      break;
+      return f(reals, RealSum{});
+    case AggKind::kMin:
+    case AggKind::kMax:
+      return f(extremes, kNullSentinel);
     case AggKind::kCountDistinct:
-      s->distinct.insert(v);
+      return f(distinct, DistinctSet{});
+    case AggKind::kMedian:
+      return f(values, std::vector<Lane>{});
+  }
+}
+
+void AggStates::Resize(size_t groups) {
+  ForKind([&](auto& states, const auto& empty) {
+    states.resize(groups, empty);
+  });
+}
+
+void AggStates::Reset(size_t g) {
+  ForKind([&](auto& states, const auto& empty) { states[g] = empty; });
+}
+
+bool AggStates::SameHeap(const std::shared_ptr<const StringHeap>& h) {
+  if (heap_ == nullptr) heap_ = h;
+  if (h == nullptr || h.get() == heap_.get()) return true;
+  if (dedup_ == nullptr) Own();
+  return false;
+}
+
+void AggStates::Own() {
+  auto owned = std::make_shared<StringHeap>(heap_->collation());
+  dedup_ = std::make_unique<HeapAccelerator>(owned.get());
+  const std::shared_ptr<const StringHeap> old = std::move(heap_);
+  heap_ = std::move(owned);
+  // The values held so far move over, one copy per distinct string; equal
+  // strings that held different tokens become one.
+  const auto move = [&](Lane t) {
+    return t == kNullSentinel ? t : Intern(*old, t);
+  };
+  for (Lane& v : extremes) v = move(v);
+  for (std::vector<Lane>& vs : values) {
+    for (Lane& v : vs) v = move(v);
+  }
+  for (DistinctSet& d : distinct) {
+    DistinctSet moved;
+    d.ForEach([&](Lane v) { moved.insert(move(v)); });
+    d = std::move(moved);
+  }
+}
+
+Lane AggStates::Intern(const StringHeap& h, Lane token) {
+  return dedup_->Add(h.Get(token));
+}
+
+namespace agg_internal {
+
+namespace {
+/// The string kinds' fold of one value of heap `heap` into group g, when
+/// that heap is not the states' own: the comparison crosses heaps by
+/// collated text, and only a value the state keeps is copied in.
+void UpdateForeign(AggStates* s, size_t g, Lane v, const StringHeap& heap) {
+  switch (s->kind) {
+    case AggKind::kMin:
+    case AggKind::kMax: {
+      Lane& cur = s->extremes[g];
+      if (cur == kNullSentinel ||
+          Wins(s->kind, Collate(heap.collation(), heap.Get(v),
+                                s->heap()->Get(cur)))) {
+        cur = s->Intern(heap, v);
+      }
+      break;
+    }
+    case AggKind::kCountDistinct:
+      s->distinct[g].insert(s->Intern(heap, v));
       break;
     case AggKind::kMedian:
-      s->values.push_back(v);
+      s->values[g].push_back(s->Intern(heap, v));
+      break;
+    default:
       break;
   }
 }
+}  // namespace
 
-void UpdateColumn(AggKind kind, TypeId type, const Lane* v, const uint32_t* g,
-                  size_t n, size_t stride, AggState* s0,
-                  const StringHeap* heap) {
-  switch (kind) {
+void UpdateColumn(AggStates* s, const Lane* v, const uint32_t* g, size_t n,
+                  const std::shared_ptr<const StringHeap>& heap) {
+  if (s->strings() && !s->SameHeap(heap)) {
+    for (size_t r = 0; r < n; ++r) {
+      if (v[r] != kNullSentinel) UpdateForeign(s, g[r], v[r], *heap);
+    }
+    return;
+  }
+  switch (s->kind) {
     case AggKind::kCountStar:
-      for (size_t r = 0; r < n; ++r) ++s0[g[r] * stride].n;
+      for (size_t r = 0; r < n; ++r) ++s->counts[g[r]];
       return;
     case AggKind::kCount:
       for (size_t r = 0; r < n; ++r) {
-        if (v[r] != kNullSentinel) ++s0[g[r] * stride].n;
+        if (v[r] != kNullSentinel) ++s->counts[g[r]];
       }
       return;
     case AggKind::kSum:
-      if (type == TypeId::kReal) {
+      if (s->type == TypeId::kReal) {
         for (size_t r = 0; r < n; ++r) {
           if (v[r] == kNullSentinel) continue;
-          AggState& s = s0[g[r] * stride];
-          s.d += AsReal(v[r]);
-          ++s.n;
+          RealSum& st = s->reals[g[r]];
+          st.sum += AsReal(v[r]);
+          ++st.n;
         }
       } else {
         for (size_t r = 0; r < n; ++r) {
           if (v[r] == kNullSentinel) continue;
-          AggState& s = s0[g[r] * stride];
-          AddToSum(&s, v[r]);
-          ++s.n;
+          IntSum& st = s->ints[g[r]];
+          AddToSum(&st, v[r]);
+          ++st.n;
         }
       }
       return;
-    default:
+    case AggKind::kAvg:
       for (size_t r = 0; r < n; ++r) {
-        Update(kind, type, v[r], &s0[g[r] * stride], heap);
+        if (v[r] == kNullSentinel) continue;
+        RealSum& st = s->reals[g[r]];
+        st.sum += s->type == TypeId::kReal ? AsReal(v[r])
+                                           : static_cast<double>(v[r]);
+        ++st.n;
+      }
+      return;
+    case AggKind::kMin:
+    case AggKind::kMax: {
+      const StringHeap* h = s->heap().get();
+      for (size_t r = 0; r < n; ++r) {
+        if (v[r] == kNullSentinel) continue;
+        Lane& cur = s->extremes[g[r]];
+        if (cur == kNullSentinel ||
+            Wins(s->kind, CompareLanes(s->type, h, v[r], cur))) {
+          cur = v[r];
+        }
+      }
+      return;
+    }
+    case AggKind::kCountDistinct:
+      for (size_t r = 0; r < n; ++r) {
+        if (v[r] != kNullSentinel) s->distinct[g[r]].insert(v[r]);
+      }
+      return;
+    case AggKind::kMedian:
+      for (size_t r = 0; r < n; ++r) {
+        if (v[r] != kNullSentinel) s->values[g[r]].push_back(v[r]);
       }
       return;
   }
 }
 
-void UpdateRun(AggKind kind, TypeId type, Lane v, uint64_t count, AggState* s,
-               const StringHeap* heap) {
+void Update(AggStates* s, size_t g, Lane v,
+            const std::shared_ptr<const StringHeap>& heap) {
+  const uint32_t group = static_cast<uint32_t>(g);
+  UpdateColumn(s, &v, &group, 1, heap);
+}
+
+void UpdateRun(AggStates* s, size_t g, Lane v, uint64_t count,
+               const std::shared_ptr<const StringHeap>& heap) {
   if (count == 0) return;
-  if (kind == AggKind::kCountStar) {
-    s->n += count;
+  if (s->kind == AggKind::kCountStar) {
+    s->counts[g] += count;
     return;
   }
   if (v == kNullSentinel) return;
-  switch (kind) {
-    case AggKind::kCountStar:
-      break;
+  switch (s->kind) {
     case AggKind::kCount:
-      s->n += count;
-      break;
+      s->counts[g] += count;
+      return;
     case AggKind::kSum:
-      if (type == TypeId::kReal) {
-        s->d += AsReal(v) * static_cast<double>(count);
+      if (s->type == TypeId::kReal) {
+        s->reals[g].sum += AsReal(v) * static_cast<double>(count);
+        s->reals[g].n += count;
       } else {
         // The running totals within a run are monotonic, so their extremes
         // are its ends: one widening covers all `count` rows.
-        AddToSum(s, static_cast<__int128>(v) * static_cast<__int128>(count));
+        AddToSum(&s->ints[g],
+                 static_cast<__int128>(v) * static_cast<__int128>(count));
+        s->ints[g].n += count;
       }
-      s->n += count;
-      break;
-    case AggKind::kMin:
-    case AggKind::kMax:
-      Update(kind, type, v, s, heap);
-      break;
+      return;
     case AggKind::kAvg:
-      s->d += (type == TypeId::kReal ? AsReal(v) : static_cast<double>(v)) *
-              static_cast<double>(count);
-      s->n += count;
-      break;
-    case AggKind::kCountDistinct:
-      s->distinct.insert(v);
-      break;
+      s->reals[g].sum +=
+          (s->type == TypeId::kReal ? AsReal(v) : static_cast<double>(v)) *
+          static_cast<double>(count);
+      s->reals[g].n += count;
+      return;
     case AggKind::kMedian:
-      s->values.insert(s->values.end(), static_cast<size_t>(count), v);
-      break;
+      for (uint64_t i = 0; i < count; ++i) Update(s, g, v, heap);
+      return;
+    default:  // MIN, MAX, COUNTD see the value once
+      Update(s, g, v, heap);
+      return;
   }
 }
 
-void Merge(AggKind kind, TypeId type, AggState* into, AggState* from,
-           const StringHeap* heap) {
-  switch (kind) {
+bool FoldableOverRuns(AggKind kind) { return kind != AggKind::kMedian; }
+
+void Merge(AggStates* into, size_t gi, AggStates* from, size_t gf) {
+  if (into->strings()) {
+    const std::shared_ptr<const StringHeap> fh = from->heap();
+    if (!into->SameHeap(fh)) {
+      // `from`'s values enter through `into`'s heap, each copied once.
+      switch (from->kind) {
+        case AggKind::kMin:
+        case AggKind::kMax:
+          if (from->extremes[gf] != kNullSentinel) {
+            UpdateForeign(into, gi, from->extremes[gf], *fh);
+          }
+          break;
+        case AggKind::kCountDistinct:
+          from->distinct[gf].ForEach(
+              [&](Lane v) { UpdateForeign(into, gi, v, *fh); });
+          break;
+        default:  // MEDIAN
+          for (const Lane v : from->values[gf]) {
+            UpdateForeign(into, gi, v, *fh);
+          }
+          break;
+      }
+      return;
+    }
+  }
+  switch (into->kind) {
     case AggKind::kCountStar:
     case AggKind::kCount:
-      into->n += from->n;
-      break;
+      into->counts[gi] += from->counts[gf];
+      return;
     case AggKind::kSum:
-      if (type == TypeId::kReal) {
-        into->d += from->d;
-      } else {
+      if (into->type != TypeId::kReal) {
+        IntSum& a = into->ints[gi];
+        const IntSum& b = from->ints[gf];
         // `from`'s running totals start where `into`'s total ends.
-        into->low = std::min(into->low, into->total + from->low);
-        into->high = std::max(into->high, into->total + from->high);
-        into->total += from->total;
+        a.low = std::min(a.low, a.total + b.low);
+        a.high = std::max(a.high, a.total + b.high);
+        a.total += b.total;
+        a.n += b.n;
+        return;
       }
-      into->n += from->n;
-      break;
-    case AggKind::kMin:
-    case AggKind::kMax:
-      if (from->seen) {
-        // Ties keep the earlier value, as the row path's strict compare
-        // does.
-        const int c = into->seen ? CompareLanes(type, heap, from->i, into->i)
-                                 : 0;
-        if (!into->seen || (kind == AggKind::kMin ? c < 0 : c > 0)) {
-          into->i = from->i;
-        }
-        into->seen = true;
-      }
-      break;
+      [[fallthrough]];
     case AggKind::kAvg:
-      into->d += from->d;
-      into->n += from->n;
-      break;
+      into->reals[gi].sum += from->reals[gf].sum;
+      into->reals[gi].n += from->reals[gf].n;
+      return;
+    case AggKind::kMin:
+    case AggKind::kMax: {
+      const Lane v = from->extremes[gf];
+      Lane& cur = into->extremes[gi];
+      if (v != kNullSentinel &&
+          (cur == kNullSentinel ||
+           Wins(into->kind,
+                CompareLanes(into->type, into->heap().get(), v, cur)))) {
+        cur = v;
+      }
+      return;
+    }
     case AggKind::kCountDistinct:
-      if (into->distinct.size() == 0) {
-        std::swap(into->distinct, from->distinct);
+      if (into->distinct[gi].size() == 0) {
+        std::swap(into->distinct[gi], from->distinct[gf]);
       } else {
-        into->distinct.merge(from->distinct);
+        into->distinct[gi].merge(from->distinct[gf]);
       }
-      break;
-    case AggKind::kMedian:
-      if (into->values.empty()) {
-        into->values.swap(from->values);
+      return;
+    case AggKind::kMedian: {
+      std::vector<Lane>& a = into->values[gi];
+      std::vector<Lane>& b = from->values[gf];
+      if (a.empty()) {
+        a.swap(b);
       } else {
-        into->values.insert(into->values.end(), from->values.begin(),
-                            from->values.end());
+        a.insert(a.end(), b.begin(), b.end());
       }
-      break;
+      return;
+    }
   }
 }
 
-bool FoldableOverRuns(AggKind kind) {
-  return kind != AggKind::kMedian;
-}
-
-Result<Lane> Finalize(AggKind kind, TypeId type, AggState* s,
-                      const StringHeap* heap) {
-  switch (kind) {
+Result<Lane> Finalize(AggStates* s, size_t g) {
+  switch (s->kind) {
     case AggKind::kCountStar:
     case AggKind::kCount:
-      return static_cast<Lane>(s->n);
+      return static_cast<Lane>(s->counts[g]);
     case AggKind::kSum:
-      if (s->n == 0) return kNullSentinel;
-      if (type == TypeId::kReal) return RealLane(s->d);
-      // Some row-order prefix of the sum left int64: the fold's first
-      // overflow.
-      if (s->low < INT64_MIN || s->high > INT64_MAX) return SumOverflow();
-      return static_cast<Lane>(s->total);
+      if (s->type == TypeId::kReal) {
+        return s->reals[g].n == 0 ? kNullSentinel : RealLane(s->reals[g].sum);
+      } else {
+        const IntSum& st = s->ints[g];
+        if (st.n == 0) return kNullSentinel;
+        // Some row-order prefix of the sum left int64: the fold's first
+        // overflow.
+        if (st.low < INT64_MIN || st.high > INT64_MAX) return SumOverflow();
+        return static_cast<Lane>(st.total);
+      }
     case AggKind::kMin:
     case AggKind::kMax:
-      return s->seen ? s->i : kNullSentinel;
-    case AggKind::kAvg:
-      return s->n == 0 ? kNullSentinel : RealLane(s->d / static_cast<double>(s->n));
+      return s->extremes[g];
+    case AggKind::kAvg: {
+      const RealSum& st = s->reals[g];
+      return st.n == 0 ? kNullSentinel
+                       : RealLane(st.sum / static_cast<double>(st.n));
+    }
     case AggKind::kCountDistinct:
-      return static_cast<Lane>(s->distinct.size());
+      return static_cast<Lane>(s->distinct[g].size());
     case AggKind::kMedian: {
-      if (s->values.empty()) return kNullSentinel;
-      const size_t mid = (s->values.size() - 1) / 2;
-      std::nth_element(s->values.begin(), s->values.begin() + mid,
-                       s->values.end(), [&](Lane a, Lane b) {
-                         return CompareLanes(type, heap, a, b) < 0;
+      std::vector<Lane>& vs = s->values[g];
+      if (vs.empty()) return kNullSentinel;
+      const size_t mid = (vs.size() - 1) / 2;
+      const StringHeap* h = s->heap().get();
+      std::nth_element(vs.begin(), vs.begin() + static_cast<ptrdiff_t>(mid),
+                       vs.end(), [&](Lane a, Lane b) {
+                         return CompareLanes(s->type, h, a, b) < 0;
                        });
-      return s->values[mid];
+      return vs[mid];
     }
   }
   return kNullSentinel;
+}
+
+std::shared_ptr<const StringHeap> OneHeap(
+    std::vector<Lane>* tokens,
+    const std::vector<std::shared_ptr<const StringHeap>>& heaps) {
+  std::shared_ptr<const StringHeap> shared;
+  bool one = true;
+  for (size_t i = 0; i < tokens->size() && one; ++i) {
+    if ((*tokens)[i] == kNullSentinel) continue;
+    if (shared == nullptr) shared = heaps[i];
+    one = heaps[i] == shared;
+  }
+  if (one) return shared;
+  auto heap = std::make_shared<StringHeap>(shared->collation());
+  HeapAccelerator dedup(heap.get());
+  for (size_t i = 0; i < tokens->size(); ++i) {
+    Lane& t = (*tokens)[i];
+    if (t != kNullSentinel) t = dedup.Add(heaps[i]->Get(t));
+  }
+  return heap;
 }
 
 TypeId OutputType(AggKind kind, TypeId input_type) {
@@ -282,6 +427,17 @@ TypeId OutputType(AggKind kind, TypeId input_type) {
 }
 
 }  // namespace agg_internal
+
+uint64_t CompositeSlots(const std::vector<uint64_t>& spans) {
+  constexpr uint64_t kDirectSlots = uint64_t{1} << 16;
+  uint64_t slots = 1;
+  for (const uint64_t span : spans) {
+    if (span == 0 || span >= kDirectSlots) return 0;
+    slots *= span + 1;  // one more id for NULL
+    if (slots > kDirectSlots) return 0;
+  }
+  return slots;
+}
 
 namespace {
 // Direct token->code arrays stop paying off once the heap outgrows the
@@ -376,6 +532,16 @@ namespace {
 /// Maps key rows to dense group ids, assigned in first-occurrence order —
 /// the grouping half of an aggregation, shared by the per-input partials
 /// (over input blocks) and the merge (over the partials' groups).
+///
+/// One key groups through its dictionary codes, its normalizer codes or
+/// the tactical GroupMap. Several keys group through the composite direct
+/// index when each has a dense id with a bound known before its first
+/// row — a dictionary code (bound: the entry table) or an integer offset
+/// from its metadata range (AggregateOptions::key_domains) — and the
+/// product of the bounds, plus one id each for NULL, fits the 2^16-slot
+/// direct table; otherwise through the collision hash of the key tuple.
+/// A value outside its metadata range moves the index to the tuple hash
+/// for good; the groups found so far keep their ids.
 class GroupIndex {
  public:
   /// `merging`: the rows are finished partial keys (string keys are tokens
@@ -410,6 +576,7 @@ class GroupIndex {
   /// `key_idx`, creating groups in row order.
   void Resolve(const Block& b, const std::vector<size_t>& key_idx, size_t n,
                uint32_t* gids) {
+    const bool undecided = n > 0 && nkeys_ > 0 && norm_state_[0] == -1;
     for (size_t k = 0; k < nkeys_; ++k) {
       const ColumnVector& cv = b.columns[key_idx[k]];
       if (norm_state_[k] == -1 && n > 0) {
@@ -419,7 +586,7 @@ class GroupIndex {
           // gates the plan rewrite, not this consumption.
           norm_state_[k] = 2;
           key_dicts_[k] = cv.dict;
-          code_groups_[k] = LazySlots(cv.dict->values.size());
+          if (nkeys_ == 1) code_groups_[k] = LazySlots(cv.dict->values.size());
         } else {
           const bool on =
               key_types_[k] == TypeId::kString &&
@@ -434,6 +601,7 @@ class GroupIndex {
       }
       if (key_heaps_[k] == nullptr) key_heaps_[k] = cv.heap;
     }
+    if (undecided && nkeys_ > 1) ChooseComposite();
     if (nkeys_ == 0) {
       std::fill(gids, gids + n, 0u);
       return;
@@ -470,18 +638,14 @@ class GroupIndex {
       }
       return;
     }
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t k = 0; k < nkeys_; ++k) {
-        const ColumnVector& kv = b.columns[key_idx[k]];
-        keyrow_[k] =
-            norm_state_[k] == 1
-                ? static_cast<Lane>(norms_[k]->Code(kv.heap, kv.lanes[r]))
-            : norm_state_[k] == 2
-                // Resolve pre-coded lanes to tokens: multi-key groups
-                // hash the tuple, so keys must be a stable namespace.
-                ? key_dicts_[k]->values[static_cast<size_t>(kv.lanes[r])]
-                : kv.lanes[r];
-      }
+    size_t r0 = 0;  // rows before r0 are resolved
+    if (composite_) {
+      r0 = ResolveComposite(b, key_idx, n, gids);
+      if (r0 == n) return;
+      ToTupleHash();
+    }
+    for (size_t r = r0; r < n; ++r) {
+      for (size_t k = 0; k < nkeys_; ++k) keyrow_[k] = KeyLane(b, key_idx, k, r);
       gids[r] = TupleGroup();
     }
   }
@@ -521,6 +685,108 @@ class GroupIndex {
   }
 
  private:
+  /// Key k of row r as the group keys hold it: a normalizer code, a
+  /// pre-coded key's token (so keys are one namespace whichever index
+  /// found them), or the raw lane.
+  Lane KeyLane(const Block& b, const std::vector<size_t>& key_idx, size_t k,
+               size_t r) {
+    const ColumnVector& kv = b.columns[key_idx[k]];
+    switch (norm_state_[k]) {
+      case 1:
+        return static_cast<Lane>(norms_[k]->Code(kv.heap, kv.lanes[r]));
+      case 2:
+        return key_dicts_[k]->values[static_cast<size_t>(kv.lanes[r])];
+      default:
+        return kv.lanes[r];
+    }
+  }
+
+  /// Decided on the first block, once every key's id source is known.
+  void ChooseComposite() {
+    std::vector<uint64_t> spans(nkeys_, 0);
+    lo_.assign(nkeys_, 0);
+    for (size_t k = 0; k < nkeys_; ++k) {
+      if (norm_state_[k] == 2) {
+        spans[k] = key_dicts_[k]->values.size();
+      } else if (norm_state_[k] == 0 && k < options_.key_domains.size()) {
+        lo_[k] = options_.key_domains[k].lo;
+        spans[k] = options_.key_domains[k].span;
+      }
+    }
+    const uint64_t slots = CompositeSlots(spans);
+    if (slots == 0) return;
+    composite_ = true;
+    algorithm_ = HashAlgorithm::kDirect;
+    span_ = std::move(spans);
+    stride_.assign(nkeys_, 1);
+    for (size_t k = 1; k < nkeys_; ++k) {
+      stride_[k] = stride_[k - 1] * static_cast<uint32_t>(span_[k - 1] + 1);
+    }
+    direct_.assign(static_cast<size_t>(slots), 0);
+  }
+
+  /// The composite direct index over one block: the slot of each row is
+  /// the mixed-radix sum of its keys' ids (NULL takes id span), summed a
+  /// key column at a time; the last key's pass looks the groups up.
+  /// Returns the rows resolved: all `n`, or those before the first row
+  /// with a value outside its key's metadata range.
+  size_t ResolveComposite(const Block& b, const std::vector<size_t>& key_idx,
+                          size_t n, uint32_t* gids) {
+    slot_.resize(n);
+    for (size_t k = 0; k < nkeys_; ++k) {
+      const Lane* lanes = b.columns[key_idx[k]].lanes.data();
+      const uint64_t lo = static_cast<uint64_t>(lo_[k]);
+      const uint64_t span = span_[k];
+      const uint32_t stride = stride_[k];
+      const bool last = k + 1 == nkeys_;
+      for (size_t r = 0; r < n; ++r) {
+        uint64_t id = static_cast<uint64_t>(lanes[r]) - lo;
+        if (id >= span) {
+          if (lanes[r] != kNullSentinel) {
+            n = r;
+            break;
+          }
+          id = span;
+        }
+        const uint32_t slot = static_cast<uint32_t>(id) * stride +
+                              (k == 0 ? 0 : slot_[r]);
+        if (!last) {
+          slot_[r] = slot;
+          continue;
+        }
+        uint32_t& e = direct_[slot];
+        if (e == 0) {
+          for (size_t j = 0; j < nkeys_; ++j) {
+            keys_[j].push_back(KeyLane(b, key_idx, j, r));
+          }
+          e = static_cast<uint32_t>(++ngroups_);
+        }
+        gids[r] = e - 1;
+      }
+    }
+    return n;
+  }
+
+  /// Leaves the composite index: the groups so far enter the tuple hash
+  /// under their ids.
+  void ToTupleHash() {
+    composite_ = false;
+    algorithm_ = HashAlgorithm::kCollision;
+    direct_ = {};
+    size_t size = mk_slots_.size();
+    while (ngroups_ * 2 > size) size *= 2;
+    Rehash(size);
+  }
+
+  static uint64_t HashKeys(const std::vector<std::vector<Lane>>& keys,
+                           uint64_t gid) {
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::vector<Lane>& k : keys) {
+      h = Mix64(h ^ static_cast<uint64_t>(k[gid]));
+    }
+    return h;
+  }
+
   /// Multi-key path: open-addressed map over mixed hashes of keyrow_.
   uint32_t TupleGroup() {
     uint64_t h = 0xcbf29ce484222325ULL;
@@ -535,7 +801,9 @@ class GroupIndex {
         mk_slots_[idx] = g + 1;
         ++ngroups_;
         for (size_t k = 0; k < nkeys_; ++k) keys_[k].push_back(keyrow_[k]);
-        if (ngroups_ * 2 > mk_slots_.size()) Grow();  // half full
+        if (ngroups_ * 2 > mk_slots_.size()) {
+          Rehash(mk_slots_.size() * 2);  // half full
+        }
         return g;
       }
       const uint32_t cand = static_cast<uint32_t>(mk_slots_[idx] - 1);
@@ -551,15 +819,11 @@ class GroupIndex {
     }
   }
 
-  void Grow() {
-    mk_slots_.assign(mk_slots_.size() * 2, 0);
+  void Rehash(size_t size) {
+    mk_slots_.assign(size, 0);
     mk_mask_ = mk_slots_.size() - 1;
     for (uint64_t gid = 0; gid < ngroups_; ++gid) {
-      uint64_t h = 0xcbf29ce484222325ULL;
-      for (size_t k = 0; k < nkeys_; ++k) {
-        h = Mix64(h ^ static_cast<uint64_t>(keys_[k][gid]));
-      }
-      uint64_t i = h & mk_mask_;
+      uint64_t i = HashKeys(keys_, gid) & mk_mask_;
       while (mk_slots_[i] != 0) i = (i + 1) & mk_mask_;
       mk_slots_[i] = gid + 1;
     }
@@ -578,8 +842,16 @@ class GroupIndex {
   // dense entry-table codes, decoded once per group on first occurrence)
   std::vector<int> norm_state_;
   std::vector<std::shared_ptr<const ArrayDictionary>> key_dicts_;
-  std::vector<LazySlots> code_groups_;  // code -> g + 1
+  std::vector<LazySlots> code_groups_;  // one pre-coded key: code -> g + 1
   std::unique_ptr<GroupMap> single_;  // tactical single raw key path
+  // Composite direct index: per key the id origin, span (NULL's id) and
+  // radix stride; slot -> g + 1 (at most 2^16 slots).
+  bool composite_ = false;
+  std::vector<int64_t> lo_;
+  std::vector<uint64_t> span_;
+  std::vector<uint32_t> stride_;
+  std::vector<uint32_t> direct_;
+  std::vector<uint32_t> slot_;        // per-block row -> slot
   std::vector<uint64_t> mk_slots_;    // group id + 1, 0 = empty
   uint64_t mk_mask_ = 0;
   std::vector<std::vector<Lane>> keys_;  // [key][group]
@@ -598,14 +870,12 @@ uint64_t NowNs() {
 }  // namespace
 
 /// One input's aggregation before finalization: the group keys in
-/// first-occurrence order (string keys as tokens of `key_heaps`), one state
-/// per (group, aggregate), and the heaps the aggregate inputs' tokens
-/// resolve against.
+/// first-occurrence order (string keys as tokens of `key_heaps`) and each
+/// aggregate's states for those groups.
 struct HashAggregate::Partial {
   std::vector<std::vector<Lane>> keys;  // [key][group]
   std::vector<std::shared_ptr<const StringHeap>> key_heaps;
-  std::vector<std::shared_ptr<const StringHeap>> agg_heaps;
-  std::vector<AggState> states;  // [group * naggs + agg]
+  std::vector<AggStates> aggs;
   uint64_t groups = 0;
   bool late = false;  // keys late-materialized from codes
   HashAlgorithm algorithm = HashAlgorithm::kCollision;
@@ -661,14 +931,11 @@ Status HashAggregate::Consume(Operator* input, Partial* out) const {
   }
   const size_t naggs = agg_idx.size();
   GroupIndex index(options_, key_types_, /*merging=*/false);
-  out->agg_heaps.assign(naggs, nullptr);
-  out->states.assign(index.groups() * naggs, AggState{});
-
-  // The update loop below runs once per (row, aggregate): keep its operands
-  // in flat arrays instead of chasing options_/schema indirections per row.
-  std::vector<AggKind> agg_kinds(naggs);
-  for (size_t a = 0; a < naggs; ++a) agg_kinds[a] = options_.aggs[a].kind;
-  std::vector<const Lane*> agg_lanes(naggs, nullptr);
+  out->aggs.clear();
+  for (size_t a = 0; a < naggs; ++a) {
+    out->aggs.emplace_back(options_.aggs[a].kind, agg_types_[a],
+                           index.groups());
+  }
   std::vector<uint32_t> gids;  // per-block row -> group id
 
   while (true) {
@@ -677,24 +944,21 @@ Status HashAggregate::Consume(Operator* input, Partial* out) const {
     TDE_RETURN_NOT_OK(input->Next(&b, &eos));
     if (eos) break;
     const size_t n = b.rows();
-    for (size_t a = 0; a < naggs; ++a) {
-      if (out->agg_heaps[a] == nullptr && agg_kinds[a] != AggKind::kCountStar) {
-        out->agg_heaps[a] = b.columns[agg_idx[a]].heap;
-      }
-      agg_lanes[a] = agg_kinds[a] == AggKind::kCountStar
-                         ? nullptr
-                         : b.columns[agg_idx[a]].lanes.data();
-    }
     // Group resolution and aggregate updates run column-at-a-time: resolve
     // every row's group first, then fold each aggregate input with a single
     // kind/type dispatch for the block.
     if (gids.size() < n) gids.resize(n);
     index.Resolve(b, key_idx, n, gids.data());
-    out->states.resize(index.groups() * naggs);
     for (size_t a = 0; a < naggs; ++a) {
-      agg_internal::UpdateColumn(agg_kinds[a], agg_types_[a], agg_lanes[a],
-                                 gids.data(), n, naggs, out->states.data() + a,
-                                 out->agg_heaps[a].get());
+      AggStates& st = out->aggs[a];
+      st.Resize(index.groups());
+      if (st.kind == AggKind::kCountStar) {
+        agg_internal::UpdateColumn(&st, nullptr, gids.data(), n);
+      } else {
+        const ColumnVector& cv = b.columns[agg_idx[a]];
+        agg_internal::UpdateColumn(&st, cv.lanes.data(), gids.data(), n,
+                                   cv.heap);
+      }
     }
   }
   out->groups = index.groups();
@@ -704,22 +968,17 @@ Status HashAggregate::Consume(Operator* input, Partial* out) const {
 }
 
 void HashAggregate::Merge(std::vector<Partial>* parts,
-                          std::vector<AggState*>* homes) const {
+                          std::vector<Home>* homes) const {
   const size_t nkeys = key_types_.size();
   const size_t naggs = agg_types_.size();
-  std::vector<std::shared_ptr<const StringHeap>> agg_heaps(naggs);
-  for (const Partial& p : *parts) {
-    for (size_t a = 0; a < naggs; ++a) {
-      if (agg_heaps[a] == nullptr) agg_heaps[a] = p.agg_heaps[a];
-    }
-  }
   GroupIndex index(options_, key_types_, /*merging=*/true);
   std::vector<size_t> key_idx(nkeys);
   for (size_t k = 0; k < nkeys; ++k) key_idx[k] = k;
   std::vector<uint32_t> gids;
   bool late = false;
   homes->clear();
-  for (Partial& p : *parts) {
+  for (uint32_t pi = 0; pi < parts->size(); ++pi) {
+    Partial& p = (*parts)[pi];
     // The partial's groups are the rows: its keys, in its group order.
     Block b;
     b.columns.resize(nkeys);
@@ -730,17 +989,16 @@ void HashAggregate::Merge(std::vector<Partial>* parts,
     }
     gids.resize(p.groups);
     index.Resolve(b, key_idx, p.groups, gids.data());
-    for (uint64_t g = 0; g < p.groups; ++g) {
-      AggState* from = &p.states[g * naggs];
+    for (uint32_t g = 0; g < p.groups; ++g) {
       if (gids[g] == homes->size()) {
         // A group first seen here: its states stay where they are.
-        homes->push_back(from);
+        homes->push_back({pi, g});
         continue;
       }
-      AggState* into = (*homes)[gids[g]];
+      const Home home = (*homes)[gids[g]];
+      Partial& into = (*parts)[home.part];
       for (size_t a = 0; a < naggs; ++a) {
-        agg_internal::Merge(options_.aggs[a].kind, agg_types_[a], into + a,
-                            from + a, agg_heaps[a].get());
+        agg_internal::Merge(&into.aggs[a], home.group, &p.aggs[a], g);
       }
     }
     late = late || p.late;
@@ -755,7 +1013,6 @@ void HashAggregate::Merge(std::vector<Partial>* parts,
   Partial& out = parts->front();
   out.groups = index.groups();
   index.Finish(&out.keys, &out.key_heaps);
-  out.agg_heaps = std::move(agg_heaps);
   out.late = late;
   out.algorithm = algorithm;
 }
@@ -822,9 +1079,8 @@ Status HashAggregate::RunMorsels(std::vector<Partial>* parts) {
 Status HashAggregate::Open() {
   const size_t naggs = options_.aggs.size();
   std::vector<Partial> parts(1);
-  // Each output group's states, in group order: [homes[g], homes[g] +
-  // naggs).
-  std::vector<AggState*> homes;
+  // Where each output group's states live, in group order.
+  std::vector<Home> homes;
   if (inputs_.size() == 1) {
     Operator* input = inputs_[0].get();
     TDE_RETURN_NOT_OK(input->Open());
@@ -832,9 +1088,7 @@ Status HashAggregate::Open() {
     TDE_RETURN_NOT_OK(Consume(input, &parts[0]));
     input->Close();
     homes.resize(parts[0].groups);
-    for (uint64_t g = 0; g < parts[0].groups; ++g) {
-      homes[g] = &parts[0].states[g * naggs];
-    }
+    for (uint32_t g = 0; g < parts[0].groups; ++g) homes[g] = {0, g};
   } else {
     TDE_RETURN_NOT_OK(RunMorsels(&parts));
     Merge(&parts, &homes);
@@ -845,16 +1099,25 @@ Status HashAggregate::Open() {
   groups_late_materialized_ = result.late ? groups_ : 0;
   out_keys_ = std::move(result.keys);
   key_heaps_ = std::move(result.key_heaps);
-  agg_heaps_ = std::move(result.agg_heaps);
   out_aggs_.assign(naggs, {});
+  agg_heaps_.assign(naggs, nullptr);
   for (size_t a = 0; a < naggs; ++a) {
     out_aggs_[a].resize(groups_);
+    std::vector<Lane>& out = out_aggs_[a];
     for (uint64_t g = 0; g < groups_; ++g) {
-      TDE_ASSIGN_OR_RETURN(
-          out_aggs_[a][g],
-          agg_internal::Finalize(options_.aggs[a].kind, agg_types_[a],
-                                 homes[g] + a, agg_heaps_[a].get()));
+      AggStates& st = parts[homes[g].part].aggs[a];
+      TDE_ASSIGN_OR_RETURN(out[g],
+                           agg_internal::Finalize(&st, homes[g].group));
     }
+    if (schema_.field(key_types_.size() + a).type != TypeId::kString) {
+      continue;
+    }
+    // A string result is a token of its home partial's heap.
+    std::vector<std::shared_ptr<const StringHeap>> heaps(groups_);
+    for (uint64_t g = 0; g < groups_; ++g) {
+      heaps[g] = parts[homes[g].part].aggs[a].heap();
+    }
+    agg_heaps_[a] = agg_internal::OneHeap(&out, heaps);
   }
   emit_ = 0;
   return Status::OK();

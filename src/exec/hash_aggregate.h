@@ -9,6 +9,7 @@
 
 #include "src/common/hash.h"
 #include "src/exec/block.h"
+#include "src/storage/heap_accelerator.h"
 
 namespace tde {
 
@@ -31,6 +32,21 @@ struct AggSpec {
   std::string output;
 };
 
+/// A group key's id domain as lowering knows it from metadata: the key's
+/// non-NULL ids lie in [lo, lo + span) (span 0 = unknown). An integer or
+/// date key's ids are its values; a dictionary-code key's are its codes,
+/// whose span the operator takes from the entry table instead.
+struct KeyDomain {
+  int64_t lo = 0;
+  uint64_t span = 0;
+};
+
+/// Slots of the composite direct group index over keys whose ids span
+/// `spans` (each key gets one more id, for NULL), or 0 when a span is
+/// unknown or the product exceeds the paper's 2^16-slot direct table
+/// (Sect. 2.3.4).
+uint64_t CompositeSlots(const std::vector<uint64_t>& spans);
+
 struct AggregateOptions {
   std::vector<std::string> group_by;
   std::vector<AggSpec> aggs;
@@ -45,6 +61,11 @@ struct AggregateOptions {
   /// strings materialize once per *group* at finalize instead of once per
   /// row. Cleared when StrategicOptions::enable_dict_grouping is off.
   bool dict_code_keys = true;
+  /// Multi-key grouping: each key's id domain (missing or span 0 =
+  /// unknown). When every key has one and CompositeSlots fits, a group is
+  /// found by the mixed-radix sum of its keys' ids in a direct table
+  /// instead of by hashing the key tuple.
+  std::vector<KeyDomain> key_domains;
 };
 
 /// COUNTD's distinct lanes: open addressing over one flat array, so a
@@ -66,8 +87,13 @@ class DistinctSet {
   }
   /// Adds every value of `other`.
   void merge(const DistinctSet& other) {
-    for (const Lane v : other.slots_) {
-      if (v != kNullSentinel) insert(v);
+    other.ForEach([this](Lane v) { insert(v); });
+  }
+  /// Calls f(v) for every value held.
+  template <typename F>
+  void ForEach(F f) const {
+    for (const Lane v : slots_) {
+      if (v != kNullSentinel) f(v);
     }
   }
   size_t size() const { return size_; }
@@ -86,59 +112,122 @@ class DistinctSet {
   size_t size_ = 0;
 };
 
-/// Per-group aggregate state shared by the hash and ordered variants.
-struct AggState {
-  int64_t i = 0;            // min / max
-  double d = 0;             // real sum, avg
-  uint64_t n = 0;           // non-null inputs (count / sum / avg)
-  bool seen = false;
-  /// Integer SUM: the exact running total and the lowest and highest
-  /// values it took after any row (0 before the first). The sum overflows
-  /// when that range leaves int64 — exactly when a row-order fold meets
-  /// its first overflowing prefix —, and states of consecutive row ranges
-  /// merge into the same range (Merge).
+/// Integer SUM's state: the exact running total and the lowest and highest
+/// values it took after any row (0 before the first). The sum overflows
+/// when that range leaves int64 — exactly when a row-order fold meets its
+/// first overflowing prefix —, and states of consecutive row ranges merge
+/// into the same range (agg_internal::Merge). `n` counts the non-NULL
+/// inputs, so an all-NULL group sums to NULL.
+struct IntSum {
   __int128 total = 0;
   __int128 low = 0;
   __int128 high = 0;
-  DistinctSet distinct;                // COUNTD
-  std::vector<Lane> values;            // MEDIAN
+  uint64_t n = 0;
 };
 
-/// Folds input lanes into the state, merges states and finalizes them;
-/// shared kernels. Folding never fails: an integer SUM's overflow is
-/// Finalize's verdict, the one place that reports it.
+/// Real SUM's and AVG's state.
+struct RealSum {
+  double sum = 0;
+  uint64_t n = 0;
+};
+
+/// The states of one aggregate for every group, laid out by its kind:
+/// COUNT(*) and COUNT keep a count, real SUM and AVG a RealSum, integer
+/// SUM an IntSum, MIN and MAX the best lane so far (kNullSentinel until a
+/// value arrives), COUNTD a DistinctSet and MEDIAN a value vector (their
+/// storage out of line). Only the kind's array is allocated, so a fold
+/// touches nothing but its own state. The hash, ordered and run-fold
+/// aggregates all fold through the agg_internal kernels below.
+///
+/// String values (MIN, MAX, COUNTD, MEDIAN over strings) are tokens of
+/// heap(). That is the first input heap, adopted as is while every value
+/// comes from it — a stored column's heap, which holds each string once —,
+/// so such inputs pay nothing. A value from another heap (strings computed
+/// per block, another morsel's partial) makes the states own a heap: the
+/// values held so far move into it, and a later value enters it, each
+/// string stored once, only when the state keeps it (a MIN/MAX winner, a
+/// COUNTD value, every MEDIAN value).
+struct AggStates {
+  AggStates() = default;
+  AggStates(AggKind kind, TypeId type, size_t groups = 0);
+  AggStates(AggStates&&) = default;
+  AggStates& operator=(AggStates&&) = default;
+
+  /// Grows (or shrinks) to `groups`; new groups start empty.
+  void Resize(size_t groups);
+  /// Empties group g's state (the heap is kept).
+  void Reset(size_t g);
+  /// The heap string values resolve against (null until one arrives).
+  const std::shared_ptr<const StringHeap>& heap() const { return heap_; }
+
+  AggKind kind = AggKind::kCountStar;
+  TypeId type = TypeId::kInteger;
+  std::vector<uint64_t> counts;             // COUNT(*), COUNT
+  std::vector<RealSum> reals;               // real SUM, AVG
+  std::vector<IntSum> ints;                 // integer SUM
+  std::vector<Lane> extremes;               // MIN, MAX
+  std::vector<DistinctSet> distinct;        // COUNTD
+  std::vector<std::vector<Lane>> values;    // MEDIAN
+
+  /// Whether this aggregate's values are heap tokens.
+  bool strings() const;
+  /// Whether tokens of heap `h` compare with the held ones as they are:
+  /// adopts `h` if no heap is set yet. When they do not, the states move
+  /// to a heap of their own (once), and the caller brings in each value it
+  /// keeps through Intern.
+  bool SameHeap(const std::shared_ptr<const StringHeap>& h);
+  /// Copies the string of `token` (of heap `h`) into the owned heap, once
+  /// per distinct string, and returns its token there.
+  Lane Intern(const StringHeap& h, Lane token);
+
+ private:
+  /// Calls f(the kind's state array, an empty state).
+  template <typename F>
+  void ForKind(F f);
+  void Own();
+
+  std::shared_ptr<const StringHeap> heap_;
+  std::unique_ptr<HeapAccelerator> dedup_;  // into heap_, once owned
+};
+
+/// Folds input lanes into states, merges states and finalizes them: the
+/// one kernel set of the hash, ordered and run-fold aggregates. Folding
+/// never fails: an integer SUM's overflow is Finalize's verdict, the one
+/// place that reports it. `heap` is the input block's string heap (null
+/// for non-string inputs).
 namespace agg_internal {
-/// `heap` is the string-token context of the input column (may be null for
-/// non-string inputs). MIN/MAX/MEDIAN over strings order tokens *by their
-/// collated text* through it; without it tokens would compare as raw byte
-/// offsets, which is insertion order on an unsorted heap.
-void Update(AggKind kind, TypeId type, Lane v, AggState* s,
-            const StringHeap* heap = nullptr);
-/// Column-at-a-time Update: folds `v[r]` into the state of group `g[r]` for
-/// all `n` rows with one kind/type dispatch for the whole column. `v` may be
-/// null for COUNT(*). `s0[g * stride]` must be row r's state; row order
-/// matches n calls to Update.
-void UpdateColumn(AggKind kind, TypeId type, const Lane* v, const uint32_t* g,
-                  size_t n, size_t stride, AggState* s0,
-                  const StringHeap* heap = nullptr);
-/// Folds `from`, the state of rows that follow `into`'s in row order, into
-/// `into`: counts and sums add (AVG adds its sum and count), MIN/MAX
-/// compare under the input's semantics (collated strings through `heap`),
-/// COUNTD takes the union, MEDIAN concatenates, and an integer SUM's
-/// running-total range shifts by `into`'s total. `from` is left
-/// unspecified.
-void Merge(AggKind kind, TypeId type, AggState* into, AggState* from,
-           const StringHeap* heap = nullptr);
-/// Folds `count` copies of `v` in O(1) (SUM adds v*count, COUNT adds count,
-/// MIN/MAX/COUNTD see the value once). MEDIAN degenerates to O(count).
-void UpdateRun(AggKind kind, TypeId type, Lane v, uint64_t count,
-               AggState* s, const StringHeap* heap = nullptr);
+/// Folds `v[r]` into group `g[r]`'s state for all `n` rows with one
+/// kind/type dispatch for the whole column. `v` may be null for COUNT(*).
+/// Row order matches n row-at-a-time folds.
+void UpdateColumn(AggStates* s, const Lane* v, const uint32_t* g, size_t n,
+                  const std::shared_ptr<const StringHeap>& heap = nullptr);
+/// Folds one value into group g.
+void Update(AggStates* s, size_t g, Lane v,
+            const std::shared_ptr<const StringHeap>& heap = nullptr);
+/// Folds `count` copies of `v` into group g in O(1) (SUM adds v*count,
+/// COUNT adds count, MIN/MAX/COUNTD see the value once). MEDIAN
+/// degenerates to O(count).
+void UpdateRun(AggStates* s, size_t g, Lane v, uint64_t count,
+               const std::shared_ptr<const StringHeap>& heap = nullptr);
 /// True when UpdateRun is O(1) for this kind.
 bool FoldableOverRuns(AggKind kind);
-/// The aggregate's value; fails for an integer SUM whose running total
-/// left int64.
-Result<Lane> Finalize(AggKind kind, TypeId type, AggState* s,
-                      const StringHeap* heap = nullptr);
+/// Folds `from`'s group gf, the state of rows that follow `into`'s group
+/// gi in row order, into it: counts and sums add (AVG adds its sum and
+/// count), MIN/MAX compare under the input's semantics (collated strings),
+/// COUNTD takes the union, MEDIAN concatenates, and an integer SUM's
+/// running-total range shifts by `into`'s total. `from`'s group is left
+/// unspecified.
+void Merge(AggStates* into, size_t gi, AggStates* from, size_t gf);
+/// Group g's value (a string result is a token of s->heap()); fails for
+/// an integer SUM whose running total left int64.
+Result<Lane> Finalize(AggStates* s, size_t g);
+/// Gives string results one heap: `(*tokens)[i]` resolves against
+/// `heaps[i]` (NULLs against none). Returns the heap they share, or moves
+/// them into a new heap that holds each string once — results of states
+/// that ended on different heaps (strings computed per block).
+std::shared_ptr<const StringHeap> OneHeap(
+    std::vector<Lane>* tokens,
+    const std::vector<std::shared_ptr<const StringHeap>>& heaps);
 TypeId OutputType(AggKind kind, TypeId input_type);
 }  // namespace agg_internal
 
@@ -241,13 +330,18 @@ class HashAggregate : public Operator {
   Status Consume(Operator* input, Partial* out) const;
   /// Runs every input as one task, into one partial each.
   Status RunMorsels(std::vector<Partial>* parts);
+  /// Where an output group's states live: group `group` of partial
+  /// `part`.
+  struct Home {
+    uint32_t part;
+    uint32_t group;
+  };
   /// Merges `parts` (in row order) into the first: its keys become every
-  /// partial's groups in first-occurrence order, and `homes[g]` points at
+  /// partial's groups in first-occurrence order, and `homes[g]` names
   /// group g's states — those of the first partial that saw it, into
   /// which later partials' states for g fold. No state moves, so a
   /// near-unique grouping merges at the cost of its keys.
-  void Merge(std::vector<Partial>* parts,
-             std::vector<AggState*>* homes) const;
+  void Merge(std::vector<Partial>* parts, std::vector<Home>* homes) const;
 
   std::vector<std::unique_ptr<Operator>> inputs_;
   AggregateOptions options_;

@@ -20,7 +20,7 @@ Status OrderedAggregate::Open() {
   schema_ = Schema();
   schema_.AddField({options_.group_by[0], key_type_});
   agg_idx_.clear();
-  agg_types_.clear();
+  states_.clear();
   for (const AggSpec& a : options_.aggs) {
     size_t i = 0;
     TypeId input_type = TypeId::kInteger;
@@ -29,15 +29,14 @@ Status OrderedAggregate::Open() {
       input_type = in.field(i).type;
     }
     agg_idx_.push_back(i);
-    agg_types_.push_back(input_type);
+    states_.emplace_back(a.kind, input_type, 1);
     schema_.AddField({a.output, agg_internal::OutputType(a.kind, input_type)});
   }
   group_open_ = false;
   input_done_ = false;
   pending_keys_.clear();
   pending_aggs_.assign(options_.aggs.size(), {});
-  states_.assign(options_.aggs.size(), AggState{});
-  agg_heaps_.assign(options_.aggs.size(), nullptr);
+  pending_heaps_.assign(options_.aggs.size(), {});
   norm_.reset();
   norm_state_ = -1;
   groups_late_materialized_ = 0;
@@ -49,11 +48,12 @@ Status OrderedAggregate::CloseGroup() {
   pending_keys_.push_back(group_key_);
   if (norm_state_ == 1) ++groups_late_materialized_;
   for (size_t a = 0; a < states_.size(); ++a) {
-    TDE_ASSIGN_OR_RETURN(Lane v, agg_internal::Finalize(
-                                     options_.aggs[a].kind, agg_types_[a],
-                                     &states_[a], agg_heaps_[a].get()));
+    TDE_ASSIGN_OR_RETURN(Lane v, agg_internal::Finalize(&states_[a], 0));
     pending_aggs_[a].push_back(v);
-    states_[a] = AggState{};
+    if (schema_.field(1 + a).type == TypeId::kString) {
+      pending_heaps_[a].push_back(states_[a].heap());
+    }
+    states_[a].Reset(0);
   }
   group_open_ = false;
   return Status::OK();
@@ -81,33 +81,34 @@ Status OrderedAggregate::Next(Block* block, bool* eos) {
       norm_state_ = on ? 1 : 0;
       if (on) norm_ = std::make_unique<StringKeyNormalizer>();
     }
-    if (n > 0) {
-      for (size_t a = 0; a < agg_idx_.size(); ++a) {
-        if (agg_heaps_[a] == nullptr &&
-            options_.aggs[a].kind != AggKind::kCountStar &&
-            agg_types_[a] == TypeId::kString) {
-          agg_heaps_[a] = in.columns[agg_idx_[a]].heap;
+    // Rows fold a run of one group's rows at a time, column by column.
+    static const uint32_t kZeros[kBlockSize] = {};
+    size_t begin = 0;
+    for (size_t r = 0; r <= n; ++r) {
+      Lane key = 0;
+      if (r < n) {
+        key = in.columns[key_idx_].lanes[r];
+        if (norm_state_ == 1) {
+          key = static_cast<Lane>(
+              norm_->Code(in.columns[key_idx_].heap, key));
         }
+        if (group_open_ && key == group_key_) continue;
       }
-    }
-    for (size_t r = 0; r < n; ++r) {
-      Lane key = in.columns[key_idx_].lanes[r];
-      if (norm_state_ == 1) {
-        key = static_cast<Lane>(
-            norm_->Code(in.columns[key_idx_].heap, key));
+      // Rows [begin, r) belong to the open group.
+      for (size_t a = 0; a < states_.size() && r > begin; ++a) {
+        const ColumnVector* cv = states_[a].kind == AggKind::kCountStar
+                                     ? nullptr
+                                     : &in.columns[agg_idx_[a]];
+        agg_internal::UpdateColumn(
+            &states_[a], cv ? cv->lanes.data() + begin : nullptr, kZeros,
+            r - begin,
+            cv ? cv->heap : std::shared_ptr<const StringHeap>());
       }
-      if (!group_open_ || key != group_key_) {
-        TDE_RETURN_NOT_OK(CloseGroup());
-        group_open_ = true;
-        group_key_ = key;
-      }
-      for (size_t a = 0; a < states_.size(); ++a) {
-        const Lane v = options_.aggs[a].kind == AggKind::kCountStar
-                           ? 0
-                           : in.columns[agg_idx_[a]].lanes[r];
-        agg_internal::Update(options_.aggs[a].kind, agg_types_[a], v,
-                             &states_[a], agg_heaps_[a].get());
-      }
+      if (r == n) break;
+      TDE_RETURN_NOT_OK(CloseGroup());
+      group_open_ = true;
+      group_key_ = key;
+      begin = r;
     }
   }
   if (pending_keys_.empty()) {
@@ -132,9 +133,17 @@ Status OrderedAggregate::Next(Block* block, bool* eos) {
   for (size_t a = 0; a < pending_aggs_.size(); ++a) {
     ColumnVector cv;
     cv.type = schema_.field(1 + a).type;
-    if (cv.type == TypeId::kString) cv.heap = agg_heaps_[a];
     cv.lanes.assign(pending_aggs_[a].begin(),
                     pending_aggs_[a].begin() + static_cast<ptrdiff_t>(take));
+    if (cv.type == TypeId::kString) {
+      std::vector<std::shared_ptr<const StringHeap>>& heaps =
+          pending_heaps_[a];
+      const std::vector<std::shared_ptr<const StringHeap>> block_heaps(
+          heaps.begin(), heaps.begin() + static_cast<ptrdiff_t>(take));
+      cv.heap = agg_internal::OneHeap(&cv.lanes, block_heaps);
+      heaps.erase(heaps.begin(),
+                  heaps.begin() + static_cast<ptrdiff_t>(take));
+    }
     block->columns.push_back(std::move(cv));
     pending_aggs_[a].erase(
         pending_aggs_[a].begin(),

@@ -40,10 +40,8 @@ class OrderedAggregate : public Operator {
   Schema schema_;
   size_t key_idx_ = 0;
   std::vector<size_t> agg_idx_;
-  std::vector<TypeId> agg_types_;
   TypeId key_type_ = TypeId::kInteger;
   std::shared_ptr<const StringHeap> key_heap_;
-  std::vector<std::shared_ptr<const StringHeap>> agg_heaps_;
 
   // Dictionary-code grouping: group boundaries compare dense per-heap
   // codes (stable across heap changes mid-stream); pending keys hold codes
@@ -54,11 +52,13 @@ class OrderedAggregate : public Operator {
 
   bool group_open_ = false;
   Lane group_key_ = 0;
-  std::vector<AggState> states_;  // one per agg of the open group
+  std::vector<AggStates> states_;  // one group (the open one) per agg
 
-  // Output rows buffered until a block fills.
+  // Output rows buffered until a block fills; a string result's token
+  // resolves against its entry in pending_heaps_.
   std::vector<Lane> pending_keys_;
   std::vector<std::vector<Lane>> pending_aggs_;
+  std::vector<std::vector<std::shared_ptr<const StringHeap>>> pending_heaps_;
   bool input_done_ = false;
 };
 

@@ -33,7 +33,10 @@ Status RunFoldAggregate::Open() {
   // row-at-a-time HashAggregate over the expanded rows.
   GroupMap map(HashAlgorithm::kCollision, 0, 0);
   uint64_t ngroups = options_.group_by_value ? 0 : 1;
-  std::vector<AggState> states(ngroups * naggs);
+  std::vector<AggStates> states;
+  for (const AggSpec& a : options_.aggs) {
+    states.emplace_back(a.kind, options_.value_type, ngroups);
+  }
   out_keys_.clear();
   for (const IndexEntry& e : index_) {
     uint32_t g = 0;
@@ -41,13 +44,12 @@ Status RunFoldAggregate::Open() {
       g = map.GetOrInsert(e.value);
       if (g >= ngroups) {
         ngroups = g + 1;
-        states.resize(ngroups * naggs);
+        for (AggStates& s : states) s.Resize(ngroups);
         out_keys_.push_back(e.value);
       }
     }
-    for (size_t a = 0; a < naggs; ++a) {
-      agg_internal::UpdateRun(options_.aggs[a].kind, options_.value_type,
-                              e.value, e.count, &states[g * naggs + a]);
+    for (AggStates& s : states) {
+      agg_internal::UpdateRun(&s, g, e.value, e.count, options_.value_heap);
     }
   }
   runs_folded_ = index_.size();
@@ -58,10 +60,8 @@ Status RunFoldAggregate::Open() {
   for (size_t a = 0; a < naggs; ++a) {
     out_aggs_[a].resize(groups_);
     for (uint64_t g = 0; g < groups_; ++g) {
-      TDE_ASSIGN_OR_RETURN(
-          out_aggs_[a][g],
-          agg_internal::Finalize(options_.aggs[a].kind, options_.value_type,
-                                 &states[g * naggs + a]));
+      TDE_ASSIGN_OR_RETURN(out_aggs_[a][g],
+                           agg_internal::Finalize(&states[a], g));
     }
   }
   emit_ = 0;

@@ -69,6 +69,7 @@ ColumnProps PropsOf(const Column& col) {
   ColumnProps p;
   p.meta = col.metadata();
   p.width = col.TokenWidth();
+  p.type = col.type();
   return p;
 }
 
@@ -117,6 +118,10 @@ Status ScanProps(const PlanNode& node, BuiltPlan* out) {
   for (const std::string& n : node.token_columns) {
     TDE_ASSIGN_OR_RETURN(auto c, node.table->ColumnByName(n));
     out->props[n + "$token"] = PropsOf(*c);
+  }
+  for (const std::string& n : node.code_columns) {
+    auto it = out->props.find(n);
+    if (it != out->props.end()) it->second.codes = true;
   }
   return Status::OK();
 }
@@ -386,15 +391,31 @@ Result<BuiltPlan> BuildAggregate(const PlanNode& node, BuiltPlan child) {
         agg.key_max = gc.key_max;
       }
     }
+    std::string index;
+    if (agg.group_by.size() > 1) {
+      std::vector<uint64_t> spans;
+      for (const std::string& k : agg.group_by) {
+        auto it = child.props.find(k);
+        agg.key_domains.push_back(it == child.props.end()
+                                      ? KeyDomain{}
+                                      : ChooseKeyDomain(it->second));
+        spans.push_back(agg.key_domains.back().span);
+      }
+      if (const uint64_t slots = CompositeSlots(spans); slots > 0) {
+        index = "composite direct index (" + std::to_string(slots) +
+                " slots)";
+      }
+    }
+    if (index.empty()) {
+      index = dict_keys && agg.group_by.size() == 1
+                  ? std::string("dictionary codes (direct, late "
+                                "materialization)")
+                  : HashAlgorithmName(agg.hash_algorithm.value_or(
+                        HashAlgorithm::kCollision)) +
+                        std::string(" hash");
+    }
     if (!agg.group_by.empty()) {
-      out.notes.push_back(
-          "aggregate(" + agg.group_by[0] + "): " +
-          (dict_keys && agg.group_by.size() == 1
-               ? std::string("dictionary codes (direct, late "
-                             "materialization)")
-               : HashAlgorithmName(
-                     agg.hash_algorithm.value_or(HashAlgorithm::kCollision)) +
-                     std::string(" hash")));
+      out.notes.push_back("aggregate(" + agg.group_by[0] + "): " + index);
     }
     std::unique_ptr<HashAggregate> op;
     if (child.replicate && child.morsels.size() >= 2) {
@@ -1404,9 +1425,10 @@ std::string QueryResult::ToCsv() const {
 // StrategicOptimize rewrites nodes in place, so both entry points optimize
 // a private deep copy (as Engine::Execute does): the caller's plan stays
 // pristine and can be explained, executed or re-optimized afterwards.
-Result<std::string> ExplainPlan(const Plan& plan) {
+Result<std::string> ExplainPlan(const Plan& plan,
+                                const StrategicOptions& options) {
   TDE_ASSIGN_OR_RETURN(PlanNodePtr optimized,
-                       StrategicOptimize(ClonePlan(plan.root())));
+                       StrategicOptimize(ClonePlan(plan.root()), options));
   TDE_ASSIGN_OR_RETURN(BuiltPlan built, BuildExecutable(optimized));
   std::string out = PlanToString(optimized);
   if (!built.notes.empty()) {
@@ -1418,19 +1440,20 @@ Result<std::string> ExplainPlan(const Plan& plan) {
   return out;
 }
 
-Result<QueryResult> ExecutePlan(const Plan& plan) {
+Result<QueryResult> ExecutePlan(const Plan& plan,
+                                const StrategicOptions& options) {
   TDE_ASSIGN_OR_RETURN(PlanNodePtr optimized,
-                       StrategicOptimize(ClonePlan(plan.root())));
+                       StrategicOptimize(ClonePlan(plan.root()), options));
   return ExecutePlanNode(optimized);
 }
 
-Result<std::string> ExplainAnalyzePlan(const Plan& plan,
-                                       QueryResult* result) {
+Result<std::string> ExplainAnalyzePlan(const Plan& plan, QueryResult* result,
+                                       const StrategicOptions& options) {
   // Force collection on for the duration: EXPLAIN ANALYZE without numbers
   // would be useless.
   const bool was_enabled = observe::StatsEnabled();
   observe::SetStatsEnabled(true);
-  Result<QueryResult> run = ExecutePlan(plan);
+  Result<QueryResult> run = ExecutePlan(plan, options);
   observe::SetStatsEnabled(was_enabled);
   TDE_RETURN_NOT_OK(run.status());
   std::string out = run.value().stats() != nullptr

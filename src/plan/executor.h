@@ -8,6 +8,7 @@
 
 #include "src/observe/query_stats.h"
 #include "src/plan/plan.h"
+#include "src/plan/strategic.h"
 #include "src/plan/tactical.h"
 #include "src/storage/segment/segment.h"
 
@@ -87,24 +88,28 @@ class QueryResult {
   std::shared_ptr<const observe::QueryStats> stats_;
 };
 
-/// Optimizes (strategic), lowers (tactical) and runs a plan.
-Result<QueryResult> ExecutePlan(const Plan& plan);
+/// Optimizes (strategic, under `options`), lowers (tactical) and runs a
+/// plan.
+Result<QueryResult> ExecutePlan(const Plan& plan,
+                                const StrategicOptions& options = {});
 /// Runs an already-optimized plan tree.
 Result<QueryResult> ExecutePlanNode(const PlanNodePtr& root);
 
-/// EXPLAIN: the strategically optimized plan tree plus the tactical
+/// EXPLAIN: the plan tree as optimized under `options` plus the tactical
 /// decisions the executor would make (join strategy, hash algorithm,
 /// index ordering). Lowers the plan — building inner dictionary tables
 /// and indexes — but does not run it.
-Result<std::string> ExplainPlan(const Plan& plan);
+Result<std::string> ExplainPlan(const Plan& plan,
+                                const StrategicOptions& options = {});
 
-/// EXPLAIN ANALYZE: optimizes, lowers and *runs* the plan, returning the
-/// operator tree annotated with per-operator rows, blocks and wall time,
-/// followed by the tactical notes. The executed result is copied out
-/// through `result` when non-null (stats collection is forced on for the
-/// duration of the call).
+/// EXPLAIN ANALYZE: optimizes under `options`, lowers and *runs* the plan,
+/// returning the operator tree annotated with per-operator rows, blocks
+/// and wall time, followed by the tactical notes. The executed result is
+/// copied out through `result` when non-null (stats collection is forced
+/// on for the duration of the call).
 Result<std::string> ExplainAnalyzePlan(const Plan& plan,
-                                       QueryResult* result = nullptr);
+                                       QueryResult* result = nullptr,
+                                       const StrategicOptions& options = {});
 
 }  // namespace tde
 

@@ -37,7 +37,10 @@ bool SingleColumn(const ExprPtr& pred, std::string* name) {
 PlanNodePtr TryInvisibleJoin(const PlanNodePtr& filter) {
   if (filter->kind != PlanNodeKind::kFilter) return nullptr;
   const PlanNodePtr& scan = filter->children[0];
-  if (scan->kind != PlanNodeKind::kScan) return nullptr;
+  // A scan emitting group-key codes (TryDictCodeScan) stays as it is.
+  if (scan->kind != PlanNodeKind::kScan || !scan->code_columns.empty()) {
+    return nullptr;
+  }
   std::string col_name;
   if (!SingleColumn(filter->predicate, &col_name)) return nullptr;
   auto col_r = scan->table->ColumnByName(col_name);
@@ -629,18 +632,52 @@ PlanNodePtr TryRunFoldAggregate(const PlanNodePtr& agg) {
   return new_agg;
 }
 
+/// Whether `e` reads column `name`.
+bool Reads(const ExprPtr& e, const std::string& name) {
+  if (e == nullptr) return false;
+  std::vector<std::string> cols;
+  e->CollectColumns(&cols);
+  return std::find(cols.begin(), cols.end(), name) != cols.end();
+}
+
+/// Whether `node` (a Filter or a Project) hands column `c` up unchanged
+/// and reads it nowhere else: a filter whose predicate does not read it, a
+/// projection that passes it on by a bare reference under its own name
+/// and computes nothing from it.
+bool PassesOnlyThrough(const PlanNode& node, const std::string& c) {
+  if (node.kind == PlanNodeKind::kFilter) return !Reads(node.predicate, c);
+  bool passed = false;
+  for (const ProjectedColumn& pc : node.projections) {
+    const std::string* ref = pc.expr->AsColumnRef();
+    if (ref != nullptr && *ref == c && pc.name == c) {
+      passed = true;
+    } else if (Reads(pc.expr, c) || pc.name == c) {
+      return false;
+    }
+  }
+  return passed;
+}
+
 /// Dict-code scans for group-by keys: a dictionary-encoded string key is
 /// emitted as dense codes (the scan skips the per-row entry decode) and
-/// the aggregate decodes one key per group at first occurrence. Keys an
-/// aggregate also reads as input stay decoded — COUNT/MIN/MAX over codes
-/// would see indexes, not values.
+/// the aggregate decodes one key per group at first occurrence. The scan
+/// may sit under Filters and Projects that pass the key on untouched
+/// (PassesOnlyThrough): a Filter compacts the code lanes and a Project
+/// moves them, entry table attached. Keys an aggregate also reads as input
+/// stay decoded — COUNT/MIN/MAX over codes would see indexes, not values.
 PlanNodePtr TryDictCodeScan(const PlanNodePtr& agg) {
   if (agg->kind != PlanNodeKind::kAggregate || agg->metadata_answered ||
       agg->fold_runs || agg->grouped_input || !agg->agg.dict_code_keys ||
       agg->agg.group_by.empty()) {
     return nullptr;
   }
-  const PlanNodePtr& scan = agg->children[0];
+  std::vector<PlanNodePtr> chain;  // the Filters and Projects, top down
+  PlanNodePtr scan = agg->children[0];
+  while (scan->kind == PlanNodeKind::kFilter ||
+         scan->kind == PlanNodeKind::kProject) {
+    chain.push_back(scan);
+    scan = scan->children[0];
+  }
   if (scan->kind != PlanNodeKind::kScan || scan->table == nullptr ||
       !scan->token_columns.empty() || !scan->code_columns.empty()) {
     return nullptr;
@@ -655,6 +692,11 @@ PlanNodePtr TryDictCodeScan(const PlanNodePtr& agg) {
       }
     }
     if (read_by_agg) continue;
+    if (!std::all_of(chain.begin(), chain.end(), [&](const PlanNodePtr& n) {
+          return PassesOnlyThrough(*n, c);
+        })) {
+      continue;
+    }
     auto col_r = scan->table->ColumnByName(c);
     if (!col_r.ok()) continue;
     const auto& col = col_r.value();
@@ -666,10 +708,15 @@ PlanNodePtr TryDictCodeScan(const PlanNodePtr& agg) {
     coded.push_back(c);
   }
   if (coded.empty()) return nullptr;
-  auto new_scan = std::make_shared<PlanNode>(*scan);
-  new_scan->code_columns = std::move(coded);
+  auto below = std::make_shared<PlanNode>(*scan);
+  below->code_columns = std::move(coded);
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    auto copy = std::make_shared<PlanNode>(**it);
+    copy->children = {below};
+    below = std::move(copy);
+  }
   auto new_agg = std::make_shared<PlanNode>(*agg);
-  new_agg->children = {new_scan};
+  new_agg->children = {below};
   return new_agg;
 }
 
@@ -718,7 +765,9 @@ PlanNodePtr SimplifyNode(const PlanNodePtr& node) {
 PlanNodePtr TryComputePushdown(const PlanNodePtr& project) {
   if (project->kind != PlanNodeKind::kProject) return nullptr;
   const PlanNodePtr& scan = project->children[0];
-  if (scan->kind != PlanNodeKind::kScan) return nullptr;
+  if (scan->kind != PlanNodeKind::kScan || !scan->code_columns.empty()) {
+    return nullptr;
+  }
 
   std::string dict_col;
   std::vector<ProjectedColumn> pushed;

@@ -17,6 +17,25 @@ GroupingChoice ChooseGrouping(const ColumnProps& key) {
   return c;
 }
 
+KeyDomain ChooseKeyDomain(const ColumnProps& key) {
+  const ColumnMetadata& m = key.meta;
+  if (key.codes) {
+    // The entry table: the cardinality, plus an entry for NULL unless the
+    // column has none.
+    if (!m.cardinality_known) return {};
+    return {0, m.cardinality + (m.null_known && !m.has_nulls ? 0 : 1)};
+  }
+  const TypeId t = key.type;
+  const bool ordered_lanes = t == TypeId::kInteger || t == TypeId::kDate ||
+                             t == TypeId::kDateTime || t == TypeId::kBool;
+  if (!ordered_lanes || !m.min_max_known || m.max_value < m.min_value) {
+    return {};
+  }
+  const uint64_t span = static_cast<uint64_t>(m.max_value) -
+                        static_cast<uint64_t>(m.min_value) + 1;
+  return {m.min_value, span};
+}
+
 IndexedAggChoice ChooseIndexedAggregation(
     const std::vector<IndexEntry>& entries, bool already_value_ordered) {
   IndexedAggChoice c;

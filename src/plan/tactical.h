@@ -6,6 +6,7 @@
 
 #include "src/common/hash.h"
 #include "src/encoding/metadata.h"
+#include "src/exec/hash_aggregate.h"
 #include "src/exec/indexed_scan.h"
 
 namespace tde {
@@ -17,6 +18,10 @@ namespace tde {
 struct ColumnProps {
   ColumnMetadata meta;
   uint8_t width = 8;
+  TypeId type = TypeId::kInteger;
+  /// The lanes are dictionary codes (a dict-code scan's group key), dense
+  /// in an entry table of about meta.cardinality entries.
+  bool codes = false;
 };
 
 using PropMap = std::map<std::string, ColumnProps>;
@@ -28,6 +33,13 @@ struct GroupingChoice {
   int64_t key_max = 0;
 };
 GroupingChoice ChooseGrouping(const ColumnProps& key);
+
+/// A group key's dense id domain for the composite direct index (see
+/// AggregateOptions::key_domains): a dictionary-code key's entry table as
+/// the metadata estimates it (the operator sizes the index from the table
+/// itself), or an integer, date, datetime or bool key's metadata range.
+/// Unknown (span 0) for other keys.
+KeyDomain ChooseKeyDomain(const ColumnProps& key);
 
 /// Tactical choice for an IndexedScan feeding an aggregation
 /// (Sect. 4.2.2/6.6): sorting the index by value enables ordered

@@ -529,6 +529,26 @@ class SqlBuilder {
     }
   }
 
+  /// An aggregate input: any column, or (40%) a string computed per block
+  /// — UPPER/LOWER of a string column or a string CASE, each block's
+  /// values in a heap of their own.
+  std::string AggInput() {
+    const GenColumn& c = AnyColumn();
+    if (!rng_->Chance(40)) return c.name;
+    const GenColumn& s = TypedColumn(TypeId::kString);
+    switch (rng_->U(3)) {
+      case 0:
+        if (s.type != TypeId::kString) return c.name;
+        return std::string(rng_->Chance(50) ? "UPPER" : "LOWER") + "(" +
+               s.name + ")";
+      case 1:
+        return "CASE WHEN " + Atom() + " THEN 'low' ELSE 'high' END";
+      default:  // a column's strings mixed with a literal's
+        if (s.type != TypeId::kString) return c.name;
+        return "CASE WHEN " + Atom() + " THEN " + s.name + " ELSE 'zz' END";
+    }
+  }
+
   Rng* rng_;
   std::vector<GenColumn> cols_;
 };
@@ -630,13 +650,13 @@ GeneratedQuery GenerateQuery(uint64_t seed, const Dataset& fact,
     return q;
   }
 
-  // Aggregate query: 0-2 keys, 1-3 aggregates over type-suitable inputs.
+  // Aggregate query: 0-3 keys, 1-3 aggregates over type-suitable inputs.
   struct Key {
     std::string sql;   // select-list entry
     std::string name;  // output name
   };
   std::vector<Key> keys;
-  const size_t nkeys = rng.U(3);
+  const size_t nkeys = rng.U(4);
   for (size_t k = 0; k < nkeys; ++k) {
     if (rng.Chance(25)) {
       const GenColumn& c = b.TypedColumn(TypeId::kDate);
@@ -669,11 +689,9 @@ GeneratedQuery GenerateQuery(uint64_t seed, const Dataset& fact,
         choice.is_count = true;
         break;
       }
-      case 2: {
-        const GenColumn& c = b.AnyColumn();
-        choice.sql = "COUNTD(" + c.name + ")";
+      case 2:
+        choice.sql = "COUNTD(" + b.AggInput() + ")";
         break;
-      }
       case 3: {
         const GenColumn& c =
             b.TypedColumn(rng.Chance(50) ? TypeId::kInteger : TypeId::kReal);
@@ -686,23 +704,19 @@ GeneratedQuery GenerateQuery(uint64_t seed, const Dataset& fact,
         choice.sql = "AVG(" + c.name + ")";
         break;
       }
-      case 5: {
-        const GenColumn& c = b.AnyColumn();
+      case 5:
         choice.sql = std::string(rng.Chance(50) ? "MIN" : "MAX") + "(" +
-                     c.name + ")";
+                     b.AggInput() + ")";
         break;
-      }
       case 6: {
         const GenColumn& c =
             b.TypedColumn(rng.Chance(50) ? TypeId::kInteger : TypeId::kReal);
         choice.sql = "MEDIAN(" + c.name + ")";
         break;
       }
-      default: {
-        const GenColumn& c = b.AnyColumn();
-        choice.sql = "MEDIAN(" + c.name + ")";
+      default:
+        choice.sql = "MEDIAN(" + b.AggInput() + ")";
         break;
-      }
     }
     aggs.push_back(std::move(choice));
   }

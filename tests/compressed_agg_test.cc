@@ -556,37 +556,38 @@ TEST(CompressedAgg, SumOverflowKernels) {
   using agg_internal::Update;
   using agg_internal::UpdateRun;
   // Folding never fails; the state's verdict is Finalize's.
-  const auto sum = [](AggState* s) {
-    return agg_internal::Finalize(AggKind::kSum, TypeId::kInteger, s);
+  const auto sum = [](AggStates* s) { return agg_internal::Finalize(s, 0); };
+  const auto state = [] {
+    return AggStates(AggKind::kSum, TypeId::kInteger, 1);
   };
   // Row path: reaching INT64_MAX exactly is fine, one more overflows.
-  AggState s;
-  Update(AggKind::kSum, TypeId::kInteger, kInt64Max - 1, &s);
-  Update(AggKind::kSum, TypeId::kInteger, 1, &s);
+  AggStates s = state();
+  Update(&s, 0, kInt64Max - 1);
+  Update(&s, 0, 1);
   ASSERT_TRUE(sum(&s).ok());
   EXPECT_EQ(sum(&s).value(), kInt64Max);
-  Update(AggKind::kSum, TypeId::kInteger, 1, &s);
+  Update(&s, 0, 1);
   auto over = sum(&s);
   EXPECT_FALSE(over.ok());
   EXPECT_NE(over.status().message().find("overflow"), std::string::npos);
   // A later row that brings the total back does not undo the overflow.
-  Update(AggKind::kSum, TypeId::kInteger, -1, &s);
+  Update(&s, 0, -1);
   EXPECT_FALSE(sum(&s).ok());
   // Negative direction.
-  AggState sn;
-  Update(AggKind::kSum, TypeId::kInteger, kInt64Min + 2, &sn);
+  AggStates sn = state();
+  Update(&sn, 0, kInt64Min + 2);
   ASSERT_TRUE(sum(&sn).ok());
-  Update(AggKind::kSum, TypeId::kInteger, -3, &sn);
+  Update(&sn, 0, -3);
   EXPECT_FALSE(sum(&sn).ok());
   // Run path: v * count that lands exactly on the boundary is accepted,
   // one past it is rejected — matching what count row-adds would do.
-  AggState r;
-  UpdateRun(AggKind::kSum, TypeId::kInteger, kInt64Max / 7, 7, &r);
+  AggStates r = state();
+  UpdateRun(&r, 0, kInt64Max / 7, 7);
   ASSERT_TRUE(sum(&r).ok());
-  UpdateRun(AggKind::kSum, TypeId::kInteger, kInt64Max / 7, 7, &r);
+  UpdateRun(&r, 0, kInt64Max / 7, 7);
   EXPECT_FALSE(sum(&r).ok());
-  AggState r2;
-  UpdateRun(AggKind::kSum, TypeId::kInteger, kInt64Max / 2, 3, &r2);
+  AggStates r2 = state();
+  UpdateRun(&r2, 0, kInt64Max / 2, 3);
   EXPECT_FALSE(sum(&r2).ok());
 }
 

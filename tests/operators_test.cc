@@ -653,6 +653,58 @@ TEST_P(AggAlgorithms, SameResultsUnderEveryTacticalChoice) {
   EXPECT_EQ(total, 10000LL * 9999 / 2);
 }
 
+TEST(CompositeIndex, SlotsAreTheProductOfTheSpansEachWithANullId) {
+  EXPECT_EQ(CompositeSlots({3, 2}), 12u);
+  EXPECT_EQ(CompositeSlots({3, 2, 7}), 96u);
+  EXPECT_EQ(CompositeSlots({3, 0}), 0u);          // a key without a bound
+  EXPECT_EQ(CompositeSlots({255, 255}), 65536u);  // exactly 2^16 slots
+  EXPECT_EQ(CompositeSlots({256, 255}), 0u);      // one slot too many
+  EXPECT_EQ(CompositeSlots({600000, 1}), 0u);
+}
+
+/// Two integer keys with NULLs, grouped by the tuple hash (no domains) and
+/// by the composite direct index (domains from "metadata"): the same
+/// groups, in the same first-occurrence order, with the same sums.
+TEST(CompositeIndex, MatchesTheTupleHashWithNullsAndOutOfRangeValues) {
+  std::vector<Lane> a, b, v;
+  for (int i = 0; i < 5000; ++i) {
+    a.push_back(i % 7 == 0 ? kNullSentinel : 10 + i % 5);
+    b.push_back(i % 11 == 0 ? kNullSentinel : -3 + i % 4);
+    v.push_back(i);
+  }
+  // The last rows leave b's declared domain: the index moves to the tuple
+  // hash mid-stream and keeps the groups it found.
+  for (int i = 0; i < 3; ++i) {
+    a.push_back(10);
+    b.push_back(100 + i);
+    v.push_back(1);
+  }
+  const auto run = [&](std::vector<KeyDomain> domains) {
+    AggregateOptions opts;
+    opts.group_by = {"a", "b"};
+    opts.aggs = {{AggKind::kSum, "v", "s"}, {AggKind::kCountStar, "", "n"}};
+    opts.key_domains = std::move(domains);
+    HashAggregate agg(VectorSource::Ints({{"a", a}, {"b", b}, {"v", v}}),
+                      opts);
+    auto blocks = Drain(&agg);
+    return std::make_pair(agg.algorithm_used(), blocks);
+  };
+  const auto [hash_alg, hashed] = run({});
+  EXPECT_EQ(hash_alg, HashAlgorithm::kCollision);
+  // In range throughout (b's domain covers the stragglers): direct.
+  const auto [direct_alg, direct] = run({{10, 5}, {-3, 200}});
+  EXPECT_EQ(direct_alg, HashAlgorithm::kDirect);
+  // Out of range at the end: falls back.
+  const auto [fallback_alg, fallback] = run({{10, 5}, {-3, 4}});
+  EXPECT_EQ(fallback_alg, HashAlgorithm::kCollision);
+  for (const auto* got : {&direct, &fallback}) {
+    for (size_t c = 0; c < 4; ++c) {
+      EXPECT_EQ(Flatten(*got, c), Flatten(hashed, c)) << "column " << c;
+    }
+  }
+  EXPECT_EQ(Flatten(hashed, 0).size(), 6u * 5u + 3u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     All, AggAlgorithms,
     ::testing::Values(HashAlgorithm::kDirect, HashAlgorithm::kPerfect,

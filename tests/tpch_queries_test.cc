@@ -8,6 +8,8 @@
 
 #include "src/core/engine.h"
 #include "src/workload/tpch.h"
+#include "src/workload/tpch_queries.h"
+#include "tests/test_util.h"
 
 namespace tde {
 namespace {
@@ -306,6 +308,99 @@ TEST(TpchSql, SegmentMorselsMatchSingleSegmentAtEveryPoolSize) {
       }
     }
   }
+}
+
+/// The first result row's values as text.
+std::vector<std::string> Row0(const QueryResult& r) {
+  std::vector<std::string> out;
+  for (size_t c = 0; c < r.num_columns(); ++c) out.push_back(r.ValueString(0, c));
+  return out;
+}
+
+TEST(TpchSql, StringAggregatesOfPerBlockStringsMatchTheStoredColumn) {
+  // LOWER makes a new heap per block; TPC-H comments are lower case, so
+  // every aggregate of LOWER(l_comment) must equal the stored column's.
+  // One segment runs the serial operator, 4,096-row segments the morsels.
+  for (const uint64_t segment_rows : {uint64_t{1} << 30, uint64_t{4096}}) {
+    Engine engine;
+    LoadSegmented(&engine, 0.01, segment_rows);
+    const auto run = [&](const std::string& sql) {
+      auto r = engine.ExecuteSql(sql);
+      EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+      return r.ok() ? r.MoveValue() : QueryResult();
+    };
+    for (const char* agg : {"MIN", "MAX", "COUNTD", "MEDIAN"}) {
+      const std::string a = agg;
+      const QueryResult whole =
+          run("SELECT " + a + "(LOWER(l_comment)) AS x, " + a +
+              "(l_comment) AS y FROM lineitem");
+      ASSERT_EQ(whole.num_rows(), 1u) << a;
+      EXPECT_EQ(whole.ValueString(0, 0), whole.ValueString(0, 1))
+          << a << " segment_rows " << segment_rows;
+      const QueryResult grouped =
+          run("SELECT l_returnflag, " + a + "(LOWER(l_comment)) AS x, " + a +
+              "(l_comment) AS y FROM lineitem GROUP BY l_returnflag");
+      ASSERT_EQ(grouped.num_rows(), 3u) << a;
+      for (uint64_t r = 0; r < grouped.num_rows(); ++r) {
+        EXPECT_EQ(grouped.ValueString(r, 1), grouped.ValueString(r, 2))
+            << a << " group " << grouped.ValueString(r, 0)
+            << " segment_rows " << segment_rows;
+      }
+    }
+    // The stored column's own answers, for the record.
+    EXPECT_EQ(Row0(run("SELECT COUNTD(l_comment) AS n FROM lineitem"))[0],
+              Row0(run("SELECT COUNTD(UPPER(l_comment)) AS n FROM "
+                       "lineitem"))[0]);
+  }
+}
+
+TEST(TpchSql, Q1GroupsOnCodesThroughItsFilterAndProject) {
+  Engine engine;
+  ASSERT_TRUE(LoadTpchTables(&engine, 0.002).ok());
+  const auto explain = [&](const std::string& sql,
+                           const StrategicOptions& options) {
+    auto r = engine.ExecuteSql("EXPLAIN ANALYZE " + sql, options);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r.value().ToCsv() : std::string();
+  };
+  const std::string q1 = TpchQueries()[0].sql;
+  const std::string q3 = TpchQueries()[1].sql;
+  const std::string one_key =
+      "SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY "
+      "l_returnflag";
+  const std::string text = explain(q1, StrategicOptions{});
+  EXPECT_NE(text.find("scan(l_returnflag): dictionary codes (group key)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("scan(l_linestatus): dictionary codes (group key)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("composite direct index"), std::string::npos) << text;
+  EXPECT_EQ(text.find("collision hash"), std::string::npos) << text;
+  // l_orderkey alone spans the whole order key range: Q3 keeps the hash.
+  EXPECT_NE(explain(q3, StrategicOptions{}).find("collision hash"),
+            std::string::npos);
+
+  // EXPLAIN (ANALYZE) plans under the caller's options, so with dictionary
+  // grouping off no key arrives as codes — through the look-through or on
+  // a bare scan.
+  StrategicOptions no_dict;
+  no_dict.enable_dict_grouping = false;
+  for (const StrategicOptions& options :
+       {no_dict, testutil::AllRewritesOff()}) {
+    for (const std::string& sql : {q1, one_key}) {
+      EXPECT_EQ(explain(sql, options).find("dictionary codes"),
+                std::string::npos)
+          << sql;
+      auto plain = engine.ExecuteSql("EXPLAIN " + sql, options);
+      ASSERT_TRUE(plain.ok());
+      EXPECT_EQ(plain.value().ToCsv().find("dictionary codes"),
+                std::string::npos)
+          << sql;
+    }
+  }
+  EXPECT_NE(explain(one_key, StrategicOptions{}).find("dictionary codes"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -58,8 +58,7 @@ void BM_AggregationUnderAlgorithm(benchmark::State& state) {
     opts.group_by = {"k"};
     opts.aggs = {{AggKind::kSum, "v", "s"}};
     opts.hash_algorithm = algorithm;
-    opts.key_min = 0;
-    opts.key_max = 999;
+    opts.key_domains = {{0, 1000}};
     HashAggregate agg(
         testutil::VectorSource::Ints({{"k", keys}, {"v", vals}}), opts);
     std::vector<Block> out;

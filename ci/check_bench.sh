@@ -13,12 +13,14 @@
 #
 # Usage: ci/check_bench.sh <build-dir> [base-ref]
 #
-#   base-ref  the commit to compare against (default: HEAD~1). Its tree
-#             comes from `git archive`, so the gate compares committed
-#             code on the base side and <build-dir>'s binaries on the other.
+#   base-ref  the commit to compare against. By default the change is the
+#             working tree's: against HEAD when tracked files have
+#             uncommitted edits, else against HEAD~1 (HEAD is the change).
+#             The base tree comes from `git archive`, so the gate compares
+#             committed code on the base side and <build-dir>'s binaries on
+#             the other. Each side's benches run 5 times.
 #
 # Knobs (all optional):
-#   TDE_BENCH_RUNS       runs of each bench per side (default: 5)
 #   TDE_BENCH_TOLERANCE  relative slowdown allowed (default: 0.25 = 25%)
 #   TDE_BENCH_MIN_MS     absolute slowdown floor in ms (default: 20)
 #   TDE_ROLLUP_ROWS      bench_rollup table size (default: 1000000)
@@ -28,8 +30,14 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:?usage: ci/check_bench.sh <build-dir> [base-ref]}"
 BUILD="$(cd "$BUILD" && pwd)"
-BASE_REF="${2:-HEAD~1}"
-RUNS="${TDE_BENCH_RUNS:-5}"
+if [[ $# -ge 2 ]]; then
+  BASE_REF="$2"
+elif git -C "$ROOT" diff --quiet HEAD; then
+  BASE_REF="HEAD~1"
+else
+  BASE_REF="HEAD"
+fi
+RUNS=5
 ROWS="${TDE_ROLLUP_ROWS:-1000000}"
 SORT_ROWS="${TDE_SORT_ROWS:-1000000}"
 BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' "$BUILD/CMakeCache.txt")"

@@ -10,7 +10,6 @@
 #   TDE_LARGE_ROWS    shrink the bench's large table for CI budgets
 #   TDE_SKIP_SANITIZE set to 1 to skip the ASan+UBSan stage
 #   TDE_SKIP_TSAN     set to 1 to skip the ThreadSanitizer stage
-#   TDE_BENCH_BASE    commit the perf gate compares against (default HEAD~1)
 #
 # The suite runs twice up front: once with stats on (default) and once with
 # TDE_STATS=0, with the benchmark self-test (perfbench/selftest.py) in
@@ -103,6 +102,7 @@ mkdir -p "$ARCHIVE"
 ls -l "$ARCHIVE"/BENCH_*.json
 
 # Perf-regression gate: bench_rollup and bench_heap_sorting of this build
-# against the same benches built from the parent commit, alternated, 5 runs
-# a side; a median >25% AND >20ms slower fails (see ci/check_bench.sh).
-"$ROOT/ci/check_bench.sh" "$BUILD" "${TDE_BENCH_BASE:-HEAD~1}"
+# against the same benches built from the change's base (HEAD with
+# uncommitted edits, else HEAD~1), alternated, 5 runs a side; a median >25%
+# AND >20ms slower fails (see ci/check_bench.sh).
+"$ROOT/ci/check_bench.sh" "$BUILD"

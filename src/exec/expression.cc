@@ -5,7 +5,6 @@
 #include <cctype>
 
 #include "src/common/collation.h"
-#include "src/storage/heap_accelerator.h"
 
 namespace tde {
 namespace expr {
@@ -579,14 +578,12 @@ class CaseExpr : public Expression {
     if (otherwise_ != nullptr) {
       same_heap = same_heap && other.heap.get() == first_heap;
     }
-    // Like every heap, the merged one holds each string once.
     std::shared_ptr<StringHeap> merged;
-    std::unique_ptr<HeapAccelerator> dedup;
     if (t == TypeId::kString && !same_heap) {
       merged = std::make_shared<StringHeap>(
           first_heap != nullptr ? first_heap->collation()
                                 : Collation::kLocale);
-      dedup = std::make_unique<HeapAccelerator>(merged.get());
+      merged->set_may_repeat(true);
     }
     auto emit = [&](size_t i, const ColumnVector& src) {
       const Lane lane = src.lanes[i];
@@ -595,7 +592,7 @@ class CaseExpr : public Expression {
         out.lanes[i] = lane;
         return;
       }
-      out.lanes[i] = dedup->Add(src.heap->Get(lane));
+      out.lanes[i] = merged->Add(src.heap->Get(lane));
     };
     for (size_t i = 0; i < n; ++i) {
       bool taken = false;
@@ -743,11 +740,11 @@ class StrFuncExpr : public Expression {
     }
     // String producers: the string function library cannot estimate the
     // result domain ahead of time (Sect. 4.1.2), so the output is a fresh
-    // heap with wide tokens; FlowTable later sorts and minimizes it. It
-    // holds each result string once, so equal results are equal tokens
-    // within the block (grouping and COUNTD rely on it).
+    // heap with wide tokens; FlowTable later sorts and minimizes it.
+    // Equal results are not deduplicated here: a filter or projection
+    // never needs it, and consumers that compare tokens see the flag.
     auto heap = std::make_shared<StringHeap>(v.heap->collation());
-    HeapAccelerator dedup(heap.get());
+    heap->set_may_repeat(true);
     out.type = TypeId::kString;
     out.lanes.resize(v.lanes.size());
     std::string tmp;
@@ -788,7 +785,7 @@ class StrFuncExpr : public Expression {
         case StrFunc::kLength:
           break;  // handled above
       }
-      out.lanes[i] = dedup.Add(tmp);
+      out.lanes[i] = heap->Add(tmp);
     }
     out.heap = std::move(heap);
     return out;

@@ -92,17 +92,21 @@ void AggStates::Reset(size_t g) {
 }
 
 bool AggStates::SameHeap(const std::shared_ptr<const StringHeap>& h) {
-  if (heap_ == nullptr) heap_ = h;
   if (h == nullptr || h.get() == heap_.get()) return true;
-  if (dedup_ == nullptr) Own();
+  if (heap_ == nullptr && !h->may_repeat()) {
+    heap_ = h;
+    return true;
+  }
+  if (dedup_ == nullptr) Own(heap_ != nullptr ? *heap_ : *h);
   return false;
 }
 
-void AggStates::Own() {
-  auto owned = std::make_shared<StringHeap>(heap_->collation());
+void AggStates::Own(const StringHeap& like) {
+  auto owned = std::make_shared<StringHeap>(like.collation());
   dedup_ = std::make_unique<HeapAccelerator>(owned.get());
   const std::shared_ptr<const StringHeap> old = std::move(heap_);
   heap_ = std::move(owned);
+  if (old == nullptr) return;  // nothing held yet
   // The values held so far move over, one copy per distinct string; equal
   // strings that held different tokens become one.
   const auto move = [&](Lane t) {
@@ -478,11 +482,12 @@ StringKeyNormalizer::HeapCache* StringKeyNormalizer::CacheFor(
       return last_;
     }
   }
-  if (!heaps_.empty() && canon_ == nullptr) {
-    // A second heap: tokens are no longer a shared namespace. Re-key every
-    // code onto a canonical heap (first-seen order) — one decode per
-    // distinct value so far, none per row.
-    const StringHeap& first = *heaps_[0]->keep;
+  if (canon_ == nullptr && (!heaps_.empty() || heap->may_repeat())) {
+    // A second heap, or one that may hold a string twice: a token no
+    // longer names one string. Re-key every code onto a canonical heap
+    // (first-seen order) — one decode per distinct value so far, none per
+    // row — and find later codes by their text.
+    const StringHeap& first = heaps_.empty() ? *heap : *heaps_[0]->keep;
     canon_ = std::make_shared<StringHeap>(first.collation());
     for (uint32_t c = 0; c < code_tokens_.size(); ++c) {
       if (code_tokens_[c] == kNullSentinel) continue;  // the NULL code
@@ -536,10 +541,11 @@ namespace {
 /// One key groups through its dictionary codes, its normalizer codes or
 /// the tactical GroupMap. Several keys group through the composite direct
 /// index when each has a dense id with a bound known before its first
-/// row — a dictionary code (bound: the entry table) or an integer offset
-/// from its metadata range (AggregateOptions::key_domains) — and the
-/// product of the bounds, plus one id each for NULL, fits the 2^16-slot
-/// direct table; otherwise through the collision hash of the key tuple.
+/// row — a dictionary code (bound: the entry table) or, for a key grouped
+/// on its lanes, the lane's offset from its metadata range
+/// (AggregateOptions::key_domains) — and the product of the bounds, plus
+/// one id each for NULL, fits the 2^16-slot direct table; otherwise
+/// through the collision hash of the key tuple.
 /// A value outside its metadata range moves the index to the tuple hash
 /// for good; the groups found so far keep their ids.
 class GroupIndex {
@@ -588,14 +594,22 @@ class GroupIndex {
           key_dicts_[k] = cv.dict;
           if (nkeys_ == 1) code_groups_[k] = LazySlots(cv.dict->values.size());
         } else {
+          // A heap that may hold a string twice groups by text even with
+          // dictionary grouping off: its tokens do not name strings.
           const bool on =
               key_types_[k] == TypeId::kString &&
-              (merging_ || (options_.dict_code_keys && cv.heap != nullptr));
+              (merging_ ||
+               (cv.heap != nullptr &&
+                (options_.dict_code_keys || cv.heap->may_repeat())));
           norm_state_[k] = on ? 1 : 0;
           if (on) norms_[k] = std::make_unique<StringKeyNormalizer>();
           if (!on && nkeys_ == 1) {
-            single_ = std::make_unique<GroupMap>(algorithm_, options_.key_min,
-                                                 options_.key_max);
+            const KeyDomain d = options_.key_domains.empty()
+                                    ? KeyDomain{}
+                                    : options_.key_domains[0];
+            single_ = std::make_unique<GroupMap>(
+                algorithm_, d.lo,
+                static_cast<int64_t>(static_cast<uint64_t>(d.lo) + d.span - 1));
           }
         }
       }
@@ -722,7 +736,7 @@ class GroupIndex {
     for (size_t k = 1; k < nkeys_; ++k) {
       stride_[k] = stride_[k - 1] * static_cast<uint32_t>(span_[k - 1] + 1);
     }
-    direct_.assign(static_cast<size_t>(slots), 0);
+    direct_ = LazySlots(static_cast<size_t>(slots));
   }
 
   /// The composite direct index over one block: the slot of each row is
@@ -772,7 +786,7 @@ class GroupIndex {
   void ToTupleHash() {
     composite_ = false;
     algorithm_ = HashAlgorithm::kCollision;
-    direct_ = {};
+    direct_ = LazySlots();
     size_t size = mk_slots_.size();
     while (ngroups_ * 2 > size) size *= 2;
     Rehash(size);
@@ -850,7 +864,7 @@ class GroupIndex {
   std::vector<int64_t> lo_;
   std::vector<uint64_t> span_;
   std::vector<uint32_t> stride_;
-  std::vector<uint32_t> direct_;
+  LazySlots direct_;
   std::vector<uint32_t> slot_;        // per-block row -> slot
   std::vector<uint64_t> mk_slots_;    // group id + 1, 0 = empty
   uint64_t mk_mask_ = 0;

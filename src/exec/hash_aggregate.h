@@ -33,9 +33,9 @@ struct AggSpec {
 };
 
 /// A group key's id domain as lowering knows it from metadata: the key's
-/// non-NULL ids lie in [lo, lo + span) (span 0 = unknown). An integer or
-/// date key's ids are its values; a dictionary-code key's are its codes,
-/// whose span the operator takes from the entry table instead.
+/// non-NULL ids lie in [lo, lo + span) (span 0 = unknown). A key's ids are
+/// its lanes; a dictionary-code key's are its codes, whose span the
+/// operator takes from the entry table instead.
 struct KeyDomain {
   int64_t lo = 0;
   uint64_t span = 0;
@@ -52,19 +52,18 @@ struct AggregateOptions {
   std::vector<AggSpec> aggs;
   /// Tactical hint for single-key grouping: the hash algorithm chosen from
   /// the key column's width and range metadata (Sect. 2.3.4). Unset =
-  /// collision hashing.
+  /// collision hashing. A perfect hash spans key_domains[0].
   std::optional<HashAlgorithm> hash_algorithm;
-  int64_t key_min = 0;
-  int64_t key_max = 0;
   /// Dictionary-code grouping: string group keys are translated per heap
   /// into dense first-occurrence codes and grouped on those, so the key
   /// strings materialize once per *group* at finalize instead of once per
   /// row. Cleared when StrategicOptions::enable_dict_grouping is off.
   bool dict_code_keys = true;
-  /// Multi-key grouping: each key's id domain (missing or span 0 =
-  /// unknown). When every key has one and CompositeSlots fits, a group is
-  /// found by the mixed-radix sum of its keys' ids in a direct table
-  /// instead of by hashing the key tuple.
+  /// Each group key's id domain (missing or span 0 = unknown). One key's
+  /// perfect hash spans it; for several keys, when every key grouped on
+  /// its lanes or codes has one and CompositeSlots fits, a group is found
+  /// by the mixed-radix sum of its keys' ids in a direct table instead of
+  /// by hashing the key tuple.
   std::vector<KeyDomain> key_domains;
 };
 
@@ -142,11 +141,11 @@ struct RealSum {
 /// String values (MIN, MAX, COUNTD, MEDIAN over strings) are tokens of
 /// heap(). That is the first input heap, adopted as is while every value
 /// comes from it — a stored column's heap, which holds each string once —,
-/// so such inputs pay nothing. A value from another heap (strings computed
-/// per block, another morsel's partial) makes the states own a heap: the
-/// values held so far move into it, and a later value enters it, each
-/// string stored once, only when the state keeps it (a MIN/MAX winner, a
-/// COUNTD value, every MEDIAN value).
+/// so such inputs pay nothing. A value from another heap (another morsel's
+/// partial), or from a heap that may repeat a string (strings computed per
+/// block), makes the states own a heap: the values held so far move into
+/// it, and a later value enters it, each string stored once, only when the
+/// state keeps it (a MIN/MAX winner, a COUNTD value, every MEDIAN value).
 struct AggStates {
   AggStates() = default;
   AggStates(AggKind kind, TypeId type, size_t groups = 0);
@@ -184,7 +183,8 @@ struct AggStates {
   /// Calls f(the kind's state array, an empty state).
   template <typename F>
   void ForKind(F f);
-  void Own();
+  /// Moves the states to a heap of their own, collated like `like`.
+  void Own(const StringHeap& like);
 
   std::shared_ptr<const StringHeap> heap_;
   std::unique_ptr<HeapAccelerator> dedup_;  // into heap_, once owned

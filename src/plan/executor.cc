@@ -382,29 +382,31 @@ Result<BuiltPlan> BuildAggregate(const PlanNode& node, BuiltPlan child) {
     ordered_raw = op.get();
     out.op = std::move(op);
   } else {
-    if (agg.group_by.size() == 1 && !agg.hash_algorithm.has_value()) {
-      auto it = child.props.find(agg.group_by[0]);
-      if (it != child.props.end()) {
-        const GroupingChoice gc = ChooseGrouping(it->second);
-        agg.hash_algorithm = gc.algorithm;
-        agg.key_min = gc.key_min;
-        agg.key_max = gc.key_max;
+    // Every key's id domain, and a lone key's hash algorithm. A string key
+    // that is not a code scan's groups through a normalizer while
+    // dictionary grouping is on, so its lane range is no id for the
+    // composite index.
+    std::vector<uint64_t> spans;
+    for (const std::string& k : agg.group_by) {
+      auto it = child.props.find(k);
+      if (it == child.props.end()) {
+        agg.key_domains.emplace_back();
+        spans.push_back(0);
+        continue;
       }
+      const GroupingChoice gc = ChooseGrouping(it->second);
+      if (agg.group_by.size() == 1 && !agg.hash_algorithm.has_value()) {
+        agg.hash_algorithm = gc.algorithm;
+      }
+      agg.key_domains.push_back(gc.domain);
+      const bool normalized = agg.dict_code_keys && !it->second.codes &&
+                              it->second.type == TypeId::kString;
+      spans.push_back(normalized ? 0 : gc.domain.span);
     }
     std::string index;
-    if (agg.group_by.size() > 1) {
-      std::vector<uint64_t> spans;
-      for (const std::string& k : agg.group_by) {
-        auto it = child.props.find(k);
-        agg.key_domains.push_back(it == child.props.end()
-                                      ? KeyDomain{}
-                                      : ChooseKeyDomain(it->second));
-        spans.push_back(agg.key_domains.back().span);
-      }
-      if (const uint64_t slots = CompositeSlots(spans); slots > 0) {
-        index = "composite direct index (" + std::to_string(slots) +
-                " slots)";
-      }
+    const uint64_t slots = CompositeSlots(spans);
+    if (agg.group_by.size() > 1 && slots > 0) {
+      index = "composite direct index (" + std::to_string(slots) + " slots)";
     }
     if (index.empty()) {
       index = dict_keys && agg.group_by.size() == 1

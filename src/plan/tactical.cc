@@ -4,36 +4,25 @@ namespace tde {
 
 GroupingChoice ChooseGrouping(const ColumnProps& key) {
   GroupingChoice c;
+  const ColumnMetadata& m = key.meta;
   // The hash sees decoded lanes, so the deciding width is that of the
   // value range, not of the stored (possibly dictionary-packed) tokens.
   const uint8_t value_width =
-      key.meta.min_max_known
-          ? MinSignedWidth(key.meta.min_value, key.meta.max_value)
-          : key.width;
-  c.algorithm = ChooseHashAlgorithm(value_width, key.meta.min_max_known,
-                                    key.meta.min_value, key.meta.max_value);
-  c.key_min = key.meta.min_value;
-  c.key_max = key.meta.max_value;
-  return c;
-}
-
-KeyDomain ChooseKeyDomain(const ColumnProps& key) {
-  const ColumnMetadata& m = key.meta;
+      m.min_max_known ? MinSignedWidth(m.min_value, m.max_value) : key.width;
+  c.algorithm = ChooseHashAlgorithm(value_width, m.min_max_known,
+                                    m.min_value, m.max_value);
   if (key.codes) {
     // The entry table: the cardinality, plus an entry for NULL unless the
     // column has none.
-    if (!m.cardinality_known) return {};
-    return {0, m.cardinality + (m.null_known && !m.has_nulls ? 0 : 1)};
+    if (m.cardinality_known) {
+      c.domain = {0, m.cardinality + (m.null_known && !m.has_nulls ? 0 : 1)};
+    }
+  } else if (m.min_max_known && m.max_value >= m.min_value) {
+    // A span of 2^64 wraps to 0: unknown.
+    c.domain = {m.min_value, static_cast<uint64_t>(m.max_value) -
+                                 static_cast<uint64_t>(m.min_value) + 1};
   }
-  const TypeId t = key.type;
-  const bool ordered_lanes = t == TypeId::kInteger || t == TypeId::kDate ||
-                             t == TypeId::kDateTime || t == TypeId::kBool;
-  if (!ordered_lanes || !m.min_max_known || m.max_value < m.min_value) {
-    return {};
-  }
-  const uint64_t span = static_cast<uint64_t>(m.max_value) -
-                        static_cast<uint64_t>(m.min_value) + 1;
-  return {m.min_value, span};
+  return c;
 }
 
 IndexedAggChoice ChooseIndexedAggregation(

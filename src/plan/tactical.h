@@ -26,20 +26,17 @@ struct ColumnProps {
 
 using PropMap = std::map<std::string, ColumnProps>;
 
-/// Tactical choice of grouping algorithm for a single aggregation key.
+/// Tactical choice of grouping for one aggregation key: the hash
+/// algorithm a lone key groups with, from its width and range (Sect.
+/// 2.3.4), and the key's id domain (AggregateOptions::key_domains) — a
+/// dictionary-code key's entry table as the metadata estimates it (the
+/// operator sizes its index from the table itself), otherwise the metadata
+/// range of the key's lanes. Unknown (span 0) without metadata.
 struct GroupingChoice {
   HashAlgorithm algorithm = HashAlgorithm::kCollision;
-  int64_t key_min = 0;
-  int64_t key_max = 0;
+  KeyDomain domain;
 };
 GroupingChoice ChooseGrouping(const ColumnProps& key);
-
-/// A group key's dense id domain for the composite direct index (see
-/// AggregateOptions::key_domains): a dictionary-code key's entry table as
-/// the metadata estimates it (the operator sizes the index from the table
-/// itself), or an integer, date, datetime or bool key's metadata range.
-/// Unknown (span 0) for other keys.
-KeyDomain ChooseKeyDomain(const ColumnProps& key);
 
 /// Tactical choice for an IndexedScan feeding an aggregation
 /// (Sect. 4.2.2/6.6): sorting the index by value enables ordered

@@ -44,6 +44,14 @@ class StringHeap {
   bool sorted() const { return sorted_; }
   void set_sorted(bool v) { sorted_ = v; }
 
+  /// Whether the heap may hold a string more than once. The per-block
+  /// heaps of string functions and of a CASE over several heaps skip
+  /// deduplication, which a filter or projection over them does not need,
+  /// and say so; consumers that take equal tokens for equal strings
+  /// (COUNTD, string group keys) then go by the text instead.
+  bool may_repeat() const { return may_repeat_; }
+  void set_may_repeat(bool v) { may_repeat_ = v; }
+
   Collation collation() const { return collation_; }
 
   const std::vector<uint8_t>& buffer() const { return buf_; }
@@ -56,6 +64,7 @@ class StringHeap {
   std::vector<uint8_t> buf_;
   uint64_t entries_ = 0;
   bool sorted_ = false;
+  bool may_repeat_ = false;
   Collation collation_;
 };
 

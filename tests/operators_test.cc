@@ -640,8 +640,7 @@ TEST_P(AggAlgorithms, SameResultsUnderEveryTacticalChoice) {
   opts.group_by = {"k"};
   opts.aggs = {{AggKind::kSum, "v", "s"}};
   opts.hash_algorithm = GetParam();
-  opts.key_min = 0;
-  opts.key_max = 96;
+  opts.key_domains = {{0, 97}};
   HashAggregate agg(std::move(src), opts);
   auto blocks = Drain(&agg);
   EXPECT_EQ(agg.algorithm_used(), GetParam());

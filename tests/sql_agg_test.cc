@@ -492,6 +492,27 @@ TEST_F(SqlAggTest, GroupByOverEmptyInput) {
   EXPECT_EQ(w.value().ValueString(0, 1), "NULL");
 }
 
+/// A string function's equal results are one value: UPPER folds 'ab',
+/// 'AB' and 'Ab' into one group key and one distinct value, with and
+/// without the compressed-domain paths.
+TEST(SqlAggStrings, EqualResultsOfAStringFunctionAreOneValue) {
+  Engine engine;
+  ASSERT_TRUE(
+      engine.ImportTextBuffer("k,s\n1,ab\n2,AB\n3,Ab\n4,cd\n5,\n", "t").ok());
+  for (const StrategicOptions& options :
+       {StrategicOptions{}, DecodeThenAggregate()}) {
+    auto grouped = engine.ExecuteSql(
+        "SELECT UPPER(s) AS u, COUNT(*) AS n FROM t GROUP BY u", options);
+    ASSERT_TRUE(grouped.ok()) << grouped.status().message();
+    EXPECT_EQ(SortedRows(grouped.value()),
+              (std::vector<std::string>{"AB|3", "CD|1", "NULL|1"}));
+    auto distinct =
+        engine.ExecuteSql("SELECT COUNTD(UPPER(s)) AS n FROM t", options);
+    ASSERT_TRUE(distinct.ok()) << distinct.status().message();
+    EXPECT_EQ(distinct.value().ValueString(0, 0), "2");
+  }
+}
+
 TEST(SqlAggTpch, RollupQueriesMatchWithRewritesOff) {
   Engine engine;
   ASSERT_TRUE(LoadTpchTables(&engine, 0.002).ok());

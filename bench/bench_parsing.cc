@@ -28,8 +28,18 @@ double MBps(size_t bytes, double seconds) {
   return static_cast<double>(bytes) / 1e6 / seconds;
 }
 
-void Row(const char* name, size_t bytes, double secs) {
+/// Prints one ladder row and, with --json, records it as "<file> <row>" in
+/// milliseconds for ci/check_bench.sh; `rows` (the imported table's row
+/// count, 0 where nothing is imported) is the answer the gate compares.
+void Row(bench::JsonReport* report, const char* file, const char* name,
+         size_t bytes, double secs, uint64_t rows = 0) {
   std::printf("%-34s %8.2fs %10.1f MB/s\n", name, secs, MBps(bytes, secs));
+  if (!report->enabled()) return;
+  char rec[160];
+  std::snprintf(rec, sizeof(rec),
+                "{\"name\":\"%s %s\",\"ms\":%.4f,\"groups\":%llu}", file,
+                name, secs * 1000, static_cast<unsigned long long>(rows));
+  report->Add(rec);
 }
 
 // Bandwidth: sum all bytes.
@@ -76,7 +86,7 @@ double Split(const std::string& data, char sep, size_t ncols) {
 
 // Scalars / All: TextScan -> FlowTable with the given configuration.
 double Import(const std::string& data, char sep, bool scalars_only,
-              bool acceleration, bool encodings, uint64_t* physical) {
+              bool acceleration, bool encodings, uint64_t* rows) {
   TextScanOptions text;
   text.field_separator = sep;
   if (scalars_only) {
@@ -104,29 +114,28 @@ double Import(const std::string& data, char sep, bool scalars_only,
   if (!pager::WriteDatabaseV2(db, "/tmp/tde_bench_parsing.tde").ok()) {
     std::exit(1);
   }
-  if (physical != nullptr) *physical = table.value()->PhysicalSize();
-  return t.Seconds();
+  const double seconds = t.Seconds();
+  *rows = table.value()->rows();
+  return seconds;
 }
 
-void RunFile(const char* label, const std::string& data, char sep,
-             size_t ncols) {
+void RunFile(bench::JsonReport* report, const char* label,
+             const std::string& data, char sep, size_t ncols) {
   std::printf("\n-- %s (%.1f MB) --\n", label,
               static_cast<double>(data.size()) / 1e6);
-  Row("bandwidth", data.size(), Bandwidth(data));
-  Row("tokenize", data.size(), Tokenize(data, sep));
-  Row("split", data.size(), Split(data, sep, ncols));
-  for (const bool acc : {false, true}) {
-    for (const bool enc : {false, true}) {
-      char name[80];
-      std::snprintf(name, sizeof(name), "scalars acc=%d enc=%d", acc, enc);
-      Row(name, data.size(), Import(data, sep, true, acc, enc, nullptr));
-    }
-  }
-  for (const bool acc : {false, true}) {
-    for (const bool enc : {false, true}) {
-      char name[80];
-      std::snprintf(name, sizeof(name), "all     acc=%d enc=%d", acc, enc);
-      Row(name, data.size(), Import(data, sep, false, acc, enc, nullptr));
+  Row(report, label, "bandwidth", data.size(), Bandwidth(data));
+  Row(report, label, "tokenize", data.size(), Tokenize(data, sep));
+  Row(report, label, "split", data.size(), Split(data, sep, ncols));
+  for (const bool scalars : {true, false}) {
+    for (const bool acc : {false, true}) {
+      for (const bool enc : {false, true}) {
+        char name[80];
+        std::snprintf(name, sizeof(name), "%s acc=%d enc=%d",
+                      scalars ? "scalars" : "all", acc, enc);
+        uint64_t rows = 0;
+        const double secs = Import(data, sep, scalars, acc, enc, &rows);
+        Row(report, label, name, data.size(), secs, rows);
+      }
     }
   }
 }
@@ -134,7 +143,8 @@ void RunFile(const char* label, const std::string& data, char sep,
 }  // namespace
 }  // namespace tde
 
-int main() {
+int main(int argc, char** argv) {
+  tde::bench::JsonReport report("parsing", argc, argv);
   tde::bench::PrintHeader("Fig. 4 — parsing performance (Sect. 6.1)");
   const double sf = tde::bench::ScaleFactor();
   std::printf("TDE_SF=%g TDE_FLIGHTS_ROWS=%llu (paper: SF-30 / 67M rows)\n",
@@ -142,12 +152,12 @@ int main() {
   {
     const std::string lineitem =
         tde::GenerateTpchTable(tde::TpchTable::kLineitem, sf);
-    tde::RunFile("lineitem", lineitem, '|', 16);
+    tde::RunFile(&report, "lineitem", lineitem, '|', 16);
   }
   {
     const std::string flights =
         tde::GenerateFlights(tde::bench::FlightsRows());
-    tde::RunFile("Flights", flights, ',', 12);
+    tde::RunFile(&report, "Flights", flights, ',', 12);
   }
   std::printf(
       "\npaper shape check: 'all acc=1 enc=1' should be comparable to "

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Perf-regression gate: the change against its base, measured on the same
-# host in the same run. Builds bench_rollup and bench_heap_sorting from a
-# checkout of the base ref with the same CMake build type as <build-dir>
-# (the change's build), runs the two sides' benches alternately, and
-# compares the median of each named measurement.
+# host in the same run. Builds bench_rollup, bench_heap_sorting and
+# bench_parsing from a checkout of the base ref with the same CMake build
+# type as <build-dir> (the change's build), runs the two sides' benches
+# alternately, and compares the median of each named measurement.
 # A measurement fails the gate when its median is BOTH more than
 # TDE_BENCH_TOLERANCE slower relatively AND more than TDE_BENCH_MIN_MS
 # slower absolutely than the base's median — the absolute floor keeps
@@ -51,13 +51,13 @@ mkdir -p "$WORK/base"
 git -C "$ROOT" archive "$BASE_COMMIT" | tar -x -C "$WORK/base"
 cmake -S "$WORK/base" -B "$WORK/base-build" \
     -DCMAKE_BUILD_TYPE="${BUILD_TYPE:-RelWithDebInfo}" > "$WORK/base.log" 2>&1
-cmake --build "$WORK/base-build" -j"$(nproc)" \
-    --target bench_rollup --target bench_heap_sorting >> "$WORK/base.log" 2>&1 ||
-    { tail -40 "$WORK/base.log"; exit 1; }
-cmake --build "$BUILD" -j"$(nproc)" \
-    --target bench_rollup --target bench_heap_sorting > /dev/null
+cmake --build "$WORK/base-build" -j"$(nproc)" --target bench_rollup \
+    --target bench_heap_sorting --target bench_parsing \
+    >> "$WORK/base.log" 2>&1 || { tail -40 "$WORK/base.log"; exit 1; }
+cmake --build "$BUILD" -j"$(nproc)" --target bench_rollup \
+    --target bench_heap_sorting --target bench_parsing > /dev/null
 
-# One run of both benches from `bin` into `out`, one JSON doc per bench.
+# One run of the benches from `bin` into `out`, one JSON doc per bench.
 run_side() {
   local bin="$1" out="$2"
   mkdir -p "$out"
@@ -68,6 +68,10 @@ run_side() {
   (cd "$out" && TDE_SORT_ROWS="$SORT_ROWS" TDE_SF=0.001 \
       TDE_FLIGHTS_ROWS=1000 "$bin/bench_heap_sorting" --json \
       > sorting.out) || { cat "$out/sorting.out"; exit 1; }
+  # Fig. 4's import ladder on lineitem: SF 0.03 keeps every full import
+  # above the gate's 20 ms floor; Flights shrinks to a token size.
+  (cd "$out" && TDE_SF=0.03 TDE_FLIGHTS_ROWS=1000 "$bin/bench_parsing" \
+      --json > parsing.out) || { cat "$out/parsing.out"; exit 1; }
 }
 
 # Alternate the sides, and which goes first, so host drift during the gate

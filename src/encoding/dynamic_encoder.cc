@@ -115,7 +115,7 @@ Result<EncodedColumn> DynamicEncoder::Finalize() {
   TDE_RETURN_NOT_OK(stream_->Finalize());
   EncodedColumn out;
   out.stream = std::move(stream_);
-  out.stats = stats_;
+  out.stats = std::move(stats_);  // Finalize is terminal
   out.encoding_changes = changes_;
   out.bytes_written = bytes_written_;
   return out;

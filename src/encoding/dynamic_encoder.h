@@ -65,7 +65,8 @@ class DynamicEncoder {
   Status Append(const Lane* values, size_t count);
 
   /// Finalizes (optionally converting to the optimal encoding) and
-  /// releases the encoded column.
+  /// releases the encoded column. Terminal: the stats move into the
+  /// result, so stats() is empty afterwards.
   Result<EncodedColumn> Finalize();
 
   const EncodingStats& stats() const { return stats_; }

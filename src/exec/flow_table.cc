@@ -86,6 +86,52 @@ Status SortColumnHeap(Column* col, bool* applied) {
   return Status::OK();
 }
 
+/// Concatenates column `i` of the drained blocks, in block order, into one
+/// build input, re-homing string tokens into the column's own heap
+/// (deduplicated by the accelerator when it is on). Each block's copy of
+/// the column is released once read. Touches no other column, so one task
+/// per column can run it concurrently.
+ColumnBuildInput GatherColumn(const Field& field, size_t i,
+                              const FlowTableOptions& options,
+                              size_t total_rows, std::vector<Block>* blocks) {
+  ColumnBuildInput in;
+  in.name = field.name;
+  in.type = field.type;
+  in.lanes.reserve(total_rows);
+  std::unique_ptr<HeapAccelerator> accel;
+  if (in.type == TypeId::kString) {
+    in.heap = std::make_shared<StringHeap>();
+    if (options.heap_acceleration) {
+      accel = std::make_unique<HeapAccelerator>(in.heap.get(),
+                                                options.accelerator_threshold);
+    }
+  }
+  for (Block& block : *blocks) {
+    if (i >= block.columns.size()) continue;
+    ColumnVector& cv = block.columns[i];
+    if (in.type == TypeId::kString) {
+      for (const Lane token : cv.lanes) {
+        if (token == kNullSentinel) {
+          in.lanes.push_back(kNullSentinel);
+        } else if (accel != nullptr) {
+          in.lanes.push_back(accel->Add(cv.heap->Get(token)));
+        } else {
+          in.lanes.push_back(in.heap->Add(cv.heap->Get(token)));
+        }
+      }
+    } else {
+      in.lanes.insert(in.lanes.end(), cv.lanes.begin(), cv.lanes.end());
+    }
+    cv = ColumnVector{};
+  }
+  if (accel != nullptr) {
+    in.accel_active = true;
+    in.accel_distinct = accel->distinct_count();
+    in.accel_arrived_sorted = accel->arrived_sorted();
+  }
+  return in;
+}
+
 }  // namespace
 
 Result<std::shared_ptr<Column>> BuildColumn(
@@ -127,7 +173,7 @@ Result<std::shared_ptr<Column>> BuildColumn(
       TDE_RETURN_NOT_OK(encoder.Append(in.lanes.data() + row, take));
     }
     TDE_ASSIGN_OR_RETURN(EncodedColumn encoded, encoder.Finalize());
-    stats = encoded.stats;
+    stats = std::move(encoded.stats);
     encoding_changes = encoded.encoding_changes;
     bytes_written = encoded.bytes_written;
     col->set_data(std::move(encoded.stream));
@@ -219,79 +265,42 @@ Status FlowTable::Open() {
   const Schema& in_schema = child_->output_schema();
   const size_t ncols = in_schema.num_fields();
 
-  std::vector<ColumnBuildInput> inputs(ncols);
-  std::vector<std::unique_ptr<HeapAccelerator>> accels(ncols);
-  for (size_t i = 0; i < ncols; ++i) {
-    inputs[i].name = in_schema.field(i).name;
-    inputs[i].type = in_schema.field(i).type;
-    if (inputs[i].type == TypeId::kString) {
-      inputs[i].heap = std::make_shared<StringHeap>();
-      if (options_.heap_acceleration) {
-        accels[i] = std::make_unique<HeapAccelerator>(
-            inputs[i].heap.get(), options_.accelerator_threshold);
-      }
-    }
-  }
-
-  // Drain the child, accumulating lanes; string tokens are re-homed into
-  // this FlowTable's own heaps (deduplicated by the accelerator).
+  // The drain only collects blocks; every per-row step runs in the column
+  // tasks below.
+  std::vector<Block> blocks;
+  size_t total_rows = 0;
   while (true) {
     Block b;
     bool eos = false;
     TDE_RETURN_NOT_OK(child_->Next(&b, &eos));
     if (eos) break;
-    const size_t rows = b.rows();
-    for (size_t i = 0; i < ncols && i < b.columns.size(); ++i) {
-      ColumnVector& cv = b.columns[i];
-      ColumnBuildInput& in = inputs[i];
-      if (in.type == TypeId::kString) {
-        for (size_t r = 0; r < rows; ++r) {
-          if (cv.lanes[r] == kNullSentinel) {
-            in.lanes.push_back(kNullSentinel);
-          } else if (accels[i] != nullptr) {
-            in.lanes.push_back(accels[i]->Add(cv.heap->Get(cv.lanes[r])));
-          } else {
-            in.lanes.push_back(in.heap->Add(cv.heap->Get(cv.lanes[r])));
-          }
-        }
-      } else {
-        in.lanes.insert(in.lanes.end(), cv.lanes.begin(), cv.lanes.end());
-      }
-    }
+    total_rows += b.rows();
+    blocks.push_back(std::move(b));
   }
   child_->Close();
-  for (size_t i = 0; i < ncols; ++i) {
-    if (accels[i] != nullptr) {
-      inputs[i].accel_active = true;
-      inputs[i].accel_distinct = accels[i]->distinct_count();
-      inputs[i].accel_arrived_sorted = accels[i]->arrived_sorted();
-    }
-  }
 
-  // Encode each column — independently, so the work can be distributed
-  // across cores (Sect. 3.3).
+  // One task per column gathers and encodes it — independently, so the
+  // work is distributed across cores (Sect. 3.3). Each column still sees
+  // its rows in input order, so the table does not depend on the pool size.
   const auto encode_start = std::chrono::steady_clock::now();
-  auto table = std::make_shared<Table>(options_.table_name);
   std::vector<Result<std::shared_ptr<Column>>> results(
       ncols, Result<std::shared_ptr<Column>>(Status::OK()));
   column_stats_.assign(ncols, observe::ColumnImportStats{});
-  if (options_.parallel_columns && ncols > 1) {
-    // One task per column on the shared pool (bounded parallelism even
-    // when several imports run concurrently); Wait() helps drain.
-    auto group = TaskScheduler::Global().CreateGroup();
-    for (size_t i = 0; i < ncols; ++i) {
-      group->Submit([&, i]() {
-        results[i] =
-            BuildColumn(std::move(inputs[i]), options_, &column_stats_[i]);
-      });
-    }
-    group->Wait();
-  } else {
-    for (size_t i = 0; i < ncols; ++i) {
-      results[i] =
-          BuildColumn(std::move(inputs[i]), options_, &column_stats_[i]);
-    }
+  auto group = TaskScheduler::Global().CreateGroup();
+  for (size_t i = 0; i < ncols; ++i) {
+    group->Submit([&, i]() {
+      const auto task_start = std::chrono::steady_clock::now();
+      results[i] = BuildColumn(
+          GatherColumn(in_schema.field(i), i, options_, total_rows, &blocks),
+          options_, &column_stats_[i]);
+      column_stats_[i].task_seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        task_start)
+              .count();
+    });
   }
+  group->Wait();
+  auto table = std::make_shared<Table>(options_.table_name);
   for (size_t i = 0; i < ncols; ++i) {
     TDE_RETURN_NOT_OK(results[i].status());
     table->AddColumn(results[i].MoveValue());

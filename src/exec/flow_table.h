@@ -27,9 +27,6 @@ struct FlowTableOptions {
   /// heap sorting for dictionary-encoded string columns, metadata
   /// extraction.
   bool post_process = true;
-  /// Encode columns on separate threads (encoding of each column is
-  /// independent, Sect. 3.3).
-  bool parallel_columns = false;
   /// Rows per sealed segment (0 = the TDE_SEGMENT_ROWS knob / 64K
   /// default). Columns no longer than one segment stay monolithic.
   uint64_t segment_rows = 0;
@@ -37,10 +34,11 @@ struct FlowTableOptions {
 };
 
 /// FlowTable (Sect. 3.3): the stop-and-go operator that turns a stream of
-/// row blocks into a table. Each column is dynamically encoded
-/// independently (and optionally in parallel); afterwards the Sect. 3.4
-/// manipulations run as a post-processing step of the build, extracting
-/// metadata for the tactical optimizer along the way.
+/// row blocks into a table. The drain collects the blocks; then one task
+/// per column on the shared pool interns that column's strings and
+/// dynamically encodes it, and the Sect. 3.4 manipulations run as a
+/// post-processing step of each column's build, extracting metadata for
+/// the tactical optimizer along the way.
 class FlowTable : public Operator {
  public:
   FlowTable(std::unique_ptr<Operator> child, FlowTableOptions options = {});
@@ -59,7 +57,8 @@ class FlowTable : public Operator {
   const std::vector<observe::ColumnImportStats>& column_stats() const {
     return column_stats_;
   }
-  /// Wall time of the encode phase (drain excluded); valid after Open().
+  /// Wall time of the column tasks (string interning and encoding; the
+  /// drain excluded); valid after Open().
   double encode_seconds() const { return encode_seconds_; }
 
   /// One-shot: drain `child` and build the table.

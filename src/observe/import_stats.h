@@ -24,6 +24,9 @@ struct ColumnImportStats {
   /// (type narrowing, dictionary-entry remapping for heap sorting).
   uint64_t header_manipulations = 0;
   uint8_t token_width = 8;  // final per-row token width in bytes
+  /// Wall time of the column's build task: string interning plus encoding.
+  /// The longest task bounds the import's encode phase.
+  double task_seconds = 0;
 
   double compression_ratio() const {
     return encoded_bytes == 0
@@ -41,7 +44,8 @@ struct ImportStats {
   uint64_t rows = 0;
   uint64_t parse_errors = 0;
   double parse_seconds = 0;
-  // Encode phase.
+  // Encode phase: wall time of FlowTable's column tasks, which intern each
+  // string column into its own heap as well as encode it.
   double encode_seconds = 0;
   std::vector<ColumnImportStats> columns;
 

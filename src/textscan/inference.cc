@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 
 #include "src/textscan/parsers.h"
 
@@ -37,6 +38,39 @@ bool NextRecord(std::string_view data, size_t* pos, std::string_view* record) {
   *record = data.substr(*pos, len);
   *pos = end < data.size() ? end + 1 : end;
   return true;
+}
+
+size_t SkipRecords(std::string_view data, size_t* pos, size_t max_rows) {
+  const char* const base = data.data();
+  const size_t n = data.size();
+  // First `c` in [from, to), or `to`.
+  auto find = [base](char c, size_t from, size_t to) -> size_t {
+    if (from >= to) return to;
+    const void* hit = std::memchr(base + from, c, to - from);
+    return hit == nullptr ? to : static_cast<const char*>(hit) - base;
+  };
+  size_t p = *pos;
+  size_t rows = 0;
+  while (rows < max_rows && p < n) {
+    size_t end = find('\n', p, n);
+    // Each quote before the candidate end opens a quoted stretch; a
+    // newline before its closing quote is content, so the record runs on.
+    for (size_t quote = find('"', p, end); quote < end;) {
+      const size_t close = find('"', quote + 1, n);
+      if (close == n) {  // unterminated: the record runs to the end
+        end = n;
+        break;
+      }
+      if (close > end) end = find('\n', close + 1, n);
+      quote = find('"', close + 1, end);
+    }
+    size_t len = end - p;
+    if (len > 0 && base[end - 1] == '\r') --len;
+    rows += len > 0;
+    p = end < n ? end + 1 : end;
+  }
+  *pos = p;
+  return rows;
 }
 
 namespace {

@@ -22,6 +22,12 @@ void SplitRecord(std::string_view record, char sep,
 /// *pos past its terminator; false at end of buffer.
 bool NextRecord(std::string_view data, size_t* pos, std::string_view* record);
 
+/// Advances *pos past up to `max_rows` non-empty records, ending each where
+/// NextRecord would, and returns how many it passed. It looks only at
+/// newlines and quote parity, so a reader can cut a buffer into
+/// record-aligned chunks before any chunk is tokenized.
+size_t SkipRecords(std::string_view data, size_t* pos, size_t max_rows);
+
 /// The format TextScan inferred (Sect. 5.1.1): field separator via simple
 /// statistical analysis of a sample, column types by competitive parsing
 /// (the parser with the fewest errors wins), and header detection by

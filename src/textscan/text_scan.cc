@@ -1,6 +1,5 @@
 #include "src/textscan/text_scan.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 
@@ -10,9 +9,10 @@
 namespace tde {
 
 namespace {
-/// Rows parsed per batch: large enough to amortize worker startup when
-/// parallel column parsing is on.
-constexpr size_t kBatchRows = 16 * kBlockSize;
+/// Chunks (one block of rows each) cut per batch: enough tasks to keep
+/// every worker busy between the batch's serial boundary pass and its
+/// Wait().
+constexpr size_t kBatchChunks = 64;
 }  // namespace
 
 Result<std::unique_ptr<TextScan>> TextScan::FromFile(const std::string& path,
@@ -120,106 +120,97 @@ void TextScan::AdoptHeaderNames() {
 
 Status TextScan::FillBatch() {
   const auto t0 = std::chrono::steady_clock::now();
-  // Tokenize a batch of records into per-row field slices (shared
-  // read-only state for the column parsers).
-  std::vector<std::vector<std::string_view>> rows;
-  rows.reserve(kBatchRows);
-  std::string_view rec;
-  std::vector<std::string_view> fields;
-  while (rows.size() < kBatchRows && NextRecord(data_, &pos_, &rec)) {
-    if (rec.empty()) continue;
-    SplitRecord(rec, format_.field_separator, &fields);
-    rows.push_back(fields);
+  // One serial pass cuts the batch into record-aligned chunks of one block
+  // each, looking only at newlines and quote parity.
+  struct Chunk {
+    size_t begin = 0;
+    size_t end = 0;
+    size_t rows = 0;
+  };
+  std::vector<Chunk> chunks;
+  while (chunks.size() < kBatchChunks) {
+    Chunk chunk;
+    chunk.begin = pos_;
+    chunk.rows = SkipRecords(data_, &pos_, kBlockSize);
+    chunk.end = pos_;
+    if (chunk.rows == 0) break;
+    chunks.push_back(chunk);
   }
-  if (rows.empty()) {
+  if (chunks.empty()) {
     input_done_ = true;
     return Status::OK();
   }
-  const size_t nrows = rows.size();
-  const size_t ncols = col_map_.size();
 
-  // Parse each output column over the whole batch — independently, so the
-  // columns can go to separate workers (Sect. 5.1.3).
-  std::vector<std::vector<Lane>> lanes(ncols);
-  std::vector<std::shared_ptr<StringHeap>> heaps(ncols);
-  std::atomic<uint64_t> errors{0};
-
-  auto parse_column = [&](size_t c) {
-    const size_t file_col = col_map_[c];
-    const TypeId type = schema_.field(c).type;
-    std::vector<Lane>& out = lanes[c];
-    out.resize(nrows);
-    if (type == TypeId::kString) {
-      auto heap = std::make_shared<StringHeap>();
-      std::string scratch;  // per-column, so parallel workers don't share
-      for (size_t r = 0; r < nrows; ++r) {
-        if (file_col >= rows[r].size()) {
-          out[r] = kNullSentinel;
-          continue;
-        }
-        const std::string_view f = UnquoteField(rows[r][file_col], &scratch);
-        out[r] = f.empty() ? kNullSentinel : heap->Add(f);
-      }
-      heaps[c] = std::move(heap);
-      return;
-    }
-    uint64_t local_errors = 0;
-    for (size_t r = 0; r < nrows; ++r) {
-      if (file_col >= rows[r].size()) {
-        out[r] = kNullSentinel;
-        continue;
-      }
-      if (!ParseField(type, rows[r][file_col], &out[r])) {
-        out[r] = kNullSentinel;
-        ++local_errors;
-      }
-    }
-    errors += local_errors;
-  };
-
-  if (options_.parallel && ncols > 1) {
-    // One task per column on the shared pool; options_.workers survives as
-    // an upper bound on this batch's fan-out. Wait() helps drain, so a
-    // saturated pool cannot stall the import.
-    const size_t fanout = std::min<size_t>(
-        ncols, static_cast<size_t>(std::max(1, options_.workers)));
-    auto group = TaskScheduler::Global().CreateGroup();
-    std::atomic<size_t> next{0};
-    for (size_t w = 0; w < fanout; ++w) {
-      group->Submit([&]() {
-        while (true) {
-          const size_t c = next.fetch_add(1);
-          if (c >= ncols) return;
-          parse_column(c);
-        }
-      });
-    }
-    group->Wait();
-  } else {
-    for (size_t c = 0; c < ncols; ++c) parse_column(c);
+  // Each chunk tokenizes and parses its records in its own task: the
+  // parsers share only read-only state and take no locale lock (Sect.
+  // 5.1.2-5.1.3). Wait() helps, so a scan driven from a pool thread
+  // cannot stall the pool.
+  std::vector<Block> blocks(chunks.size());
+  std::vector<uint64_t> errors(chunks.size(), 0);
+  auto group = TaskScheduler::Global().CreateGroup();
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    group->Submit([&, i]() {
+      errors[i] = ParseChunk(chunks[i].begin, chunks[i].end, chunks[i].rows,
+                             &blocks[i]);
+    });
   }
-  parse_errors_ += errors.load();
+  group->Wait();
 
-  // Slice the batch into iteration blocks.
-  for (size_t start = 0; start < nrows; start += kBlockSize) {
-    const size_t take = std::min<size_t>(kBlockSize, nrows - start);
-    Block b;
-    b.columns.resize(ncols);
-    for (size_t c = 0; c < ncols; ++c) {
-      ColumnVector& cv = b.columns[c];
-      cv.type = schema_.field(c).type;
-      cv.heap = heaps[c];
-      cv.lanes.assign(lanes[c].begin() + static_cast<ptrdiff_t>(start),
-                      lanes[c].begin() + static_cast<ptrdiff_t>(start + take));
-    }
-    pending_.push_back(std::move(b));
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    parse_errors_ += errors[i];
+    scan_stats_.rows += chunks[i].rows;
+    pending_.push_back(std::move(blocks[i]));
   }
-  scan_stats_.rows += nrows;
   scan_stats_.parse_errors = parse_errors_;
   scan_stats_.parse_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return Status::OK();
+}
+
+uint64_t TextScan::ParseChunk(size_t begin, size_t end, size_t rows,
+                              Block* out) const {
+  const size_t ncols = col_map_.size();
+  out->columns.resize(ncols);
+  std::vector<StringHeap*> heaps(ncols, nullptr);  // the chunk's own
+  for (size_t c = 0; c < ncols; ++c) {
+    ColumnVector& cv = out->columns[c];
+    cv.type = schema_.field(c).type;
+    cv.lanes.resize(rows);
+    if (cv.type == TypeId::kString) {
+      auto heap = std::make_shared<StringHeap>();
+      heaps[c] = heap.get();
+      cv.heap = std::move(heap);
+    }
+  }
+  // The chunk ends on a record boundary, so reading only up to `end` yields
+  // exactly the records a whole-buffer read would.
+  const std::string_view data(data_.data(), end);
+  size_t pos = begin;
+  std::string_view rec;
+  std::vector<std::string_view> fields;
+  std::string scratch;
+  uint64_t errors = 0;
+  for (size_t r = 0; r < rows && NextRecord(data, &pos, &rec);) {
+    if (rec.empty()) continue;
+    SplitRecord(rec, format_.field_separator, &fields);
+    for (size_t c = 0; c < ncols; ++c) {
+      ColumnVector& cv = out->columns[c];
+      const size_t file_col = col_map_[c];
+      Lane& lane = cv.lanes[r];
+      if (file_col >= fields.size()) {
+        lane = kNullSentinel;
+      } else if (heaps[c] != nullptr) {
+        const std::string_view f = UnquoteField(fields[file_col], &scratch);
+        lane = f.empty() ? kNullSentinel : heaps[c]->Add(f);
+      } else if (!ParseField(cv.type, fields[file_col], &lane)) {
+        lane = kNullSentinel;
+        ++errors;
+      }
+    }
+    ++r;
+  }
+  return errors;
 }
 
 Status TextScan::Next(Block* block, bool* eos) {

@@ -29,11 +29,6 @@ struct TextScanOptions {
   /// 0 = infer.
   char field_separator = 0;
   size_t sample_rows = 100;
-  /// Parse columns on separate threads (Sect. 5.1.2-5.1.3): the column
-  /// parsers produce independent output from shared read-only state, and
-  /// the buffer-oriented parsers hold no locale lock, so this is safe.
-  bool parallel = false;
-  int workers = 4;
   /// Columns to emit (empty = all) — e.g. only the scalar columns for the
   /// Fig. 4 "Scalars" configuration.
   std::vector<std::string> columns;
@@ -43,6 +38,11 @@ struct TextScanOptions {
 /// stream and produces blocks of typed data, inferring separator, types
 /// and header if no schema is given. Unparseable fields become NULLs and
 /// are counted.
+///
+/// Parsing runs on the shared pool: each batch is cut into record-aligned
+/// chunks of one block each, every chunk parses in its own task into its
+/// own lanes and heaps, and the blocks come out in input order, so the
+/// output does not depend on the pool size.
 class TextScan : public Operator {
  public:
   static Result<std::unique_ptr<TextScan>> FromFile(const std::string& path,
@@ -67,6 +67,9 @@ class TextScan : public Operator {
       : data_(std::move(data)), options_(std::move(options)) {}
 
   Status FillBatch();
+  /// Tokenizes and parses the `rows` non-empty records in [begin, end) of
+  /// the buffer into `out`; returns the count of unparseable fields.
+  uint64_t ParseChunk(size_t begin, size_t end, size_t rows, Block* out) const;
   /// Renames format_.schema's fields from the first record — for callers
   /// forcing has_header=true past inference's verdict.
   void AdoptHeaderNames();

@@ -62,10 +62,8 @@ std::string DimCsv() {
 
 TEST(ConcurrentQueries, MixedWorkloadMatchesSingleThreadedAnswers) {
   Engine engine;
-  ImportOptions import;
-  import.text.parallel = true;  // imports also ride the shared pool
-  ASSERT_TRUE(engine.ImportTextBuffer(FactCsv(3000), "fact", import).ok());
-  ASSERT_TRUE(engine.ImportTextBuffer(DimCsv(), "dim", import).ok());
+  ASSERT_TRUE(engine.ImportTextBuffer(FactCsv(3000), "fact").ok());
+  ASSERT_TRUE(engine.ImportTextBuffer(DimCsv(), "dim").ok());
 
   // Every query is fully ordered (or single-row) so rendered CSV is a
   // deterministic fingerprint of the answer.

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+
+#include "src/core/engine.h"
+#include "src/exec/scheduler.h"
+#include "src/observe/metrics.h"
+#include "src/workload/tpch.h"
 #include "tests/test_util.h"
 
 namespace tde {
@@ -131,26 +140,121 @@ TEST(FlowTable, AccelerationOffKeepsDuplicates) {
   EXPECT_EQ(table->ColumnByName("s").value()->heap()->entry_count(), 2u);
 }
 
-TEST(FlowTable, ParallelColumnsMatchSerial) {
-  std::vector<Lane> a(20000), b(20000), c(20000);
-  for (size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<Lane>(i);
-    b[i] = static_cast<Lane>(i % 123);
-    c[i] = static_cast<Lane>(i / 100);
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// One import of `text` on a pool of `workers`: the saved database's bytes
+/// plus the engine, for the table-level comparisons.
+struct PoolImport {
+  Engine engine;
+  std::string saved;
+};
+
+PoolImport ImportOnPool(int workers, const std::string& text,
+                        const ImportOptions& options) {
+  TaskScheduler pool(workers);
+  TaskScheduler::ScopedOverride use_pool(&pool);
+  PoolImport out;
+  auto table = out.engine.ImportTextBuffer(text, "t", options);
+  EXPECT_TRUE(table.ok()) << table.status().ToString();
+  const std::string path = ::testing::TempDir() + "/flow_pool_" +
+                           std::to_string(workers) + ".tde";
+  EXPECT_TRUE(out.engine.SaveDatabase(path).ok());
+  out.saved = FileBytes(path);
+  std::remove(path.c_str());
+  EXPECT_FALSE(out.saved.empty());
+  return out;
+}
+
+// FlowTable runs one task per column, and TextScan one per chunk: pools of
+// one, two and four workers give the same lanes, heaps, NULLs, encodings,
+// row and error counts, and saved bytes.
+TEST(FlowTable, PoolSizesBuildTheSameTable) {
+  const bool stats_were = observe::StatsEnabled();
+  observe::SetStatsEnabled(true);
+  const testutil::AwkwardCsv csv =
+      testutil::MakeAwkwardCsv(7 * kBlockSize + 77);
+  ImportOptions options;
+  options.text.schema = csv.schema;
+  options.text.has_header = true;
+  const PoolImport one = ImportOnPool(1, csv.text, options);
+  const Table& want = *one.engine.database().GetTable("t").value();
+  ASSERT_EQ(want.rows(), csv.notes.size());
+  const auto note = want.ColumnByName("note").value();
+  const std::vector<Lane> note_tokens = ColumnLanes(want, "note");
+  for (size_t r = 0; r < csv.notes.size(); ++r) {
+    ASSERT_EQ(note->heap()->Get(note_tokens[r]), csv.notes[r]) << "row " << r;
   }
-  FlowTableOptions par;
-  par.parallel_columns = true;
-  auto serial = FlowTable::Build(
-                    VectorSource::Ints({{"a", a}, {"b", b}, {"c", c}}))
-                    .MoveValue();
-  auto parallel = FlowTable::Build(
-                      VectorSource::Ints({{"a", a}, {"b", b}, {"c", c}}), par)
-                      .MoveValue();
-  for (const char* name : {"a", "b", "c"}) {
-    EXPECT_EQ(ColumnLanes(*serial, name), ColumnLanes(*parallel, name));
-    EXPECT_EQ(serial->ColumnByName(name).value()->data()->type(),
-              parallel->ColumnByName(name).value()->data()->type());
+  EXPECT_EQ(ColumnLanes(want, "val"), csv.vals);
+  ASSERT_EQ(one.engine.import_stats().size(), 1u);
+  EXPECT_EQ(one.engine.import_stats()[0].parse_errors, csv.parse_errors);
+
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE("pool of " + std::to_string(workers));
+    const PoolImport other = ImportOnPool(workers, csv.text, options);
+    const Table& got = *other.engine.database().GetTable("t").value();
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.num_columns(), want.num_columns());
+    for (size_t i = 0; i < want.num_columns(); ++i) {
+      const Column& a = want.column(i);
+      const Column& b = got.column(i);
+      SCOPED_TRACE(a.name());
+      EXPECT_EQ(b.name(), a.name());
+      EXPECT_EQ(b.data()->type(), a.data()->type());
+      EXPECT_EQ(ColumnLanes(got, b.name()), ColumnLanes(want, a.name()));
+      ASSERT_EQ(b.heap() == nullptr, a.heap() == nullptr);
+      if (a.heap() != nullptr) {
+        EXPECT_EQ(b.heap()->buffer(), a.heap()->buffer());
+        EXPECT_EQ(b.heap()->sorted(), a.heap()->sorted());
+      }
+    }
+    ASSERT_EQ(other.engine.import_stats().size(), 1u);
+    EXPECT_EQ(other.engine.import_stats()[0].rows, csv.notes.size());
+    EXPECT_EQ(other.engine.import_stats()[0].parse_errors, csv.parse_errors);
+    EXPECT_TRUE(other.saved == one.saved) << "saved database bytes differ";
   }
+  observe::SetStatsEnabled(stats_were);
+}
+
+// The benchmark's import: TPC-H SF 0.01 lineitem saves byte-identically
+// whether one worker or four parse and encode it.
+TEST(FlowTable, TpchLineitemSavesTheSameOnOneAndFourWorkers) {
+  const std::string text = GenerateTpchTable(TpchTable::kLineitem, 0.01);
+  ImportOptions options;
+  options.text.field_separator = '|';
+  const PoolImport one = ImportOnPool(1, text, options);
+  const PoolImport four = ImportOnPool(4, text, options);
+  const auto lines = std::count(text.begin(), text.end(), '\n');
+  EXPECT_EQ(one.engine.database().GetTable("t").value()->rows(),
+            static_cast<uint64_t>(lines - 1));  // less the header
+  EXPECT_EQ(one.saved.size(), four.saved.size());
+  EXPECT_TRUE(one.saved == four.saved) << "saved database bytes differ";
+}
+
+// Each column's task time (interning plus encoding) is recorded, and the
+// encode phase's wall time covers the longest task.
+TEST(FlowTable, ColumnTaskTimesFitInTheEncodePhase) {
+  const bool stats_were = observe::StatsEnabled();
+  observe::SetStatsEnabled(true);
+  const testutil::AwkwardCsv csv = testutil::MakeAwkwardCsv(3 * kBlockSize);
+  ImportOptions options;
+  options.text.schema = csv.schema;
+  options.text.has_header = true;
+  const PoolImport four = ImportOnPool(4, csv.text, options);
+  ASSERT_EQ(four.engine.import_stats().size(), 1u);
+  const observe::ImportStats& stats = four.engine.import_stats()[0];
+  ASSERT_EQ(stats.columns.size(), 4u);
+  double longest = 0;
+  for (const observe::ColumnImportStats& c : stats.columns) {
+    EXPECT_GT(c.task_seconds, 0) << c.column;
+    longest = std::max(longest, c.task_seconds);
+  }
+  EXPECT_LE(longest, stats.encode_seconds);
+  EXPECT_NE(stats.ToJson().find("\"task_seconds\":"), std::string::npos);
+  EXPECT_NE(stats.ToString().find("task_ms"), std::string::npos);
+  observe::SetStatsEnabled(stats_were);
 }
 
 TEST(FlowTable, RestrictedEncodingMaskHonored) {

@@ -54,6 +54,43 @@ TEST(Records, NextRecordKeepsQuotedNewlines) {
   EXPECT_FALSE(NextRecord(data, &pos, &rec));
 }
 
+// SkipRecords cuts where NextRecord does, without materializing records:
+// an exhaustive check over every string of up to eight bytes drawn from
+// the characters that matter to record boundaries.
+TEST(Records, SkipRecordsMatchesNextRecord) {
+  const std::string alphabet = "a\"\n\r";
+  for (size_t len = 0; len <= 8; ++len) {
+    size_t count = 1;
+    for (size_t i = 0; i < len; ++i) count *= alphabet.size();
+    for (size_t code = 0; code < count; ++code) {
+      std::string data;
+      for (size_t i = 0, c = code; i < len; ++i, c /= alphabet.size()) {
+        data += alphabet[c % alphabet.size()];
+      }
+      // Where NextRecord leaves off after each non-empty record.
+      std::vector<size_t> ends;
+      size_t pos = 0;
+      std::string_view rec;
+      while (NextRecord(data, &pos, &rec)) {
+        if (!rec.empty()) ends.push_back(pos);
+      }
+      for (size_t step = 1; step <= 3; ++step) {
+        size_t at = 0;
+        size_t seen = 0;
+        while (true) {
+          const size_t got = SkipRecords(data, &at, step);
+          seen += got;
+          if (got < step) break;  // ran out of records
+          ASSERT_EQ(at, ends[seen - 1])
+              << "data '" << data << "' step " << step;
+        }
+        ASSERT_EQ(seen, ends.size()) << "data '" << data << "'";
+        ASSERT_EQ(at, data.size()) << "data '" << data << "'";
+      }
+    }
+  }
+}
+
 TEST(Inference, QuotedSeparatorsDoNotSkewSeparatorDetection) {
   // Every row has commas inside quotes; the real separator is '|'.
   auto r = InferFormat(

@@ -15,6 +15,7 @@
 #include "src/exec/flow_table.h"
 #include "src/plan/strategic.h"
 #include "src/storage/heap_accelerator.h"
+#include "src/textscan/parsers.h"
 
 namespace tde {
 namespace testutil {
@@ -172,6 +173,83 @@ inline std::vector<Block> Drain(Operator* op) {
     std::abort();
   }
   return out;
+}
+
+/// A CSV whose awkward records sit on both sides of every TextScan chunk
+/// boundary (a chunk is one block of rows): quoted separators, quoted
+/// newlines, doubled quotes, CRLF endings, blank lines, unparseable REAL
+/// fields and records longer than a whole chunk. Columns: id INTEGER,
+/// note STRING, val REAL, tag STRING; a header line comes first. The
+/// expected rows are recorded as the text is written.
+struct AwkwardCsv {
+  std::string text;
+  Schema schema;
+  std::vector<std::string> notes;  // per row
+  std::vector<Lane> vals;          // per row; kNullSentinel if unparseable
+  std::vector<std::string> tags;   // per row
+  uint64_t parse_errors = 0;
+};
+
+inline AwkwardCsv MakeAwkwardCsv(size_t rows) {
+  AwkwardCsv csv;
+  csv.schema = Schema({{"id", TypeId::kInteger},
+                       {"note", TypeId::kString},
+                       {"val", TypeId::kReal},
+                       {"tag", TypeId::kString}});
+  csv.text = "id,note,val,tag\n";
+  for (size_t r = 0; r < rows; ++r) {
+    const std::string id = std::to_string(r);
+    std::string note = "plain " + id;
+    std::string note_field = note;
+    std::string val = id + ".5";
+    std::string end = "\n";
+    // Three rows either side of each boundary; the kind rotates with the
+    // boundary, so every kind lands at every distance from one.
+    const size_t d = r % kBlockSize;
+    if (d < 3 || d >= kBlockSize - 3) {
+      switch ((r / kBlockSize + (d + 3) % kBlockSize) % 7) {
+        case 0:
+          note = "a,b " + id;
+          note_field = "\"" + note + "\"";
+          break;
+        case 1:
+          note = "line1\nline2 " + id;
+          note_field = "\"" + note + "\"";
+          break;
+        case 2:
+          note = "say \"hi\" " + id;
+          note_field = "\"say \"\"hi\"\" " + id + "\"";
+          break;
+        case 3:
+          end = "\r\n";
+          break;
+        case 4:
+          csv.text += "\n\r\n";  // blank records are skipped
+          break;
+        case 5:
+          val = "x" + id;
+          ++csv.parse_errors;
+          break;
+        case 6:
+          note.clear();
+          for (int line = 0; line < 400; ++line) {
+            note += std::string(99, static_cast<char>('a' + line % 26));
+            note += line % 2 == 0 ? '\n' : ',';
+          }
+          note += id;
+          note_field = "\"" + note + "\"";
+          break;
+      }
+    }
+    const std::string tag = "t" + std::to_string(r % 5);
+    csv.text += id + "," + note_field + "," + val + "," + tag + end;
+    Lane lane = kNullSentinel;
+    if (!ParseField(TypeId::kReal, val, &lane)) lane = kNullSentinel;
+    csv.notes.push_back(std::move(note));
+    csv.vals.push_back(lane);
+    csv.tags.push_back(tag);
+  }
+  return csv;
 }
 
 }  // namespace testutil

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/exec/scheduler.h"
+#include "tests/test_util.h"
+
 namespace tde {
 namespace {
 
@@ -95,35 +98,46 @@ TEST(TextScan, ManyRowsSpanBlocks) {
   EXPECT_EQ(rows, static_cast<uint64_t>(n));
 }
 
-TEST(TextScan, ParallelMatchesSerial) {
-  std::string data = "a,b,c,d\n";
-  for (int i = 0; i < 5000; ++i) {
-    data += std::to_string(i) + "," + std::to_string(i * 2) + ",s" +
-            std::to_string(i % 7) + "," + std::to_string(i % 2 == 0) + "\n";
-  }
-  auto serial = TextScan::FromBuffer(data);
-  TextScanOptions par;
-  par.parallel = true;
-  par.workers = 3;
-  auto parallel = TextScan::FromBuffer(data, par);
-  ASSERT_TRUE(serial->Open().ok());
-  ASSERT_TRUE(parallel->Open().ok());
-  auto sb = DrainScan(serial.get());
-  auto pb = DrainScan(parallel.get());
-  ASSERT_EQ(sb.size(), pb.size());
-  for (size_t i = 0; i < sb.size(); ++i) {
-    ASSERT_EQ(sb[i].rows(), pb[i].rows());
-    for (size_t c = 0; c < sb[i].columns.size(); ++c) {
-      if (sb[i].columns[c].type == TypeId::kString) {
-        for (size_t r = 0; r < sb[i].rows(); ++r) {
-          ASSERT_EQ(sb[i].columns[c].GetString(r),
-                    pb[i].columns[c].GetString(r));
-        }
-      } else {
-        ASSERT_EQ(sb[i].columns[c].lanes, pb[i].columns[c].lanes);
+// Parsing runs one task per chunk (one block of rows) on the shared pool.
+// Pools of one, two and four workers change which threads parse which
+// chunk, never the blocks: the awkward records on both sides of every
+// chunk boundary parse as a whole-buffer record reader sees them.
+TEST(TextScan, PoolSizesParseTheSameBlocks) {
+  const testutil::AwkwardCsv csv =
+      testutil::MakeAwkwardCsv(7 * kBlockSize + 77);
+  std::vector<size_t> first_shape;
+  for (int workers : {1, 2, 4}) {
+    SCOPED_TRACE("pool of " + std::to_string(workers));
+    TaskScheduler pool(workers);
+    TaskScheduler::ScopedOverride use_pool(&pool);
+    TextScanOptions opts;
+    opts.schema = csv.schema;
+    opts.has_header = true;
+    auto scan = TextScan::FromBuffer(csv.text, opts);
+    ASSERT_TRUE(scan->Open().ok());
+    auto blocks = DrainScan(scan.get());
+    std::vector<size_t> shape;
+    size_t row = 0;
+    for (const Block& b : blocks) {
+      shape.push_back(b.rows());
+      for (size_t r = 0; r < b.rows(); ++r, ++row) {
+        ASSERT_LT(row, csv.notes.size());
+        ASSERT_EQ(b.columns[0].lanes[r], static_cast<Lane>(row));
+        ASSERT_EQ(b.columns[1].GetString(r), csv.notes[row]) << "row " << row;
+        ASSERT_EQ(b.columns[2].lanes[r], csv.vals[row]) << "row " << row;
+        ASSERT_EQ(b.columns[3].GetString(r), csv.tags[row]) << "row " << row;
       }
     }
+    EXPECT_EQ(row, csv.notes.size());
+    EXPECT_EQ(scan->scan_stats().rows, csv.notes.size());
+    EXPECT_EQ(scan->parse_errors(), csv.parse_errors);
+    EXPECT_GT(csv.parse_errors, 0u);
+    if (first_shape.empty()) first_shape = shape;
+    EXPECT_EQ(shape, first_shape);
   }
+  // Every block but the last is a full one, as a serial scan emits them.
+  ASSERT_EQ(first_shape.size(), 8u);
+  EXPECT_EQ(first_shape.back(), 77u);
 }
 
 TEST(TextScan, QuotedFieldsRoundTrip) {

@@ -7,7 +7,9 @@
 // Each query runs once to warm up and then kRuns times; the table shows
 // the fastest and the median run. With --json (or TDE_BENCH_JSON=1),
 // archives per-query timings, the median TableScan and Filter self time,
-// and the per-operator runtime profile as BENCH_tpch.json.
+// and the per-operator runtime profile as BENCH_tpch.json, plus one gate
+// row per query for ci/check_bench.sh: {"name":"tpch <id>", "ms": the total
+// of the timed runs, "groups": the result's row count}.
 
 #include <algorithm>
 #include <cstdio>
@@ -103,6 +105,14 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(rows), median(scan_ms),
                     median(filter_ms));
       report.Add(std::string(head) + operators + "}");
+      double total_s = 0;
+      for (const double x : secs) total_s += x;
+      char gate[160];
+      std::snprintf(gate, sizeof(gate),
+                    "{\"name\":\"tpch %s\",\"ms\":%.4f,\"groups\":%llu}",
+                    q.id, total_s * 1e3,
+                    static_cast<unsigned long long>(rows));
+      report.Add(gate);
     }
   }
   return 0;

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Perf-regression gate: the change against its base, measured on the same
-# host in the same run. Builds bench_rollup, bench_heap_sorting and
-# bench_parsing from a checkout of the base ref with the same CMake build
-# type as <build-dir> (the change's build), runs the two sides' benches
-# alternately, and compares the median of each named measurement.
+# host in the same run. Builds bench_rollup, bench_heap_sorting,
+# bench_parsing and bench_tpch from a checkout of the base ref with the same
+# CMake build type as <build-dir> (the change's build), runs the two sides'
+# benches alternately, and compares the median of each named measurement.
+# Records without a "name" (bench_tpch's per-query profiles, and every
+# record of a base whose bench_tpch wrote no gate rows) are not gated.
 # A measurement fails the gate when its median is BOTH more than
 # TDE_BENCH_TOLERANCE slower relatively AND more than TDE_BENCH_MIN_MS
 # slower absolutely than the base's median — the absolute floor keeps
@@ -52,10 +54,11 @@ git -C "$ROOT" archive "$BASE_COMMIT" | tar -x -C "$WORK/base"
 cmake -S "$WORK/base" -B "$WORK/base-build" \
     -DCMAKE_BUILD_TYPE="${BUILD_TYPE:-RelWithDebInfo}" > "$WORK/base.log" 2>&1
 cmake --build "$WORK/base-build" -j"$(nproc)" --target bench_rollup \
-    --target bench_heap_sorting --target bench_parsing \
+    --target bench_heap_sorting --target bench_parsing --target bench_tpch \
     >> "$WORK/base.log" 2>&1 || { tail -40 "$WORK/base.log"; exit 1; }
 cmake --build "$BUILD" -j"$(nproc)" --target bench_rollup \
-    --target bench_heap_sorting --target bench_parsing > /dev/null
+    --target bench_heap_sorting --target bench_parsing --target bench_tpch \
+    > /dev/null
 
 # One run of the benches from `bin` into `out`, one JSON doc per bench.
 run_side() {
@@ -72,6 +75,11 @@ run_side() {
   # above the gate's 20 ms floor; Flights shrinks to a token size.
   (cd "$out" && TDE_SF=0.03 TDE_FLIGHTS_ROWS=1000 "$bin/bench_parsing" \
       --json > parsing.out) || { cat "$out/parsing.out"; exit 1; }
+  # The TPC-H queries through SQL, joins included: at SF 0.1 each gate row
+  # (the total of a query's 9 timed runs) is large enough for the 20 ms
+  # floor to let a real slowdown through.
+  (cd "$out" && TDE_SF=0.1 "$bin/bench_tpch" --json > tpch.out) \
+      || { cat "$out/tpch.out"; exit 1; }
 }
 
 # Alternate the sides, and which goes first, so host drift during the gate
@@ -96,6 +104,8 @@ def side(name):
     ms, groups = {}, {}
     for path in glob.glob(f"{runs_dir}/{name}/*/BENCH_*.json"):
         for r in json.load(open(path))["results"]:
+            if "name" not in r:
+                continue
             ms.setdefault(r["name"], []).append(r["ms"])
             groups.setdefault(r["name"], set()).add(r.get("groups"))
     return ms, groups

@@ -96,35 +96,6 @@ uint32_t GroupMap::GetOrInsert(Lane key) {
   return kEmpty;
 }
 
-uint32_t GroupMap::Find(Lane key) const {
-  switch (algorithm_) {
-    case HashAlgorithm::kDirect: {
-      // Inserted keys are at most 2 bytes wide, but probe keys may be
-      // arbitrary 64-bit lanes (e.g. the null sentinel): verify the stored
-      // key so wide probes that alias in the low 16 bits do not match.
-      const uint32_t g = table_.Get(static_cast<uint32_t>(key) & 0xFFFFu);
-      if (g == 0 || keys_[g - 1] != key) return kEmpty;
-      return g - 1;
-    }
-    case HashAlgorithm::kPerfect: {
-      const uint64_t idx =
-          static_cast<uint64_t>(key) - static_cast<uint64_t>(min_value_);
-      if (idx >= table_.size()) return kEmpty;
-      const uint32_t g = table_.Get(idx);
-      return g == 0 ? kEmpty : g - 1;
-    }
-    case HashAlgorithm::kCollision: {
-      uint64_t idx = Mix64(static_cast<uint64_t>(key)) & mask_;
-      while (slot_groups_[idx] != kEmpty) {
-        if (slot_keys_[idx] == key) return slot_groups_[idx];
-        idx = (idx + 1) & mask_;
-      }
-      return kEmpty;
-    }
-  }
-  return kEmpty;
-}
-
 void GroupMap::Grow() {
   const uint64_t capacity = slot_groups_.size() * 2;
   std::vector<Lane> old_keys = std::move(slot_keys_);

@@ -71,8 +71,9 @@ class LazySlots {
 };
 
 /// Maps key lanes to dense group ids [0, group_count) using whichever of the
-/// three algorithms the tactical optimizer selected. This is the shared
-/// grouping kernel behind hash aggregation and hash join builds.
+/// three algorithms the tactical optimizer selected: the grouping kernel
+/// behind hash aggregation. (A join's key index maps keys to inner rows
+/// directly; see JoinBuild.)
 class GroupMap {
  public:
   /// For kDirect the table is always 65536 entries; for kPerfect it spans
@@ -82,9 +83,6 @@ class GroupMap {
   /// Returns the group id for `key`, assigning the next id if unseen.
   uint32_t GetOrInsert(Lane key);
 
-  /// Returns the group id for `key` or UINT32_MAX if absent (no insertion).
-  uint32_t Find(Lane key) const;
-
   uint32_t group_count() const { return static_cast<uint32_t>(keys_.size()); }
   HashAlgorithm algorithm() const { return algorithm_; }
 
@@ -93,8 +91,7 @@ class GroupMap {
 
   /// Number of probe collisions GetOrInsert observed (always 0 for
   /// direct/perfect); exposed so benchmarks can show the cost the tactical
-  /// choice avoids. Find does not count: it is const, and a join build
-  /// shares one map read-only across concurrent probes.
+  /// choice avoids.
   uint64_t collisions() const { return collisions_; }
 
  private:

@@ -631,6 +631,8 @@ Result<uint64_t> Engine::AppendRows(const std::string& table_name,
   }
   if (n == 0) return table->rows();
 
+  // The table's join key indexes describe its old rows.
+  table->DropIndexes();
   for (size_t i = 0; i < rows.num_columns(); ++i) {
     const ColumnVector& in = rows.columns[i];
     Column* col = table->mutable_column(i);
@@ -721,6 +723,8 @@ Result<int> Engine::OptimizeTable(const std::string& table_name) {
   // AlterColumn rewrites columns in place — same exclusion as AppendRows.
   std::unique_lock<std::shared_mutex> write(*exec_mu_);
   TDE_ASSIGN_OR_RETURN(auto table, db_.GetTable(table_name));
+  // Indexes were built over the columns this may re-encode.
+  table->DropIndexes();
   int converted = 0;
   for (size_t i = 0; i < table->num_columns(); ++i) {
     Column* col = table->mutable_column(i);

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/hash.h"
 #include "src/exec/block.h"
 #include "src/exec/expression.h"
 #include "src/storage/table.h"
@@ -51,17 +50,23 @@ struct HashJoinOptions {
   std::optional<JoinStrategy> force_strategy;
 };
 
-/// The inner side of a many-to-one join, built once and read-only after:
-/// the inner predicate's pass, the tactical strategy, the lookup structure
-/// (hash map or fetch arithmetic), the NULL-key row and the materialized
-/// payload columns. One lowered join shares one build across every probe
-/// — morsel-parallel aggregation runs one probe per segment morsel — so a
-/// query builds each join once, whatever its parallelism.
+class JoinKeyIndex;
+
+/// The inner side of a many-to-one join for one query, read-only once
+/// built. It has two parts:
+///   - the key index (JoinKeyIndex): inner key value -> row over every row
+///     of the inner table. It does not depend on the query, so it is built
+///     once per (inner table, key column, strategy) and kept with the table
+///     (Table::GetOrBuildIndex); every later query shares it;
+///   - what depends on the query: the inner predicate's pass flags and the
+///     payload lanes.
+/// Both are filled by range tasks on the shared pool. One lowered join
+/// shares one JoinBuild across every probe copy (morsel-parallel
+/// aggregation runs one probe per segment morsel).
 class JoinBuild {
  public:
-  /// `inner_predicate` (may be null) reads inner columns and is evaluated
-  /// once per inner row; rows that fail it never enter the lookup
-  /// structures, so outer rows that would match them drop as misses.
+  /// `inner_predicate` (may be null) reads inner columns; rows that fail it
+  /// never match and never count as duplicate keys.
   JoinBuild(std::shared_ptr<const Table> inner, HashJoinOptions options,
             ExprPtr inner_predicate = nullptr);
 
@@ -74,25 +79,32 @@ class JoinBuild {
   JoinStrategy strategy() const { return strategy_; }
   uint64_t inner_rows() const { return inner_rows_; }
   uint64_t inner_rows_passed() const { return inner_rows_passed_; }
+  /// Wall time of the build on the thread that ran it, the pool tasks it
+  /// ran (index and per-query), and whether it built the key index or
+  /// reused a kept one.
+  uint64_t build_ns() const { return build_ns_; }
+  uint64_t build_tasks() const { return build_tasks_; }
+  bool index_built() const { return index_built_; }
 
-  // Materialized inner column: lanes as a flow operator would emit them
-  // (string tokens with their heap, array-dictionary tokens decoded).
+  // Materialized inner column: one lane per inner row, as a flow operator
+  // would emit it (string tokens with their heap, array-dictionary tokens
+  // decoded).
   struct InnerColumn {
-    std::vector<Lane> lanes;
-    TypeId type;
+    std::unique_ptr<Lane[]> lanes;
+    TypeId type = TypeId::kInteger;
     std::shared_ptr<const StringHeap> heap;
   };
 
   /// Inner row matching outer key `key` (passing the inner predicate), or
-  /// UINT32_MAX for a miss. NULL keys match only the NULL-key row.
+  /// UINT32_MAX for a miss. NULL keys match only the passing NULL-key row.
   uint32_t Lookup(Lane key) const;
   const std::vector<InnerColumn>& payload() const { return payload_; }
 
  private:
   Status BuildOnce();
-  Result<InnerColumn> MaterializeInner(const std::string& name) const;
-  Status EvalInnerPredicate();
   Status ChooseStrategy();
+  Status FillQueryPart();
+  Status CheckUnique();
 
   std::shared_ptr<const Table> inner_;
   HashJoinOptions options_;
@@ -102,23 +114,21 @@ class JoinBuild {
   bool built_ = false;
   Status status_;
 
+  JoinStrategyChoice choice_;
   JoinStrategy strategy_ = JoinStrategy::kHashCollision;
-  // Fetch strategy: row = (key - base) / delta.
-  int64_t fetch_base_ = 0;
-  int64_t fetch_delta_ = 1;
   uint64_t inner_rows_ = 0;
+  std::shared_ptr<const JoinKeyIndex> index_;
   // Per inner row: passed `inner_predicate` (empty when there is none).
-  std::vector<char> inner_pass_;
+  std::vector<uint8_t> pass_;
   uint64_t inner_rows_passed_ = 0;
-  // Hash strategies.
-  std::unique_ptr<GroupMap> map_;
-  std::vector<uint32_t> group_to_row_;
-  // Inner row keyed by the NULL sentinel, if any (a DictionaryTable built
-  // with include_null_row). NULL outer keys join against it; without one
-  // they are dropped like any other miss.
-  std::optional<uint32_t> null_row_;
-  // Materialized inner payload columns.
+  // The passing inner row whose key is NULL, or UINT32_MAX. NULL outer
+  // keys join against it (a DictionaryTable built with include_null_row
+  // has one); without one they are dropped like any other miss.
+  uint32_t null_row_ = UINT32_MAX;
   std::vector<InnerColumn> payload_;
+  uint64_t build_ns_ = 0;
+  uint64_t build_tasks_ = 0;
+  bool index_built_ = false;
 };
 
 /// Many-to-one join: outer rows joined against a unique-keyed inner table.

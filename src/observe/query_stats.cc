@@ -28,6 +28,9 @@ void RenderNode(const OperatorStats& node, int depth, std::string* out) {
   for (const auto& [label, value] : node.extras) {
     *out += " " + label + "=" + std::to_string(value);
   }
+  for (const auto& [label, value] : node.tags) {
+    *out += " " + label + "=" + value;
+  }
   *out += "\n";
   for (const auto& child : node.children) {
     RenderNode(*child, depth + 1, out);
@@ -51,6 +54,16 @@ void JsonNode(const OperatorStats& node, std::string* out) {
       if (!first) *out += ",";
       first = false;
       *out += "\"" + JsonEscape(label) + "\":" + std::to_string(value);
+    }
+    *out += "}";
+  }
+  if (!node.tags.empty()) {
+    *out += ",\"tags\":{";
+    bool first = true;
+    for (const auto& [label, value] : node.tags) {
+      if (!first) *out += ",";
+      first = false;
+      *out += "\"" + JsonEscape(label) + "\":\"" + JsonEscape(value) + "\"";
     }
     *out += "}";
   }

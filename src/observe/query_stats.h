@@ -34,6 +34,9 @@ struct OperatorStats {
   /// Operator-specific observations exported at Close (e.g. Exchange's
   /// per-worker queue-wait and emit counts), as (label, value) pairs.
   std::vector<std::pair<std::string, uint64_t>> extras;
+  /// Observations that are words, not counts (e.g. whether a join built
+  /// its key index or reused a kept one), as (label, value) pairs.
+  std::vector<std::pair<std::string, std::string>> tags;
   std::vector<std::shared_ptr<OperatorStats>> children;
 
   uint64_t total_ns() const { return open_ns + next_ns + close_ns; }

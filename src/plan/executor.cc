@@ -53,6 +53,7 @@ class MorselStats {
       shown->next_ns += copy->next_ns;
       shown->close_ns += copy->close_ns;
       if (shown->extras.empty()) shown->extras = copy->extras;
+      if (shown->tags.empty()) shown->tags = copy->tags;
     }
     copies_.clear();
   }
@@ -286,15 +287,16 @@ Result<BuiltPlan> BuildScan(const PlanNode& node,
 
 /// Rewrites eligible string-column subtrees of `pred` into dictionary-code
 /// predicates against `schema`, recording the rewrite count in metrics and
-/// `notes`. Returns `pred` unchanged when the plan opted out.
+/// in `notes` (under `site`, the operator that evaluates it). Returns
+/// `pred` unchanged when the plan opted out.
 ExprPtr LowerPredicate(const ExprPtr& pred, bool compressed_eval,
                        const Schema& schema, std::vector<std::string>* notes,
-                       int* rewrites) {
+                       int* rewrites, const std::string& site = "filter") {
   *rewrites = 0;
   if (!compressed_eval || pred == nullptr) return pred;
   ExprPtr lowered = expr::RewriteDictPredicates(pred, schema, rewrites);
   if (*rewrites > 0) {
-    notes->push_back("filter: " + std::to_string(*rewrites) +
+    notes->push_back(site + ": " + std::to_string(*rewrites) +
                      " dictionary-code predicate(s)");
     observe::QueryCount(observe::QueryCounter::kDictRewrites,
                         static_cast<uint64_t>(*rewrites));
@@ -606,19 +608,30 @@ Result<BuiltPlan> BuildJoinTable(const PlanNode& node, BuiltPlan child) {
     out.props[p] = JoinedProps(*c);
   }
   out.props.insert(child.props.begin(), child.props.end());
-  // One build per query, shared by every probe copy.
+  // One build per query, shared by every probe copy; its key index is
+  // kept with the inner table for the queries after it.
+  const std::string site = "join(" + node.join.inner_key + ")";
+  int dict_rewrites = 0;
+  ExprPtr inner_pred =
+      LowerPredicate(node.inner_predicate, node.compressed_eval,
+                     node.inner_table->GetSchema(), &out.notes,
+                     &dict_rewrites, site);
   auto build = std::make_shared<JoinBuild>(node.inner_table, node.join,
-                                           node.inner_predicate);
-  OnClose on_close;
-  if (node.inner_predicate != nullptr) {
-    out.notes.push_back("join(" + node.join.inner_key + "): inner predicate " +
-                        node.inner_predicate->ToString());
-    // How much of the inner table the pushed predicate left joinable.
-    on_close = [build](observe::OperatorStats* s) {
+                                           inner_pred);
+  if (inner_pred != nullptr) {
+    out.notes.push_back(site + ": inner predicate " + inner_pred->ToString());
+  }
+  OnClose on_close = [build, filtered = inner_pred != nullptr](
+                         observe::OperatorStats* s) {
+    if (filtered) {
+      // How much of the inner table the pushed predicate left joinable.
       s->extras.emplace_back("inner_rows", build->inner_rows());
       s->extras.emplace_back("inner_rows_passed", build->inner_rows_passed());
-    };
-  }
+    }
+    s->extras.emplace_back("build_us", build->build_ns() / 1000);
+    s->extras.emplace_back("build_tasks", build->build_tasks());
+    s->tags.emplace_back("index", build->index_built() ? "built" : "reused");
+  };
   Chain(&out, std::move(child), "HashJoin(" + node.join.inner_key + ")",
         [build](std::unique_ptr<Operator> outer) -> std::unique_ptr<Operator> {
           return std::make_unique<HashJoin>(std::move(outer), build);

@@ -36,4 +36,29 @@ uint64_t Table::LogicalSize() const {
   return n;
 }
 
+Result<std::shared_ptr<const TableIndex>> Table::GetOrBuildIndex(
+    const std::string& key, const IndexBuilder& build, bool* built) const {
+  std::shared_ptr<IndexSlot> slot;
+  {
+    std::lock_guard<std::mutex> lock(index_mu_);
+    std::shared_ptr<IndexSlot>& s = indexes_[key];
+    if (s == nullptr) s = std::make_shared<IndexSlot>();
+    slot = s;
+  }
+  // One build per slot: a concurrent first user blocks here until the
+  // builder is done, then finds its index.
+  std::lock_guard<std::mutex> lock(slot->build_mu);
+  *built = false;
+  if (slot->index != nullptr) return slot->index;
+  TDE_ASSIGN_OR_RETURN(std::shared_ptr<const TableIndex> index, build());
+  slot->index = index;
+  *built = true;
+  return index;
+}
+
+void Table::DropIndexes() const {
+  std::lock_guard<std::mutex> lock(index_mu_);
+  indexes_.clear();
+}
+
 }  // namespace tde

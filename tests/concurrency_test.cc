@@ -9,10 +9,12 @@
 // optionally TDE_STRESS_THREADS) for extended soak runs, e.g.
 //   TDE_STRESS_ITERS=200 TDE_STRESS_THREADS=8 ./concurrency_test
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,17 +145,32 @@ TEST(ConcurrentQueries, ExchangeWrappedPlansShareThePool) {
   ASSERT_TRUE(st.ok()) << st.ToString();
 }
 
+/// bands(fn, band): one row per flight number 1..7000, shuffled, band =
+/// fn % 9 — a dimension the Flights fact joins on flight_num.
+std::string BandsCsv() {
+  std::vector<int> fns(7000);
+  for (int i = 0; i < 7000; ++i) fns[static_cast<size_t>(i)] = i + 1;
+  std::shuffle(fns.begin(), fns.end(), std::mt19937(3));
+  std::string csv = "fn,band\n";
+  for (const int fn : fns) {
+    csv += std::to_string(fn) + "," + std::to_string(fn % 9) + "\n";
+  }
+  return csv;
+}
+
 TEST(ConcurrentQueries, TwoClientsOverALazilyReopenedSegmentedDatabase) {
   // The dashboard shape: Flights in many segments (so every eligible
   // aggregate runs as one task per segment), saved and reopened lazily
   // with a column cache a quarter of the compressed bytes, so segments
   // fault in and evict while two clients run all seven dashboard
-  // statements. Every answer must match the in-memory engine's.
+  // statements and a join into a dimension table. Every answer must match
+  // the in-memory engine's.
   ImportOptions import;
   import.flow.segment_rows = 2048;
   Engine mem;
   ASSERT_TRUE(
       mem.ImportTextBuffer(GenerateFlights(24000, 7), "flights", import).ok());
+  ASSERT_TRUE(mem.ImportTextBuffer(BandsCsv(), "bands").ok());
   const std::string path = ::testing::TempDir() + "/concurrency_flights.tde";
   ASSERT_TRUE(mem.SaveDatabase(path).ok());
   uint64_t compressed = 0;
@@ -182,6 +199,9 @@ TEST(ConcurrentQueries, TwoClientsOverALazilyReopenedSegmentedDatabase) {
       "GROUP BY dest ORDER BY flights DESC, dest LIMIT 10",
       "SELECT carrier, COUNT(*) AS cancelled FROM flights "
       "WHERE cancelled = TRUE GROUP BY carrier ORDER BY carrier",
+      "SELECT band, COUNT(*) AS flights, SUM(arr_delay) AS delay "
+      "FROM flights JOIN bands ON flights.flight_num = bands.fn "
+      "WHERE band < 5 GROUP BY band ORDER BY band",
   };
   std::vector<std::string> expected;
   for (const std::string& q : queries) {
@@ -212,6 +232,49 @@ TEST(ConcurrentQueries, TwoClientsOverALazilyReopenedSegmentedDatabase) {
     return Status::OK();
   });
   EXPECT_TRUE(st.ok()) << st.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(ConcurrentQueries, FirstJoinsOnAColdTableBuildOneIndex) {
+  // Two clients join a lazily reopened dimension at once: its key index is
+  // built by one of them, over the pool's range tasks, and shared by both.
+  Engine mem;
+  ASSERT_TRUE(
+      mem.ImportTextBuffer(GenerateFlights(24000, 7), "flights").ok());
+  std::string dim = "fn,band\n";
+  for (int i = 0; i < 70000; ++i) {
+    // 70,000 sparse keys: a perfect-hash index over more than four ranges.
+    dim += std::to_string(i * 13 % 70000 * 3 + 1) + "," +
+           std::to_string(i % 9) + "\n";
+  }
+  ASSERT_TRUE(mem.ImportTextBuffer(dim, "bands").ok());
+  const std::string path = ::testing::TempDir() + "/concurrency_join.tde";
+  ASSERT_TRUE(mem.SaveDatabase(path).ok());
+  auto opened = Engine::OpenDatabase(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Engine lazy = opened.MoveValue();
+
+  const std::string sql =
+      "SELECT band, COUNT(*) AS flights FROM flights JOIN bands ON "
+      "flights.flight_num = bands.fn GROUP BY band ORDER BY band";
+  auto want = mem.ExecuteSql(sql);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  std::atomic<int> built{0};
+  const Status st = testutil::RunConcurrently(2, [&](int) -> Status {
+    auto explain = lazy.ExecuteSql("EXPLAIN ANALYZE " + sql);
+    if (!explain.ok()) return explain.status();
+    if (explain.value().ToCsv().find("index=built") != std::string::npos) {
+      built.fetch_add(1);
+    }
+    auto r = lazy.ExecuteSql(sql);
+    if (!r.ok()) return r.status();
+    if (r.value().ToCsv() != want.value().ToCsv()) {
+      return Status::Internal("join answer differs from the in-memory one");
+    }
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(built.load(), 1);
   std::remove(path.c_str());
 }
 

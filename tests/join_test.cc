@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <unordered_map>
+
+#include "src/core/engine.h"
 #include "src/exec/dictionary_table.h"
 #include "src/exec/filter.h"
 #include "src/exec/flow_table.h"
+#include "src/exec/scheduler.h"
+#include "src/workload/tpch_queries.h"
 #include "tests/test_util.h"
 
 namespace tde {
@@ -210,6 +217,357 @@ TEST(DictionaryTable, FailsOnUncompressedColumn) {
   auto col = std::make_shared<Column>("x", TypeId::kInteger);
   EXPECT_EQ(BuildDictionaryTable(col).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+
+// --- The key index: range tasks, per-query pass flags, reuse -------------
+
+/// Keys of an inner table whose tactical strategy is `s`, spanning more
+/// than four build ranges (16,384 rows each).
+std::vector<Lane> KeysFor(JoinStrategy s) {
+  const int n = s == JoinStrategy::kHashDirect ? 60000 : 70000;
+  std::vector<Lane> keys;
+  for (int i = 0; i < n; ++i) {
+    switch (s) {
+      case JoinStrategy::kFetch:
+        keys.push_back(1000 + i);  // dense, sorted, unique
+        break;
+      case JoinStrategy::kHashDirect:
+        keys.push_back(i - 30000);  // 16-bit values
+        break;
+      case JoinStrategy::kHashPerfect:
+        keys.push_back(100000 + 7 * i);  // sparse over a 3-byte range
+        break;
+      case JoinStrategy::kHashCollision:
+        keys.push_back((Lane{i} << 34) + 5);  // wide
+        break;
+    }
+  }
+  if (s != JoinStrategy::kFetch) {
+    std::shuffle(keys.begin(), keys.end(), std::mt19937(7));
+  }
+  return keys;
+}
+
+/// Inner table k, v, p: v = 3 * row + 1, and p the pass flag the tests'
+/// inner predicate `p = 1` reads.
+std::shared_ptr<Table> FlaggedInner(const std::vector<Lane>& keys,
+                                    const std::vector<Lane>& pass) {
+  std::vector<Lane> vals(keys.size());
+  for (size_t r = 0; r < keys.size(); ++r) vals[r] = 3 * Lane(r) + 1;
+  return FlowTable::Build(
+             VectorSource::Ints({{"k", keys}, {"v", vals}, {"p", pass}}))
+      .MoveValue();
+}
+
+ExprPtr PassFlag() { return expr::Eq(expr::Col("p"), expr::Int(1)); }
+
+HashJoinOptions KeyV() {
+  HashJoinOptions opts;
+  opts.outer_key = "k";
+  opts.inner_key = "k";
+  opts.inner_payload = {"v"};
+  return opts;
+}
+
+TEST(JoinBuild, EveryStrategyMatchesAReferenceAtEveryPoolSize) {
+  for (const JoinStrategy s :
+       {JoinStrategy::kFetch, JoinStrategy::kHashDirect,
+        JoinStrategy::kHashPerfect, JoinStrategy::kHashCollision}) {
+    SCOPED_TRACE(JoinStrategyName(s));
+    const std::vector<Lane> keys = KeysFor(s);
+    std::vector<Lane> pass(keys.size());
+    std::unordered_map<Lane, Lane> want;  // passing rows only
+    for (size_t r = 0; r < keys.size(); ++r) {
+      pass[r] = r % 5 != 0 ? 1 : 0;
+      if (pass[r] == 1) want[keys[r]] = 3 * Lane(r) + 1;
+    }
+    std::vector<Lane> outer;
+    for (size_t r = 0; r < keys.size(); r += 3) outer.push_back(keys[r]);
+    outer.push_back(Lane{1} << 40);
+    outer.push_back(keys[0] - 3);
+    outer.push_back(kNullSentinel);
+    std::vector<Lane> want_keys, want_vals;
+    for (const Lane k : outer) {
+      auto it = want.find(k);
+      if (it == want.end()) continue;
+      want_keys.push_back(k);
+      want_vals.push_back(it->second);
+    }
+    for (const int workers : {1, 2, 4}) {
+      SCOPED_TRACE(workers);
+      TaskScheduler pool(workers);
+      TaskScheduler::ScopedOverride use(&pool);
+      auto build =
+          std::make_shared<JoinBuild>(FlaggedInner(keys, pass), KeyV(),
+                                      PassFlag());
+      HashJoin join(VectorSource::Ints({{"k", outer}}), build);
+      auto blocks = Drain(&join);
+      EXPECT_EQ(join.strategy(), s);
+      EXPECT_EQ(join.inner_rows_passed(), want.size());
+      EXPECT_EQ(Flatten(blocks, 0), want_keys);
+      EXPECT_EQ(Flatten(blocks, 1), want_vals);
+      EXPECT_TRUE(build->index_built());
+      // One task per range for the pass flags and payload, and as many for
+      // the index unless fetch arithmetic needs none.
+      const uint64_t ranges = (keys.size() + 16383) / 16384;
+      EXPECT_EQ(build->build_tasks(),
+                s == JoinStrategy::kFetch ? ranges : 2 * ranges);
+    }
+  }
+}
+
+TEST(JoinBuild, RepeatedPassingKeysFailAcrossRangesAtEveryPoolSize) {
+  for (const JoinStrategy s :
+       {JoinStrategy::kHashDirect, JoinStrategy::kHashPerfect,
+        JoinStrategy::kHashCollision}) {
+    SCOPED_TRACE(JoinStrategyName(s));
+    std::vector<Lane> keys = KeysFor(s);
+    const size_t a = 3, b = keys.size() - 2;  // first and last range
+    keys[b] = keys[a];
+    const std::vector<Lane> all(keys.size(), 1);
+    std::vector<Lane> but_b = all;
+    but_b[b] = 0;
+    for (const int workers : {1, 2, 4}) {
+      SCOPED_TRACE(workers);
+      TaskScheduler pool(workers);
+      TaskScheduler::ScopedOverride use(&pool);
+      HashJoin both(VectorSource::Ints({{"k", {keys[a]}}}),
+                    FlaggedInner(keys, all), KeyV(), PassFlag());
+      EXPECT_EQ(both.Open().code(), StatusCode::kInvalidArgument);
+      // The repeat is harmless once its second row fails the predicate.
+      HashJoin one(VectorSource::Ints({{"k", {keys[a]}}}),
+                   FlaggedInner(keys, but_b), KeyV(), PassFlag());
+      auto blocks = Drain(&one);
+      EXPECT_EQ(Flatten(blocks, 1), (std::vector<Lane>{3 * Lane(a) + 1}));
+    }
+  }
+}
+
+TEST(JoinBuild, NullKeysMatchTheOnePassingNullRow) {
+  const std::vector<Lane> keys = {5, kNullSentinel, 9, kNullSentinel};
+  const std::vector<Lane> outer = {kNullSentinel, 9, 4, kNullSentinel};
+  HashJoin one(VectorSource::Ints({{"k", outer}}),
+               FlaggedInner(keys, {1, 1, 1, 0}), KeyV(), PassFlag());
+  auto blocks = Drain(&one);
+  EXPECT_EQ(Flatten(blocks, 0),
+            (std::vector<Lane>{kNullSentinel, 9, kNullSentinel}));
+  EXPECT_EQ(Flatten(blocks, 1), (std::vector<Lane>{4, 7, 4}));
+
+  HashJoin two(VectorSource::Ints({{"k", outer}}),
+               FlaggedInner(keys, {1, 1, 1, 1}), KeyV(), PassFlag());
+  EXPECT_EQ(two.Open().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(JoinBuild, EmptyInnerTableJoinsNothing) {
+  HashJoin join(VectorSource::Ints({{"k", {1, kNullSentinel}}}),
+                FlaggedInner({}, {}), KeyV(), PassFlag());
+  EXPECT_TRUE(Drain(&join).empty());
+  EXPECT_EQ(join.inner_rows(), 0u);
+  EXPECT_EQ(join.inner_rows_passed(), 0u);
+}
+
+/// dim(dk, v): 1,001 unique keys from `lo`, shuffled, v = row % 7.
+/// fact(fk): 20,000 rows, each joining one dim row, then `misses` rows of
+/// key lo + 5000, which no dim row holds.
+struct DimFact {
+  std::vector<Lane> keys, vals, fact;
+};
+
+DimFact LoadDimFact(Engine* engine, int64_t lo, int misses = 0) {
+  DimFact d;
+  for (int64_t k = lo; k <= lo + 1000; ++k) d.keys.push_back(k);
+  std::shuffle(d.keys.begin(), d.keys.end(), std::mt19937(1));
+  std::string dim = "dk,v\n";
+  for (size_t i = 0; i < d.keys.size(); ++i) {
+    d.vals.push_back(Lane(i % 7));
+    dim += std::to_string(d.keys[i]) + "," + std::to_string(i % 7) + "\n";
+  }
+  std::string fact = "fk\n";
+  for (int i = 0; i < 20000 + misses; ++i) {
+    d.fact.push_back(i < 20000 ? lo + (i * 7919) % 1001 : lo + 5000);
+    fact += std::to_string(d.fact.back()) + "\n";
+  }
+  EXPECT_TRUE(engine->ImportTextBuffer(dim, "dim").ok());
+  EXPECT_TRUE(engine->ImportTextBuffer(fact, "fact").ok());
+  return d;
+}
+
+/// "n,s" of COUNT(*), SUM(v) over fact rows whose dim row passes `keep`.
+template <typename Keep>
+std::string Expected(const DimFact& d, Keep keep) {
+  std::unordered_map<Lane, Lane> v;
+  for (size_t i = 0; i < d.keys.size(); ++i) {
+    if (keep(d.vals[i])) v[d.keys[i]] = d.vals[i];
+  }
+  int64_t n = 0, s = 0;
+  for (const Lane k : d.fact) {
+    auto it = v.find(k);
+    if (it == v.end()) continue;
+    ++n;
+    s += it->second;
+  }
+  return std::to_string(n) + "," + std::to_string(s);
+}
+
+const char kDimJoin[] =
+    "SELECT COUNT(*) AS n, SUM(v) AS s FROM fact JOIN dim ON fact.fk = "
+    "dim.dk";
+
+std::string Answer(const Engine& engine, const std::string& sql) {
+  auto r = engine.ExecuteSql(sql);
+  if (!r.ok()) return r.status().ToString();
+  return r.value().ValueString(0, 0) + "," + r.value().ValueString(0, 1);
+}
+
+/// The HashJoin line of `inner_key` in EXPLAIN ANALYZE of `sql`.
+std::string JoinLine(const Engine& engine, const std::string& sql,
+                     const std::string& inner_key) {
+  auto r = engine.ExecuteSql("EXPLAIN ANALYZE " + sql);
+  if (!r.ok()) return r.status().ToString();
+  const std::string text = r.value().ToCsv();
+  const size_t at = text.find("HashJoin(" + inner_key + ")");
+  if (at == std::string::npos) return "no HashJoin(" + inner_key + ")";
+  return text.substr(at, text.find('\n', at) - at);
+}
+
+TEST(JoinIndex, OptimizedDictionaryKeysJoinOnTheirValues) {
+  // OptimizeTable turns the key column into an array dictionary: the build
+  // must read key values, not dictionary tokens, under either strategy.
+  for (const int64_t lo : {int64_t{100}, int64_t{100000}}) {
+    SCOPED_TRACE(lo);
+    Engine engine;
+    const DimFact d = LoadDimFact(&engine, lo);
+    const std::string want = Expected(d, [](Lane) { return true; });
+    EXPECT_EQ(Answer(engine, kDimJoin), want);
+    auto converted = engine.OptimizeTable("dim");
+    ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+    ASSERT_GE(converted.value(), 1);
+    ASSERT_EQ(engine.database()
+                  ->GetTable("dim")
+                  .value()
+                  ->ColumnByName("dk")
+                  .value()
+                  ->compression(),
+              CompressionKind::kArrayDict);
+    auto explain = engine.ExecuteSql(std::string("EXPLAIN ") + kDimJoin);
+    ASSERT_TRUE(explain.ok());
+    EXPECT_NE(explain.value().ToCsv().find(
+                  lo == 100 ? "join(dk): hash-direct" : "join(dk): hash-perfect"),
+              std::string::npos);
+    EXPECT_EQ(Answer(engine, kDimJoin), want);
+  }
+}
+
+TEST(JoinIndex, InnerPredicatesOverOneIndexGetTheirOwnAnswers) {
+  Engine engine;
+  const DimFact d = LoadDimFact(&engine, 100000);
+  const std::string low = std::string(kDimJoin) + " WHERE v < 3";
+  const std::string high = std::string(kDimJoin) + " WHERE v >= 3";
+  EXPECT_EQ(Answer(engine, low), Expected(d, [](Lane v) { return v < 3; }));
+  EXPECT_EQ(Answer(engine, high), Expected(d, [](Lane v) { return v >= 3; }));
+  EXPECT_EQ(Answer(engine, kDimJoin), Expected(d, [](Lane) { return true; }));
+  const std::string line = JoinLine(engine, low, "dk");
+  EXPECT_NE(line.find("index=reused"), std::string::npos) << line;
+  EXPECT_NE(line.find("inner_rows_passed="), std::string::npos) << line;
+}
+
+/// One dim row (dk, v) for AppendRows.
+Block DimRow(Lane dk, Lane v) {
+  Block row;
+  for (const Lane x : {dk, v}) {
+    ColumnVector cv;
+    cv.type = TypeId::kInteger;
+    cv.lanes = {x};
+    row.columns.push_back(std::move(cv));
+  }
+  return row;
+}
+
+TEST(JoinIndex, QueriesSeeAppendedKeysAndFailOnAppendedRepeats) {
+  Engine engine;
+  DimFact d = LoadDimFact(&engine, 100, /*misses=*/40);
+  EXPECT_EQ(Answer(engine, kDimJoin), Expected(d, [](Lane) { return true; }));
+  // The misses' key arrives: the next query builds a new index and joins
+  // it.
+  ASSERT_TRUE(engine.AppendRows("dim", DimRow(5100, 6)).ok());
+  d.keys.push_back(5100);
+  d.vals.push_back(6);
+  EXPECT_EQ(Answer(engine, kDimJoin), Expected(d, [](Lane) { return true; }));
+  EXPECT_NE(JoinLine(engine, kDimJoin, "dk").find("index=reused"),
+            std::string::npos);
+  // A repeat of an indexed key makes the join many-to-many.
+  ASSERT_TRUE(engine.AppendRows("dim", DimRow(d.keys[0], 1)).ok());
+  auto r = engine.ExecuteSql(kDimJoin);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(JoinIndex, QueriesSeeAReplacedTable) {
+  Engine engine;
+  const DimFact d = LoadDimFact(&engine, 100000);
+  EXPECT_EQ(Answer(engine, kDimJoin), Expected(d, [](Lane) { return true; }));
+  // The same keys with v doubled: the new table's index is its own.
+  std::string csv = "dk,v\n";
+  DimFact doubled = d;
+  for (size_t i = 0; i < d.keys.size(); ++i) {
+    doubled.vals[i] = 2 * d.vals[i];
+    csv += std::to_string(d.keys[i]) + "," + std::to_string(doubled.vals[i]) +
+           "\n";
+  }
+  Engine scratch;
+  auto replacement = scratch.ImportTextBuffer(csv, "dim");
+  ASSERT_TRUE(replacement.ok());
+  ASSERT_TRUE(engine.database()->ReplaceTable(replacement.value()).ok());
+  EXPECT_EQ(Answer(engine, kDimJoin),
+            Expected(doubled, [](Lane) { return true; }));
+}
+
+TEST(JoinIndex, ExplainAnalyzeShowsTheBuildAndItsReuse) {
+  Engine engine;
+  ASSERT_TRUE(LoadTpchTables(&engine, 0.002).ok());
+  const TpchQuery* q3 = nullptr;
+  for (const TpchQuery& q : TpchQueries()) {
+    if (std::string(q.id) == "Q3") q3 = &q;
+  }
+  ASSERT_NE(q3, nullptr);
+  const std::string first = JoinLine(engine, q3->sql, "o_orderkey");
+  EXPECT_NE(first.find("index=built"), std::string::npos) << first;
+  EXPECT_NE(first.find("build_us="), std::string::npos) << first;
+  EXPECT_NE(first.find("build_tasks="), std::string::npos) << first;
+  const std::string second = JoinLine(engine, q3->sql, "o_orderkey");
+  EXPECT_NE(second.find("index=reused"), std::string::npos) << second;
+
+  // Append one order (the first one's columns under a new key, which
+  // keeps the strategy, and so the index's name): the next Q3 builds the
+  // index again.
+  const auto strategy_note = [&] {
+    auto explain = engine.ExecuteSql(std::string("EXPLAIN ") + q3->sql);
+    if (!explain.ok()) return explain.status().ToString();
+    const std::string text = explain.value().ToCsv();
+    const size_t at = text.find("join(o_orderkey): hash-");
+    return at == std::string::npos ? text
+                                   : text.substr(at, text.find('\n', at) - at);
+  };
+  const std::string before = strategy_note();
+  auto row = engine.ExecuteSql("SELECT * FROM orders LIMIT 1");
+  ASSERT_TRUE(row.ok());
+  Block order = row.value().blocks()[0];
+  // Strings travel in a heap of their own: AppendRows re-adds each one to
+  // the column's heap, which must not be the heap it reads from.
+  for (ColumnVector& cv : order.columns) {
+    if (cv.type != TypeId::kString || cv.lanes[0] == kNullSentinel) continue;
+    auto heap = std::make_shared<StringHeap>();
+    cv.lanes[0] = heap->Add(std::string(cv.GetString(0)));
+    cv.heap = std::move(heap);
+  }
+  auto orders = engine.database()->GetTable("orders").value();
+  const size_t key = orders->ColumnIndex("o_orderkey").value();
+  order.columns[key].lanes[0] = 30000;  // past the SF 0.002 keys, 16 bits
+  ASSERT_TRUE(engine.AppendRows("orders", order).ok());
+  const std::string third = JoinLine(engine, q3->sql, "o_orderkey");
+  EXPECT_NE(third.find("index=built"), std::string::npos) << third;
+  EXPECT_EQ(strategy_note(), before);
 }
 
 }  // namespace

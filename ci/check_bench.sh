@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Perf-regression gate: the change against its base, measured on the same
 # host in the same run. Builds bench_rollup, bench_heap_sorting,
-# bench_parsing and bench_tpch from a checkout of the base ref with the same
+# bench_parsing, bench_tpch and bench_invisible_join from a checkout of the
+# base ref with the same
 # CMake build type as <build-dir> (the change's build), runs the two sides'
 # benches alternately, and compares the median of each named measurement.
 # Records without a "name" (bench_tpch's per-query profiles, and every
@@ -53,12 +54,12 @@ mkdir -p "$WORK/base"
 git -C "$ROOT" archive "$BASE_COMMIT" | tar -x -C "$WORK/base"
 cmake -S "$WORK/base" -B "$WORK/base-build" \
     -DCMAKE_BUILD_TYPE="${BUILD_TYPE:-RelWithDebInfo}" > "$WORK/base.log" 2>&1
-cmake --build "$WORK/base-build" -j"$(nproc)" --target bench_rollup \
-    --target bench_heap_sorting --target bench_parsing --target bench_tpch \
+TARGETS=(--target bench_rollup --target bench_heap_sorting
+         --target bench_parsing --target bench_tpch
+         --target bench_invisible_join)
+cmake --build "$WORK/base-build" -j"$(nproc)" "${TARGETS[@]}" \
     >> "$WORK/base.log" 2>&1 || { tail -40 "$WORK/base.log"; exit 1; }
-cmake --build "$BUILD" -j"$(nproc)" --target bench_rollup \
-    --target bench_heap_sorting --target bench_parsing --target bench_tpch \
-    > /dev/null
+cmake --build "$BUILD" -j"$(nproc)" "${TARGETS[@]}" > /dev/null
 
 # One run of the benches from `bin` into `out`, one JSON doc per bench.
 run_side() {
@@ -80,6 +81,10 @@ run_side() {
   # floor to let a real slowdown through.
   (cd "$out" && TDE_SF=0.1 "$bin/bench_tpch" --json > tpch.out) \
       || { cat "$out/tpch.out"; exit 1; }
+  # The invisible join on 2M-row tables, rewrite on and off: one gate row
+  # per shape and setting (string equality, date range, computation).
+  (cd "$out" && "$bin/bench_invisible_join" --json > invisible_join.out) \
+      || { cat "$out/invisible_join.out"; exit 1; }
 }
 
 # Alternate the sides, and which goes first, so host drift during the gate

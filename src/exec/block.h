@@ -12,11 +12,11 @@
 namespace tde {
 
 /// One column's worth of a row block: 64-bit lanes plus the dictionary
-/// context needed to interpret them. String lanes are heap tokens; columns
-/// flowing through an invisible join may instead carry array-dictionary
-/// indexes with `dict` attached, and group-by keys emitted by a dict-code
-/// scan carry dense dictionary codes with `dict` mapping code -> token
-/// (plus `heap` for strings).
+/// context needed to interpret them. String lanes are heap tokens. A
+/// column a scan emits as codes (group keys of the dict-grouping rewrite,
+/// the joined column of an invisible join) carries dense dictionary codes
+/// with `dict` mapping code -> lane: a heap token (plus `heap`) or an
+/// array-dictionary value.
 struct ColumnVector {
   TypeId type = TypeId::kInteger;
   std::vector<Lane> lanes;

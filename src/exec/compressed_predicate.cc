@@ -3,6 +3,63 @@
 namespace tde {
 namespace expr {
 
+DictTranslation DictTranslation::Of(const std::vector<Lane>& mask, size_t n,
+                                    const Lane* keys) {
+  const auto key = [keys](size_t i) {
+    return keys != nullptr ? keys[i] : static_cast<Lane>(i);
+  };
+  DictTranslation t;
+  size_t first = n, last = 0, count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (mask[i] != 1) continue;
+    if (count == 0) first = i;
+    last = i;
+    ++count;
+  }
+  t.count = count;
+  if (count > 0) {
+    t.lo = key(first);
+    t.hi = key(last);
+  }
+  if (count > 0 && count != last - first + 1) {
+    // Not consecutive entries: a bitmap over the key span when it costs
+    // at most a few words per match, else the sorted keys themselves.
+    t.interval = false;
+    const uint64_t span = static_cast<uint64_t>(t.hi - t.lo) + 1;
+    const uint64_t words = (span + 63) / 64;
+    if (words <= 4 * count + 64) {
+      t.bitmap.assign(words, 0);
+      for (size_t i = first; i <= last; ++i) {
+        if (mask[i] != 1) continue;
+        const uint64_t bit = static_cast<uint64_t>(key(i) - t.lo);
+        t.bitmap[bit >> 6] |= uint64_t{1} << (bit & 63);
+      }
+    } else {
+      t.sorted.reserve(count);
+      for (size_t i = first; i <= last; ++i) {
+        if (mask[i] == 1) t.sorted.push_back(key(i));
+      }
+    }
+  }
+  return t;
+}
+
+Result<std::vector<ColumnVector>> EvalPerEntry(
+    const std::string& column, ColumnVector entries,
+    const std::vector<ExprPtr>& exprs) {
+  Schema schema;
+  schema.AddField({column, entries.type});
+  Block b;
+  b.columns.push_back(std::move(entries));
+  std::vector<ColumnVector> out;
+  out.reserve(exprs.size());
+  for (const ExprPtr& e : exprs) {
+    TDE_ASSIGN_OR_RETURN(ColumnVector v, e->Eval(b, schema));
+    out.push_back(std::move(v));
+  }
+  return out;
+}
+
 Result<ColumnVector> DictCodePredicate::Eval(const Block& block,
                                              const Schema& schema) const {
   auto idx = schema.FieldIndex(column_);
@@ -37,50 +94,16 @@ Result<std::shared_ptr<const DictTranslation>> DictCodePredicate::Translate(
   // the NULL sentinel (IS NULL / NOT make NULL rows pass, so the null
   // verdict must come from the expression itself, not be assumed false).
   const std::vector<Lane> domain = heap->AllTokens();
-  Block b;
-  b.columns.resize(1);
-  ColumnVector& col = b.columns[0];
-  col.type = TypeId::kString;
-  col.heap = heap;
-  col.lanes = domain;
-  col.lanes.push_back(kNullSentinel);
-  Schema schema;
-  schema.AddField({column_, TypeId::kString});
-  TDE_ASSIGN_OR_RETURN(ColumnVector mask, inner_->Eval(b, schema));
-
-  auto t = std::make_shared<DictTranslation>();
-  t->null_result = mask.lanes.back() == 1;
-  size_t first = domain.size(), last = 0, count = 0;
-  for (size_t i = 0; i < domain.size(); ++i) {
-    if (mask.lanes[i] != 1) continue;
-    if (count == 0) first = i;
-    last = i;
-    ++count;
-  }
-  if (count > 0) {
-    t->lo = domain[first];
-    t->hi = domain[last];
-  }
-  if (count > 0 && count != last - first + 1) {
-    // Not consecutive entries: a bitmap over the token span when it costs
-    // at most a few words per match, else the sorted tokens themselves.
-    t->interval = false;
-    const uint64_t span = static_cast<uint64_t>(t->hi - t->lo) + 1;
-    const uint64_t words = (span + 63) / 64;
-    if (words <= 4 * count + 64) {
-      t->bitmap.assign(words, 0);
-      for (size_t i = first; i <= last; ++i) {
-        if (mask.lanes[i] != 1) continue;
-        const uint64_t bit = static_cast<uint64_t>(domain[i] - t->lo);
-        t->bitmap[bit >> 6] |= uint64_t{1} << (bit & 63);
-      }
-    } else {
-      t->sorted.reserve(count);
-      for (size_t i = first; i <= last; ++i) {
-        if (mask.lanes[i] == 1) t->sorted.push_back(domain[i]);
-      }
-    }
-  }
+  ColumnVector entries;
+  entries.type = TypeId::kString;
+  entries.heap = heap;
+  entries.lanes = domain;
+  entries.lanes.push_back(kNullSentinel);
+  TDE_ASSIGN_OR_RETURN(std::vector<ColumnVector> mask,
+                       EvalPerEntry(column_, std::move(entries), {inner_}));
+  auto t = std::make_shared<DictTranslation>(
+      DictTranslation::Of(mask[0].lanes, domain.size(), domain.data()));
+  t->null_result = mask[0].lanes.back() == 1;
   std::lock_guard<std::mutex> lock(mu_);
   if (cache_.size() >= kMaxCachedHeaps) cache_.erase(cache_.begin());
   cache_.emplace_back(heap, t);

@@ -13,20 +13,27 @@
 namespace tde {
 namespace expr {
 
-/// The compiled form of one dictionary-code predicate against one heap:
-/// the subtree's truth table over the token domain. Tokens of a heap
-/// ascend strictly (each entry starts past the previous one), so when the
-/// matching tokens are consecutive entries the whole set collapses to one
+/// The compiled form of one predicate over a dictionary domain: the set
+/// of keys — a heap's tokens for a dictionary-code predicate, dense codes
+/// for an invisible join's code map — whose entries pass. Keys ascend
+/// strictly (a heap's entries start past each other; codes count up), so
+/// when the passing entries are consecutive the whole set collapses to one
 /// interval — the O(1)-per-row payoff of the Sect. 3.4 header sort, since a
-/// sorted heap lays range predicates out contiguously. Other sets become a
-/// bitmap over [lo, hi] when that is at most a few words per match, and a
-/// sorted token list otherwise.
+/// sorted dictionary lays range predicates out contiguously. Other sets
+/// become a bitmap over [lo, hi] when that is at most a few words per
+/// match, and a sorted key list otherwise.
 struct DictTranslation {
   bool null_result = false;
-  Lane lo = 1, hi = 0;            // matching tokens lie in [lo, hi]
-  std::vector<uint64_t> bitmap;   // bit (token - lo), when not an interval
-  std::vector<Lane> sorted;       // the tokens, when neither fits
+  Lane lo = 1, hi = 0;            // matching keys lie in [lo, hi]
+  std::vector<uint64_t> bitmap;   // bit (key - lo), when not an interval
+  std::vector<Lane> sorted;       // the keys, when neither fits
   bool interval = true;
+  uint64_t count = 0;             // how many keys match
+
+  /// The keys of the entries whose `mask` lane is true (1), of the first
+  /// `n` entries: keys[i], or i itself when `keys` is null.
+  static DictTranslation Of(const std::vector<Lane>& mask, size_t n,
+                            const Lane* keys);
 
   bool Matches(Lane token) const {
     if (token < lo || token > hi) return false;
@@ -38,6 +45,16 @@ struct DictTranslation {
     return std::binary_search(sorted.begin(), sorted.end(), token);
   }
 };
+
+/// The per-entry evaluation of Sect. 4.1: evaluates each of `exprs`, which
+/// read only `column`, once over a dictionary's entries — heap tokens with
+/// their heap, or array-dictionary values, the NULL sentinel among them —
+/// held as one block of that column. Returns one result per expression, a
+/// lane per entry. Dictionary-code predicates and the invisible join's code
+/// map both evaluate through it.
+Result<std::vector<ColumnVector>> EvalPerEntry(
+    const std::string& column, ColumnVector entries,
+    const std::vector<ExprPtr>& exprs);
 
 /// Dictionary-code predicate (the compressed-domain evaluation the paper's
 /// Sect. 4.1 invisible join approximates for full table rewrites, applied

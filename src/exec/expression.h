@@ -158,7 +158,7 @@ ExprPtr In(ExprPtr input, std::vector<ExprPtr> values);
 /// SQL LIKE over strings: '%' matches any run, '_' any single byte. Case
 /// folding follows the input heap's collation (locale collation folds
 /// case). Like every single-column string predicate, the optimizer can
-/// push it to the DictionaryTable side of an invisible join.
+/// push it into an invisible join's code map.
 ExprPtr Like(ExprPtr input, std::string pattern);
 
 /// SQL CASE: the value of the first branch whose condition is true, else

@@ -122,8 +122,8 @@ class JoinBuild {
   std::vector<uint8_t> pass_;
   uint64_t inner_rows_passed_ = 0;
   // The passing inner row whose key is NULL, or UINT32_MAX. NULL outer
-  // keys join against it (a DictionaryTable built with include_null_row
-  // has one); without one they are dropped like any other miss.
+  // keys join against it; without one they are dropped like any other
+  // miss.
   uint32_t null_row_ = UINT32_MAX;
   std::vector<InnerColumn> payload_;
   uint64_t build_ns_ = 0;
@@ -133,11 +133,11 @@ class JoinBuild {
 
 /// Many-to-one join: outer rows joined against a unique-keyed inner table.
 /// Outer rows with no match are dropped, which is exactly how predicates
-/// pushed down to a DictionaryTable — or to the join itself — take effect
-/// on the main table (Sect. 4.1.1). The inner relation is a materialized
-/// table — the TDE Join operator takes a stop-and-go operator (usually a
-/// FlowTable) as its inner input (Sect. 4.1.2) — built at Open() through a
-/// JoinBuild, which this probe may share with others.
+/// pushed down to the join take effect on the main table (Sect. 4.1.1).
+/// The inner relation is a materialized table — the TDE Join operator takes
+/// a stop-and-go operator (usually a FlowTable) as its inner input (Sect.
+/// 4.1.2) — built at Open() through a JoinBuild, which this probe may share
+/// with others.
 class HashJoin : public Operator {
  public:
   /// A probe with a build of its own (see JoinBuild for

@@ -26,24 +26,7 @@ TableScan::TableScan(std::shared_ptr<const Table> table,
       cols_.push_back(r.MoveValue());
     }
   }
-  const size_t named = cols_.size();
-  for (const std::string& name : options_.token_columns) {
-    auto r = table_->ColumnByName(name);
-    if (!r.ok()) {
-      init_error_ = r.status();
-      return;
-    }
-    cols_.push_back(r.MoveValue());
-  }
-  for (size_t i = 0; i < cols_.size(); ++i) {
-    if (i < named) {
-      schema_.AddField({cols_[i]->name(), cols_[i]->type()});
-    } else {
-      // Token columns are opaque integers: join keys, never decoded.
-      schema_.AddField({cols_[i]->name() + "$token", TypeId::kInteger});
-    }
-  }
-  first_token_col_ = named;
+  for (const auto& col : cols_) schema_.AddField({col->name(), col->type()});
 }
 
 Status TableScan::Open() {
@@ -80,35 +63,38 @@ Status TableScan::Open() {
   ScanCodeTables& shared = *options_.code_tables;
   std::lock_guard<std::mutex> lock(shared.mu);
   if (!shared.built) {
-    shared.dicts = BuildCodeDicts();
+    shared.dicts.assign(cols_.size(), nullptr);
+    const auto& names = options_.code_columns;
+    for (size_t i = 0; i < cols_.size(); ++i) {
+      if (std::find(names.begin(), names.end(), cols_[i]->name()) !=
+          names.end()) {
+        shared.dicts[i] = CodeEntryTable(cols_[i], pins_[i].get());
+      }
+    }
     shared.built = true;
   }
   code_dicts_ = shared.dicts;
   return Status::OK();
 }
 
-std::vector<std::shared_ptr<const ArrayDictionary>>
-TableScan::BuildCodeDicts() const {
-  std::vector<std::shared_ptr<const ArrayDictionary>> dicts(cols_.size());
-  for (size_t i = 0; i < first_token_col_; ++i) {
-    const auto& names = options_.code_columns;
-    if (std::find(names.begin(), names.end(), cols_[i]->name()) ==
-        names.end()) {
-      continue;
-    }
-    const EncodedStream* stream =
-        pins_[i] ? pins_[i]->stream.get() : cols_[i]->data();
-    if (stream == nullptr ||
-        stream->type() != EncodingType::kDictionary ||
-        cols_[i]->compression() == CompressionKind::kArrayDict) {
-      continue;  // not dictionary-coded: the column decodes normally
-    }
-    auto d = std::make_shared<ArrayDictionary>();
-    d->type = cols_[i]->type();
-    d->values = stream->CodeEntries();
-    dicts[i] = std::move(d);
+std::shared_ptr<const ArrayDictionary> CodeEntryTable(
+    const std::shared_ptr<const Column>& column,
+    const pager::LoadedColumn* pin) {
+  if (column->compression() == CompressionKind::kArrayDict) {
+    // The stored tokens are already dense codes into the dictionary.
+    return pin ? std::shared_ptr<const ArrayDictionary>(pin->dict)
+               : std::shared_ptr<const ArrayDictionary>(column,
+                                                        column->array_dict());
   }
-  return dicts;
+  const EncodedStream* stream = pin ? pin->stream.get() : column->data();
+  if (column->compression() != CompressionKind::kHeap || stream == nullptr ||
+      stream->type() != EncodingType::kDictionary) {
+    return nullptr;  // no dense code: the column decodes normally
+  }
+  auto d = std::make_shared<ArrayDictionary>();
+  d->type = column->type();
+  d->values = stream->CodeEntries();
+  return d;
 }
 
 void TableScan::Close() {
@@ -143,39 +129,28 @@ Status TableScan::Next(Block* block, bool* eos) {
       return Status::Internal("column has no data stream");
     }
     if (code_dicts_[i] != nullptr &&
+        col.compression() == CompressionKind::kHeap &&
         stream->GetCodes(row_, take, out.lanes.data())) {
       // Compressed-domain emission: lanes are dense dictionary codes into
-      // the attached entry table. Only the dict-grouping rewrite requests
-      // this, and only for columns the aggregate consumes as group keys.
+      // the attached entry table, for the aggregate's group keys and the
+      // invisible join's column.
       out.dict = code_dicts_[i];
-      if (col.compression() == CompressionKind::kHeap) {
-        out.heap = pin ? std::shared_ptr<const StringHeap>(pin->heap)
-                       : std::shared_ptr<const StringHeap>(cols_[i],
-                                                           col.heap());
-      }
+      out.heap = pin ? std::shared_ptr<const StringHeap>(pin->heap)
+                     : std::shared_ptr<const StringHeap>(cols_[i], col.heap());
       continue;
     }
     TDE_RETURN_NOT_OK(stream->Get(row_, take, out.lanes.data()));
-    if (i >= first_token_col_) {
-      // Emit the raw token lanes (heap offsets or dictionary indexes).
-      out.type = TypeId::kInteger;
-      continue;
-    }
     if (col.compression() == CompressionKind::kHeap) {
       // A pinned payload's heap shared_ptr keeps the bytes alive past
       // eviction; for hot columns the column itself anchors the heap.
       out.heap = pin ? std::shared_ptr<const StringHeap>(pin->heap)
                      : std::shared_ptr<const StringHeap>(cols_[i], col.heap());
+    } else if (code_dicts_[i] != nullptr) {
+      out.dict = code_dicts_[i];  // array-dictionary tokens are its codes
     } else if (col.compression() == CompressionKind::kArrayDict) {
       const ArrayDictionary* dict = pin ? pin->dict.get() : col.array_dict();
-      if (options_.decode_dictionaries) {
-        const auto& values = dict->values;
-        for (Lane& v : out.lanes) v = values[static_cast<size_t>(v)];
-      } else {
-        out.dict = pin ? std::shared_ptr<const ArrayDictionary>(pin->dict)
-                       : std::shared_ptr<const ArrayDictionary>(cols_[i],
-                                                                dict);
-      }
+      const auto& values = dict->values;
+      for (Lane& v : out.lanes) v = values[static_cast<size_t>(v)];
     }
   }
   row_ += take;

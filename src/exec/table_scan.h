@@ -26,18 +26,12 @@ struct ScanCodeTables {
 struct TableScanOptions {
   /// Columns to scan (empty = all), in output order.
   std::vector<std::string> columns;
-  /// Resolve array-dictionary tokens to values while scanning. The
-  /// strategic optimizer turns this off when it expands the column through
-  /// an invisible join instead (Sect. 4.1.1).
-  bool decode_dictionaries = true;
-  /// Compressed columns to emit as opaque integer token lanes named
-  /// "<name>$token" (appended after `columns`). These are the outer join
-  /// keys of invisible joins against a DictionaryTable.
-  std::vector<std::string> token_columns;
-  /// Columns to emit as dense dictionary codes with the code -> token
-  /// entry table attached (ColumnVector::dict). Set by the dict-grouping
-  /// rewrite so the aggregate groups on codes and decodes one key per
-  /// group; ignored for columns whose stream is not dictionary-coded.
+  /// Columns to emit as dense dictionary codes with the code -> lane entry
+  /// table attached (ColumnVector::dict): a dictionary-coded stream's codes
+  /// (entries are heap tokens for strings), or an array-dictionary
+  /// column's stored tokens (entries are its values). Set for the group
+  /// keys of the dict-grouping rewrite and for an invisible join's column;
+  /// ignored for columns that have no dense code.
   std::vector<std::string> code_columns;
   /// Row ranges to visit (empty = the whole table). Set by the segment
   /// pruner and the exchange partitioner; normalized (sorted, disjoint,
@@ -48,6 +42,14 @@ struct TableScanOptions {
   /// scan. Null = a table set of this scan's own.
   std::shared_ptr<ScanCodeTables> code_tables;
 };
+
+/// The code -> lane entry table a code-mode scan attaches to `column`'s
+/// codes: an array-dictionary column's dictionary, or a dictionary-coded
+/// heap column's entries (heap tokens). Null when it has no dense code.
+/// `pin` is the column's pinned payload (null for a hot column).
+std::shared_ptr<const ArrayDictionary> CodeEntryTable(
+    const std::shared_ptr<const Column>& column,
+    const pager::LoadedColumn* pin);
 
 /// Scans a stored table block by block, decoding each column's encoded
 /// stream one decompression block per iteration block (they are the same
@@ -62,9 +64,6 @@ class TableScan : public Operator {
   const Schema& output_schema() const override { return schema_; }
 
  private:
-  /// Copies the code_columns' entry tables out of their streams.
-  std::vector<std::shared_ptr<const ArrayDictionary>> BuildCodeDicts() const;
-
   std::shared_ptr<const Table> table_;
   TableScanOptions options_;
   std::vector<std::shared_ptr<Column>> cols_;
@@ -77,7 +76,6 @@ class TableScan : public Operator {
   /// Per-column code -> lane entry table for code_columns, built at Open;
   /// null for columns emitted normally.
   std::vector<std::shared_ptr<const ArrayDictionary>> code_dicts_;
-  size_t first_token_col_ = 0;
   /// Normalized visit list (always non-empty after Open; one full-table
   /// range when options_.ranges is empty) and the cursor into it.
   std::vector<RowRange> ranges_;

@@ -6,9 +6,9 @@
 #include <optional>
 
 #include "src/exec/compressed_predicate.h"
-#include "src/exec/dictionary_table.h"
 #include "src/exec/filter.h"
 #include "src/exec/instrument.h"
+#include "src/exec/invisible_join.h"
 #include "src/exec/limit.h"
 #include "src/exec/ordered_aggregate.h"
 #include "src/exec/parallel_rollup.h"
@@ -115,10 +115,6 @@ Status ScanProps(const PlanNode& node, BuiltPlan* out) {
       TDE_ASSIGN_OR_RETURN(auto c, node.table->ColumnByName(n));
       out->props[n] = PropsOf(*c);
     }
-  }
-  for (const std::string& n : node.token_columns) {
-    TDE_ASSIGN_OR_RETURN(auto c, node.table->ColumnByName(n));
-    out->props[n + "$token"] = PropsOf(*c);
   }
   for (const std::string& n : node.code_columns) {
     auto it = out->props.find(n);
@@ -240,11 +236,13 @@ void Chain(BuiltPlan* out, BuiltPlan child, std::string name, MakeOp make,
   };
 }
 
-/// Lowers a scan, pruned by the zone maps of `predicate` (the filter
-/// directly above it, if any). A scan of a segmented table is replicable:
-/// each copy reads one surviving segment range.
+/// Lowers a scan, pruned by the zone maps of `predicate` (the filter or
+/// invisible join directly above it, if any), and emitting `join_column`
+/// as codes for the invisible join above it. A scan of a segmented table
+/// is replicable: each copy reads one surviving segment range.
 Result<BuiltPlan> BuildScan(const PlanNode& node,
-                            const ExprPtr& predicate = nullptr) {
+                            const ExprPtr& predicate = nullptr,
+                            const std::string& join_column = "") {
   BuiltPlan out;
   TDE_RETURN_NOT_OK(ScanProps(node, &out));
   for (const std::string& n : node.code_columns) {
@@ -254,8 +252,8 @@ Result<BuiltPlan> BuildScan(const PlanNode& node,
   segs.Record(&out.notes);
   TableScanOptions opts;
   opts.columns = node.columns;
-  opts.token_columns = node.token_columns;
   opts.code_columns = node.code_columns;
+  if (!join_column.empty()) opts.code_columns.push_back(join_column);
   opts.ranges = segs.Visit();
   opts.code_tables = std::make_shared<ScanCodeTables>();
   out.op = std::make_unique<TableScan>(node.table, opts);
@@ -640,6 +638,10 @@ Result<BuiltPlan> BuildJoinTable(const PlanNode& node, BuiltPlan child) {
   return out;
 }
 
+/// Lowers an invisible join (Sect. 4.1) to one chain operator over its
+/// scan, which emits the joined column as dense codes and is zone-map
+/// pruned by the pushed predicate. The code map is built here, once per
+/// query, and shared by every morsel copy of the join.
 Result<BuiltPlan> BuildInvisibleJoin(const PlanNode& node) {
   const PlanNode& scan = *node.children[0];
   if (scan.kind != PlanNodeKind::kScan) {
@@ -647,103 +649,60 @@ Result<BuiltPlan> BuildInvisibleJoin(const PlanNode& node) {
   }
   const std::string& c = node.dict_column;
   TDE_ASSIGN_OR_RETURN(auto col, scan.table->ColumnByName(c));
-
-  // Outer side: the main table with the compressed column as raw tokens.
-  TableScanOptions outer_opts;
-  if (scan.columns.empty()) {
-    for (size_t i = 0; i < scan.table->num_columns(); ++i) {
-      const std::string& n = scan.table->column(i).name();
-      if (n != c) outer_opts.columns.push_back(n);
-    }
-  } else {
-    for (const std::string& n : scan.columns) {
-      if (n != c) outer_opts.columns.push_back(n);
-    }
-  }
-  outer_opts.token_columns = {c};
-  auto outer = std::make_unique<TableScan>(scan.table, outer_opts);
-
-  // Inner side: DictionaryTable -> pushed-down filter/computations ->
-  // FlowTable (restricted to random-access encodings, Sect. 4.3).
-  // A possibly-nullable column gets an explicit NULL dictionary row so the
-  // pushed-down predicate/computations decide the fate of NULL main-table
-  // rows with ordinary expression semantics (IS NULL keeps them, LENGTH
-  // maps them to NULL) instead of the join dropping them unconditionally.
-  const ColumnMetadata& cmeta = col->metadata();
-  const bool null_row = !cmeta.null_known || cmeta.has_nulls;
-  TDE_ASSIGN_OR_RETURN(auto dict_table, BuildDictionaryTable(col, null_row));
-  std::unique_ptr<Operator> inner_flow =
-      std::make_unique<TableScan>(dict_table);
+  // A column nothing above reads (projection pruning left it out of the
+  // scan) is scanned for its codes, but not emitted.
+  PlanNode coded = scan;
+  const bool emit = scan.columns.empty() ||
+                    std::find(scan.columns.begin(), scan.columns.end(), c) !=
+                        scan.columns.end();
+  if (!emit) coded.columns.push_back(c);
+  TDE_ASSIGN_OR_RETURN(BuiltPlan child,
+                       BuildScan(coded, node.inner_predicate, c));
+  TDE_ASSIGN_OR_RETURN(std::shared_ptr<const CodeMap> map,
+                       BuildCodeMap(col, node.inner_predicate,
+                                    node.inner_projections));
+  const expr::DictTranslation& pass = map->pass;
+  std::string note = "invisible join(" + c + "): code map of " +
+                     std::to_string(map->codes()) + " entries";
   if (node.inner_predicate != nullptr) {
-    inner_flow = std::make_unique<Filter>(std::move(inner_flow),
-                                          node.inner_predicate);
-  }
-  std::vector<std::string> payload = {c};
-  if (!node.inner_projections.empty()) {
-    std::vector<ProjectedColumn> projections;
-    projections.push_back({expr::Col(c + "$token"), c + "$token"});
-    projections.push_back({expr::Col(c), c});
-    for (const ProjectedColumn& pc : node.inner_projections) {
-      projections.push_back(pc);
-      payload.push_back(pc.name);
+    note += ", " + std::to_string(pass.count) + " pass";
+    if (pass.count > 0) {
+      note += pass.interval ? " as one code interval [" +
+                                  std::to_string(pass.lo) + ", " +
+                                  std::to_string(pass.hi) + "]"
+                            : ", not one interval";
     }
-    inner_flow =
-        std::make_unique<Project>(std::move(inner_flow), projections);
-  }
-  FlowTableOptions ft;
-  ft.allowed = kAllowRandomAccess;
-  ft.table_name = c + "$inner";
-  TDE_ASSIGN_OR_RETURN(auto inner_table,
-                       FlowTable::Build(std::move(inner_flow), ft));
-
-  HashJoinOptions join;
-  join.outer_key = c + "$token";
-  join.inner_key = c + "$token";
-  join.inner_payload = payload;
-  auto joined =
-      std::make_unique<HashJoin>(std::move(outer), inner_table, join);
-  std::string note = "invisible join(" + c + "): " +
-                     std::to_string(inner_table->rows()) +
-                     " dictionary rows";
-  if (auto choice = ChooseJoinStrategy(*inner_table, c + "$token");
-      choice.ok()) {
-    note += std::string(", ") + JoinStrategyName(choice.value().strategy);
-  }
-
-  // Drop the token column from the output and restore the scan's column
-  // order: the dictionary column comes back at its original position, not
-  // appended after the outer columns, so SELECT * keeps its shape. Pushed
-  // computations (not part of the scan's schema) follow at the end.
-  std::vector<std::string> original;
-  if (scan.columns.empty()) {
-    for (size_t i = 0; i < scan.table->num_columns(); ++i) {
-      original.push_back(scan.table->column(i).name());
-    }
-  } else {
-    original = scan.columns;
-  }
-  if (std::find(original.begin(), original.end(), c) == original.end()) {
-    original.push_back(c);
-  }
-  std::vector<ProjectedColumn> keep;
-  for (const std::string& n : original) {
-    keep.push_back({expr::Col(n), n});
-  }
-  for (const std::string& n : payload) {
-    if (n != c) keep.push_back({expr::Col(n), n});
   }
   BuiltPlan out;
+  out.notes = std::move(child.notes);
   out.notes.push_back(std::move(note));
-  for (const std::string& n : outer_opts.columns) {
-    TDE_ASSIGN_OR_RETURN(auto oc, scan.table->ColumnByName(n));
-    out.props[n] = PropsOf(*oc);
+  // Density drops, as under a Filter; computed columns carry their type
+  // alone, no order facts.
+  out.props = std::move(child.props);
+  for (auto& [name, p] : out.props) p.meta.dense = false;
+  if (!emit) out.props.erase(c);
+  const Schema& in = child.op->output_schema();
+  for (const ProjectedColumn& pc : node.inner_projections) {
+    TDE_ASSIGN_OR_RETURN(out.props[pc.name].type, pc.expr->ResultType(in));
   }
-  for (const std::string& n : payload) {
-    auto ic = inner_table->ColumnByName(n);
-    if (ic.ok()) out.props[n] = JoinedProps(*ic.value());
+  // Blocks that arrive without codes filter the way a Filter does.
+  ExprPtr row_pred = node.inner_predicate;
+  if (row_pred != nullptr && node.compressed_eval) {
+    int rewrites = 0;
+    row_pred = expr::RewriteDictPredicates(row_pred, in, &rewrites);
   }
-  out.op = std::make_unique<Project>(std::move(joined), std::move(keep));
-  Attach(&out, "InvisibleJoin(" + c + ")", {});
+  OnClose on_close = [map](observe::OperatorStats* s) {
+    s->extras.emplace_back("codes", map->codes());
+    s->extras.emplace_back("codes_passed", map->pass.count);
+    s->extras.emplace_back("map_us", map->build_ns / 1000);
+  };
+  Chain(&out, std::move(child), "InvisibleJoin(" + c + ")",
+        [c, emit, map, row_pred, computations = node.inner_projections](
+            std::unique_ptr<Operator> in) -> std::unique_ptr<Operator> {
+          return std::make_unique<InvisibleJoin>(std::move(in), c, emit, map,
+                                                 row_pred, computations);
+        },
+        std::move(on_close));
   return out;
 }
 
@@ -915,7 +874,6 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
         for (size_t p = 0; p < nparts; ++p) {
           TableScanOptions sopts;
           sopts.columns = grand->columns;
-          sopts.token_columns = grand->token_columns;
           sopts.code_columns = grand->code_columns;
           sopts.code_tables = code_tables;
           sopts.ranges = NormalizeRanges(std::move(parts[p]));
@@ -1019,7 +977,7 @@ Result<BuiltPlan> BuildTopN(const PlanNodePtr& node) {
   const PlanNodePtr& child = node->children[0];
   if (node->sort_pruning && !key0.empty() &&
       child->kind == PlanNodeKind::kScan && child->table != nullptr &&
-      child->token_columns.empty() && child->code_columns.empty()) {
+      child->code_columns.empty()) {
     auto col_r = child->table->ColumnByName(key0);
     const bool key_scanned =
         child->columns.empty() ||

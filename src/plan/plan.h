@@ -22,7 +22,7 @@ enum class PlanNodeKind {
   kAggregate,
   kSort,
   kJoinTable,      // explicit many-to-one join against a stored table
-  kInvisibleJoin,  // decompression join against a DictionaryTable (4.1)
+  kInvisibleJoin,  // decompression join through a code map (4.1)
   kIndexedScan,    // rank join against an IndexTable (4.2)
   kExchange,
   kMaterialize,    // FlowTable sink
@@ -42,8 +42,7 @@ struct PlanNode {
 
   // kScan
   std::shared_ptr<const Table> table;
-  std::vector<std::string> columns;        // empty = all
-  std::vector<std::string> token_columns;  // emitted as "<c>$token"
+  std::vector<std::string> columns;  // empty = all
   /// Group-by keys emitted as dense dictionary codes with the entry table
   /// attached (set by the dict-grouping rewrite; cleared when
   /// StrategicOptions::enable_dict_grouping is off).
@@ -95,8 +94,10 @@ struct PlanNode {
   HashJoinOptions join;
 
   // kInvisibleJoin: expand dictionary-compressed column `dict_column` of
-  // the child scan through a DictionaryTable; `inner_predicate` and
-  // `inner_projections` were pushed down to the dictionary side.
+  // the child scan through its dictionary; `inner_predicate` and
+  // `inner_projections` were pushed down to the dictionary side, and run
+  // once per entry (a code map). Output: the scan's columns, then the
+  // computations.
   std::string dict_column;
   ExprPtr inner_predicate;
   std::vector<ProjectedColumn> inner_projections;

@@ -31,9 +31,19 @@ bool SingleColumn(const ExprPtr& pred, std::string* name) {
   return true;
 }
 
-/// Rule 1 (Sect. 4.1): Filter over Scan, predicate on one
-/// dictionary-compressed column -> InvisibleJoin with the filter pushed to
-/// the dictionary side.
+/// Whether a scan can emit `col` as dense codes, for an invisible join to
+/// evaluate per dictionary entry: a dictionary-encoded heap string column
+/// (its stream's codes) or an array-dictionary column (its stored tokens).
+/// Directory facts only, so a strategic decision never faults data in.
+bool HasDenseCodes(const Column& col) {
+  return col.compression() == CompressionKind::kArrayDict ||
+         (col.compression() == CompressionKind::kHeap &&
+          col.encoding_type() == EncodingType::kDictionary);
+}
+
+/// Rule 1 (Sect. 4.1): Filter over Scan, predicate on one column with
+/// dense codes -> InvisibleJoin with the filter pushed to the dictionary
+/// side.
 PlanNodePtr TryInvisibleJoin(const PlanNodePtr& filter) {
   if (filter->kind != PlanNodeKind::kFilter) return nullptr;
   const PlanNodePtr& scan = filter->children[0];
@@ -44,16 +54,7 @@ PlanNodePtr TryInvisibleJoin(const PlanNodePtr& filter) {
   std::string col_name;
   if (!SingleColumn(filter->predicate, &col_name)) return nullptr;
   auto col_r = scan->table->ColumnByName(col_name);
-  if (!col_r.ok()) return nullptr;
-  const auto& col = col_r.value();
-  if (col->compression() == CompressionKind::kNone) return nullptr;
-  // A dictionary table only pays when the domain is small.
-  // encoding_type() answers from the directory for cold columns, so this
-  // strategic decision never faults data in.
-  if (!col->metadata().cardinality_known &&
-      col->encoding_type() != EncodingType::kDictionary) {
-    return nullptr;
-  }
+  if (!col_r.ok() || !HasDenseCodes(*col_r.value())) return nullptr;
 
   auto join = std::make_shared<PlanNode>();
   join->kind = PlanNodeKind::kInvisibleJoin;
@@ -309,8 +310,7 @@ PlanNodePtr TryMetadataPrune(const PlanNodePtr& filter) {
 PlanNodePtr TryRunFilter(const PlanNodePtr& filter) {
   if (filter->kind != PlanNodeKind::kFilter) return nullptr;
   const PlanNodePtr& scan = filter->children[0];
-  if (scan->kind != PlanNodeKind::kScan || scan->table == nullptr ||
-      !scan->token_columns.empty()) {
+  if (scan->kind != PlanNodeKind::kScan || scan->table == nullptr) {
     return nullptr;
   }
   std::string c;
@@ -394,7 +394,7 @@ PlanNodePtr TrySortRuns(const PlanNodePtr& sort) {
   }
   const PlanNodePtr& scan = sort->children[0];
   if (scan->kind != PlanNodeKind::kScan || scan->table == nullptr ||
-      !scan->token_columns.empty() || !scan->code_columns.empty()) {
+      !scan->code_columns.empty()) {
     return nullptr;
   }
   const std::string& c = sort->sort_keys[0].column;
@@ -564,8 +564,7 @@ PlanNodePtr TryMetadataAggregate(const PlanNodePtr& agg) {
   }
   if (!agg->agg.group_by.empty() || agg->agg.aggs.empty()) return nullptr;
   const PlanNodePtr& scan = agg->children[0];
-  if (scan->kind != PlanNodeKind::kScan || scan->table == nullptr ||
-      !scan->token_columns.empty()) {
+  if (scan->kind != PlanNodeKind::kScan || scan->table == nullptr) {
     return nullptr;
   }
   std::vector<Lane> row;
@@ -593,8 +592,7 @@ PlanNodePtr TryRunFoldAggregate(const PlanNodePtr& agg) {
   }
   if (agg->agg.group_by.size() > 1) return nullptr;
   const PlanNodePtr& scan = agg->children[0];
-  if (scan->kind != PlanNodeKind::kScan || scan->table == nullptr ||
-      !scan->token_columns.empty()) {
+  if (scan->kind != PlanNodeKind::kScan || scan->table == nullptr) {
     return nullptr;
   }
   // The fold column: the grouping key, or the single column every
@@ -640,12 +638,21 @@ bool Reads(const ExprPtr& e, const std::string& name) {
   return std::find(cols.begin(), cols.end(), name) != cols.end();
 }
 
-/// Whether `node` (a Filter or a Project) hands column `c` up unchanged
-/// and reads it nowhere else: a filter whose predicate does not read it, a
-/// projection that passes it on by a bare reference under its own name
-/// and computes nothing from it.
+/// Whether `node` (a Filter, a Project or an InvisibleJoin) hands column
+/// `c` up unchanged and reads it nowhere else: a filter whose predicate
+/// does not read it, a projection that passes it on by a bare reference
+/// under its own name and computes nothing from it, an invisible join of
+/// another column that computes nothing under its name.
 bool PassesOnlyThrough(const PlanNode& node, const std::string& c) {
   if (node.kind == PlanNodeKind::kFilter) return !Reads(node.predicate, c);
+  if (node.kind == PlanNodeKind::kInvisibleJoin) {
+    return c != node.dict_column &&
+           std::none_of(node.inner_projections.begin(),
+                        node.inner_projections.end(),
+                        [&](const ProjectedColumn& pc) {
+                          return pc.name == c;
+                        });
+  }
   bool passed = false;
   for (const ProjectedColumn& pc : node.projections) {
     const std::string* ref = pc.expr->AsColumnRef();
@@ -661,9 +668,9 @@ bool PassesOnlyThrough(const PlanNode& node, const std::string& c) {
 /// Dict-code scans for group-by keys: a dictionary-encoded string key is
 /// emitted as dense codes (the scan skips the per-row entry decode) and
 /// the aggregate decodes one key per group at first occurrence. The scan
-/// may sit under Filters and Projects that pass the key on untouched
-/// (PassesOnlyThrough): a Filter compacts the code lanes and a Project
-/// moves them, entry table attached. Keys an aggregate also reads as input
+/// may sit under Filters, Projects and invisible joins that pass the key
+/// on untouched (PassesOnlyThrough): they compact or move the code lanes,
+/// entry table attached. Keys an aggregate also reads as input
 /// stay decoded — COUNT/MIN/MAX over codes would see indexes, not values.
 PlanNodePtr TryDictCodeScan(const PlanNodePtr& agg) {
   if (agg->kind != PlanNodeKind::kAggregate || agg->metadata_answered ||
@@ -674,12 +681,13 @@ PlanNodePtr TryDictCodeScan(const PlanNodePtr& agg) {
   std::vector<PlanNodePtr> chain;  // the Filters and Projects, top down
   PlanNodePtr scan = agg->children[0];
   while (scan->kind == PlanNodeKind::kFilter ||
-         scan->kind == PlanNodeKind::kProject) {
+         scan->kind == PlanNodeKind::kProject ||
+         scan->kind == PlanNodeKind::kInvisibleJoin) {
     chain.push_back(scan);
     scan = scan->children[0];
   }
   if (scan->kind != PlanNodeKind::kScan || scan->table == nullptr ||
-      !scan->token_columns.empty() || !scan->code_columns.empty()) {
+      !scan->code_columns.empty()) {
     return nullptr;
   }
   std::vector<std::string> coded;
@@ -758,10 +766,11 @@ PlanNodePtr SimplifyNode(const PlanNodePtr& node) {
 }
 
 /// Computation move-around (Sect. 2.3.1 / 4.1.2): a Project over a Scan
-/// whose computed expressions all read one dictionary-compressed column
-/// becomes an InvisibleJoin with the computations pushed to the dictionary
-/// side — the Sect. 4.1.2 scenario, where EXTENSION(url) runs once per
-/// distinct URL instead of once per row.
+/// whose computed expressions all read one column with dense codes becomes
+/// an InvisibleJoin with the computations pushed to the dictionary side —
+/// the Sect. 4.1.2 scenario, where EXTENSION(url) runs once per distinct
+/// URL instead of once per row. A computation named like a table column
+/// stays above: the join's output would hold that name twice.
 PlanNodePtr TryComputePushdown(const PlanNodePtr& project) {
   if (project->kind != PlanNodeKind::kProject) return nullptr;
   const PlanNodePtr& scan = project->children[0];
@@ -780,6 +789,7 @@ PlanNodePtr TryComputePushdown(const PlanNodePtr& project) {
       if (c != cols[0]) return nullptr;  // multi-column computation
     }
     if (!dict_col.empty() && cols[0] != dict_col) return nullptr;
+    if (scan->table->ColumnByName(pc.name).ok()) return nullptr;
     dict_col = cols[0];
     pushed.push_back(pc);
   }
@@ -787,7 +797,7 @@ PlanNodePtr TryComputePushdown(const PlanNodePtr& project) {
   auto col_r = scan->table->ColumnByName(dict_col);
   if (!col_r.ok()) return nullptr;
   const auto& col = col_r.value();
-  if (col->compression() == CompressionKind::kNone) return nullptr;
+  if (!HasDenseCodes(*col)) return nullptr;
   // Worth it only when the domain is materially smaller than the rows.
   if (!col->metadata().cardinality_known ||
       col->metadata().cardinality * 2 > scan->table->rows()) {
@@ -934,7 +944,7 @@ void CollectExpr(const ExprPtr& e, ColumnSet* out) {
 /// keeps untouched columns cold on disk.
 void PruneScan(const PlanNodePtr& scan, const ColumnSet* required) {
   if (required == nullptr) return;  // everything above needs everything
-  if (!scan->columns.empty() || !scan->token_columns.empty()) return;
+  if (!scan->columns.empty()) return;
   const Table& t = *scan->table;
   std::vector<std::string> keep;
   for (size_t i = 0; i < t.num_columns(); ++i) {
@@ -1019,6 +1029,20 @@ void PruneScans(const PlanNodePtr& node, const ColumnSet* required) {
       PruneScans(node->children[0], &need);
       return;
     }
+    case PlanNodeKind::kInvisibleJoin: {
+      // Output = the scan's columns, then the pushed computations. Ask the
+      // scan for what is read above and not computed here. The lowering
+      // scans the joined column for its codes either way, and emits it
+      // only when the scan keeps it.
+      if (required == nullptr) break;
+      ColumnSet need = *required;
+      for (const ProjectedColumn& pc : node->inner_projections) {
+        need.erase(pc.name);
+      }
+      if (need.empty()) need.insert(node->dict_column);
+      PruneScans(node->children[0], &need);
+      return;
+    }
     case PlanNodeKind::kExchange:
     case PlanNodeKind::kLimit:
     case PlanNodeKind::kMaterialize:
@@ -1028,9 +1052,9 @@ void PruneScans(const PlanNodePtr& node, const ColumnSet* required) {
     default:
       break;
   }
-  // Invisible joins, indexed scans, and pass-throughs with an unknown
-  // requirement: column flow is operator-specific, so stay conservative
-  // and require everything below.
+  // Indexed scans, and pass-throughs with an unknown requirement: column
+  // flow is operator-specific, so stay conservative and require
+  // everything below.
   for (const auto& c : node->children) PruneScans(c, nullptr);
 }
 

@@ -179,14 +179,6 @@ const StringHeap* Column::heap() const {
   return heap_.get();
 }
 
-std::shared_ptr<StringHeap> Column::heap_ptr() const {
-  std::lock_guard<std::mutex> lock(load_mu_);
-  if (cold_ != nullptr && !warmed_) {
-    return resident_ != nullptr ? resident_->heap : nullptr;
-  }
-  return heap_;
-}
-
 const ArrayDictionary* Column::array_dict() const {
   std::lock_guard<std::mutex> lock(load_mu_);
   if (cold_ != nullptr && !warmed_) {

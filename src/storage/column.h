@@ -73,7 +73,6 @@ class Column {
 
   const StringHeap* heap() const;
   StringHeap* mutable_heap() { return heap_.get(); }
-  std::shared_ptr<StringHeap> heap_ptr() const;
   void set_heap(std::shared_ptr<StringHeap> h);
 
   const ArrayDictionary* array_dict() const;

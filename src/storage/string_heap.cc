@@ -8,7 +8,15 @@ Lane StringHeap::Add(std::string_view s) {
   const Lane token = static_cast<Lane>(buf_.size());
   const uint32_t len = static_cast<uint32_t>(s.size());
   const size_t old = buf_.size();
+  // A view into this heap (Add(Get(t))) dangles once the buffer grows:
+  // re-aim it at the same offset of the grown buffer.
+  const uintptr_t at = reinterpret_cast<uintptr_t>(s.data()) -
+                       reinterpret_cast<uintptr_t>(buf_.data());
   buf_.resize(old + 4 + s.size());
+  if (at < old) {
+    s = std::string_view(reinterpret_cast<const char*>(buf_.data() + at),
+                         s.size());
+  }
   std::memcpy(buf_.data() + old, &len, 4);
   std::memcpy(buf_.data() + old + 4, s.data(), s.size());
   ++entries_;

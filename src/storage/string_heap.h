@@ -36,8 +36,8 @@ class StringHeap {
   uint64_t byte_size() const { return buf_.size(); }
   uint64_t entry_count() const { return entries_; }
 
-  /// All element tokens in heap (insertion) order — the token column of a
-  /// DictionaryTable (Sect. 4.1.1).
+  /// All element tokens in heap (insertion) order: the domain a
+  /// dictionary-code predicate is evaluated over.
   std::vector<Lane> AllTokens() const;
 
   /// Whether element order equals collation order.

@@ -500,7 +500,7 @@ Result<RefRelation> EvalPlan(const PlanNodePtr& node,
 
 Result<RefRelation> EvalScan(const PlanNode& node,
                              const std::map<std::string, const RefTable*>& tables) {
-  if (!node.token_columns.empty() || !node.code_columns.empty()) {
+  if (!node.code_columns.empty()) {
     return {OracleError("scan carries rewrite-only column lists")};
   }
   if (node.table == nullptr) return {OracleError("scan without table")};

@@ -426,6 +426,21 @@ TEST(CompressedFilter, InvisibleJoinPushedCaseEvaluatesNullBranch) {
   }
 }
 
+/// A computation named like the column it reads stays above the scan: an
+/// invisible join would emit both under one name, and the plan above would
+/// read the column instead of the computation.
+TEST(CompressedFilter, ComputationNamedLikeItsColumnIsNotPushed) {
+  Engine e;
+  FillNullableDict(&e);
+  auto r = e.ExecuteSql("SELECT LENGTH(s) AS s, v FROM t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().num_rows(), 40u);
+  for (uint64_t row = 0; row < 40; ++row) {
+    const std::string n = r.value().ValueString(row, 0);
+    EXPECT_TRUE(n == "NULL" || n == "3" || n == "4" || n == "5") << n;
+  }
+}
+
 /// Found by differential seed 37: LIKE '_' consumed one byte, so
 /// multi-byte UTF-8 code points never matched width-based patterns.
 TEST(CompressedFilter, LikeWildcardsCountCodePointsNotBytes) {

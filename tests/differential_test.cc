@@ -1,6 +1,7 @@
 // Differential correctness harness: every generated query runs through the
 // real engine — under a matrix of strategic kill switches and storage
-// layouts — and through the deliberately naive reference interpreter in
+// layouts (monolithic, segmented, and monolithic after OptimizeTable) — and
+// through the deliberately naive reference interpreter in
 // src/testing. Any disagreement fails with a self-contained repro (data
 // seed, query seed, table specs, SQL, config) that regenerates the case
 // exactly.
@@ -264,6 +265,13 @@ class DifferentialTest : public ::testing::Test {
     for (const testing::Dataset* d : {&fact_, &dim_, &dim2_}) {
       ASSERT_TRUE(mono_.ImportTextBuffer(d->csv, d->spec.name).ok());
       ASSERT_TRUE(seg_.ImportTextBuffer(d->csv, d->spec.name, seg).ok());
+      // The optimized layout: dimension-shaped columns become array
+      // dictionaries, so queries read kArrayDict codes (invisible joins,
+      // join keys, filters).
+      ASSERT_TRUE(opt_.ImportTextBuffer(d->csv, d->spec.name).ok());
+      auto converted = opt_.OptimizeTable(d->spec.name);
+      ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+      array_dicts_ += converted.value();
     }
   }
 
@@ -292,8 +300,10 @@ class DifferentialTest : public ::testing::Test {
   testing::Dataset dim2_;
   std::map<std::string, const testing::RefTable*> tables_;
   uint64_t seg_rows_ = 256;
+  int array_dicts_ = 0;
   Engine mono_;
   Engine seg_;
+  Engine opt_;
 };
 
 TEST_F(DifferentialTest, RandomizedSweep) {
@@ -347,6 +357,10 @@ TEST_F(DifferentialTest, RandomizedSweep) {
     for (const Config& c : configs) {
       runs.push_back({"monolithic", c.name, mono_.ExecuteSql(q.sql, c.opts)});
       runs.push_back({"segmented", c.name, seg_.ExecuteSql(q.sql, c.opts)});
+      if (c.name == "default" || c.name == "everything-off" ||
+          c.name == "no-compressed-predicates") {
+        runs.push_back({"optimized", c.name, opt_.ExecuteSql(q.sql, c.opts)});
+      }
     }
     // Morsel legs: in the segmented layout every eligible aggregate runs
     // as one task per segment; pools of one, two and four workers change
@@ -433,7 +447,9 @@ TEST_F(DifferentialTest, RandomizedSweep) {
   }
   RecordProperty("executions", static_cast<int>(executed));
   RecordProperty("chained_join_queries", static_cast<int>(chained));
-  EXPECT_GE(executed, num_seeds * (configs.size() * 2 + 3));
+  RecordProperty("array_dictionary_columns", array_dicts_);
+  EXPECT_GE(executed, num_seeds * (configs.size() * 2 + 6));
+  EXPECT_GT(array_dicts_, 0);
   // Q3-shaped fact -> dim -> dim2 chains must be part of every real sweep.
   if (num_seeds >= 100) {
     EXPECT_GT(chained, 0u);

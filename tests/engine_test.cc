@@ -224,11 +224,11 @@ TEST(Engine, AttachAndRefreshExternalFile) {
   std::remove(path.c_str());
 }
 
-TEST(Engine, InvisibleJoinOverScalarDictionaryBecomesFetchJoin) {
+TEST(Engine, InvisibleJoinOverScalarDictionaryPassesOneCodeInterval) {
   // The full Sect. 4.1.2 story through the optimizer: a date column is
-  // dictionary compressed (AlterColumn), a range predicate filters the
-  // DictionaryTable to a dense token range, FlowTable reasserts density
-  // and the join runs as a fetch join.
+  // dictionary compressed (AlterColumn) into a sorted dictionary, so a
+  // range predicate passes one dense interval of codes — the key range
+  // the paper's fetch join exploits.
   Engine engine;
   std::string csv = "d,v\n";
   const int64_t start = DaysFromCivil(2019, 1, 1);
@@ -250,7 +250,10 @@ TEST(Engine, InvisibleJoinOverScalarDictionaryBecomesFetchJoin) {
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
   EXPECT_NE(explain.value().find("InvisibleJoin(d)"), std::string::npos)
       << explain.value();
-  EXPECT_NE(explain.value().find("fetch"), std::string::npos)
+  // March 2019: days 59..89 of the 200 dictionary entries.
+  EXPECT_NE(explain.value().find("code map of 200 entries, 31 pass as one "
+                                 "code interval [59, 89]"),
+            std::string::npos)
       << explain.value();
 
   auto rewritten = engine.Execute(plan).MoveValue();
@@ -393,6 +396,47 @@ TEST(Engine, ExplainReportsRewritesAndTactics) {
   EXPECT_NE(s.find("InvisibleJoin"), std::string::npos) << s;
   EXPECT_NE(s.find("invisible join(region)"), std::string::npos) << s;
   EXPECT_NE(s.find("aggregate(sales)"), std::string::npos) << s;
+}
+
+TEST(Engine, ExplainAnalyzeShowsTheInvisibleJoinsScanAndMap) {
+  // Statement 6 of flights_dash in miniature: a string equality on a
+  // low-cardinality column of a segmented table, grouped on another.
+  Engine engine;
+  std::string csv = "origin,dest,delay\n";
+  for (int i = 0; i < 8192; ++i) {
+    csv += "o" + std::to_string(i % 13) + ",d" + std::to_string(i % 7) + "," +
+           std::to_string(i % 50) + "\n";
+  }
+  ImportOptions opts;
+  opts.flow.segment_rows = 1024;
+  ASSERT_TRUE(engine.ImportTextBuffer(csv, "f", opts).ok());
+  auto r = engine.ExecuteSql(
+      "EXPLAIN ANALYZE SELECT dest, COUNT(*) AS n FROM f "
+      "WHERE origin = 'o3' GROUP BY dest ORDER BY n DESC, dest LIMIT 10");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const std::string text = r.value().ToCsv();
+  const auto line = [&](const std::string& what) {
+    const size_t at = text.find(what);
+    if (at == std::string::npos) return std::string();
+    return text.substr(at, text.find('\n', at) - at);
+  };
+  const std::string join = line("InvisibleJoin(origin)");
+  EXPECT_NE(join.find("codes=13"), std::string::npos) << text;
+  EXPECT_NE(join.find("codes_passed=1"), std::string::npos) << text;
+  EXPECT_NE(join.find("map_us="), std::string::npos) << text;
+  // The join's input shows under it: a scan of only the two columns read.
+  const size_t at = text.find("InvisibleJoin(origin)");
+  const size_t next = text.find('\n', at) + 1;
+  EXPECT_EQ(text.find("TableScan(f)"), text.find_first_not_of(' ', next))
+      << text;
+  EXPECT_NE(line("TableScan(f)").find("columns=2"), std::string::npos)
+      << text;
+  EXPECT_NE(line("HashAggregate(dest)").find("morsels=8"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("invisible join(origin): code map of 13 entries, 1 "
+                      "pass as one code interval"),
+            std::string::npos)
+      << text;
 }
 
 TEST(Engine, QueryResultToCsv) {

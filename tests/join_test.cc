@@ -7,9 +7,9 @@
 #include <unordered_map>
 
 #include "src/core/engine.h"
-#include "src/exec/dictionary_table.h"
 #include "src/exec/filter.h"
 #include "src/exec/flow_table.h"
+#include "src/exec/invisible_join.h"
 #include "src/exec/scheduler.h"
 #include "src/workload/tpch_queries.h"
 #include "tests/test_util.h"
@@ -147,78 +147,96 @@ TEST(HashJoin, StringPayloadResolvesThroughHeap) {
   EXPECT_EQ(names.GetString(1), "zero");
 }
 
-TEST(DictionaryTable, StringColumnSharesHeap) {
+// --- The invisible join's code map (Sect. 4.1.1) ------------------------
+
+TEST(CodeMap, StringColumnEntriesAreItsHeapTokens) {
   auto src = VectorSource::Ints({{"id", {0, 1, 2, 3}}});
   src->AddStringColumn("s", {"b", "a", "b", "a"});
   auto table = FlowTable::Build(std::move(src)).MoveValue();
   auto col = table->ColumnByName("s").value();
-  auto dict = BuildDictionaryTable(col).MoveValue();
-  EXPECT_EQ(dict->rows(), 2u);  // distinct strings
-  EXPECT_TRUE(dict->ColumnByName("s$token").ok());
-  auto value_col = dict->ColumnByName("s").value();
-  EXPECT_EQ(value_col->heap(), col->heap());  // copy of the heap (shared)
-  // Token column rows correspond to value rows.
-  std::vector<Lane> tokens(2), values(2);
-  ASSERT_TRUE(
-      dict->ColumnByName("s$token").value()->GetLanes(0, 2, tokens.data()).ok());
-  ASSERT_TRUE(value_col->GetLanes(0, 2, values.data()).ok());
-  EXPECT_EQ(tokens, values);  // for strings, the value lanes ARE the tokens
+  auto map = BuildCodeMap(col, nullptr, {}).MoveValue();
+  ASSERT_EQ(map->codes(), 2u);  // distinct strings
+  std::vector<std::string> values;
+  for (const Lane token : map->entries->values) {
+    values.emplace_back(col->heap()->Get(token));
+  }
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(values, (std::vector<std::string>{"a", "b"}));
+  // No predicate: every code passes.
+  EXPECT_EQ(map->pass.count, 2u);
+  EXPECT_TRUE(map->pass.interval);
 }
 
-TEST(DictionaryTable, InvisibleJoinFiltersMainTable) {
-  // The Fig. 2 shape: push a string predicate to the dictionary side, then
-  // join back over tokens.
+TEST(CodeMap, InvisibleJoinFiltersMainTable) {
+  // The Fig. 2 shape: the predicate runs once per dictionary entry, and
+  // the scan's rows keep or drop by their code.
   auto src = VectorSource::Ints({{"id", {0, 1, 2, 3, 4, 5}}});
   src->AddStringColumn("color", {"red", "blue", "red", "green", "blue",
                                  "red"});
   auto main = FlowTable::Build(std::move(src)).MoveValue();
-  auto color = main->ColumnByName("color").value();
-  auto dict = BuildDictionaryTable(color).MoveValue();
-
-  auto inner_scan = std::make_unique<TableScan>(dict);
-  auto inner_filtered = std::make_unique<Filter>(
-      std::move(inner_scan), expr::Eq(expr::Col("color"), expr::Str("red")));
-  FlowTableOptions ft;
-  ft.allowed = kAllowRandomAccess;
-  auto inner = FlowTable::Build(std::move(inner_filtered), ft).MoveValue();
-  EXPECT_EQ(inner->rows(), 1u);
+  const ExprPtr pred = expr::Eq(expr::Col("color"), expr::Str("red"));
+  auto map =
+      BuildCodeMap(main->ColumnByName("color").value(), pred, {}).MoveValue();
+  EXPECT_EQ(map->codes(), 3u);
+  EXPECT_EQ(map->pass.count, 1u);
 
   TableScanOptions scan_opts;
-  scan_opts.columns = {"id"};
-  scan_opts.token_columns = {"color"};
-  HashJoinOptions join_opts;
-  join_opts.outer_key = "color$token";
-  join_opts.inner_key = "color$token";
-  HashJoin join(std::make_unique<TableScan>(main, scan_opts), inner,
-                join_opts);
+  scan_opts.columns = {"id", "color"};
+  scan_opts.code_columns = {"color"};
+  InvisibleJoin join(std::make_unique<TableScan>(main, scan_opts), "color",
+                     /*emit_column=*/true, map, pred, {});
   auto blocks = Drain(&join);
   EXPECT_EQ(Flatten(blocks, 0), (std::vector<Lane>{0, 2, 5}));
+  for (const Block& b : blocks) {
+    EXPECT_EQ(b.columns[1].dict, nullptr);  // decoded back to tokens
+    for (size_t r = 0; r < b.rows(); ++r) {
+      EXPECT_EQ(b.columns[1].GetString(r), "red");
+    }
+  }
 }
 
-TEST(DictionaryTable, ScalarDictColumnGetsTokenAndValueColumns) {
-  auto col = std::make_shared<Column>("d", TypeId::kDate);
+TEST(CodeMap, SortedArrayDictionaryRangePassesOneCodeInterval) {
+  auto col = std::make_shared<Column>("d", TypeId::kInteger);
   auto dict = std::make_shared<ArrayDictionary>();
-  dict->type = TypeId::kDate;
-  dict->values = {100, 200, 300};
+  dict->values = {100, 200, 300, 400};
   dict->sorted = true;
   col->set_array_dict(dict);
   col->set_compression(CompressionKind::kArrayDict);
-  auto table = BuildDictionaryTable(col).MoveValue();
-  ASSERT_EQ(table->rows(), 3u);
-  // Token column is affine (0,1,2) -> joins against it become fetch joins.
-  auto token = table->ColumnByName("d$token").value();
-  EXPECT_EQ(token->data()->type(), EncodingType::kAffine);
-  std::vector<Lane> values(3);
-  ASSERT_TRUE(table->ColumnByName("d").value()->GetLanes(0, 3, values.data()).ok());
-  EXPECT_EQ(values, (std::vector<Lane>{100, 200, 300}));
+  const ExprPtr pred = expr::And(expr::Ge(expr::Col("d"), expr::Int(200)),
+                                 expr::Lt(expr::Col("d"), expr::Int(400)));
+  auto map = BuildCodeMap(col, pred,
+                          {{expr::Add(expr::Col("d"), expr::Int(1)), "d1"}})
+                 .MoveValue();
+  ASSERT_EQ(map->codes(), 4u);
+  // The range over a sorted dictionary is a dense code interval: what the
+  // paper's fetch join stood for (Sect. 4.1.2).
+  EXPECT_TRUE(map->pass.interval);
+  EXPECT_EQ(map->pass.lo, 1);
+  EXPECT_EQ(map->pass.hi, 2);
+  ASSERT_EQ(map->computed.size(), 1u);
+  EXPECT_EQ(map->computed[0].lanes, (std::vector<Lane>{101, 201, 301, 401}));
 }
 
-TEST(DictionaryTable, FailsOnUncompressedColumn) {
-  auto col = std::make_shared<Column>("x", TypeId::kInteger);
-  EXPECT_EQ(BuildDictionaryTable(col).status().code(),
-            StatusCode::kInvalidArgument);
+TEST(CodeMap, ColumnWithoutCodesEvaluatesPerRow) {
+  // An uncompressed column has no dense code: the map is empty and every
+  // block is filtered and computed row by row.
+  auto main =
+      FlowTable::Build(VectorSource::Ints({{"x", {5, 1, 7, 3, 9}}}))
+          .MoveValue();
+  auto col = main->ColumnByName("x").value();
+  const ExprPtr pred = expr::Gt(expr::Col("x"), expr::Int(4));
+  std::vector<ProjectedColumn> computed = {
+      {expr::Mul(expr::Col("x"), expr::Int(10)), "x10"}};
+  auto map = BuildCodeMap(col, pred, computed).MoveValue();
+  EXPECT_EQ(map->entries, nullptr);
+  TableScanOptions scan_opts;
+  scan_opts.code_columns = {"x"};
+  InvisibleJoin join(std::make_unique<TableScan>(main, scan_opts), "x",
+                     /*emit_column=*/true, map, pred, computed);
+  auto blocks = Drain(&join);
+  EXPECT_EQ(Flatten(blocks, 0), (std::vector<Lane>{5, 7, 9}));
+  EXPECT_EQ(Flatten(blocks, 1), (std::vector<Lane>{50, 70, 90}));
 }
-
 
 // --- The key index: range tasks, per-query pass flags, reuse -------------
 
@@ -553,14 +571,6 @@ TEST(JoinIndex, ExplainAnalyzeShowsTheBuildAndItsReuse) {
   auto row = engine.ExecuteSql("SELECT * FROM orders LIMIT 1");
   ASSERT_TRUE(row.ok());
   Block order = row.value().blocks()[0];
-  // Strings travel in a heap of their own: AppendRows re-adds each one to
-  // the column's heap, which must not be the heap it reads from.
-  for (ColumnVector& cv : order.columns) {
-    if (cv.type != TypeId::kString || cv.lanes[0] == kNullSentinel) continue;
-    auto heap = std::make_shared<StringHeap>();
-    cv.lanes[0] = heap->Add(std::string(cv.GetString(0)));
-    cv.heap = std::move(heap);
-  }
   auto orders = engine.database()->GetTable("orders").value();
   const size_t key = orders->ColumnIndex("o_orderkey").value();
   order.columns[key].lanes[0] = 30000;  // past the SF 0.002 keys, 16 bits

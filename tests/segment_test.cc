@@ -341,6 +341,31 @@ TEST(AppendRows, StringColumnsReinternThroughTheColumnHeap) {
   EXPECT_EQ(r2.value().Value(0, 0), 1);
 }
 
+TEST(AppendRows, AppendsTheTablesOwnRows) {
+  // A SELECT * of the table hands AppendRows tokens of the column's own
+  // heap, which the append grows while it reads from it.
+  Engine engine;
+  std::string csv = "k,s\n";
+  for (int i = 0; i < 200; ++i) {
+    csv += std::to_string(i) + ",row-" + std::to_string(i % 7) + "\n";
+  }
+  ASSERT_TRUE(engine.ImportTextBuffer(csv, "t").ok());
+  for (int round = 0; round < 3; ++round) {
+    auto all = engine.ExecuteSql("SELECT * FROM t");
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    for (const Block& b : all.value().blocks()) {
+      ASSERT_TRUE(engine.AppendRows("t", b).ok());
+    }
+  }
+  auto r = engine.ExecuteSql("SELECT k, s FROM t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().num_rows(), 1600u);  // 200 rows, doubled three times
+  for (uint64_t row = 0; row < r.value().num_rows(); ++row) {
+    EXPECT_EQ(r.value().ValueString(row, 1),
+              "row-" + std::to_string(r.value().Value(row, 0) % 7));
+  }
+}
+
 TEST(AppendRows, RejectsMalformedBlocks) {
   Engine engine;
   auto t = std::make_shared<Table>("t");

@@ -25,6 +25,16 @@ TEST(StringHeap, EmptyStringIsStorable) {
   EXPECT_EQ(h.Get(t), "");
 }
 
+TEST(StringHeap, AddsAViewIntoItself) {
+  // Each Add copies the heap's own last string while the buffer grows, so
+  // the view it reads from moves with every reallocation.
+  StringHeap h;
+  Lane t = h.Add("self-referencing entry");
+  for (int i = 0; i < 64; ++i) t = h.Add(h.Get(t));
+  EXPECT_EQ(h.Get(t), "self-referencing entry");
+  EXPECT_EQ(h.entry_count(), 65u);
+}
+
 TEST(StringHeap, AllTokensWalksEntries) {
   StringHeap h;
   std::vector<Lane> expect;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/common/hash.h"
+
 namespace tde {
 
 namespace {
@@ -42,12 +44,30 @@ int Collate(Collation c, std::string_view a, std::string_view b) {
 }
 
 uint64_t CollationHash(Collation c, std::string_view s) {
-  // FNV-1a over (folded) bytes.
+  if (c == Collation::kBinary) {
+    // Eight bytes per step: each step is a bijection of the state, so
+    // strings of one length that differ in one word never collide; the
+    // length seeds the state, and the final mix spreads every bit into the
+    // low bits a table masks.
+    uint64_t h = 14695981039346656037ULL ^ s.size();
+    const char* p = s.data();
+    size_t n = s.size();
+    for (; n >= 8; p += 8, n -= 8) {
+      uint64_t w;
+      std::memcpy(&w, p, 8);
+      h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    }
+    if (n > 0) {
+      uint64_t w = 0;
+      std::memcpy(&w, p, n);
+      h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    }
+    return Mix64(h);
+  }
+  // FNV-1a over folded bytes.
   uint64_t h = 14695981039346656037ULL;
   for (char raw : s) {
-    const unsigned char ch = static_cast<unsigned char>(raw);
-    const uint16_t e =
-        c == Collation::kBinary ? ch : CollationElement(ch);
+    const uint16_t e = CollationElement(static_cast<unsigned char>(raw));
     h ^= static_cast<uint64_t>(e & 0xFF);
     h *= 1099511628211ULL;
     h ^= static_cast<uint64_t>(e >> 8);

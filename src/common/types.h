@@ -29,7 +29,7 @@ inline constexpr int kNumTypes = 6;
 inline constexpr uint32_t kBlockSize = 1024;
 
 /// Dictionary encoding entry limit (Sect. 3.1.3): 2^15 keeps the dictionary
-/// in cache and the cuckoo hash simple.
+/// and its value->code map in cache.
 inline constexpr uint32_t kMaxDictEntries = 1u << 15;
 
 /// All column values travel through the engine as 64-bit lanes. Integers,

@@ -10,6 +10,7 @@
 #include <unordered_map>
 
 #include "src/encoding/manipulate.h"
+#include "src/storage/heap_accelerator.h"
 #include "src/storage/pager/format.h"
 #include "src/storage/segment/segment_builder.h"
 #include "src/storage/segment/segmented_stream.h"
@@ -663,24 +664,29 @@ Result<uint64_t> Engine::AppendRows(const std::string& table_name,
     bool have_mm = false;
     int64_t mn = 0, mx = 0;
     if (col->type() == TypeId::kString) {
-      // Re-intern through the column's heap; appended entries land behind
-      // the sorted prefix, so token order stops implying string order.
+      // Re-intern by text through the column's heap: a string it already
+      // holds keeps its token, which code grouping and COUNTD take to name
+      // the string. New entries land behind the sorted prefix, so token
+      // order stops implying string order.
       StringHeap* heap = col->mutable_heap();
       if (heap == nullptr) {
         auto h = std::make_shared<StringHeap>();
         heap = h.get();
         col->set_heap(std::move(h));
       }
+      HeapAccelerator accel(heap);
+      accel.IndexExisting();
+      const uint64_t entries = heap->entry_count();
       std::vector<Lane> lanes(n);
       for (size_t r = 0; r < n; ++r) {
         if (in.lanes[r] == kNullSentinel) {
           lanes[r] = kNullSentinel;
           any_null = true;
         } else {
-          lanes[r] = heap->Add(in.heap->Get(in.lanes[r]));
+          lanes[r] = accel.Add(in.heap->Get(in.lanes[r]));
         }
       }
-      heap->set_sorted(false);
+      if (heap->entry_count() != entries) heap->set_sorted(false);
       TDE_RETURN_NOT_OK(seg->Append(lanes.data(), n));
     } else {
       for (size_t r = 0; r < n; ++r) {

@@ -25,7 +25,7 @@ std::unique_ptr<AffineStream> AffineStream::FromBuffer(
   return s;
 }
 
-Status AffineStream::CheckAppend(const Lane* values, size_t count) const {
+Status AffineStream::Stage(const Lane* values, size_t count) {
   // value must equal base + row * delta for its row.
   const uint64_t b = static_cast<uint64_t>(base());
   const uint64_t d = static_cast<uint64_t>(delta());
@@ -36,6 +36,7 @@ Status AffineStream::CheckAppend(const Lane* values, size_t count) const {
       return Status::OutOfRange("value breaks affine progression");
     }
   }
+  pending_.insert(pending_.end(), values, values + count);
   return Status::OK();
 }
 

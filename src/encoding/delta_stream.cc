@@ -30,7 +30,7 @@ size_t DeltaStream::BlockBytes() const {
   return 8 + PackedBytes(kBlockSize, bits());
 }
 
-Status DeltaStream::CheckAppend(const Lane* values, size_t count) const {
+Status DeltaStream::Stage(const Lane* values, size_t count) {
   const __int128 md = min_delta();
   const uint8_t b = bits();
   bool have_prev = have_last_;
@@ -48,14 +48,10 @@ Status DeltaStream::CheckAppend(const Lane* values, size_t count) const {
     prev = values[i];
     have_prev = true;
   }
+  pending_.insert(pending_.end(), values, values + count);
+  last_ = prev;
+  have_last_ = have_prev;
   return Status::OK();
-}
-
-void DeltaStream::OnCommit(const Lane* values, size_t count) {
-  if (count > 0) {
-    last_ = values[count - 1];
-    have_last_ = true;
-  }
 }
 
 void DeltaStream::PackBlock(const Lane* values) {

@@ -1,8 +1,6 @@
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <memory>
-#include <unordered_set>
 
 #include "src/common/hash.h"
 #include "src/encoding/bitpack.h"
@@ -10,63 +8,6 @@
 
 namespace tde {
 namespace internal {
-
-namespace {
-constexpr uint32_t kAbsent = std::numeric_limits<uint32_t>::max();
-}  // namespace
-
-void DictStream::Cuckoo::Init(uint64_t capacity_pow2) {
-  keys.assign(capacity_pow2, 0);
-  vals.assign(capacity_pow2, 0);
-  used.assign(capacity_pow2, 0);
-  mask = capacity_pow2 - 1;
-  count = 0;
-}
-
-uint32_t DictStream::Cuckoo::Find(Lane key) const {
-  if (keys.empty()) return kAbsent;
-  const uint64_t h1 = Bucket1(key);
-  if (used[h1] && keys[h1] == key) return vals[h1];
-  const uint64_t h2 = Bucket2(key);
-  if (used[h2] && keys[h2] == key) return vals[h2];
-  return kAbsent;
-}
-
-void DictStream::Cuckoo::Insert(Lane key, uint32_t val) {
-  // Two-choice cuckoo hashing stays cheap below half load.
-  if ((count + 1) * 2 > mask + 1) Grow();
-  Lane k = key;
-  uint32_t v = val;
-  uint64_t pos = Bucket1(k);
-  if (used[pos] && !used[Bucket2(k)]) pos = Bucket2(k);
-  // Displacement walk with a relocation bound; grow and retry on a cycle.
-  for (int kick = 0; kick < 128; ++kick) {
-    if (!used[pos]) {
-      keys[pos] = k;
-      vals[pos] = v;
-      used[pos] = 1;
-      ++count;
-      return;
-    }
-    std::swap(k, keys[pos]);
-    std::swap(v, vals[pos]);
-    // The displaced key moves to its other bucket, never back to this one.
-    const uint64_t h1 = Bucket1(k);
-    pos = pos == h1 ? Bucket2(k) : h1;
-  }
-  Grow();
-  Insert(k, v);
-}
-
-void DictStream::Cuckoo::Grow() {
-  std::vector<Lane> old_keys = std::move(keys);
-  std::vector<uint32_t> old_vals = std::move(vals);
-  std::vector<uint8_t> old_used = std::move(used);
-  Init((mask + 1) * 2);
-  for (size_t i = 0; i < old_used.size(); ++i) {
-    if (old_used[i]) Insert(old_keys[i], old_vals[i]);
-  }
-}
 
 std::unique_ptr<DictStream> DictStream::Make(uint8_t width, bool sign_extend,
                                              uint8_t bits) {
@@ -78,7 +19,8 @@ std::unique_ptr<DictStream> DictStream::Make(uint8_t width, bool sign_extend,
   InitHeader(s->mutable_buffer(), EncodingType::kDictionary, width, bits,
              sign_extend, data_offset);
   HeaderView(s->mutable_buffer()).SetU64(kEntryCountOffset, 0);
-  s->map_.Init(256);
+  // Twice the capacity: the map is at most half full, so it never grows.
+  s->map_.Init(uint64_t{2} << bits);
   return s;
 }
 
@@ -91,19 +33,30 @@ std::unique_ptr<DictStream> DictStream::FromBuffer(std::vector<uint8_t> buf) {
   return s;
 }
 
-Status DictStream::Finalize() {
-  TDE_RETURN_NOT_OK(BlockedStream::Finalize());
-  map_ = Cuckoo();  // no appends from here on
+Status DictStream::Get(uint64_t row, size_t count, Lane* out) const {
+  TDE_RETURN_NOT_OK(BlockedStream::Get(row, count, out));
+  // Rows past the packed blocks come back as their staged codes.
+  for (uint64_t r = std::max(row, finalized_); r < row + count; ++r) {
+    out[r - row] = Entry(static_cast<uint64_t>(out[r - row]));
+  }
   return Status::OK();
 }
 
-std::vector<Lane> DictStream::Entries() const {
-  const uint64_t n = entry_count();
+Status DictStream::Finalize() {
+  TDE_RETURN_NOT_OK(BlockedStream::Finalize());
+  map_ = CodeMap();  // no appends from here on
+  return Status::OK();
+}
+
+Lane DictStream::Entry(uint64_t code) const {
   const uint8_t w = width();
-  const bool se = SignExtendOf(header());
-  const uint8_t* entries = buf_.data() + kEntriesOffset;
-  std::vector<Lane> out(n);
-  for (uint64_t i = 0; i < n; ++i) out[i] = LoadLane(entries + i * w, w, se);
+  return LoadLane(buf_.data() + kEntriesOffset + code * w, w,
+                  SignExtendOf(header()));
+}
+
+std::vector<Lane> DictStream::Entries() const {
+  std::vector<Lane> out(entry_count());
+  for (uint64_t i = 0; i < out.size(); ++i) out[i] = Entry(i);
   return out;
 }
 
@@ -111,47 +64,63 @@ size_t DictStream::BlockBytes() const {
   return PackedBytes(kBlockSize, bits());
 }
 
-Status DictStream::CheckAppend(const Lane* values, size_t count) const {
+Status DictStream::Stage(const Lane* values, size_t count) {
   const uint64_t capacity = uint64_t{1} << bits();
   const uint8_t w = width();
   const bool se = SignExtendOf(header());
-  uint64_t new_entries = 0;
-  std::unordered_set<Lane> batch_new;
+  uint8_t* entries = buf_.data() + kEntriesOffset;
+  const uint64_t before = entry_count();
+  uint64_t n = before;
+  const size_t at = pending_.size();
+  pending_.resize(at + count);
+  Lane* codes = pending_.data() + at;
+  Status st;
   for (size_t i = 0; i < count; ++i) {
-    if (map_.Find(values[i]) != kAbsent) continue;
-    if (!LaneFits(values[i], w, se)) {
-      return Status::OutOfRange("dictionary entry exceeds element width");
+    CodeMap::Slot& slot = map_.Probe(values[i]);
+    if (slot.code == 0) {
+      if (!LaneFits(values[i], w, se)) {
+        st = Status::OutOfRange("dictionary entry exceeds element width");
+        break;
+      }
+      if (n == capacity) {
+        st = Status::CapacityExceeded("dictionary full");
+        for (size_t j = i + 1; j < count; ++j) {
+          // Values already coded fit, so any that does not is new.
+          if (!LaneFits(values[j], w, se)) {
+            st = Status::OutOfRange("dictionary entry exceeds element width");
+            break;
+          }
+        }
+        break;
+      }
+      slot = {values[i], static_cast<uint32_t>(n + 1)};
+      StoreBytes(entries + n * w, static_cast<uint64_t>(values[i]), w);
+      ++n;
     }
-    if (batch_new.insert(values[i]).second) ++new_entries;
+    codes[i] = static_cast<Lane>(slot.code - 1);
   }
-  if (entry_count() + new_entries > capacity) {
-    return Status::CapacityExceeded("dictionary full");
+  if (!st.ok()) {
+    // Remove this call's entries newest first: each then sits where its
+    // probe ended, and clearing it restores the map as it was.
+    while (n > before) {
+      --n;
+      map_.Probe(LoadLane(entries + n * w, w, se)).code = 0;
+      std::memset(entries + n * w, 0, w);
+    }
+    pending_.resize(at);
+    return st;
   }
+  mheader().SetU64(kEntryCountOffset, n);
   return Status::OK();
 }
 
-void DictStream::OnCommit(const Lane* values, size_t count) {
-  HeaderView h = mheader();
-  uint64_t n = entry_count();
-  const uint8_t w = width();
-  for (size_t i = 0; i < count; ++i) {
-    if (map_.Find(values[i]) != kAbsent) continue;
-    map_.Insert(values[i], static_cast<uint32_t>(n));
-    StoreBytes(buf_.data() + kEntriesOffset + n * w,
-               static_cast<uint64_t>(values[i]), w);
-    ++n;
-  }
-  h.SetU64(kEntryCountOffset, n);
-}
-
-void DictStream::PackBlock(const Lane* values) {
-  uint64_t packed[kBlockSize];
-  for (uint32_t i = 0; i < kBlockSize; ++i) {
-    packed[i] = Lookup(values[i]);
-  }
+void DictStream::PackBlock(const Lane* codes) {
   const size_t old = buf_.size();
   buf_.resize(old + BlockBytes());
-  PackBits(packed, kBlockSize, bits(), buf_.data() + old);
+  // Codes are non-negative; Lane is the signed counterpart of uint64_t, so
+  // the cast aliases legally.
+  PackBits(reinterpret_cast<const uint64_t*>(codes), kBlockSize, bits(),
+           buf_.data() + old);
 }
 
 namespace {
@@ -223,13 +192,10 @@ bool DictStream::GetCodes(uint64_t row, size_t count, Lane* out) const {
     }
     produced += take;
   }
-  // Pending tail: OnCommit registered every committed value, so the map
-  // resolves each one.
-  while (produced < count) {
-    const uint64_t abs = row + produced;
-    const uint32_t c = map_.Find(pending_[abs - finalized_]);
-    if (c == kAbsent) return false;
-    out[produced++] = static_cast<Lane>(c);
+  // Staged tail: the codes themselves.
+  if (produced < count) {
+    const Lane* staged = pending_.data() + (row + produced - finalized_);
+    std::copy(staged, staged + (count - produced), out + produced);
   }
   return true;
 }

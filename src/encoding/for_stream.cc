@@ -27,7 +27,7 @@ size_t ForStream::BlockBytes() const {
   return PackedBytes(kBlockSize, bits());
 }
 
-Status ForStream::CheckAppend(const Lane* values, size_t count) const {
+Status ForStream::Stage(const Lane* values, size_t count) {
   const int64_t f = frame();
   const uint8_t b = bits();
   for (size_t i = 0; i < count; ++i) {
@@ -39,6 +39,7 @@ Status ForStream::CheckAppend(const Lane* values, size_t count) const {
       return Status::OutOfRange("value exceeds frame range");
     }
   }
+  pending_.insert(pending_.end(), values, values + count);
   return Status::OK();
 }
 

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "src/common/bitutil.h"
+#include "src/common/hash.h"
 #include "src/encoding/bitpack.h"
 
 namespace tde {
@@ -13,9 +14,44 @@ constexpr uint64_t kImpossible = std::numeric_limits<uint64_t>::max();
 uint64_t BlocksFor(uint64_t count) {
   return (count + kBlockSize - 1) / kBlockSize;
 }
+
+/// Marks a free slot of the distinct set: an arbitrary value, rare in data.
+constexpr Lane kFreeSlot = static_cast<Lane>(0x9e3779b97f4a7c15ULL);
 }  // namespace
 
-EncodingStats::EncodingStats() { distinct_.reserve(256); }
+EncodingStats::EncodingStats() : distinct_(512, kFreeSlot) {}
+
+void EncodingStats::TrackDistinct(Lane v) {
+  if (v == kFreeSlot) {
+    if (has_free_key_) return;
+    has_free_key_ = true;
+  } else {
+    uint64_t mask = distinct_.size() - 1;
+    uint64_t i = Mix64(static_cast<uint64_t>(v)) & mask;
+    while (distinct_[i] != kFreeSlot) {
+      if (distinct_[i] == v) return;
+      i = (i + 1) & mask;
+    }
+    distinct_[i] = v;
+  }
+  if (++distinct_count_ > kMaxDictEntries) {
+    distinct_tracking_ = false;
+    distinct_ = {};
+    distinct_count_ = 0;
+    return;
+  }
+  if (distinct_count_ * 2 > distinct_.size()) {
+    std::vector<Lane> old(distinct_.size() * 2, kFreeSlot);
+    old.swap(distinct_);
+    const uint64_t mask = distinct_.size() - 1;
+    for (const Lane k : old) {
+      if (k == kFreeSlot) continue;
+      uint64_t i = Mix64(static_cast<uint64_t>(k)) & mask;
+      while (distinct_[i] != kFreeSlot) i = (i + 1) & mask;
+      distinct_[i] = k;
+    }
+  }
+}
 
 void EncodingStats::Update(const Lane* values, size_t count) {
   for (size_t i = 0; i < count; ++i) {
@@ -45,13 +81,7 @@ void EncodingStats::Update(const Lane* values, size_t count) {
       }
       if (cur_run_ > max_run_) max_run_ = cur_run_;
     }
-    if (distinct_tracking_) {
-      distinct_.insert(v);
-      if (distinct_.size() > kMaxDictEntries) {
-        distinct_tracking_ = false;
-        distinct_.clear();
-      }
-    }
+    if (distinct_tracking_) TrackDistinct(v);
     prev_ = v;
     ++count_;
   }
@@ -84,8 +114,8 @@ uint64_t EncodingStats::EstimateSize(EncodingType type, uint8_t width) const {
       return 32 + blocks * (8 + PackedBytes(kBlockSize, bits));
     }
     case EncodingType::kDictionary: {
-      if (!distinct_tracking_ || distinct_.empty()) return kImpossible;
-      const uint64_t card = distinct_.size();
+      if (!distinct_tracking_ || distinct_count_ == 0) return kImpossible;
+      const uint64_t card = distinct_count_;
       if (card > kMaxDictEntries) return kImpossible;
       uint8_t bits = BitsFor(card - 1);
       if (bits == 0) bits = 1;

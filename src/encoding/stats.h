@@ -2,7 +2,7 @@
 #define TDE_ENCODING_STATS_H_
 
 #include <cstdint>
-#include <unordered_set>
+#include <vector>
 
 #include "src/common/types.h"
 #include "src/encoding/header.h"
@@ -69,7 +69,7 @@ class EncodingStats {
 
   /// Distinct-value tracking, abandoned past the dictionary limit.
   bool cardinality_known() const { return distinct_tracking_; }
-  uint64_t cardinality() const { return distinct_.size(); }
+  uint64_t cardinality() const { return distinct_count_; }
 
   /// NULL sentinel occurrences.
   uint64_t null_count() const { return nulls_; }
@@ -86,6 +86,10 @@ class EncodingStats {
   EncodingType ChooseEncoding(uint8_t width, uint32_t allowed) const;
 
  private:
+  /// Adds `v` to the distinct set, abandoning tracking past
+  /// kMaxDictEntries values.
+  void TrackDistinct(Lane v);
+
   uint64_t count_ = 0;
   int64_t min_ = 0;
   int64_t max_ = 0;
@@ -98,7 +102,11 @@ class EncodingStats {
   uint64_t max_run_ = 0;
   uint64_t nulls_ = 0;
   bool distinct_tracking_ = true;
-  std::unordered_set<Lane> distinct_;
+  // The distinct values: a linear-probing set kept at most half full, in
+  // which kFreeSlot marks a free slot (and has_free_key_ the value itself).
+  std::vector<Lane> distinct_;
+  uint64_t distinct_count_ = 0;
+  bool has_free_key_ = false;
 };
 
 }  // namespace tde

@@ -33,9 +33,7 @@ Status BlockedStream::Append(const Lane* values, size_t count) {
   if (finalized_stream_) {
     return Status::Internal("append to a finalized stream");
   }
-  TDE_RETURN_NOT_OK(CheckAppend(values, count));
-  OnCommit(values, count);
-  pending_.insert(pending_.end(), values, values + count);
+  TDE_RETURN_NOT_OK(Stage(values, count));
   // Pack every complete decompression block.
   size_t consumed = 0;
   while (pending_.size() - consumed >= kBlockSize) {
@@ -55,7 +53,8 @@ Status BlockedStream::Finalize() {
   const uint64_t logical = finalized_ + pending_.size();
   if (!pending_.empty()) {
     // Streams contain only complete decompression blocks (Sect. 3.1): pad
-    // the tail with its last value, which is representable by construction.
+    // the tail with its last staged lane, which is representable by
+    // construction.
     std::vector<Lane> block(pending_.begin(), pending_.end());
     block.resize(kBlockSize, pending_.back());
     PackBlock(block.data());
@@ -103,8 +102,6 @@ Status BlockedStream::Get(uint64_t row, size_t count, Lane* out) const {
   }
   return Status::OK();
 }
-
-void BlockedStream::OnCommit(const Lane*, size_t) {}
 
 Result<std::unique_ptr<EncodedStream>> EncodedStream::Create(
     EncodingType type, uint8_t width, bool sign_extend,

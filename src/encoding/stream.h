@@ -136,23 +136,22 @@ class BlockedStream : public EncodedStream {
  protected:
   /// Bytes one packed decompression block occupies.
   virtual size_t BlockBytes() const = 0;
-  /// Verifies every value is representable given the current stream state;
-  /// must not mutate the stream.
-  virtual Status CheckAppend(const Lane* values, size_t count) const = 0;
-  /// Packs exactly kBlockSize lanes and appends them to buf_.
-  virtual void PackBlock(const Lane* values) = 0;
+  /// Verifies every value is representable given the current stream state
+  /// and appends to pending_ what PackBlock packs for them: the values
+  /// themselves, or a dictionary's codes. A failure leaves the stream as it
+  /// was.
+  virtual Status Stage(const Lane* values, size_t count) = 0;
+  /// Packs exactly kBlockSize staged lanes and appends them to buf_.
+  virtual void PackBlock(const Lane* staged) = 0;
   /// Decodes finalized block `block_idx` into out[kBlockSize].
   virtual void DecodeBlock(uint64_t block_idx, Lane* out) const = 0;
-  /// Hook for subclasses to observe committed values (delta context, dict
-  /// inserts). Called after CheckAppend succeeded.
-  virtual void OnCommit(const Lane* values, size_t count);
 
   const uint8_t* BlockData(uint64_t block_idx) const {
     return buf_.data() + header().data_offset() + block_idx * BlockBytes();
   }
 
   uint64_t finalized_ = 0;        // values packed into buf_
-  std::vector<Lane> pending_;     // tail not yet forming a complete block
+  std::vector<Lane> pending_;     // staged tail not yet forming a block
   bool finalized_stream_ = false;
 };
 

@@ -55,7 +55,7 @@ class UncompressedStream : public BlockedStream {
 
  protected:
   size_t BlockBytes() const override;
-  Status CheckAppend(const Lane* values, size_t count) const override;
+  Status Stage(const Lane* values, size_t count) override;
   void PackBlock(const Lane* values) override;
   void DecodeBlock(uint64_t block_idx, Lane* out) const override;
 };
@@ -73,7 +73,7 @@ class ForStream : public BlockedStream {
 
  protected:
   size_t BlockBytes() const override;
-  Status CheckAppend(const Lane* values, size_t count) const override;
+  Status Stage(const Lane* values, size_t count) override;
   void PackBlock(const Lane* values) override;
   void DecodeBlock(uint64_t block_idx, Lane* out) const override;
 };
@@ -92,10 +92,9 @@ class DeltaStream : public BlockedStream {
 
  protected:
   size_t BlockBytes() const override;
-  Status CheckAppend(const Lane* values, size_t count) const override;
+  Status Stage(const Lane* values, size_t count) override;
   void PackBlock(const Lane* values) override;
   void DecodeBlock(uint64_t block_idx, Lane* out) const override;
-  void OnCommit(const Lane* values, size_t count) override;
 
  private:
   bool have_last_ = false;
@@ -105,8 +104,10 @@ class DeltaStream : public BlockedStream {
 /// Dictionary (Sect. 3.1.3): header holds the entry count followed by space
 /// for 2^bits entries of `width` bytes, so the dictionary can grow in place
 /// up to the limit; packed values are indexes. While the stream accepts
-/// appends, a cuckoo hash maps value->index (kept small because entries are
-/// capped at 2^15); a finalized stream only decodes and carries no map.
+/// appends, an open-addressed map sized for 2^bits entries (at most 2^15)
+/// takes each value to its code in one probe; the staged tail holds the
+/// codes, so packing looks nothing up again. A finalized stream only
+/// decodes and carries no map.
 class DictStream : public BlockedStream {
  public:
   static constexpr uint64_t kEntryCountOffset = 24;
@@ -116,13 +117,14 @@ class DictStream : public BlockedStream {
                                           uint8_t bits);
   static std::unique_ptr<DictStream> FromBuffer(std::vector<uint8_t> buf);
 
+  Status Get(uint64_t row, size_t count, Lane* out) const override;
   Status Finalize() override;
 
   uint64_t entry_count() const { return header().GetU64(kEntryCountOffset); }
   /// All entries, in index order.
   std::vector<Lane> Entries() const;
   /// Slots of the value->index map (0 once finalized or opened).
-  uint64_t map_slots() const { return map_.keys.size(); }
+  uint64_t map_slots() const { return map_.slots.size(); }
 
   /// Compressed-domain reads: codes are the packed indexes themselves, so
   /// this skips the per-row entry decode of Get().
@@ -131,36 +133,39 @@ class DictStream : public BlockedStream {
 
  protected:
   size_t BlockBytes() const override;
-  Status CheckAppend(const Lane* values, size_t count) const override;
-  void PackBlock(const Lane* values) override;
+  /// Codes each value, adding unseen ones as entries. A value too wide for
+  /// the element width fails with OutOfRange, and one past the capacity
+  /// with CapacityExceeded (a too-wide value anywhere in the batch takes
+  /// precedence); either failure removes the entries this call added.
+  Status Stage(const Lane* values, size_t count) override;
+  void PackBlock(const Lane* codes) override;
   void DecodeBlock(uint64_t block_idx, Lane* out) const override;
-  void OnCommit(const Lane* values, size_t count) override;
 
  private:
-  /// Cuckoo hash value->index: two buckets per key, load kept at most 1/2;
-  /// an insert that finds both buckets taken walks a displacement chain
-  /// in which each evicted key moves to its other bucket.
-  struct Cuckoo {
-    std::vector<Lane> keys;
-    std::vector<uint32_t> vals;
-    std::vector<uint8_t> used;
+  /// Linear-probing map value->code, at most half full: one probe finds a
+  /// value's code or the free slot where it goes.
+  struct CodeMap {
+    struct Slot {
+      Lane key;
+      uint32_t code;  // code + 1; 0 marks a free slot
+    };
+    std::vector<Slot> slots;
     uint64_t mask = 0;
-    uint64_t count = 0;
-    uint64_t Bucket1(Lane k) const {
-      return Mix64(static_cast<uint64_t>(k)) & mask;
+    void Init(uint64_t slot_count) {
+      slots.assign(slot_count, Slot{0, 0});
+      mask = slot_count - 1;
     }
-    uint64_t Bucket2(Lane k) const {
-      return Mix64(~static_cast<uint64_t>(k)) & mask;
+    /// The slot holding `key`, or the free slot where it belongs.
+    Slot& Probe(Lane key) {
+      uint64_t i = Mix64(static_cast<uint64_t>(key)) & mask;
+      while (slots[i].code != 0 && slots[i].key != key) i = (i + 1) & mask;
+      return slots[i];
     }
-    void Init(uint64_t capacity_pow2);
-    uint32_t Find(Lane key) const;  // UINT32_MAX if absent
-    void Insert(Lane key, uint32_t val);
-    void Grow();
   };
 
-  uint32_t Lookup(Lane v) const { return map_.Find(v); }
+  Lane Entry(uint64_t code) const;
 
-  Cuckoo map_;
+  CodeMap map_;
 };
 
 /// Affine (Sect. 3.1.4): value = base + row * delta; zero packed bits.
@@ -178,7 +183,7 @@ class AffineStream : public BlockedStream {
 
  protected:
   size_t BlockBytes() const override { return 0; }
-  Status CheckAppend(const Lane* values, size_t count) const override;
+  Status Stage(const Lane* values, size_t count) override;
   void PackBlock(const Lane* values) override;
   void DecodeBlock(uint64_t block_idx, Lane* out) const override;
 };

@@ -28,16 +28,17 @@ size_t UncompressedStream::BlockBytes() const {
   return static_cast<size_t>(kBlockSize) * width();
 }
 
-Status UncompressedStream::CheckAppend(const Lane* values,
-                                       size_t count) const {
+Status UncompressedStream::Stage(const Lane* values, size_t count) {
   const uint8_t w = width();
-  if (w == 8) return Status::OK();
-  const bool se = SignExtendOf(header());
-  for (size_t i = 0; i < count; ++i) {
-    if (!LaneFits(values[i], w, se)) {
-      return Status::OutOfRange("value exceeds element width");
+  if (w < 8) {
+    const bool se = SignExtendOf(header());
+    for (size_t i = 0; i < count; ++i) {
+      if (!LaneFits(values[i], w, se)) {
+        return Status::OutOfRange("value exceeds element width");
+      }
     }
   }
+  pending_.insert(pending_.end(), values, values + count);
   return Status::OK();
 }
 

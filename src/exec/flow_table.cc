@@ -1,11 +1,10 @@
 #include "src/exec/flow_table.h"
 
 #include <algorithm>
-#include <map>
+#include <chrono>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
-
-#include <chrono>
 
 #include "src/encoding/manipulate.h"
 #include "src/exec/scheduler.h"
@@ -265,38 +264,57 @@ Status FlowTable::Open() {
   const Schema& in_schema = child_->output_schema();
   const size_t ncols = in_schema.num_fields();
 
-  // The drain only collects blocks; every per-row step runs in the column
-  // tasks below.
+  // The drain only collects blocks, and each string column's heap bytes:
+  // every per-row step runs in the column tasks below. A heap shared by
+  // consecutive blocks counts once.
   std::vector<Block> blocks;
   size_t total_rows = 0;
+  std::vector<uint64_t> heap_bytes(ncols, 0);
+  std::vector<const StringHeap*> last_heap(ncols, nullptr);
   while (true) {
     Block b;
     bool eos = false;
     TDE_RETURN_NOT_OK(child_->Next(&b, &eos));
     if (eos) break;
     total_rows += b.rows();
+    for (size_t i = 0; i < ncols && i < b.columns.size(); ++i) {
+      const StringHeap* h = b.columns[i].heap.get();
+      if (h != nullptr && h != last_heap[i]) {
+        heap_bytes[i] += h->byte_size();
+        last_heap[i] = h;
+      }
+    }
     blocks.push_back(std::move(b));
   }
   child_->Close();
 
   // One task per column gathers and encodes it — independently, so the
   // work is distributed across cores (Sect. 3.3). Each column still sees
-  // its rows in input order, so the table does not depend on the pool size.
+  // its rows in input order, so the table does not depend on the pool size
+  // or on the task order. Tasks are submitted heaviest first — string
+  // columns by the heap bytes they intern, then the rest in column order —
+  // so the longest task does not start last.
+  std::vector<size_t> order(ncols);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return heap_bytes[a] > heap_bytes[b];
+  });
   const auto encode_start = std::chrono::steady_clock::now();
   std::vector<Result<std::shared_ptr<Column>>> results(
       ncols, Result<std::shared_ptr<Column>>(Status::OK()));
   column_stats_.assign(ncols, observe::ColumnImportStats{});
   auto group = TaskScheduler::Global().CreateGroup();
-  for (size_t i = 0; i < ncols; ++i) {
+  for (const size_t i : order) {
     group->Submit([&, i]() {
       const auto task_start = std::chrono::steady_clock::now();
       results[i] = BuildColumn(
           GatherColumn(in_schema.field(i), i, options_, total_rows, &blocks),
           options_, &column_stats_[i]);
+      const auto task_end = std::chrono::steady_clock::now();
+      column_stats_[i].start_seconds =
+          std::chrono::duration<double>(task_start - encode_start).count();
       column_stats_[i].task_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        task_start)
-              .count();
+          std::chrono::duration<double>(task_end - task_start).count();
     });
   }
   group->Wait();

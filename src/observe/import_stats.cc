@@ -43,18 +43,18 @@ std::string ImportStats::ToString() const {
                     "x\n";
   char line[256];
   std::snprintf(line, sizeof(line),
-                "  %-24s %-10s %-18s %12s %12s %7s %7s %9s\n", "column",
+                "  %-24s %-10s %-18s %12s %12s %7s %7s %9s %9s\n", "column",
                 "type", "encoding", "input", "encoded", "ratio", "changes",
-                "task_ms");
+                "start_ms", "task_ms");
   out += line;
   for (const ColumnImportStats& c : columns) {
     std::snprintf(line, sizeof(line),
-                  "  %-24s %-10s %-18s %12llu %12llu %6.2fx %7d %9.2f\n",
+                  "  %-24s %-10s %-18s %12llu %12llu %6.2fx %7d %9.2f %9.2f\n",
                   c.column.c_str(), c.type.c_str(), c.encoding.c_str(),
                   static_cast<unsigned long long>(c.input_bytes),
                   static_cast<unsigned long long>(c.encoded_bytes),
                   c.compression_ratio(), c.encoding_changes,
-                  c.task_seconds * 1e3);
+                  c.start_seconds * 1e3, c.task_seconds * 1e3);
     out += line;
   }
   return out;
@@ -85,6 +85,7 @@ std::string ImportStats::ToJson() const {
            ",\"header_manipulations\":" +
            std::to_string(c.header_manipulations) +
            ",\"token_width\":" + std::to_string(c.token_width) +
+           ",\"start_seconds\":" + Fmt("%.6f", c.start_seconds) +
            ",\"task_seconds\":" + Fmt("%.6f", c.task_seconds) + "}";
   }
   out += "]}";

@@ -24,6 +24,10 @@ struct ColumnImportStats {
   /// (type narrowing, dictionary-entry remapping for heap sorting).
   uint64_t header_manipulations = 0;
   uint8_t token_width = 8;  // final per-row token width in bytes
+  /// When the column's build task started, from the encode phase's start:
+  /// with task_seconds, it shows which task ended the phase and whether it
+  /// started late.
+  double start_seconds = 0;
   /// Wall time of the column's build task: string interning plus encoding.
   /// The longest task bounds the import's encode phase.
   double task_seconds = 0;

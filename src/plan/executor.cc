@@ -85,6 +85,15 @@ ColumnProps JoinedProps(const Column& col) {
   return p;
 }
 
+/// For the output of an unordered Exchange, whose blocks arrive in the
+/// order its workers finish them: no order fact of the input holds.
+void DropOrderFacts(PropMap* props) {
+  for (auto& [name, p] : *props) {
+    p.meta.sorted = false;
+    p.meta.dense = false;
+  }
+}
+
 /// Wraps the built plan's operator in the instrumentation layer: a stats
 /// node named `name` with the given children (the stats nodes of the
 /// operator's lowered inputs), recorded into by an Instrumented wrapper.
@@ -355,12 +364,14 @@ Result<BuiltPlan> BuildAggregate(const PlanNode& node, BuiltPlan child) {
   out.notes = std::move(child.notes);
   // Dictionary-code grouping engages per string key (the operator decides
   // against the key's heap at run time); note it when a key is eligible.
+  // The lowered key props decide: a child such as Project has no output
+  // schema before it is opened.
   bool dict_keys = false;
   if (agg.dict_code_keys) {
-    const Schema& in = child.op->output_schema();
     for (const std::string& k : agg.group_by) {
-      auto idx = in.FieldIndex(k);
-      if (idx.ok() && in.field(idx.value()).type == TypeId::kString) {
+      auto it = child.props.find(k);
+      if (it != child.props.end() &&
+          (it->second.type == TypeId::kString || it->second.codes)) {
         dict_keys = true;
       }
     }
@@ -884,7 +895,7 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
                                       sources[0]->output_schema(), &out.notes,
                                       &dict_rewrites);
         opts.transform = FilterTransform(std::move(pred));
-        for (auto& [name, p] : out.props) p.meta.dense = false;
+        DropOrderFacts(&out.props);
         segs.Record(&out.notes);
         out.notes.push_back("exchange: segment-partitioned scan, " +
                             std::to_string(nparts) + " partitions over " +
@@ -930,6 +941,7 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
                       " routing, " + std::to_string(opts.workers) +
                       " workers");
   out.props = std::move(built_child.props);
+  if (!opts.order_preserving) DropOrderFacts(&out.props);
   auto exchange = std::make_unique<Exchange>(std::move(built_child.op), opts);
   Exchange* raw = exchange.get();
   out.op = std::move(exchange);

@@ -14,7 +14,12 @@ Lane HeapAccelerator::Add(std::string_view s) {
     token = heap_->Add(s);
   } else {
     const uint64_t h = CollationHash(Collation::kBinary, s);
-    token = Probe(s, h);
+    Slot& slot = SlotFor(s, h);
+    if (slot.token == kFreeToken) {
+      slot = {h, heap_->Add(s)};
+      ++distinct_;
+    }
+    token = slot.token;
     if (distinct_ > threshold_) {
       // Past the threshold hashing stops paying for itself (Sect. 5.1.4).
       active_ = false;
@@ -33,19 +38,27 @@ Lane HeapAccelerator::Add(std::string_view s) {
   return token;
 }
 
-Lane HeapAccelerator::Probe(std::string_view s, uint64_t hash) {
+void HeapAccelerator::IndexExisting() {
+  for (const Lane token : heap_->AllTokens()) {
+    const std::string_view s = heap_->Get(token);
+    const uint64_t h = CollationHash(Collation::kBinary, s);
+    Slot& slot = SlotFor(s, h);
+    if (slot.token == kFreeToken) {
+      slot = {h, token};
+      ++distinct_;
+    }
+  }
+}
+
+HeapAccelerator::Slot& HeapAccelerator::SlotFor(std::string_view s,
+                                                uint64_t hash) {
   if ((distinct_ + 1) * 2 > slots_.size()) Grow();
   uint64_t idx = hash & mask_;
-  while (slots_[idx].used) {
-    if (slots_[idx].hash == hash && heap_->Get(slots_[idx].token) == s) {
-      return slots_[idx].token;
-    }
+  while (slots_[idx].token != kFreeToken &&
+         !(slots_[idx].hash == hash && heap_->Get(slots_[idx].token) == s)) {
     idx = (idx + 1) & mask_;
   }
-  const Lane token = heap_->Add(s);
-  slots_[idx] = {token, hash, true};
-  ++distinct_;
-  return token;
+  return slots_[idx];
 }
 
 void HeapAccelerator::Grow() {
@@ -53,9 +66,9 @@ void HeapAccelerator::Grow() {
   slots_.assign(old.size() * 2, Slot{});
   mask_ = slots_.size() - 1;
   for (const Slot& s : old) {
-    if (!s.used) continue;
+    if (s.token == kFreeToken) continue;
     uint64_t idx = s.hash & mask_;
-    while (slots_[idx].used) idx = (idx + 1) & mask_;
+    while (slots_[idx].token != kFreeToken) idx = (idx + 1) & mask_;
     slots_[idx] = s;
   }
 }

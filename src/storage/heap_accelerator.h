@@ -26,6 +26,11 @@ class HeapAccelerator {
   /// After the accelerator has given up, every call appends.
   Lane Add(std::string_view s);
 
+  /// Indexes the entries the heap already holds (the first of equal
+  /// strings), so Add returns their tokens: for appending to a built
+  /// column. Call before the first Add.
+  void IndexExisting();
+
   /// False once the element threshold was passed.
   bool active() const { return active_; }
 
@@ -35,14 +40,18 @@ class HeapAccelerator {
   bool arrived_sorted() const { return arrived_sorted_; }
 
  private:
+  /// An open-addressing slot; kFreeToken marks a free one (tokens are
+  /// heap offsets, never negative).
+  static constexpr Lane kFreeToken = -1;
   struct Slot {
-    Lane token;
-    uint64_t hash;
-    bool used = false;
+    uint64_t hash = 0;
+    Lane token = kFreeToken;
   };
 
   void Grow();
-  Lane Probe(std::string_view s, uint64_t hash);
+  /// The slot holding `s`, or the free slot where it belongs; grows the
+  /// table first if one more entry would fill it past half.
+  Slot& SlotFor(std::string_view s, uint64_t hash);
 
   StringHeap* heap_;
   uint64_t threshold_;

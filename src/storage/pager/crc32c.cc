@@ -1,6 +1,10 @@
 #include "src/storage/pager/crc32c.h"
 
-#include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace tde {
 namespace pager {
@@ -30,9 +34,40 @@ Tables BuildTables() {
   return tb;
 }
 
+#if defined(__x86_64__)
+// The instruction computes the same reflected CRC-32C, eight bytes a step.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const uint8_t* data,
+                                                       size_t n,
+                                                       uint32_t seed) {
+  uint64_t crc = ~seed;
+  for (; n >= 8; data += 8, n -= 8) {
+    uint64_t w;
+    std::memcpy(&w, data, 8);
+    crc = _mm_crc32_u64(crc, w);
+  }
+  uint32_t c = static_cast<uint32_t>(crc);
+  for (; n > 0; ++data, --n) c = _mm_crc32_u8(c, *data);
+  return ~c;
+}
+
+bool CpuHasSse42() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+}
+#endif
+
+using CrcFn = uint32_t (*)(const uint8_t*, size_t, uint32_t);
+
+CrcFn ChooseCrc() {
+#if defined(__x86_64__)
+  if (CpuHasSse42()) return Crc32cSse42;
+#endif
+  return Crc32cPortable;
+}
+
 }  // namespace
 
-uint32_t Crc32c(const uint8_t* data, size_t n, uint32_t seed) {
+uint32_t Crc32cPortable(const uint8_t* data, size_t n, uint32_t seed) {
   static const Tables kTables = BuildTables();
   const auto& t = kTables.t;
   uint32_t crc = ~seed;
@@ -51,6 +86,13 @@ uint32_t Crc32c(const uint8_t* data, size_t n, uint32_t seed) {
   }
   return ~crc;
 }
+
+uint32_t Crc32c(const uint8_t* data, size_t n, uint32_t seed) {
+  static const CrcFn kCrc = ChooseCrc();
+  return kCrc(data, n, seed);
+}
+
+bool Crc32cHardware() { return ChooseCrc() != Crc32cPortable; }
 
 }  // namespace pager
 }  // namespace tde

@@ -139,19 +139,28 @@ void UnpackMetadataFlags(uint8_t flags, ColumnMetadata* m) {
   m->has_nulls = flags & 64;
 }
 
-/// Pads `out` with zeros to the next multiple of `page_size` and appends
-/// the blob, recording its placement and checksum.
-void AppendBlob(std::vector<uint8_t>* out, uint32_t page_size,
-                const void* data, uint64_t n, BlobRef* ref) {
-  const uint64_t aligned =
-      (out->size() + page_size - 1) / page_size * page_size;
-  out->resize(aligned, 0);
-  ref->offset = aligned;
+/// Rounds `n` up to a multiple of `page_size`.
+uint64_t AlignUp(uint64_t n, uint32_t page_size) {
+  return (n + page_size - 1) / page_size * page_size;
+}
+
+/// Where one blob's bytes are, and where they go in the image.
+struct BlobCopy {
+  const uint8_t* data;
+  uint64_t offset;
+  uint64_t length;
+};
+
+/// Places a blob at the first page boundary at or past `*end`, recording
+/// its placement and checksum, and queues its bytes for the image.
+void PlaceBlob(uint64_t* end, uint32_t page_size, const void* data,
+               uint64_t n, BlobRef* ref, std::vector<BlobCopy>* copies) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  ref->offset = AlignUp(*end, page_size);
   ref->length = n;
-  ref->crc32c = Crc32c(static_cast<const uint8_t*>(data), n);
-  const size_t old = out->size();
-  out->resize(old + n);
-  if (n > 0) std::memcpy(out->data() + old, data, n);
+  ref->crc32c = Crc32c(bytes, n);
+  *end = ref->offset + n;
+  copies->push_back({bytes, ref->offset, n});
 }
 
 Status ValidateBlob(const BlobRef& b, uint64_t file_size, const char* what) {
@@ -428,11 +437,14 @@ Status SerializeDatabaseV2(const Database& db, std::vector<uint8_t>* out,
                                    "[512, 1MiB], got " +
                                    std::to_string(options.page_size));
   }
-  out->assign(kHeaderSizeV2, 0);
-
-  // Pass 1: blobs, collecting directory entries as they are placed.
+  // Pass 1: lay the blobs out, collecting directory entries as they are
+  // placed. Their bytes stay where they are — `keep` holds the pins and
+  // segment streams that own them — until the image is allocated.
   // The header version is decided here: any segmented column promotes the
   // whole file to v3; otherwise the bytes are identical to a v2 write.
+  uint64_t end = kHeaderSizeV2;
+  std::vector<BlobCopy> copies;
+  std::vector<std::shared_ptr<const void>> keep;
   bool any_segmented = false;
   std::vector<TableEntry> tables;
   for (const auto& t : db.tables()) {
@@ -443,6 +455,7 @@ Status SerializeDatabaseV2(const Database& db, std::vector<uint8_t>* out,
       const Column& c = t->column(i);
       // Pin cold columns so their bytes are resident for the copy-through.
       TDE_ASSIGN_OR_RETURN(auto pin, c.Pin());
+      keep.push_back(pin);
       const EncodedStream* stream = c.data();
       if (stream == nullptr) {
         return Status::Internal("column '" + te.name + "." + c.name() +
@@ -487,13 +500,14 @@ Status SerializeDatabaseV2(const Database& db, std::vector<uint8_t>* out,
           se.width = sstream->width();
           se.bits = sstream->bits();
           se.token_width = sstream->TokenWidthBytes();
-          AppendBlob(out, options.page_size, sstream->buffer().data(),
-                     sstream->buffer().size(), &se.blob);
+          PlaceBlob(&end, options.page_size, sstream->buffer().data(),
+                    sstream->buffer().size(), &se.blob, &copies);
+          keep.push_back(std::move(sstream));
           e.segments.push_back(std::move(se));
         }
       } else {
-        AppendBlob(out, options.page_size, stream->buffer().data(),
-                   stream->buffer().size(), &e.stream);
+        PlaceBlob(&end, options.page_size, stream->buffer().data(),
+                  stream->buffer().size(), &e.stream, &copies);
       }
       if (c.compression() == CompressionKind::kHeap) {
         const StringHeap* h = c.heap();
@@ -502,8 +516,8 @@ Status SerializeDatabaseV2(const Database& db, std::vector<uint8_t>* out,
                                   "' has no heap to serialize");
         }
         e.has_heap = true;
-        AppendBlob(out, options.page_size, h->buffer().data(),
-                   h->buffer().size(), &e.heap);
+        PlaceBlob(&end, options.page_size, h->buffer().data(),
+                  h->buffer().size(), &e.heap, &copies);
         e.heap_entries = h->entry_count();
         e.heap_sorted = h->sorted();
         e.heap_collation = static_cast<uint8_t>(h->collation());
@@ -514,8 +528,8 @@ Status SerializeDatabaseV2(const Database& db, std::vector<uint8_t>* out,
                                   c.name() + "' has no dictionary");
         }
         e.has_dict = true;
-        AppendBlob(out, options.page_size, d->values.data(),
-                   d->values.size() * sizeof(Lane), &e.dict);
+        PlaceBlob(&end, options.page_size, d->values.data(),
+                  d->values.size() * sizeof(Lane), &e.dict, &copies);
         e.dict_type = d->type;
         e.dict_sorted = d->sorted;
         e.dict_entries = d->values.size();
@@ -526,12 +540,10 @@ Status SerializeDatabaseV2(const Database& db, std::vector<uint8_t>* out,
   }
 
   // Pass 2: the directory, page-aligned after the last blob.
-  const uint64_t dir_offset =
-      (out->size() + options.page_size - 1) / options.page_size *
-      options.page_size;
-  out->resize(dir_offset, 0);
+  const uint64_t dir_offset = AlignUp(end, options.page_size);
+  std::vector<uint8_t> dir;
   {
-    DirWriter w(out);
+    DirWriter w(&dir);
     w.U32(static_cast<uint32_t>(tables.size()));
     for (const TableEntry& te : tables) {
       w.Str(te.name);
@@ -586,7 +598,19 @@ Status SerializeDatabaseV2(const Database& db, std::vector<uint8_t>* out,
       }
     }
   }
-  const uint64_t dir_length = out->size() - dir_offset;
+  const uint64_t dir_length = dir.size();
+
+  // The image, allocated once: the header, each blob at its page with zero
+  // padding before it, then the directory.
+  out->clear();
+  out->reserve(dir_offset + dir_length);
+  out->resize(kHeaderSizeV2, 0);
+  for (const BlobCopy& b : copies) {
+    out->resize(b.offset, 0);
+    out->insert(out->end(), b.data, b.data + b.length);
+  }
+  out->resize(dir_offset, 0);
+  out->insert(out->end(), dir.begin(), dir.end());
 
   // Header last: it seals the directory placement and both CRCs.
   uint8_t* h = out->data();
@@ -595,7 +619,7 @@ Status SerializeDatabaseV2(const Database& db, std::vector<uint8_t>* out,
   PutU32(h + kPageSizeOff, options.page_size);
   PutU64(h + kDirOffsetOff, dir_offset);
   PutU64(h + kDirLengthOff, dir_length);
-  PutU32(h + kDirCrcOff, Crc32c(out->data() + dir_offset, dir_length));
+  PutU32(h + kDirCrcOff, Crc32c(dir.data(), dir_length));
   PutU64(h + kFileSizeOff, out->size());
   PutU32(h + kHeaderCrcOff, Crc32c(h, kHeaderCrcOff));
   return Status::OK();

@@ -233,8 +233,8 @@ TEST(FlowTable, TpchLineitemSavesTheSameOnOneAndFourWorkers) {
   EXPECT_TRUE(one.saved == four.saved) << "saved database bytes differ";
 }
 
-// Each column's task time (interning plus encoding) is recorded, and the
-// encode phase's wall time covers the longest task.
+// Each column's task start and time (interning plus encoding) are
+// recorded, and the encode phase's wall time covers every task.
 TEST(FlowTable, ColumnTaskTimesFitInTheEncodePhase) {
   const bool stats_were = observe::StatsEnabled();
   observe::SetStatsEnabled(true);
@@ -249,11 +249,17 @@ TEST(FlowTable, ColumnTaskTimesFitInTheEncodePhase) {
   double longest = 0;
   for (const observe::ColumnImportStats& c : stats.columns) {
     EXPECT_GT(c.task_seconds, 0) << c.column;
+    EXPECT_GE(c.start_seconds, 0) << c.column;
+    // Each task starts and ends inside the encode phase.
+    EXPECT_LE(c.start_seconds + c.task_seconds, stats.encode_seconds)
+        << c.column;
     longest = std::max(longest, c.task_seconds);
   }
   EXPECT_LE(longest, stats.encode_seconds);
   EXPECT_NE(stats.ToJson().find("\"task_seconds\":"), std::string::npos);
+  EXPECT_NE(stats.ToJson().find("\"start_seconds\":"), std::string::npos);
   EXPECT_NE(stats.ToString().find("task_ms"), std::string::npos);
+  EXPECT_NE(stats.ToString().find("start_ms"), std::string::npos);
   observe::SetStatsEnabled(stats_were);
 }
 

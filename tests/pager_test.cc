@@ -136,6 +136,40 @@ TEST(Crc32cTest, KnownVectors) {
   const char* s = "123456789";
   EXPECT_EQ(Crc32c(reinterpret_cast<const uint8_t*>(s), 9), 0xE3069283u);
   EXPECT_EQ(Crc32c(nullptr, 0), 0u);
+  EXPECT_EQ(pager::Crc32cPortable(zeros.data(), zeros.size()), 0x8A9136AAu);
+  EXPECT_EQ(pager::Crc32cPortable(reinterpret_cast<const uint8_t*>(s), 9),
+            0xE3069283u);
+}
+
+TEST(Crc32cTest, HardwareMatchesPortableAtEveryLengthAndAlignment) {
+  if (!pager::Crc32cHardware()) {
+    GTEST_SKIP() << "no SSE4.2 on this CPU: Crc32c is the portable routine";
+  }
+  std::vector<uint8_t> bytes(4100 + 8);
+  uint32_t x = 12345;
+  for (uint8_t& b : bytes) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<uint8_t>(x >> 16);
+  }
+  for (size_t start = 0; start < 8; ++start) {
+    const uint8_t* p = bytes.data() + start;
+    for (size_t n = 0; n <= 4100; ++n) {
+      ASSERT_EQ(Crc32c(p, n), pager::Crc32cPortable(p, n))
+          << "start " << start << " length " << n;
+    }
+  }
+  // Chained calls: the seed carries the CRC of everything before.
+  for (const size_t cut : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                           size_t{13}, size_t{2048}, size_t{4099}}) {
+    const uint32_t head = Crc32c(bytes.data(), cut);
+    EXPECT_EQ(Crc32c(bytes.data() + cut, 4100 - cut, head),
+              pager::Crc32cPortable(bytes.data(), 4100))
+        << "cut " << cut;
+    EXPECT_EQ(pager::Crc32cPortable(bytes.data() + cut, 4100 - cut,
+                                    pager::Crc32cPortable(bytes.data(), cut)),
+              Crc32c(bytes.data(), 4100))
+        << "cut " << cut;
+  }
 }
 
 TEST(FormatV2, LazyOpenRoundTrip) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -451,6 +452,35 @@ TEST(Executor, JoinOutputIsNotOrderedByTheInnerTable) {
     EXPECT_EQ(rewritten.value().ToCsv(), control.value().ToCsv())
         << PlanToString(plan.root());
   }
+}
+
+TEST(Executor, UnorderedExchangeKeepsNoOrderFacts) {
+  // An unordered Exchange hands blocks on in the order its workers finish
+  // them, so the scan's sorted column is not sorted above it: a Top-N
+  // there must not stop at the first row that misses its heap.
+  std::vector<Lane> x(8 * kBlockSize);
+  std::iota(x.begin(), x.end(), 0);
+  auto t = FlowTable::Build(VectorSource::Ints({{"x", x}})).MoveValue();
+  ASSERT_TRUE(t->column(0).metadata().sorted);
+  const Plan plan = Plan::Scan(t)
+                        .ExchangeBy(4, /*order_preserving=*/false)
+                        .OrderBy({{"x", true}})
+                        .Limit(10);
+  auto explain = ExplainPlan(plan);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain.value().find("unordered routing"), std::string::npos)
+      << explain.value();
+  EXPECT_EQ(explain.value().find("sorted input, early stop"),
+            std::string::npos)
+      << explain.value();
+  auto control = ExecutePlanNode(
+      StrategicOptimize(ClonePlan(plan.root()), testutil::AllRewritesOff())
+          .MoveValue());
+  auto got = ExecutePlan(plan);
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value().ToCsv(), control.value().ToCsv());
+  EXPECT_EQ(got.value().num_rows(), 10u);
 }
 
 TEST(Plan, ToStringRendersTree) {

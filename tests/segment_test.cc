@@ -366,6 +366,46 @@ TEST(AppendRows, AppendsTheTablesOwnRows) {
   }
 }
 
+TEST(AppendRows, AppendedStringsKeepTheTokensOfEqualStrings) {
+  // Three 'row-1' rows, each its own entry in the appended block's heap,
+  // join a column of 7 distinct strings: they must take the column's own
+  // 'row-1' token, which code grouping and COUNTD take to name the string.
+  Engine engine;
+  std::string csv = "k,s\n";
+  for (int i = 0; i < 200; ++i) {
+    csv += std::to_string(i) + ",row-" + std::to_string(i % 7) + "\n";
+  }
+  ASSERT_TRUE(engine.ImportTextBuffer(csv, "t").ok());
+  Block rows;
+  ColumnVector k;
+  k.type = TypeId::kInteger;
+  ColumnVector s;
+  s.type = TypeId::kString;
+  auto heap = std::make_shared<StringHeap>();
+  for (int i = 0; i < 3; ++i) {
+    k.lanes.push_back(200 + i);
+    s.lanes.push_back(heap->Add("row-1"));
+  }
+  s.heap = std::move(heap);
+  rows.columns.push_back(std::move(k));
+  rows.columns.push_back(std::move(s));
+  ASSERT_TRUE(engine.AppendRows("t", rows).ok());
+
+  auto groups = engine.ExecuteSql("SELECT s, COUNT(*) AS n FROM t GROUP BY s");
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  EXPECT_EQ(groups.value().num_rows(), 7u);
+  std::vector<int64_t> row1;
+  for (uint64_t r = 0; r < groups.value().num_rows(); ++r) {
+    if (groups.value().ValueString(r, 0) == "row-1") {
+      row1.push_back(groups.value().Value(r, 1));
+    }
+  }
+  EXPECT_EQ(row1, std::vector<int64_t>{32});
+  auto distinct = engine.ExecuteSql("SELECT COUNTD(s) AS d FROM t");
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  EXPECT_EQ(distinct.value().Value(0, 0), 7);
+}
+
 TEST(AppendRows, RejectsMalformedBlocks) {
   Engine engine;
   auto t = std::make_shared<Table>("t");

@@ -1,6 +1,6 @@
 // Width-parameterized stream coverage: every encoding must round-trip at
-// every element width it can be narrowed to, and the dictionary cuckoo hash
-// must survive adversarial loads.
+// every element width it can be narrowed to, and the dictionary's code map
+// must survive adversarial loads and undo a failed append.
 
 #include <limits>
 #include <random>
@@ -87,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(
       return n + "_w" + std::to_string(std::get<1>(info.param));
     });
 
-TEST(DictCuckoo, SurvivesFullCapacityRandomKeys) {
+TEST(DictCodeMap, SurvivesFullCapacityRandomKeys) {
   // Fill a maximal dictionary (2^15 entries) with adversarially wide keys;
   // every index must resolve back to its key.
   std::mt19937_64 rng(31337);
@@ -108,8 +108,8 @@ TEST(DictCuckoo, SurvivesFullCapacityRandomKeys) {
   EXPECT_EQ(back, keys);
 }
 
-TEST(DictCuckoo, ClusteredKeysStillResolve) {
-  // Sequential keys sharing high bits stress the two-bucket scheme.
+TEST(DictCodeMap, ClusteredKeysStillResolve) {
+  // Sequential keys sharing high bits stress the probe sequences.
   std::vector<Lane> keys(10000);
   for (size_t i = 0; i < keys.size(); ++i) {
     keys[i] = static_cast<Lane>(i) + (int64_t{1} << 40);
@@ -121,10 +121,10 @@ TEST(DictCuckoo, ClusteredKeysStillResolve) {
   EXPECT_EQ(back, keys);
 }
 
-TEST(DictCuckoo, FullDictionaryStaysSmallAndKeepsItsCodes) {
-  // 2^15 random keys in insertion order. Each displaced key moves to its
-  // other bucket, so the map reaches at most 2^17 slots; codes are
-  // assigned in insertion order whatever the map's layout.
+TEST(DictCodeMap, FullDictionaryStaysSmallAndKeepsItsCodes) {
+  // 2^15 random keys in insertion order. The map is sized for the stream's
+  // capacity and never grows past 2^16 slots; codes are assigned in
+  // insertion order whatever the map's layout.
   std::mt19937_64 rng(8);
   std::vector<Lane> keys;
   std::unordered_set<Lane> seen;
@@ -134,7 +134,7 @@ TEST(DictCuckoo, FullDictionaryStaysSmallAndKeepsItsCodes) {
   }
   auto s = internal::DictStream::Make(8, /*sign_extend=*/true, /*bits=*/15);
   ASSERT_TRUE(s->Append(keys.data(), keys.size()).ok());
-  EXPECT_LE(s->map_slots(), uint64_t{1} << 17);
+  EXPECT_EQ(s->map_slots(), uint64_t{1} << 16);
   std::vector<Lane> codes(keys.size());
   ASSERT_TRUE(s->GetCodes(0, codes.size(), codes.data()));
   for (size_t i = 0; i < codes.size(); ++i) {
@@ -154,6 +154,77 @@ TEST(DictCuckoo, FullDictionaryStaysSmallAndKeepsItsCodes) {
   for (size_t i = 0; i < codes.size(); ++i) {
     ASSERT_EQ(codes[i], static_cast<Lane>(i)) << "row " << i;
   }
+}
+
+/// What a dictionary stream reads back: entries, the codes and values of
+/// every row.
+struct DictState {
+  std::vector<Lane> entries;
+  std::vector<Lane> codes;
+  std::vector<Lane> values;
+  bool operator==(const DictState&) const = default;
+};
+
+DictState ReadDict(const internal::DictStream& s) {
+  DictState st;
+  st.entries = s.Entries();
+  st.codes.resize(s.size());
+  st.values.resize(s.size());
+  EXPECT_TRUE(s.GetCodes(0, st.codes.size(), st.codes.data()));
+  EXPECT_TRUE(s.Get(0, st.values.size(), st.values.data()).ok());
+  return st;
+}
+
+TEST(DictCodeMap, FailedAppendLeavesTheStreamAsItWas) {
+  // A 3-bit, 1-byte dictionary holding 5 entries over 1,030 committed rows
+  // (one packed block and a staged tail). Each failing append adds new
+  // entries before it fails: once on its 4th new entry (capacity 8), once
+  // on a value too wide for one byte. Either way the stream must read as
+  // if the append never ran, and take the next append as before.
+  for (const bool too_wide : {false, true}) {
+    auto s = internal::DictStream::Make(1, /*sign_extend=*/false, /*bits=*/3);
+    std::vector<Lane> committed;
+    for (int i = 0; i < 1030; ++i) committed.push_back(10 * (i % 5));
+    ASSERT_TRUE(s->Append(committed.data(), committed.size()).ok());
+    const DictState before = ReadDict(*s);
+    ASSERT_EQ(before.entries.size(), 5u);
+
+    std::vector<Lane> failing = {20, 100, 0, 101, 102};
+    failing.push_back(too_wide ? 300 : 103);
+    failing.push_back(104);
+    const Status st = s->Append(failing.data(), failing.size());
+    EXPECT_EQ(st.code(), too_wide ? StatusCode::kOutOfRange
+                                  : StatusCode::kCapacityExceeded)
+        << st.ToString();
+    EXPECT_EQ(s->entry_count(), 5u);
+    EXPECT_TRUE(ReadDict(*s) == before);
+
+    // The next append codes its new values from where the stream stood.
+    const std::vector<Lane> next = {30, 101, 102, 40};
+    ASSERT_TRUE(s->Append(next.data(), next.size()).ok());
+    const DictState after = ReadDict(*s);
+    EXPECT_EQ(after.entries,
+              (std::vector<Lane>{0, 10, 20, 30, 40, 101, 102}));
+    const std::vector<Lane> tail(after.codes.end() - 4, after.codes.end());
+    EXPECT_EQ(tail, (std::vector<Lane>{3, 5, 6, 4}));
+    ASSERT_TRUE(s->Finalize().ok());
+    std::vector<Lane> values(s->size());
+    ASSERT_TRUE(s->Get(0, values.size(), values.data()).ok());
+    std::vector<Lane> want = committed;
+    want.insert(want.end(), next.begin(), next.end());
+    EXPECT_EQ(values, want);
+  }
+}
+
+TEST(DictCodeMap, TooWideValueOutranksAFullDictionary) {
+  // The batch overflows the capacity before it reaches a too-wide value:
+  // the too-wide value decides the status, as a whole-batch check would.
+  auto s = internal::DictStream::Make(1, /*sign_extend=*/false, /*bits=*/1);
+  const std::vector<Lane> batch = {1, 2, 3, 400};
+  EXPECT_EQ(s->Append(batch.data(), batch.size()).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(s->entry_count(), 0u);
+  EXPECT_EQ(s->size(), 0u);
 }
 
 class DictEntryWidths

@@ -403,5 +403,28 @@ TEST(TpchSql, Q1GroupsOnCodesThroughItsFilterAndProject) {
             std::string::npos);
 }
 
+TEST(TpchSql, CodeKeysUnderAProjectAreNotedAndCounted) {
+  // The SUM(CASE ...) statement groups through a Project, which has no
+  // output schema while the plan is lowered; its key groups on codes all
+  // the same, and EXPLAIN ANALYZE must say so as for the COUNT(*) form.
+  Engine engine;
+  ASSERT_TRUE(LoadTpchTables(&engine, 0.002).ok());
+  for (const std::string sql :
+       {"SELECT o_orderstatus, SUM(CASE WHEN o_orderpriority = '1-URGENT' "
+        "THEN 1 ELSE 0 END) AS urgent FROM orders GROUP BY o_orderstatus",
+        "SELECT o_orderstatus, COUNT(*) AS n FROM orders GROUP BY "
+        "o_orderstatus"}) {
+    auto r = engine.ExecuteSql("EXPLAIN ANALYZE " + sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const std::string text = r.value().ToCsv();
+    EXPECT_NE(text.find("aggregate(o_orderstatus): dictionary codes (direct, "
+                        "late materialization)"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("groups_late_materialized"), std::string::npos)
+        << text;
+  }
+}
+
 }  // namespace
 }  // namespace tde

@@ -1,6 +1,8 @@
 #include "src/encoding/stats.h"
 
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "src/common/bitutil.h"
 #include "src/common/hash.h"
@@ -17,23 +19,27 @@ uint64_t BlocksFor(uint64_t count) {
 
 /// Marks a free slot of the distinct set: an arbitrary value, rare in data.
 constexpr Lane kFreeSlot = static_cast<Lane>(0x9e3779b97f4a7c15ULL);
+
+/// Places `v` in `table`, a linear-probing set with a free slot left;
+/// false if it holds `v` already.
+bool Place(std::vector<Lane>* table, Lane v) {
+  const uint64_t mask = table->size() - 1;
+  uint64_t i = Mix64(static_cast<uint64_t>(v)) & mask;
+  while ((*table)[i] != kFreeSlot) {
+    if ((*table)[i] == v) return false;
+    i = (i + 1) & mask;
+  }
+  (*table)[i] = v;
+  return true;
+}
 }  // namespace
 
 EncodingStats::EncodingStats() : distinct_(512, kFreeSlot) {}
 
 void EncodingStats::TrackDistinct(Lane v) {
-  if (v == kFreeSlot) {
-    if (has_free_key_) return;
-    has_free_key_ = true;
-  } else {
-    uint64_t mask = distinct_.size() - 1;
-    uint64_t i = Mix64(static_cast<uint64_t>(v)) & mask;
-    while (distinct_[i] != kFreeSlot) {
-      if (distinct_[i] == v) return;
-      i = (i + 1) & mask;
-    }
-    distinct_[i] = v;
-  }
+  const bool added = v == kFreeSlot ? !std::exchange(has_free_key_, true)
+                                    : Place(&distinct_, v);
+  if (!added) return;
   if (++distinct_count_ > kMaxDictEntries) {
     distinct_tracking_ = false;
     distinct_ = {};
@@ -43,12 +49,8 @@ void EncodingStats::TrackDistinct(Lane v) {
   if (distinct_count_ * 2 > distinct_.size()) {
     std::vector<Lane> old(distinct_.size() * 2, kFreeSlot);
     old.swap(distinct_);
-    const uint64_t mask = distinct_.size() - 1;
     for (const Lane k : old) {
-      if (k == kFreeSlot) continue;
-      uint64_t i = Mix64(static_cast<uint64_t>(k)) & mask;
-      while (distinct_[i] != kFreeSlot) i = (i + 1) & mask;
-      distinct_[i] = k;
+      if (k != kFreeSlot) Place(&distinct_, k);
     }
   }
 }

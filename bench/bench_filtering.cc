@@ -64,7 +64,6 @@ PlanNodePtr MakePlan(int plan, const std::shared_ptr<Table>& table,
   agg->agg.group_by = {index_col};
   agg->agg.aggs = {{AggKind::kMax, other_col, "m"}};
   agg->force_hash_agg = plan == 2;
-  agg->grouped_input = plan == 3;
   agg->children = {iscan};
   return agg;
 }

@@ -5,8 +5,12 @@
 # base ref with the same
 # CMake build type as <build-dir> (the change's build), runs the two sides'
 # benches alternately, and compares the median of each named measurement.
-# Records without a "name" (bench_tpch's per-query profiles, and every
-# record of a base whose bench_tpch wrote no gate rows) are not gated.
+# Records without a "name" are not gated: bench_tpch's per-query profiles,
+# every record of a base whose bench_tpch wrote no gate rows, and
+# bench_parsing's three baselines ("<file> bandwidth", "tokenize" and
+# "split", written under "baseline"), loops that call nothing in src/, so
+# no change to the engine can move them. A base measurement that the
+# change writes as a baseline is not missing from the change's runs.
 # A measurement fails the gate when its median is BOTH more than
 # TDE_BENCH_TOLERANCE slower relatively AND more than TDE_BENCH_MIN_MS
 # slower absolutely than the base's median — the absolute floor keeps
@@ -106,25 +110,26 @@ tol = float(os.environ.get("TDE_BENCH_TOLERANCE", "0.25"))
 floor_ms = float(os.environ.get("TDE_BENCH_MIN_MS", "20"))
 
 def side(name):
-    ms, groups = {}, {}
+    ms, groups, baselines = {}, {}, set()
     for path in glob.glob(f"{runs_dir}/{name}/*/BENCH_*.json"):
         for r in json.load(open(path))["results"]:
             if "name" not in r:
+                baselines.add(r.get("baseline"))
                 continue
             ms.setdefault(r["name"], []).append(r["ms"])
             groups.setdefault(r["name"], set()).add(r.get("groups"))
-    return ms, groups
+    return ms, groups, baselines
 
-base_ms, base_groups = side("base")
-new_ms, new_groups = side("change")
-missing = sorted(set(base_ms) - set(new_ms))
+base_ms, base_groups, _ = side("base")
+new_ms, new_groups, new_baselines = side("change")
+missing = sorted(set(base_ms) - set(new_ms) - new_baselines)
 if missing:
     sys.exit(f"measurements missing from the change's runs: {missing}")
 
 failed = []
 print(f"{runs} runs per side; medians against {base_ref}")
 print(f"{'measurement':<28}{'base_ms':>10}{'new_ms':>10}{'delta':>8}")
-for name in sorted(base_ms):
+for name in sorted(set(base_ms) & set(new_ms)):
     b = statistics.median(base_ms[name])
     n = statistics.median(new_ms[name])
     if base_groups[name] != new_groups[name]:

@@ -19,6 +19,11 @@ bool IsSignedType(TypeId t) {
   return true;
 }
 
+bool LaneComparable(TypeId t) {
+  return t == TypeId::kInteger || t == TypeId::kDate ||
+         t == TypeId::kDateTime || t == TypeId::kBool;
+}
+
 const char* TypeName(TypeId t) {
   switch (t) {
     case TypeId::kBool:

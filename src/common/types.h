@@ -59,6 +59,12 @@ inline int CompareReals(double a, double b) {
 /// True for types whose lanes compare as signed integers.
 bool IsSignedType(TypeId t);
 
+/// True for types whose lane order is their value order, so zone-map and
+/// metadata bounds compare directly against lanes. Reals are excluded
+/// (lane bits do not order like doubles) and so are strings (lanes are
+/// heap tokens).
+bool LaneComparable(TypeId t);
+
 /// Human-readable type name ("integer", "string", ...).
 const char* TypeName(TypeId t);
 

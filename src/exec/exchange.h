@@ -76,12 +76,13 @@ class Exchange : public Operator {
  public:
   Exchange(std::unique_ptr<Operator> child, ExchangeOptions options);
 
-  /// Segment-partitioned exchange: one worker per source operator, each
-  /// draining its own disjoint partition (range-restricted TableScans over
-  /// segment subsets) — no shared producer queue, so workers never contend
-  /// for input. Inherently unordered (partitions interleave as they
-  /// finish); order_preserving is forced off. `partitions` must be
-  /// non-empty; options.workers is overridden to the partition count.
+  /// Partitioned exchange: one worker per partition, each draining its
+  /// own source operator — no shared producer queue, so workers never
+  /// contend for input. The lowering makes each partition a copy of the
+  /// input chain over a disjoint share of its scan's segment morsels.
+  /// Inherently unordered (partitions interleave as they finish);
+  /// order_preserving is forced off. `partitions` must be non-empty;
+  /// options.workers is overridden to the partition count.
   Exchange(std::vector<std::unique_ptr<Operator>> partitions,
            ExchangeOptions options);
   ~Exchange() override;

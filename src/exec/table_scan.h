@@ -33,10 +33,11 @@ struct TableScanOptions {
   /// keys of the dict-grouping rewrite and for an invisible join's column;
   /// ignored for columns that have no dense code.
   std::vector<std::string> code_columns;
-  /// Row ranges to visit (empty = the whole table). Set by the segment
-  /// pruner and the exchange partitioner; normalized (sorted, disjoint,
-  /// clamped to the table) at Open. Rows outside the ranges are never
-  /// decoded — for a segmented cold column their segments never fault in.
+  /// Row ranges to visit (empty = the whole table). Set by the scan's
+  /// lowering: the ranges zone-map pruning leaves, or the morsels one copy
+  /// of the scan reads; normalized (sorted, disjoint, clamped to the
+  /// table) at Open. Rows outside the ranges are never decoded — for a
+  /// segmented cold column their segments never fault in.
   std::vector<RowRange> ranges;
   /// Entry tables for `code_columns`, shared with the other copies of this
   /// scan. Null = a table set of this scan's own.

@@ -7,15 +7,6 @@ namespace tde {
 
 namespace {
 
-/// Types whose stored lane order is the sort order, making segment
-/// min/max lanes directly comparable against heap thresholds. Reals are
-/// excluded (the IEEE bit pattern is not order-isomorphic as an int64)
-/// and strings are excluded (zone lanes would be heap tokens).
-bool ZoneComparable(TypeId t) {
-  return t == TypeId::kInteger || t == TypeId::kDate ||
-         t == TypeId::kDateTime || t == TypeId::kBool;
-}
-
 std::vector<TopNSource> OneSource(std::unique_ptr<Operator> child) {
   std::vector<TopNSource> sources;
   sources.emplace_back();
@@ -230,7 +221,7 @@ Status TopN::Open() {
   for (TopNSource& src : sources_) {
     if (!first) {
       if (heap_.size() >= limit_ && src.zone_known && !keys_.empty() &&
-          ZoneComparable(prepared_[0].type)) {
+          LaneComparable(prepared_[0].type)) {
         // Best row this source could hold, under the first key's direction
         // (ascending: its minimum, or NULL which orders below everything;
         // descending: its maximum — NULLs order last there).

@@ -19,8 +19,7 @@ namespace tde {
 struct TopNSource {
   std::unique_ptr<Operator> op;
   /// First-key zone of this source's rows, when known. Only trusted for
-  /// lane-comparable key types (integer/date/datetime/bool), where the
-  /// stored lane order is the sort order.
+  /// key types whose lane order is the sort order (LaneComparable).
   bool zone_known = false;
   Lane min_value = 0;
   Lane max_value = 0;

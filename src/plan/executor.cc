@@ -183,7 +183,7 @@ struct ScanSegments {
 /// partition of the row space is correct for the scans built from it.
 /// Consults directory facts only.
 ScanSegments SurvivingSegments(const PlanNode& scan, const ExprPtr& predicate,
-                               const std::string& zone_column = "") {
+                               const std::string& zone_column) {
   ScanSegments out;
   const Table& table = *scan.table;
   const SegmentPruneResult prune = PruneScanSegments(table, predicate);
@@ -238,26 +238,30 @@ void Chain(BuiltPlan* out, BuiltPlan child, std::string name, MakeOp make,
   Attach(out, std::move(name), {std::move(child.stats)}, std::move(on_close));
   if (!child.replicate) return;
   out->morsels = std::move(child.morsels);
+  out->zones = std::move(child.zones);
   out->replicate = [rep = std::move(child.replicate), make = std::move(make),
-                    shown = out->stats,
-                    copy_close](RowRange range, MorselStats* stats) {
-    return stats->Wrap(make(rep(range, stats)), shown, copy_close);
+                    shown = out->stats, copy_close](
+                       std::vector<RowRange> ranges, MorselStats* stats) {
+    return stats->Wrap(make(rep(std::move(ranges), stats)), shown,
+                       copy_close);
   };
 }
 
 /// Lowers a scan, pruned by the zone maps of `predicate` (the filter or
 /// invisible join directly above it, if any), and emitting `join_column`
 /// as codes for the invisible join above it. A scan of a segmented table
-/// is replicable: each copy reads one surviving segment range.
+/// is replicable: its morsels are the surviving ranges of `zone_column`'s
+/// segments (SurvivingSegments), and each copy reads the ones it is given.
 Result<BuiltPlan> BuildScan(const PlanNode& node,
                             const ExprPtr& predicate = nullptr,
-                            const std::string& join_column = "") {
+                            const std::string& join_column = "",
+                            const std::string& zone_column = "") {
   BuiltPlan out;
   TDE_RETURN_NOT_OK(ScanProps(node, &out));
   for (const std::string& n : node.code_columns) {
     out.notes.push_back("scan(" + n + "): dictionary codes (group key)");
   }
-  const ScanSegments segs = SurvivingSegments(node, predicate);
+  const ScanSegments segs = SurvivingSegments(node, predicate, zone_column);
   segs.Record(&out.notes);
   TableScanOptions opts;
   opts.columns = node.columns;
@@ -281,15 +285,28 @@ Result<BuiltPlan> BuildScan(const PlanNode& node,
          std::move(on_close));
   if (segs.segmented) {
     out.morsels = segs.ranges;
+    out.zones = segs.zones;
     out.replicate = [table = node.table, opts, shown = out.stats, copy_close](
-                        RowRange range, MorselStats* stats) {
+                        std::vector<RowRange> ranges, MorselStats* stats) {
       TableScanOptions copy = opts;
-      copy.ranges = {range};
+      copy.ranges = std::move(ranges);
       return stats->Wrap(std::make_unique<TableScan>(table, std::move(copy)),
                          shown, copy_close);
     };
   }
   return out;
+}
+
+/// Lowers a filter's input. Zone-map segment pruning: a scan directly
+/// under the filter is handed its predicate, and segments whose zone maps
+/// prove it false are never visited — their blobs never fault in on the
+/// lazy v3 path.
+Result<BuiltPlan> BuildFilterInput(const PlanNode& filter) {
+  const PlanNodePtr& c = filter.children[0];
+  if (c->kind == PlanNodeKind::kScan && c->table != nullptr) {
+    return BuildScan(*c, filter.predicate);
+  }
+  return BuildExecutable(c);
 }
 
 /// Rewrites eligible string-column subtrees of `pred` into dictionary-code
@@ -376,10 +393,8 @@ Result<BuiltPlan> BuildAggregate(const PlanNode& node, BuiltPlan child) {
       }
     }
   }
-  const bool ordered =
-      !node.force_hash_agg &&
-      (node.grouped_input ||
-       (agg.group_by.size() == 1 && child.grouped_on == agg.group_by[0]));
+  const bool ordered = !node.force_hash_agg && agg.group_by.size() == 1 &&
+                       child.grouped_on == agg.group_by[0];
   HashAggregate* hash_raw = nullptr;
   OrderedAggregate* ordered_raw = nullptr;
   std::shared_ptr<MorselStats> morsel_stats;
@@ -439,7 +454,7 @@ Result<BuiltPlan> BuildAggregate(const PlanNode& node, BuiltPlan child) {
       morsel_stats = std::make_shared<MorselStats>();
       std::vector<std::unique_ptr<Operator>> inputs;
       for (const RowRange& r : child.morsels) {
-        inputs.push_back(child.replicate(r, morsel_stats.get()));
+        inputs.push_back(child.replicate({r}, morsel_stats.get()));
       }
       child.op.reset();
       out.notes.push_back(
@@ -846,9 +861,14 @@ BlockTransform FilterTransform(ExprPtr pred) {
   };
 }
 
+/// Lowers kExchange over its lowered input. A Filter directly below runs
+/// in the workers (that is the parallelized segment); its own input lowers
+/// as under any other filter. An unordered exchange over a replicable
+/// input of two or more morsels is partitioned: the morsels are dealt
+/// round robin to at most `workers` partitions, each a copy of the input
+/// chain drained by its own task, so workers share no input queue.
+/// Otherwise one producer task reads the input and fans its blocks out.
 Result<BuiltPlan> BuildExchange(const PlanNode& node) {
-  // If the exchange sits directly above a filter, route the filter into
-  // the workers (that is the parallelized segment).
   const PlanNodePtr& child = node.children[0];
   ExchangeOptions opts;
   // <= 0 means "size from the shared pool": half the pool per query, so
@@ -857,102 +877,65 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
                      ? node.exchange_workers
                      : TaskScheduler::Global().SuggestedQueryParallelism();
   opts.order_preserving = node.order_preserving;
-  BuiltPlan built_child;
-  int dict_rewrites = 0;
+  BuiltPlan in;
   if (child->kind == PlanNodeKind::kFilter) {
-    const PlanNodePtr& grand = child->children[0];
-    // Segment-partitioned route: an unordered exchange over filter(scan)
-    // of a segmented table gives each worker its own range-restricted
-    // TableScan over a disjoint subset of segments. Workers never contend
-    // for a shared input queue, and zone-map pruning drops whole segments
-    // before they are even assigned.
-    if (!opts.order_preserving && opts.workers >= 2 &&
-        grand->kind == PlanNodeKind::kScan && grand->table != nullptr &&
-        child->predicate != nullptr) {
-      const ScanSegments segs = SurvivingSegments(*grand, child->predicate);
-      const std::vector<RowRange>& pieces = segs.ranges;
-      if (segs.segmented && pieces.size() >= 2) {
-        const size_t nparts = std::min<size_t>(
-            static_cast<size_t>(opts.workers), pieces.size());
-        std::vector<std::vector<RowRange>> parts(nparts);
-        for (size_t i = 0; i < pieces.size(); ++i) {
-          parts[i % nparts].push_back(pieces[i]);
-        }
-        BuiltPlan out;
-        TDE_RETURN_NOT_OK(ScanProps(*grand, &out));
-        std::vector<std::unique_ptr<Operator>> sources;
-        const auto code_tables = std::make_shared<ScanCodeTables>();
-        for (size_t p = 0; p < nparts; ++p) {
-          TableScanOptions sopts;
-          sopts.columns = grand->columns;
-          sopts.code_columns = grand->code_columns;
-          sopts.code_tables = code_tables;
-          sopts.ranges = NormalizeRanges(std::move(parts[p]));
-          sources.push_back(
-              std::make_unique<TableScan>(grand->table, std::move(sopts)));
-        }
-        ExprPtr pred = LowerPredicate(child->predicate, child->compressed_eval,
-                                      sources[0]->output_schema(), &out.notes,
-                                      &dict_rewrites);
-        opts.transform = FilterTransform(std::move(pred));
-        DropOrderFacts(&out.props);
-        segs.Record(&out.notes);
-        out.notes.push_back("exchange: segment-partitioned scan, " +
-                            std::to_string(nparts) + " partitions over " +
-                            std::to_string(pieces.size()) +
-                            " segment ranges");
-        auto exchange = std::make_unique<Exchange>(std::move(sources), opts);
-        Exchange* raw = exchange.get();
-        out.op = std::move(exchange);
-        Attach(&out,
-               "Exchange(partitioned, " + std::to_string(nparts) + " scans)",
-               {}, [raw, segs](observe::OperatorStats* s) {
-                 const ExchangeRunStats& rs = raw->run_stats();
-                 s->extras.emplace_back("blocks_in", rs.blocks_in);
-                 segs.AddExtras(s);
-                 for (size_t i = 0; i < rs.workers.size(); ++i) {
-                   s->extras.emplace_back("w" + std::to_string(i) + "_blocks",
-                                          rs.workers[i].blocks);
-                   s->extras.emplace_back(
-                       "w" + std::to_string(i) + "_rows_emitted",
-                       rs.workers[i].rows_emitted);
-                 }
-               });
-        return out;
-      }
-    }
-    TDE_ASSIGN_OR_RETURN(built_child, BuildExecutable(child->children[0]));
+    TDE_ASSIGN_OR_RETURN(in, BuildFilterInput(*child));
     // The same dictionary-code lowering as BuildFilter; the wrapper's
     // translation cache is mutex-guarded, so workers share it safely.
-    ExprPtr pred =
+    int dict_rewrites = 0;
+    opts.transform = FilterTransform(
         LowerPredicate(child->predicate, child->compressed_eval,
-                       built_child.op->output_schema(), &built_child.notes,
-                       &dict_rewrites);
-    opts.transform = FilterTransform(std::move(pred));
-    for (auto& [name, p] : built_child.props) p.meta.dense = false;
+                       in.op->output_schema(), &in.notes, &dict_rewrites));
+    for (auto& [name, p] : in.props) p.meta.dense = false;
   } else {
-    TDE_ASSIGN_OR_RETURN(built_child, BuildExecutable(child));
+    TDE_ASSIGN_OR_RETURN(in, BuildExecutable(child));
   }
   BuiltPlan out;
-  out.notes = std::move(built_child.notes);
-  out.notes.push_back(std::string("exchange: ") +
-                      (opts.order_preserving ? "order-preserving"
-                                             : "unordered") +
-                      " routing, " + std::to_string(opts.workers) +
-                      " workers");
-  out.props = std::move(built_child.props);
-  if (!opts.order_preserving) DropOrderFacts(&out.props);
-  auto exchange = std::make_unique<Exchange>(std::move(built_child.op), opts);
+  out.notes = std::move(in.notes);
+  out.props = std::move(in.props);
+  if (opts.order_preserving) {
+    out.grouped_on = in.grouped_on;
+  } else {
+    DropOrderFacts(&out.props);
+  }
+  std::unique_ptr<Exchange> exchange;
+  std::string name;
+  std::shared_ptr<MorselStats> morsel_stats;
+  if (!opts.order_preserving && in.replicate && in.morsels.size() >= 2) {
+    const size_t nparts = std::min<size_t>(
+        static_cast<size_t>(opts.workers), in.morsels.size());
+    std::vector<std::vector<RowRange>> parts(nparts);
+    for (size_t i = 0; i < in.morsels.size(); ++i) {
+      parts[i % nparts].push_back(in.morsels[i]);
+    }
+    morsel_stats = std::make_shared<MorselStats>();
+    std::vector<std::unique_ptr<Operator>> partitions;
+    for (std::vector<RowRange>& p : parts) {
+      partitions.push_back(in.replicate(std::move(p), morsel_stats.get()));
+    }
+    out.notes.push_back("exchange: unordered routing, segment-partitioned: " +
+                        std::to_string(nparts) + " partitions over " +
+                        std::to_string(in.morsels.size()) +
+                        " segment ranges");
+    exchange = std::make_unique<Exchange>(std::move(partitions), opts);
+    name = "Exchange(partitioned, " + std::to_string(nparts) + " partitions)";
+  } else {
+    out.notes.push_back(std::string("exchange: ") +
+                        (opts.order_preserving ? "order-preserving"
+                                               : "unordered") +
+                        " routing, " + std::to_string(opts.workers) +
+                        " workers");
+    exchange = std::make_unique<Exchange>(std::move(in.op), opts);
+    name = "Exchange(" + std::to_string(opts.workers) + " workers, " +
+           (opts.order_preserving ? "ordered" : "unordered") + ")";
+  }
   Exchange* raw = exchange.get();
   out.op = std::move(exchange);
-  if (opts.order_preserving) out.grouped_on = built_child.grouped_on;
-  Attach(&out,
-         "Exchange(" + std::to_string(opts.workers) + " workers, " +
-             (opts.order_preserving ? "ordered" : "unordered") + ")",
-         {std::move(built_child.stats)},
+  Attach(&out, std::move(name), {std::move(in.stats)},
          // The wrapper's Close runs right after Exchange::Close joins the
-         // threads, so the run stats are final here.
-         [raw](observe::OperatorStats* s) {
+         // tasks and closes the input, so the run stats are final here.
+         [raw, morsel_stats](observe::OperatorStats* s) {
+           if (morsel_stats != nullptr) morsel_stats->Fold();
            const ExchangeRunStats& rs = raw->run_stats();
            s->extras.emplace_back("blocks_in", rs.blocks_in);
            s->extras.emplace_back("producer_wait_us",
@@ -974,120 +957,95 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
 }
 
 /// Lowers kTopN. Directly over a segmented scan (with sort_pruning on and
-/// a lane-comparable first key) the input splits into one range-restricted
-/// TableScan per segment, each carrying the key's zone: once the heap is
-/// full, TopN skips — never opens, never faults — segments whose best
-/// possible row cannot beat the current worst. Otherwise a single-source
-/// TopN over the built child, with a sorted-input short-circuit when the
-/// child is already ordered on the first key.
-Result<BuiltPlan> BuildTopN(const PlanNodePtr& node) {
-  TopNOptions topts;
-  topts.dict_sort = node->dict_sort;
+/// a lane-comparable first key) the scan is cut at the key's segments and
+/// each morsel becomes one source carrying the key's zone: once the heap
+/// is full, TopN skips — never opens, never faults — sources whose best
+/// possible row cannot beat the current worst. Otherwise one source over
+/// the lowered child, with a sorted-input short-circuit when the child is
+/// already ordered on the first key.
+Result<BuiltPlan> BuildTopN(const PlanNode& node) {
   const std::string key0 =
-      node->sort_keys.empty() ? std::string() : node->sort_keys[0].column;
-
-  const PlanNodePtr& child = node->children[0];
-  if (node->sort_pruning && !key0.empty() &&
-      child->kind == PlanNodeKind::kScan && child->table != nullptr &&
-      child->code_columns.empty()) {
-    auto col_r = child->table->ColumnByName(key0);
-    const bool key_scanned =
-        child->columns.empty() ||
-        std::find(child->columns.begin(), child->columns.end(), key0) !=
-            child->columns.end();
-    if (col_r.ok() && key_scanned &&
-        (col_r.value()->type() == TypeId::kInteger ||
-         col_r.value()->type() == TypeId::kDate ||
-         col_r.value()->type() == TypeId::kDateTime ||
-         col_r.value()->type() == TypeId::kBool)) {
-      const ScanSegments segs = SurvivingSegments(*child, nullptr, key0);
-      if (segs.ranges.size() > 1) {
-        BuiltPlan out;
-        TDE_RETURN_NOT_OK(ScanProps(*child, &out));
-        std::vector<TopNSource> sources;
-        sources.reserve(segs.ranges.size());
-        for (size_t i = 0; i < segs.ranges.size(); ++i) {
-          TableScanOptions sopts;
-          sopts.columns = child->columns;
-          sopts.ranges = {segs.ranges[i]};
-          TopNSource src;
-          src.op = std::make_unique<TableScan>(child->table, std::move(sopts));
-          const ColumnMetadata& zone = segs.zones[i].meta;
-          if (zone.min_max_known) {
-            src.zone_known = true;
-            src.min_value = zone.min_value;
-            src.max_value = zone.max_value;
-            src.has_nulls = !zone.null_known || zone.has_nulls;
-          }
-          sources.push_back(std::move(src));
-        }
-        const size_t nsegs = sources.size();
-        auto topn = std::make_unique<TopN>(std::move(sources),
-                                           node->sort_keys, node->limit,
-                                           topts);
-        TopN* raw = topn.get();
-        out.op = std::move(topn);
-        out.notes.push_back("topn(" + key0 + "): k=" +
-                            std::to_string(node->limit) + ", " +
-                            std::to_string(nsegs) +
-                            " segment sources with zone skipping");
-        out.grouped_on = key0;
-        auto it = out.props.find(key0);
-        if (it != out.props.end()) it->second.meta.sorted = true;
-        Attach(&out, "TopN(" + std::to_string(node->limit) + ", " +
-                         std::to_string(nsegs) + " segments)",
-               {}, [raw](observe::OperatorStats* s) {
-                 s->extras.emplace_back("input_rows", raw->input_rows());
-                 s->extras.emplace_back("rows_materialized",
-                                        raw->rows_materialized());
-                 s->extras.emplace_back("segments_skipped",
-                                        raw->segments_skipped());
-                 observe::QueryCount(
-                     observe::QueryCounter::kRowsMaterialized,
-                     raw->rows_materialized());
-                 observe::QueryCount(
-                     observe::QueryCounter::kTopNSegmentsSkipped,
-                     raw->segments_skipped());
-                 if (raw->dict_keys() > 0) {
-                   s->extras.emplace_back("dict_key_sorts", raw->dict_keys());
-                   observe::QueryCount(observe::QueryCounter::kDictKeySorts,
-                                       raw->dict_keys());
-                 }
-               });
-        return out;
-      }
-    }
+      node.sort_keys.empty() ? std::string() : node.sort_keys[0].column;
+  const PlanNode& scan = *node.children[0];
+  bool zoned = node.sort_pruning && !key0.empty() &&
+               scan.kind == PlanNodeKind::kScan && scan.table != nullptr &&
+               scan.code_columns.empty() &&
+               (scan.columns.empty() ||
+                std::find(scan.columns.begin(), scan.columns.end(), key0) !=
+                    scan.columns.end());
+  if (zoned) {
+    auto col = scan.table->ColumnByName(key0);
+    zoned = col.ok() && LaneComparable(col.value()->type());
   }
-
-  TDE_ASSIGN_OR_RETURN(BuiltPlan built_child, BuildExecutable(child));
+  BuiltPlan in;
+  if (zoned) {
+    TDE_ASSIGN_OR_RETURN(in, BuildScan(scan, nullptr, "", key0));
+  } else {
+    TDE_ASSIGN_OR_RETURN(in, BuildExecutable(node.children[0]));
+  }
   BuiltPlan out;
-  out.notes = std::move(built_child.notes);
-  out.props = std::move(built_child.props);
-  if (!key0.empty()) {
-    auto it = out.props.find(key0);
-    if (it != out.props.end() && it->second.meta.sorted &&
-        node->sort_keys[0].ascending) {
+  out.notes = std::move(in.notes);
+  out.props = std::move(in.props);
+  TopNOptions topts;
+  topts.dict_sort = node.dict_sort;
+  std::vector<TopNSource> sources;
+  const auto morsel_stats = std::make_shared<MorselStats>();
+  const auto key = key0.empty() ? out.props.end() : out.props.find(key0);
+  if (zoned && in.replicate && in.morsels.size() >= 2) {
+    for (size_t i = 0; i < in.morsels.size(); ++i) {
+      TopNSource src;
+      src.op = in.replicate({in.morsels[i]}, morsel_stats.get());
+      const ColumnMetadata& zone = in.zones[i].meta;
+      if (zone.min_max_known) {
+        src.zone_known = true;
+        src.min_value = zone.min_value;
+        src.max_value = zone.max_value;
+        src.has_nulls = !zone.null_known || zone.has_nulls;
+      }
+      sources.push_back(std::move(src));
+    }
+    out.notes.push_back("topn(" + key0 + "): k=" + std::to_string(node.limit) +
+                        ", " + std::to_string(sources.size()) +
+                        " segment sources with zone skipping");
+  } else {
+    if (key != out.props.end() && key->second.meta.sorted &&
+        node.sort_keys[0].ascending) {
       // Child already ordered on the first key: the drain can stop at the
       // first row that cannot enter the full heap.
       topts.input_sorted = true;
       out.notes.push_back("topn(" + key0 +
                           "): sorted input, early stop enabled");
     }
-    out.grouped_on = key0;
-    if (it != out.props.end()) it->second.meta.sorted = true;
+    sources.emplace_back();
+    sources.back().op = std::move(in.op);
   }
-  auto topn = std::make_unique<TopN>(std::move(built_child.op),
-                                     node->sort_keys, node->limit, topts);
+  if (!key0.empty()) out.grouped_on = key0;
+  if (key != out.props.end()) key->second.meta.sorted = true;
+  const size_t nsources = sources.size();
+  auto topn = std::make_unique<TopN>(std::move(sources), node.sort_keys,
+                                     node.limit, topts);
   TopN* raw = topn.get();
   out.op = std::move(topn);
-  Attach(&out, "TopN(" + std::to_string(node->limit) + ")",
-         {std::move(built_child.stats)}, [raw](observe::OperatorStats* s) {
+  Attach(&out,
+         "TopN(" + std::to_string(node.limit) +
+             (nsources > 1 ? ", " + std::to_string(nsources) + " segments"
+                           : std::string()) +
+             ")",
+         {std::move(in.stats)},
+         [raw, morsel_stats, nsources](observe::OperatorStats* s) {
+           morsel_stats->Fold();
            s->extras.emplace_back("input_rows", raw->input_rows());
            s->extras.emplace_back("rows_materialized",
                                   raw->rows_materialized());
-           if (raw->early_stopped()) s->extras.emplace_back("early_stop", 1);
            observe::QueryCount(observe::QueryCounter::kRowsMaterialized,
                                raw->rows_materialized());
+           if (nsources > 1) {
+             s->extras.emplace_back("segments_skipped",
+                                    raw->segments_skipped());
+             observe::QueryCount(observe::QueryCounter::kTopNSegmentsSkipped,
+                                 raw->segments_skipped());
+           }
+           if (raw->early_stopped()) s->extras.emplace_back("early_stop", 1);
            if (raw->dict_keys() > 0) {
              s->extras.emplace_back("dict_key_sorts", raw->dict_keys());
              observe::QueryCount(observe::QueryCounter::kDictKeySorts,
@@ -1104,17 +1062,7 @@ Result<BuiltPlan> BuildExecutable(const PlanNodePtr& node) {
     case PlanNodeKind::kScan:
       return BuildScan(*node);
     case PlanNodeKind::kFilter: {
-      // Zone-map segment pruning: a filter directly on a scan of a
-      // segmented table hands the scan its predicate, and segments whose
-      // zone maps prove it false are never visited — their blobs never
-      // fault in on the lazy v3 path.
-      const PlanNodePtr& c = node->children[0];
-      BuiltPlan child;
-      if (c->kind == PlanNodeKind::kScan && c->table != nullptr) {
-        TDE_ASSIGN_OR_RETURN(child, BuildScan(*c, node->predicate));
-      } else {
-        TDE_ASSIGN_OR_RETURN(child, BuildExecutable(c));
-      }
+      TDE_ASSIGN_OR_RETURN(BuiltPlan child, BuildFilterInput(*node));
       return BuildFilter(*node, std::move(child));
     }
     case PlanNodeKind::kProject: {
@@ -1205,7 +1153,7 @@ Result<BuiltPlan> BuildExecutable(const PlanNodePtr& node) {
       return out;
     }
     case PlanNodeKind::kTopN:
-      return BuildTopN(node);
+      return BuildTopN(*node);
     case PlanNodeKind::kExchange:
       return BuildExchange(*node);
     case PlanNodeKind::kMaterialize: {

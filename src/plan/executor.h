@@ -30,17 +30,24 @@ struct BuiltPlan {
   /// Root of the per-operator stats tree `op` records into (null when
   /// stats collection is disabled). Mirrors the lowered operator tree.
   std::shared_ptr<observe::OperatorStats> stats;
-  /// Set while `op` is a chain that morsel-parallel aggregation can run
-  /// once per segment morsel: a scan of a segmented table under any
-  /// filters, projections and joins. `replicate(range, stats)` builds
-  /// another copy of `op` that reads only the scan rows in `range`,
-  /// sharing what lowering built once (lowered predicates with their
-  /// dictionary translations, join builds, code tables); the copy's
-  /// operators record into `stats`. `morsels` are the scan's surviving
-  /// segment ranges, in row order.
-  std::function<std::unique_ptr<Operator>(RowRange range, MorselStats* stats)>
+  /// Set while `op` is a chain that can run as several copies: a scan of
+  /// a segmented table under any filters, projections, joins and
+  /// invisible joins. This is the one way a scan's segments become work
+  /// units. `morsels` are the scan's surviving segment ranges, in row
+  /// order, and `zones` the zone map of each one's segment.
+  /// `replicate(ranges, stats)` builds another copy of `op` that reads
+  /// only the scan rows in `ranges` (some of the morsels), sharing what
+  /// lowering built once (lowered predicates with their dictionary
+  /// translations, join builds, code maps, code tables); the copy's
+  /// operators record into `stats`. The morsel-parallel HashAggregate and
+  /// the Top-N's segment sources make one copy per morsel; a partitioned
+  /// Exchange deals the morsels round robin to its partitions, one copy
+  /// per partition.
+  std::function<std::unique_ptr<Operator>(std::vector<RowRange> ranges,
+                                          MorselStats* stats)>
       replicate;
   std::vector<RowRange> morsels;
+  std::vector<SegmentZone> zones;
 };
 
 /// Lowers a logical plan to an executable operator tree, making tactical

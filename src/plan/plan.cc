@@ -137,7 +137,6 @@ void Print(const PlanNodePtr& node, int depth, std::string* out) {
     case PlanNodeKind::kAggregate:
       if (node->metadata_answered) out->append("[metadata]");
       if (node->fold_runs) out->append("[fold-runs]");
-      if (node->grouped_input) out->append("[ordered]");
       break;
     case PlanNodeKind::kExchange:
       out->append(node->order_preserving ? "[ordered]" : "[unordered]");

@@ -60,8 +60,6 @@ struct PlanNode {
 
   // kAggregate
   AggregateOptions agg;
-  /// Input is known grouped on the key: use ordered aggregation.
-  bool grouped_input = false;
   /// Force hash aggregation even over grouped input (benchmark control).
   bool force_hash_agg = false;
   /// Set by the run-aggregation rewrite: the child is an IndexedScan over

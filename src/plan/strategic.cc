@@ -110,14 +110,6 @@ PlanNodePtr TryRankJoin(const PlanNodePtr& agg) {
 /// provably false for every row, provably true for every row, or unknown.
 enum class Tri { kFalse, kTrue, kUnknown };
 
-/// Types whose lanes order like their values. Reals are excluded (lane
-/// bits do not order like doubles) and so are strings (lanes are heap
-/// tokens).
-bool LaneComparable(TypeId t) {
-  return t == TypeId::kInteger || t == TypeId::kDate ||
-         t == TypeId::kDateTime || t == TypeId::kBool;
-}
-
 /// Folds `col OP v` against min/max/nullability. The encoder's min
 /// includes the NULL sentinel when NULLs are present (it is INT64_MIN
 /// then), so min-based always-false tests simply never fire on nullable
@@ -674,7 +666,7 @@ bool PassesOnlyThrough(const PlanNode& node, const std::string& c) {
 /// stay decoded — COUNT/MIN/MAX over codes would see indexes, not values.
 PlanNodePtr TryDictCodeScan(const PlanNodePtr& agg) {
   if (agg->kind != PlanNodeKind::kAggregate || agg->metadata_answered ||
-      agg->fold_runs || agg->grouped_input || !agg->agg.dict_code_keys ||
+      agg->fold_runs || !agg->agg.dict_code_keys ||
       agg->agg.group_by.empty()) {
     return nullptr;
   }

@@ -1,5 +1,6 @@
 #include "src/exec/exchange.h"
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 
@@ -32,6 +33,44 @@ BlockTransform KeepEven() {
 std::vector<Lane> Ramp(size_t n) {
   std::vector<Lane> v(n);
   std::iota(v.begin(), v.end(), 0);
+  return v;
+}
+
+/// The two ways an Exchange takes its input: one child whose blocks a
+/// producer task fans out, or partitions that each drain their own source.
+enum class Input { kChild, kPartitions };
+constexpr Input kInputs[] = {Input::kChild, Input::kPartitions};
+
+const char* InputName(Input in) {
+  return in == Input::kChild ? "child" : "partitions";
+}
+
+/// Blocks per partition where a test needs a partition to park: more than
+/// the 32-block in-flight bound holds.
+constexpr size_t kPartitionBlocks = 40;
+
+/// An exchange over the rows of `input` (one integer column "x"): one
+/// child, or `opts.workers` partitions of contiguous rows.
+std::unique_ptr<Exchange> MakeExchange(Input in, const std::vector<Lane>& input,
+                                       ExchangeOptions opts) {
+  if (in == Input::kChild) {
+    return std::make_unique<Exchange>(VectorSource::Ints({{"x", input}}),
+                                      std::move(opts));
+  }
+  const size_t n = static_cast<size_t>(opts.workers);
+  std::vector<std::unique_ptr<Operator>> parts;
+  for (size_t p = 0; p < n; ++p) {
+    const auto at = [&](size_t k) {
+      return input.begin() + static_cast<ptrdiff_t>(input.size() * k / n);
+    };
+    parts.push_back(
+        VectorSource::Ints({{"x", std::vector<Lane>(at(p), at(p + 1))}}));
+  }
+  return std::make_unique<Exchange>(std::move(parts), std::move(opts));
+}
+
+std::vector<Lane> Sorted(std::vector<Lane> v) {
+  std::sort(v.begin(), v.end());
   return v;
 }
 
@@ -102,19 +141,22 @@ TEST(Exchange, EmptyInput) {
 }
 
 TEST(Exchange, TransformErrorPropagates) {
-  ExchangeOptions opts;
-  opts.workers = 2;
-  opts.transform = [](const Schema&, Block*) {
-    return Status::Internal("boom");
-  };
-  Exchange ex(VectorSource::Ints({{"x", Ramp(kBlockSize)}}), opts);
-  ASSERT_TRUE(ex.Open().ok());
-  Block b;
-  bool eos = false;
-  Status st;
-  while (st.ok() && !eos) st = ex.Next(&b, &eos);
-  EXPECT_EQ(st.code(), StatusCode::kInternal);
-  ex.Close();
+  for (const Input in : kInputs) {
+    SCOPED_TRACE(InputName(in));
+    ExchangeOptions opts;
+    opts.workers = 2;
+    opts.transform = [](const Schema&, Block*) {
+      return Status::Internal("boom");
+    };
+    auto ex = MakeExchange(in, Ramp(2 * kPartitionBlocks * kBlockSize), opts);
+    ASSERT_TRUE(ex->Open().ok());
+    Block b;
+    bool eos = false;
+    Status st;
+    while (st.ok() && !eos) st = ex->Next(&b, &eos);
+    EXPECT_EQ(st.code(), StatusCode::kInternal);
+    ex->Close();
+  }
 }
 
 TEST(Exchange, CloseMidStreamOrderedDoesNotDeadlock) {
@@ -135,6 +177,22 @@ TEST(Exchange, CloseMidStreamOrderedDoesNotDeadlock) {
     ASSERT_EQ(b.columns[0].lanes[0], static_cast<Lane>(i * kBlockSize));
   }
   ex.Close();  // mid-stream abort
+
+  // The unordered half: the same abort, where the producer or the
+  // partitions park on the in-flight bound while the consumer holds back.
+  opts.order_preserving = false;
+  for (const Input in : kInputs) {
+    SCOPED_TRACE(InputName(in));
+    auto unordered =
+        MakeExchange(in, Ramp(4 * kPartitionBlocks * kBlockSize), opts);
+    ASSERT_TRUE(unordered->Open().ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(unordered->Next(&b, &eos).ok());
+      ASSERT_FALSE(eos);
+      ASSERT_EQ(b.rows(), kBlockSize);
+    }
+    unordered->Close();  // mid-stream abort
+  }
 }
 
 TEST(Exchange, CloseWithoutConsumingAnything) {
@@ -160,26 +218,29 @@ TEST(Exchange, DestructorJoinsWithoutClose) {
 }
 
 TEST(Exchange, CloseAfterErrorJoinsCleanly) {
-  ExchangeOptions opts;
-  opts.workers = 2;
-  opts.order_preserving = true;
-  opts.transform = [](const Schema&, Block* b) -> Status {
-    if (b->columns[0].lanes[0] >= 4 * kBlockSize) {
-      return Status::Internal("mid-stream failure");
-    }
-    return Status::OK();
-  };
-  Exchange ex(VectorSource::Ints({{"x", Ramp(64 * kBlockSize)}}), opts);
-  ASSERT_TRUE(ex.Open().ok());
-  Block b;
-  bool eos = false;
-  Status st;
-  while (st.ok() && !eos) st = ex.Next(&b, &eos);
-  EXPECT_EQ(st.code(), StatusCode::kInternal);
-  // Error already delivered; Close must not hang or lose the threads.
-  ex.Close();
-  // The error sticks on further Next calls.
-  EXPECT_FALSE(ex.Next(&b, &eos).ok());
+  for (const Input in : kInputs) {
+    SCOPED_TRACE(InputName(in));
+    ExchangeOptions opts;
+    opts.workers = 2;
+    opts.order_preserving = true;
+    opts.transform = [](const Schema&, Block* b) -> Status {
+      if (b->columns[0].lanes[0] >= 4 * kBlockSize) {
+        return Status::Internal("mid-stream failure");
+      }
+      return Status::OK();
+    };
+    auto ex = MakeExchange(in, Ramp(2 * kPartitionBlocks * kBlockSize), opts);
+    ASSERT_TRUE(ex->Open().ok());
+    Block b;
+    bool eos = false;
+    Status st;
+    while (st.ok() && !eos) st = ex->Next(&b, &eos);
+    EXPECT_EQ(st.code(), StatusCode::kInternal);
+    // Error already delivered; Close must not hang or lose the threads.
+    ex->Close();
+    // The error sticks on further Next calls.
+    EXPECT_FALSE(ex->Next(&b, &eos).ok());
+  }
 }
 
 TEST(Exchange, NextBeforeOpenFailsCleanly) {
@@ -191,24 +252,27 @@ TEST(Exchange, NextBeforeOpenFailsCleanly) {
 }
 
 TEST(Exchange, RunStatsAccountForEveryBlock) {
-  const size_t kBlocks = 20;
+  const size_t kBlocks = 4 * kPartitionBlocks;
   const auto input = Ramp(kBlocks * kBlockSize);
-  ExchangeOptions opts;
-  opts.workers = 4;
-  opts.order_preserving = true;
-  Exchange ex(VectorSource::Ints({{"x", input}}), opts);
-  const auto got = Flatten(Drain(&ex), 0);
-  EXPECT_EQ(got, input);
-  const ExchangeRunStats& rs = ex.run_stats();
-  EXPECT_EQ(rs.blocks_in, kBlocks);
-  ASSERT_EQ(rs.workers.size(), 4u);
-  uint64_t worker_blocks = 0, worker_rows = 0;
-  for (const ExchangeWorkerStats& w : rs.workers) {
-    worker_blocks += w.blocks;
-    worker_rows += w.rows_emitted;
+  for (const Input in : kInputs) {
+    SCOPED_TRACE(InputName(in));
+    ExchangeOptions opts;
+    opts.workers = 4;
+    opts.order_preserving = true;  // partitions are unordered regardless
+    auto ex = MakeExchange(in, input, opts);
+    const auto got = Flatten(Drain(ex.get()), 0);
+    EXPECT_EQ(in == Input::kChild ? got : Sorted(got), input);
+    const ExchangeRunStats& rs = ex->run_stats();
+    EXPECT_EQ(rs.blocks_in, kBlocks);
+    ASSERT_EQ(rs.workers.size(), 4u);
+    uint64_t worker_blocks = 0, worker_rows = 0;
+    for (const ExchangeWorkerStats& w : rs.workers) {
+      worker_blocks += w.blocks;
+      worker_rows += w.rows_emitted;
+    }
+    EXPECT_EQ(worker_blocks, kBlocks);
+    EXPECT_EQ(worker_rows, input.size());
   }
-  EXPECT_EQ(worker_blocks, kBlocks);
-  EXPECT_EQ(worker_rows, input.size());
 }
 
 /// Flags whether Open/Close were forwarded (regression harness for Limit's
@@ -279,22 +343,25 @@ TEST(Limit, OverExchangeStopsWorkersEarly) {
   // A small LIMIT over a many-block Exchange: reaching the limit must abort
   // the exchange mid-stream instead of letting the producer pump all input
   // through the queues.
-  const size_t kBlocks = 64;
-  ExchangeOptions opts;
-  opts.workers = 4;
-  opts.order_preserving = true;
-  auto exchange = std::make_unique<Exchange>(
-      VectorSource::Ints({{"x", Ramp(kBlocks * kBlockSize)}}), opts);
-  Exchange* raw = exchange.get();
-  Limit limit(std::move(exchange), kBlockSize / 2);
-  std::vector<Block> out;
-  ASSERT_TRUE(DrainOperator(&limit, &out).ok());
-  size_t rows = 0;
-  for (const Block& b : out) rows += b.rows();
-  EXPECT_EQ(rows, kBlockSize / 2);
-  // The exchange was closed after one output block; the producer cannot
-  // have admitted more than the queue bound while we consumed just one.
-  EXPECT_LT(raw->run_stats().blocks_in, kBlocks);
+  const size_t kBlocks = 4 * kPartitionBlocks;
+  for (const Input in : kInputs) {
+    SCOPED_TRACE(InputName(in));
+    ExchangeOptions opts;
+    opts.workers = 4;
+    opts.order_preserving = true;
+    auto exchange = MakeExchange(in, Ramp(kBlocks * kBlockSize), opts);
+    Exchange* raw = exchange.get();
+    Limit limit(std::move(exchange), kBlockSize / 2);
+    std::vector<Block> out;
+    ASSERT_TRUE(DrainOperator(&limit, &out).ok());
+    size_t rows = 0;
+    for (const Block& b : out) rows += b.rows();
+    EXPECT_EQ(rows, kBlockSize / 2);
+    // The exchange was closed after one output block; the producer (or the
+    // partitions) cannot have admitted more than the queue bound while we
+    // consumed just one.
+    EXPECT_LT(raw->run_stats().blocks_in, kBlocks);
+  }
 }
 
 TEST(Exchange, NestedExchangeOnPoolOfOneCompletes) {
@@ -302,21 +369,23 @@ TEST(Exchange, NestedExchangeOnPoolOfOneCompletes) {
   // consumes the inner exchange from a worker thread. With a single-worker
   // pool this deadlocks unless the inner consumer helps the pool (or the
   // inner exchange degraded to inline mode); either way the rows must all
-  // come through in order.
+  // come through (in order, unless the inner exchange is partitioned).
   TaskScheduler pool(1);
   TaskScheduler::ScopedOverride ov(&pool);
-  const auto input = Ramp(16 * kBlockSize);
-  ExchangeOptions inner_opts;
-  inner_opts.workers = 2;
-  inner_opts.order_preserving = true;
-  auto inner = std::make_unique<Exchange>(
-      VectorSource::Ints({{"x", input}}), inner_opts);
-  ExchangeOptions outer_opts;
-  outer_opts.workers = 2;
-  outer_opts.order_preserving = true;
-  Exchange outer(std::move(inner), outer_opts);
-  const auto got = Flatten(Drain(&outer), 0);
-  EXPECT_EQ(got, input);
+  const auto input = Ramp(2 * kPartitionBlocks * kBlockSize);
+  for (const Input in : kInputs) {
+    SCOPED_TRACE(InputName(in));
+    ExchangeOptions inner_opts;
+    inner_opts.workers = 2;
+    inner_opts.order_preserving = true;
+    auto inner = MakeExchange(in, input, inner_opts);
+    ExchangeOptions outer_opts;
+    outer_opts.workers = 2;
+    outer_opts.order_preserving = true;
+    Exchange outer(std::move(inner), outer_opts);
+    const auto got = Flatten(Drain(&outer), 0);
+    EXPECT_EQ(in == Input::kChild ? got : Sorted(got), input);
+  }
 }
 
 TEST(Exchange, ConcurrentExchangesShareOnePool) {

@@ -311,6 +311,12 @@ TEST(Journal, SortCountersFlowToJournalAndExplain) {
   }
   EXPECT_NE(tree.find("rows_materialized"), std::string::npos) << tree;
   EXPECT_NE(tree.find("segments_skipped=7"), std::string::npos) << tree;
+  // The scan shows under the TopN, with the rows of the one segment read.
+  const size_t topn_at = tree.find("TopN(");
+  const size_t scan_at = tree.find("  TableScan(seq)  rows=512 ");
+  EXPECT_NE(topn_at, std::string::npos) << tree;
+  EXPECT_NE(scan_at, std::string::npos) << tree;
+  EXPECT_LT(topn_at, scan_at) << tree;
 
   // Dictionary-coded sort keys: a string first key compares as integers.
   journal.Clear();

@@ -3,8 +3,10 @@
 // loading on the lazy v3 path, the segment-partitioned Exchange, incremental
 // append, and the tde_segments observability surface.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -20,17 +22,20 @@
 #include "src/storage/pager/column_cache.h"
 #include "src/storage/pager/format.h"
 #include "src/storage/segment/segmented_stream.h"
+#include "tests/test_util.h"
 
 namespace tde {
 namespace {
 
 using expr::And;
 using expr::Col;
+using expr::Eq;
 using expr::Ge;
 using expr::Gt;
 using expr::Int;
 using expr::Le;
 using expr::Lt;
+using expr::Str;
 
 std::shared_ptr<Column> MakeSegmentedInt(const std::string& name,
                                          const std::vector<Lane>& v,
@@ -74,6 +79,27 @@ std::shared_ptr<Table> ClusteredTable(uint64_t rows, uint64_t segment_rows) {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+/// The rows of `r`, one string each, sorted: the result as a multiset.
+std::vector<std::string> SortedRows(const QueryResult& r) {
+  std::vector<std::string> rows;
+  for (uint64_t i = 0; i < r.num_rows(); ++i) {
+    std::string row;
+    for (size_t c = 0; c < r.num_columns(); ++c) {
+      row += r.ValueString(i, c) + "|";
+    }
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// The line of an analyzed plan that shows operator `op` (empty if none).
+std::string AnalyzedLine(const std::string& text, const std::string& op) {
+  const size_t at = text.find(op);
+  if (at == std::string::npos) return "";
+  return text.substr(at, text.find('\n', at) - at);
 }
 
 TEST(SegmentedBuild, ShapesZoneMapsAndValues) {
@@ -231,6 +257,79 @@ TEST(SegmentedExchange, PartitionedFilterScanMatches) {
   EXPECT_NE(analyzed.value().find("partitioned"), std::string::npos)
       << analyzed.value();
   EXPECT_EQ(result.num_rows(), 300u);
+  // The scan shows under the Exchange with the rows of the three
+  // surviving segments, summed over the partitions that read them.
+  EXPECT_NE(AnalyzedLine(analyzed.value(), "TableScan(t)").find(" rows=300 "),
+            std::string::npos)
+      << analyzed.value();
+}
+
+TEST(SegmentedExchange, PartitionsAnyReplicableChain) {
+  // An unordered Exchange over any chain of a segmented scan — a Project,
+  // a join, an invisible join — deals the scan's morsels to partitions,
+  // each a copy of the chain, and answers as the serial plan does at any
+  // pool size.
+  Engine engine;
+  ImportOptions seg;
+  seg.flow.segment_rows = 100;
+  const char* words[] = {"walnut", "elm", "cedar", "ash"};
+  std::string fact_csv = "id,s,v\n";
+  for (int i = 0; i < 1000; ++i) {
+    fact_csv += std::to_string(i) + "," + words[i % 4] + "," +
+                std::to_string(i % 7) + "\n";
+  }
+  std::string dim_csv = "v,label\n";
+  for (int v = 0; v < 7; ++v) {
+    dim_csv += std::to_string(v) + ",L" + std::to_string(v) + "\n";
+  }
+  auto fact = engine.ImportTextBuffer(fact_csv, "fact", seg);
+  ASSERT_TRUE(fact.ok()) << fact.status().ToString();
+  auto dim = engine.ImportTextBuffer(dim_csv, "dim");
+  ASSERT_TRUE(dim.ok()) << dim.status().ToString();
+  HashJoinOptions join;
+  join.outer_key = "v";
+  join.inner_key = "v";
+  join.inner_payload = {"label"};
+  struct Case {
+    const char* shown;  // the chain operator under the Exchange
+    std::function<Plan()> make;
+  };
+  const Case cases[] = {
+      {"Project",
+       [&] {
+         return Plan::Scan(fact.value())
+             .Project({{Col("id"), "id"}, {Col("s"), "s"}});
+       }},
+      {"HashJoin(v)",
+       [&] { return Plan::Scan(fact.value()).Join(dim.value(), join); }},
+      {"InvisibleJoin(s)",
+       [&] {
+         return Plan::Scan(fact.value()).Filter(Eq(Col("s"), Str("elm")));
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.shown);
+    auto control = ExecutePlan(c.make(), testutil::AllRewritesOff());
+    ASSERT_TRUE(control.ok()) << control.status().ToString();
+    for (const int workers : {1, 2, 4}) {
+      SCOPED_TRACE(workers);
+      TaskScheduler pool(workers);
+      TaskScheduler::ScopedOverride ov(&pool);
+      QueryResult result;
+      auto analyzed = ExplainAnalyzePlan(c.make().ExchangeBy(4), &result);
+      ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+      const std::string& text = analyzed.value();
+      EXPECT_EQ(SortedRows(result), SortedRows(control.value()));
+      EXPECT_NE(text.find("Exchange(partitioned, 4 partitions)"),
+                std::string::npos)
+          << text;
+      EXPECT_NE(AnalyzedLine(text, c.shown), "") << text;
+      // Every row of the table, summed over the partitions' scans.
+      EXPECT_NE(AnalyzedLine(text, "TableScan(fact)").find(" rows=1000 "),
+                std::string::npos)
+          << text;
+    }
+  }
 }
 
 TEST(SegmentedExchange, UnpartitionableFallsBackToSharedQueue) {

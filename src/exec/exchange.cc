@@ -378,6 +378,7 @@ void Exchange::StopTasks() {
     // when the pool is saturated by other queries.
     group_->Cancel();
     group_->Wait();
+    run_stats_.task_ns = group_->stats().run_ns;
     group_.reset();
   }
 }

@@ -46,6 +46,7 @@ struct ExchangeRunStats {
   uint64_t blocks_in = 0;          // blocks admitted from the child
   uint64_t producer_wait_ns = 0;   // producer blocked on the bound
   uint64_t consumer_wait_ns = 0;   // consumer blocked waiting for output
+  uint64_t task_ns = 0;            // the pool tasks' run time, summed
   std::vector<ExchangeWorkerStats> workers;
 };
 

@@ -238,7 +238,6 @@ void Chain(BuiltPlan* out, BuiltPlan child, std::string name, MakeOp make,
   Attach(out, std::move(name), {std::move(child.stats)}, std::move(on_close));
   if (!child.replicate) return;
   out->morsels = std::move(child.morsels);
-  out->zones = std::move(child.zones);
   out->replicate = [rep = std::move(child.replicate), make = std::move(make),
                     shown = out->stats, copy_close](
                        std::vector<RowRange> ranges, MorselStats* stats) {
@@ -935,8 +934,17 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
          // The wrapper's Close runs right after Exchange::Close joins the
          // tasks and closes the input, so the run stats are final here.
          [raw, morsel_stats](observe::OperatorStats* s) {
-           if (morsel_stats != nullptr) morsel_stats->Fold();
            const ExchangeRunStats& rs = raw->run_stats();
+           if (morsel_stats != nullptr) {
+             morsel_stats->Fold();
+             // As under the morsel-parallel HashAggregate: the input chain
+             // reports time summed over the partitions' tasks, and so does
+             // this node, whose tasks' run time replaces the wall time the
+             // consumer spent waiting for them.
+             const uint64_t wall = s->total_ns();
+             s->task_ns =
+                 wall - std::min(wall, rs.consumer_wait_ns) + rs.task_ns;
+           }
            s->extras.emplace_back("blocks_in", rs.blocks_in);
            s->extras.emplace_back("producer_wait_us",
                                   rs.producer_wait_ns / 1000);

@@ -34,7 +34,9 @@ struct BuiltPlan {
   /// a segmented table under any filters, projections, joins and
   /// invisible joins. This is the one way a scan's segments become work
   /// units. `morsels` are the scan's surviving segment ranges, in row
-  /// order, and `zones` the zone map of each one's segment.
+  /// order. `zones`, the zone map of each one's segment, is set by the
+  /// scan alone: the Top-N's segment sources read it, and only over a
+  /// bare scan.
   /// `replicate(ranges, stats)` builds another copy of `op` that reads
   /// only the scan rows in `ranges` (some of the morsels), sharing what
   /// lowering built once (lowered predicates with their dictionary

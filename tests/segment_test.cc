@@ -262,6 +262,13 @@ TEST(SegmentedExchange, PartitionedFilterScanMatches) {
   EXPECT_NE(AnalyzedLine(analyzed.value(), "TableScan(t)").find(" rows=300 "),
             std::string::npos)
       << analyzed.value();
+  // The Exchange's time is summed over the partitions' tasks, as the
+  // scan's is, so its self time is not the scan's subtracted from its
+  // wall time.
+  EXPECT_NE(AnalyzedLine(analyzed.value(), "Exchange(partitioned").find(
+                " task="),
+            std::string::npos)
+      << analyzed.value();
 }
 
 TEST(SegmentedExchange, PartitionsAnyReplicableChain) {

@@ -2,9 +2,13 @@
 // with the rewrite on and off (StrategicOptions::enable_invisible_join).
 // The rewrite evaluates a pushed predicate or computation once per
 // dictionary entry (a code map) and each row looks its answer up by code.
-// Three shapes:
+// Four shapes:
 //   string     string equality on a low-cardinality column of a segmented
 //              Flights table (origin = 'ADH' GROUP BY dest);
+//   string_in  the same statement over two airports whose codes are not
+//              adjacent (origin IN ('ADH', 'BDH'), noted "not one
+//              interval"): each row takes the bitmap test, on codes with
+//              the rewrite on and on heap tokens with it off;
 //   date       a range over a date column compressed into a sorted array
 //              dictionary: the passing codes form one interval, the dense
 //              key range the paper's fetch join exploits;
@@ -105,6 +109,10 @@ int main(int argc, char** argv) {
   const Shape shapes[] = {
       {"string",
        "SELECT dest, COUNT(*) AS flights FROM flights WHERE origin = 'ADH' "
+       "GROUP BY dest ORDER BY flights DESC, dest LIMIT 10"},
+      {"string_in",
+       "SELECT dest, COUNT(*) AS flights FROM flights "
+       "WHERE origin IN ('ADH', 'BDH') "
        "GROUP BY dest ORDER BY flights DESC, dest LIMIT 10"},
       {"date",
        "SELECT COUNT(*) AS n, SUM(v) AS s FROM dates "

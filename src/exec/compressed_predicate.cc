@@ -28,7 +28,7 @@ DictTranslation DictTranslation::Of(const std::vector<Lane>& mask, size_t n,
     const uint64_t span = static_cast<uint64_t>(t.hi - t.lo) + 1;
     const uint64_t words = (span + 63) / 64;
     if (words <= 4 * count + 64) {
-      t.bitmap.assign(words, 0);
+      t.bitmap.assign(words + 1, 0);  // the zero word past hi
       for (size_t i = first; i <= last; ++i) {
         if (mask[i] != 1) continue;
         const uint64_t bit = static_cast<uint64_t>(key(i) - t.lo);
@@ -61,25 +61,42 @@ Result<std::vector<ColumnVector>> EvalPerEntry(
 }
 
 Result<ColumnVector> DictCodePredicate::Eval(const Block& block,
-                                             const Schema& schema) const {
+                                             const Schema& schema,
+                                             DictMemo* memo) const {
   auto idx = schema.FieldIndex(column_);
   if (!idx.ok()) return inner_->Eval(block, schema);
   const ColumnVector& cv = block.columns[idx.value()];
   if (cv.type != TypeId::kString || cv.heap == nullptr) {
     return inner_->Eval(block, schema);  // nothing compressed to leverage
   }
-  TDE_ASSIGN_OR_RETURN(std::shared_ptr<const DictTranslation> t,
-                       Translate(cv.heap));
-  ColumnVector out;
-  out.type = TypeId::kBool;
+  DictMemo local;
+  TDE_ASSIGN_OR_RETURN(const DictTranslation* t,
+                       Translate(cv.heap, memo != nullptr ? memo : &local));
   const size_t n = block.rows();
+  const Lane* lanes = cv.lanes.data();
+  ColumnVector out;
   out.lanes.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Lane lane = cv.lanes[i];
-    out.lanes[i] =
-        (lane == kNullSentinel ? t->null_result : t->Matches(lane)) ? 1 : 0;
+  if (!computation_) {
+    out.type = TypeId::kBool;
+    t->WithPassTest([&](auto pass) {
+      for (size_t i = 0; i < n; ++i) out.lanes[i] = pass(lanes[i]);
+    });
+    return out;
   }
+  if (t->values.lanes.empty()) return inner_->Eval(block, schema);
+  out.type = t->values.type;
+  out.heap = t->values.heap;
+  for (size_t i = 0; i < n; ++i) out.lanes[i] = t->ValueOf(lanes[i]);
   return out;
+}
+
+Result<const DictTranslation*> DictCodePredicate::Translate(
+    const std::shared_ptr<const StringHeap>& heap, DictMemo* memo) const {
+  if (memo->heap != heap) {
+    TDE_ASSIGN_OR_RETURN(memo->translation, Translate(heap));
+    memo->heap = heap;
+  }
+  return memo->translation.get();
 }
 
 Result<std::shared_ptr<const DictTranslation>> DictCodePredicate::Translate(
@@ -90,24 +107,50 @@ Result<std::shared_ptr<const DictTranslation>> DictCodePredicate::Translate(
       if (h == heap) return t;
     }
   }
-  // Evaluate the original subtree once over the whole token domain plus
-  // the NULL sentinel (IS NULL / NOT make NULL rows pass, so the null
-  // verdict must come from the expression itself, not be assumed false).
+  auto t = std::make_shared<DictTranslation>();
+  TDE_RETURN_NOT_OK(Build(heap, t.get()));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (cache_.size() >= kMaxCachedHeaps) cache_.erase(cache_.begin());
+  cache_.emplace_back(heap, t);
+  return {std::shared_ptr<const DictTranslation>(t)};
+}
+
+Status DictCodePredicate::Build(const std::shared_ptr<const StringHeap>& heap,
+                                DictTranslation* t) const {
+  if (computation_ && heap->entry_count() > kMaxEntries) return Status::OK();
   const std::vector<Lane> domain = heap->AllTokens();
+  const uint64_t span =
+      domain.empty() ? 0 : static_cast<uint64_t>(domain.back() - domain[0]) + 1;
+  if (computation_ && span >= kMaxTokenSpan) return Status::OK();
+  // Evaluate the original subtree once over the whole token domain plus
+  // the NULL sentinel (IS NULL / NOT make NULL rows pass, and CASE or
+  // LENGTH give them a value, so the NULL entry's result must come from
+  // the expression itself, not be assumed).
   ColumnVector entries;
   entries.type = TypeId::kString;
   entries.heap = heap;
   entries.lanes = domain;
   entries.lanes.push_back(kNullSentinel);
-  TDE_ASSIGN_OR_RETURN(std::vector<ColumnVector> mask,
+  TDE_ASSIGN_OR_RETURN(std::vector<ColumnVector> result,
                        EvalPerEntry(column_, std::move(entries), {inner_}));
-  auto t = std::make_shared<DictTranslation>(
-      DictTranslation::Of(mask[0].lanes, domain.size(), domain.data()));
-  t->null_result = mask[0].lanes.back() == 1;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (cache_.size() >= kMaxCachedHeaps) cache_.erase(cache_.begin());
-  cache_.emplace_back(heap, t);
-  return {std::shared_ptr<const DictTranslation>(t)};
+  ColumnVector& v = result[0];
+  if (!computation_) {
+    *t = DictTranslation::Of(v.lanes, domain.size(), domain.data());
+    t->null_result = v.lanes.back() == 1;
+    return Status::OK();
+  }
+  // Dense over the token span: each entry's result at its token's offset,
+  // the NULL sentinel's past the span.
+  t->lo = domain.empty() ? 0 : domain[0];
+  t->hi = t->lo + static_cast<Lane>(span) - 1;
+  t->values.type = v.type;
+  t->values.heap = std::move(v.heap);
+  t->values.lanes.assign(span + 1, kNullSentinel);
+  for (size_t i = 0; i < domain.size(); ++i) {
+    t->values.lanes[static_cast<size_t>(domain[i] - t->lo)] = v.lanes[i];
+  }
+  t->values.lanes[span] = v.lanes.back();
+  return Status::OK();
 }
 
 namespace {
@@ -124,33 +167,46 @@ bool SingleColumnOf(const ExprPtr& e, std::string* name) {
   return true;
 }
 
+/// Wraps every maximal subtree of `e` that reads exactly one string
+/// column of `schema`: a boolean one as a predicate, or, for a
+/// computation, any but a bare column reference.
+ExprPtr Rewrite(const ExprPtr& e, const Schema& schema, bool computation,
+                int* rewrites) {
+  if (IsDictCodePredicate(e)) return e;  // idempotent
+  std::string col;
+  if (e->AsColumnRef() == nullptr && SingleColumnOf(e, &col)) {
+    auto fi = schema.FieldIndex(col);
+    if (fi.ok() && schema.field(fi.value()).type == TypeId::kString) {
+      auto rt = e->ResultType(schema);
+      if (rt.ok() && (computation || rt.value() == TypeId::kBool)) {
+        ++*rewrites;
+        return std::make_shared<DictCodePredicate>(col, e, computation);
+      }
+    }
+  }
+  std::vector<ExprPtr> kids = e->Children();
+  if (kids.empty()) return e;
+  bool changed = false;
+  for (ExprPtr& k : kids) {
+    ExprPtr r = Rewrite(k, schema, computation, rewrites);
+    changed = changed || r.get() != k.get();
+    k = std::move(r);
+  }
+  if (!changed) return e;
+  ExprPtr rebuilt = e->WithChildren(std::move(kids));
+  return rebuilt != nullptr ? rebuilt : e;
+}
+
 }  // namespace
 
 ExprPtr RewriteDictPredicates(const ExprPtr& pred, const Schema& schema,
                               int* rewrites) {
-  if (IsDictCodePredicate(pred)) return pred;  // idempotent
-  std::string col;
-  if (SingleColumnOf(pred, &col)) {
-    auto fi = schema.FieldIndex(col);
-    if (fi.ok() && schema.field(fi.value()).type == TypeId::kString) {
-      auto rt = pred->ResultType(schema);
-      if (rt.ok() && rt.value() == TypeId::kBool) {
-        ++*rewrites;
-        return std::make_shared<DictCodePredicate>(col, pred);
-      }
-    }
-  }
-  std::vector<ExprPtr> kids = pred->Children();
-  if (kids.empty()) return pred;
-  bool changed = false;
-  for (ExprPtr& k : kids) {
-    ExprPtr r = RewriteDictPredicates(k, schema, rewrites);
-    changed = changed || r.get() != k.get();
-    k = std::move(r);
-  }
-  if (!changed) return pred;
-  ExprPtr rebuilt = pred->WithChildren(std::move(kids));
-  return rebuilt != nullptr ? rebuilt : pred;
+  return Rewrite(pred, schema, /*computation=*/false, rewrites);
+}
+
+ExprPtr RewriteDictComputations(const ExprPtr& e, const Schema& heaps,
+                                int* rewrites) {
+  return Rewrite(e, heaps, /*computation=*/true, rewrites);
 }
 
 const DictCodePredicate* AsDictCodePredicate(const ExprPtr& e) {

@@ -4,8 +4,6 @@
 #include <numeric>
 #include <utility>
 
-#include "src/exec/compressed_predicate.h"
-
 namespace tde {
 
 namespace {
@@ -180,8 +178,8 @@ size_t BoundPredicate::NarrowCompare(const Conjunct& c, const Block& block,
 }
 
 Status BoundPredicate::Narrow(const Conjunct& c, const Block& block,
-                              bool dense, SelectionVector* sel,
-                              size_t* live) const {
+                              bool dense, SelectionVector* sel, size_t* live,
+                              expr::DictMemo* memo) const {
   uint32_t* s = sel->data();
   if (c.kind == Kind::kCompare) {
     const TypeId bt = c.rhs.column >= 0 ? block.columns[c.rhs.column].type
@@ -195,22 +193,13 @@ Status BoundPredicate::Narrow(const Conjunct& c, const Block& block,
   } else if (c.kind == Kind::kDictCode) {
     const ColumnVector& cv = block.columns[c.column];
     if (cv.type == TypeId::kString && cv.heap != nullptr) {
-      TDE_ASSIGN_OR_RETURN(std::shared_ptr<const expr::DictTranslation> t,
-                           c.dict->Translate(cv.heap));
+      TDE_ASSIGN_OR_RETURN(const expr::DictTranslation* t,
+                           c.dict->Translate(cv.heap, memo));
       const Lane* lanes = cv.lanes.data();
-      if (t->interval && !t->null_result) {
-        // The NULL sentinel sorts below every token, so the interval test
-        // alone rejects it.
-        const Lane lo = t->lo, hi = t->hi;
-        *live = Retain(dense, *live, s, [&](uint32_t r) {
-          return (lanes[r] >= lo) & (lanes[r] <= hi);
-        });
-      } else {
-        *live = Retain(dense, *live, s, [&](uint32_t r) {
-          const Lane x = lanes[r];
-          return x == kNullSentinel ? t->null_result : t->Matches(x);
-        });
-      }
+      *live = t->WithPassTest([&](auto pass) {
+        return Retain(dense, *live, s,
+                      [&](uint32_t r) { return pass(lanes[r]); });
+      });
       return Status::OK();
     }
   }
@@ -220,14 +209,18 @@ Status BoundPredicate::Narrow(const Conjunct& c, const Block& block,
   return Status::OK();
 }
 
-Status BoundPredicate::Select(const Block& block, SelectionVector* sel) const {
+Status BoundPredicate::Select(const Block& block, SelectionVector* sel,
+                              std::vector<expr::DictMemo>* memos) const {
   const size_t n = block.rows();
   sel->resize(n);
   size_t live = n;
   bool dense = true;
-  for (const Conjunct& c : conjuncts_) {
+  if (memos != nullptr) memos->resize(conjuncts_.size());
+  for (size_t i = 0; i < conjuncts_.size(); ++i) {
     if (live == 0) break;
-    TDE_RETURN_NOT_OK(Narrow(c, block, dense, sel, &live));
+    expr::DictMemo local;
+    TDE_RETURN_NOT_OK(Narrow(conjuncts_[i], block, dense, sel, &live,
+                             memos != nullptr ? &(*memos)[i] : &local));
     dense = false;
   }
   if (dense) std::iota(sel->begin(), sel->end(), 0u);
@@ -249,7 +242,7 @@ Status Filter::Next(Block* block, bool* eos) {
     if (*eos) return Status::OK();
     const size_t n = block->rows();
     if (n == 0) continue;
-    TDE_RETURN_NOT_OK(bound_->Select(*block, &sel_));
+    TDE_RETURN_NOT_OK(bound_->Select(*block, &sel_, &memos_));
     rows_in_ += n;
     rows_out_ += sel_.size();
     if (sel_.empty()) continue;

@@ -6,13 +6,10 @@
 #include <vector>
 
 #include "src/exec/block.h"
+#include "src/exec/compressed_predicate.h"
 #include "src/exec/expression.h"
 
 namespace tde {
-
-namespace expr {
-class DictCodePredicate;
-}  // namespace expr
 
 /// A predicate bound to one input schema: split into its AND conjuncts
 /// once, with column references resolved to block column indices. Select
@@ -26,7 +23,7 @@ class DictCodePredicate;
 ///    (NaN equals NaN and sorts above every number), and everything else
 ///    compares as integer lanes;
 ///  - a dictionary-code predicate tests each surviving token against its
-///    per-heap translation;
+///    per-heap translation's pass set, without a branch;
 ///  - any other conjunct is evaluated over the whole block with Eval, and
 ///    the surviving rows are those whose result lane is true.
 /// Each conjunct visits only the rows that survived the ones before it,
@@ -38,8 +35,12 @@ class BoundPredicate {
   BoundPredicate(const ExprPtr& predicate, const Schema& schema);
 
   /// Sets *sel to the ids, ascending, of the rows of `block` (any row
-  /// count) that satisfy the predicate.
-  Status Select(const Block& block, SelectionVector* sel) const;
+  /// count) that satisfy the predicate. A caller that evaluates on one
+  /// thread may pass `memos`, its own across calls: dictionary-code
+  /// conjuncts then look their translation up once per heap, not once
+  /// per block.
+  Status Select(const Block& block, SelectionVector* sel,
+                std::vector<expr::DictMemo>* memos = nullptr) const;
 
  private:
   struct Operand {
@@ -62,7 +63,8 @@ class BoundPredicate {
   /// Narrows sel[0, *live) by one conjunct; `dense` means the selection is
   /// still every row of the block (sel is not yet filled in).
   Status Narrow(const Conjunct& c, const Block& block, bool dense,
-                SelectionVector* sel, size_t* live) const;
+                SelectionVector* sel, size_t* live,
+                expr::DictMemo* memo) const;
   size_t NarrowCompare(const Conjunct& c, const Block& block, bool dense,
                        uint32_t* sel, size_t live) const;
 
@@ -93,6 +95,7 @@ class Filter : public Operator {
   std::unique_ptr<Operator> child_;
   ExprPtr predicate_;
   std::optional<BoundPredicate> bound_;
+  std::vector<expr::DictMemo> memos_;
   SelectionVector sel_;
   uint64_t rows_in_ = 0;
   uint64_t rows_out_ = 0;

@@ -82,7 +82,7 @@ Status InvisibleJoin::Select(Block* block) {
   const expr::DictTranslation& pass = map_->pass;
   if (codes.dict == nullptr) {
     if (bound_.has_value()) {
-      TDE_RETURN_NOT_OK(bound_->Select(*block, &sel_));
+      TDE_RETURN_NOT_OK(bound_->Select(*block, &sel_, &memos_));
       block->Compact(sel_);
     }
     return Status::OK();
@@ -94,12 +94,14 @@ Status InvisibleJoin::Select(Block* block) {
   const uint32_t n = static_cast<uint32_t>(codes.lanes.size());
   const Lane* code = codes.lanes.data();
   sel_.resize(n);
-  size_t kept = 0;
-  for (uint32_t r = 0; r < n; ++r) {
-    sel_[kept] = r;
-    kept += pass.interval ? (code[r] >= pass.lo) & (code[r] <= pass.hi)
-                          : pass.Matches(code[r]);
-  }
+  const size_t kept = pass.WithPassTest([&](auto passes) {
+    size_t out = 0;
+    for (uint32_t r = 0; r < n; ++r) {
+      sel_[out] = r;
+      out += passes(code[r]);
+    }
+    return out;
+  });
   sel_.resize(kept);
   block->Compact(sel_);
   return Status::OK();

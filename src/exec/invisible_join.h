@@ -67,6 +67,7 @@ class InvisibleJoin : public Operator {
   Status init_error_;
   size_t index_ = 0;  // of the joined column in the input
   std::optional<BoundPredicate> bound_;
+  std::vector<expr::DictMemo> memos_;
   SelectionVector sel_;
 };
 

@@ -12,6 +12,8 @@ Status Project::Open() {
   schema_ = Schema();
   source_.assign(cols_.size(), -1);
   move_.assign(cols_.size(), 0);
+  dict_.assign(cols_.size(), nullptr);
+  memos_.assign(cols_.size(), {});
   std::vector<char> referenced(in.num_fields(), 0);
   for (size_t i = 0; i < cols_.size(); ++i) {
     const ProjectedColumn& pc = cols_[i];
@@ -20,6 +22,7 @@ Status Project::Open() {
     if (const std::string* name = pc.expr->AsColumnRef()) {
       source_[i] = static_cast<int>(in.FieldIndex(*name).value());
     }
+    dict_[i] = expr::AsDictCodePredicate(pc.expr);
   }
   for (size_t i = cols_.size(); i-- > 0;) {
     if (source_[i] >= 0 && !referenced[source_[i]]) {
@@ -37,10 +40,13 @@ Status Project::Next(Block* block, bool* eos) {
   if (*eos) return Status::OK();
   block->columns.resize(cols_.size());
   // Computed columns first: they read `in` before any lanes move out.
+  const Schema& schema = child_->output_schema();
   for (size_t i = 0; i < cols_.size(); ++i) {
     if (source_[i] >= 0) continue;
     TDE_ASSIGN_OR_RETURN(block->columns[i],
-                         cols_[i].expr->Eval(in, child_->output_schema()));
+                         dict_[i] != nullptr
+                             ? dict_[i]->Eval(in, schema, &memos_[i])
+                             : cols_[i].expr->Eval(in, schema));
   }
   // Moves happen at each input column's last reference, after its copies.
   for (size_t i = 0; i < cols_.size(); ++i) {

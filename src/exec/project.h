@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/exec/block.h"
+#include "src/exec/compressed_predicate.h"
 #include "src/exec/expression.h"
 
 namespace tde {
@@ -20,7 +21,8 @@ struct ProjectedColumn {
 /// Flow operator: evaluates expressions over each block (the TDE's Project
 /// / computation operator). Bare column references are resolved to input
 /// columns at Open() and pass their lanes through by move (by copy only
-/// when the same input column is referenced again later).
+/// when the same input column is referenced again later). A projected
+/// dictionary-code wrapper looks its translation up once per heap.
 class Project : public Operator {
  public:
   Project(std::unique_ptr<Operator> child, std::vector<ProjectedColumn> cols);
@@ -38,6 +40,10 @@ class Project : public Operator {
   // computed column), and whether this is that input's last reference.
   std::vector<int> source_;
   std::vector<char> move_;
+  // Per output column: the dictionary-code wrapper it is, if any, and that
+  // wrapper's memo.
+  std::vector<const expr::DictCodePredicate*> dict_;
+  std::vector<expr::DictMemo> memos_;
 };
 
 }  // namespace tde

@@ -308,44 +308,52 @@ Result<BuiltPlan> BuildFilterInput(const PlanNode& filter) {
   return BuildExecutable(c);
 }
 
+/// Records `rewrites` dictionary-code wrappers lowered at `site` (the
+/// operator that evaluates them) as EXPLAIN's `site: N what` note and the
+/// query's kDictRewrites count, and returns the Close hook that shows them
+/// as the operator's `dict_rewrites`.
+OnClose NoteDictRewrites(int rewrites, const std::string& site,
+                         const std::string& what,
+                         std::vector<std::string>* notes) {
+  if (rewrites == 0) return {};
+  notes->push_back(site + ": " + std::to_string(rewrites) + " " + what);
+  const auto n = static_cast<uint64_t>(rewrites);
+  observe::QueryCount(observe::QueryCounter::kDictRewrites, n);
+  return [n](observe::OperatorStats* s) {
+    s->extras.emplace_back("dict_rewrites", n);
+  };
+}
+
 /// Rewrites eligible string-column subtrees of `pred` into dictionary-code
-/// predicates against `schema`, recording the rewrite count in metrics and
-/// in `notes` (under `site`, the operator that evaluates it). Returns
-/// `pred` unchanged when the plan opted out.
+/// predicates against `schema`, noting the rewrites (NoteDictRewrites)
+/// under `site`, and setting *on_close, when given, to the hook that shows
+/// them. Returns `pred` unchanged when the plan opted out.
 ExprPtr LowerPredicate(const ExprPtr& pred, bool compressed_eval,
                        const Schema& schema, std::vector<std::string>* notes,
-                       int* rewrites, const std::string& site = "filter") {
-  *rewrites = 0;
+                       const std::string& site = "filter",
+                       OnClose* on_close = nullptr) {
   if (!compressed_eval || pred == nullptr) return pred;
-  ExprPtr lowered = expr::RewriteDictPredicates(pred, schema, rewrites);
-  if (*rewrites > 0) {
-    notes->push_back(site + ": " + std::to_string(*rewrites) +
-                     " dictionary-code predicate(s)");
-    observe::QueryCount(observe::QueryCounter::kDictRewrites,
-                        static_cast<uint64_t>(*rewrites));
-  }
+  int rewrites = 0;
+  ExprPtr lowered = expr::RewriteDictPredicates(pred, schema, &rewrites);
+  OnClose hook = NoteDictRewrites(rewrites, site,
+                                  "dictionary-code predicate(s)", notes);
+  if (on_close != nullptr) *on_close = std::move(hook);
   return lowered;
 }
 
 Result<BuiltPlan> BuildFilter(const PlanNode& node, BuiltPlan child) {
   BuiltPlan out;
   out.notes = std::move(child.notes);
-  int dict_rewrites = 0;
+  OnClose on_close;
   ExprPtr pred =
       LowerPredicate(node.predicate, node.compressed_eval,
-                     child.op->output_schema(), &out.notes, &dict_rewrites);
+                     child.op->output_schema(), &out.notes, "filter",
+                     &on_close);
   // Filtering keeps value bounds and order but can destroy density
   // (Sect. 3.4.2: "the filter will remove an existing dense attribute").
   out.props = std::move(child.props);
   for (auto& [name, p] : out.props) p.meta.dense = false;
   out.grouped_on = child.grouped_on;
-  OnClose on_close;
-  if (dict_rewrites > 0) {
-    on_close = [dict_rewrites](observe::OperatorStats* s) {
-      s->extras.emplace_back("dict_rewrites",
-                             static_cast<uint64_t>(dict_rewrites));
-    };
-  }
   // Copies share the lowered predicate, and so its dictionary
   // translations.
   Chain(&out, std::move(child), "Filter",
@@ -356,6 +364,11 @@ Result<BuiltPlan> BuildFilter(const PlanNode& node, BuiltPlan child) {
   return out;
 }
 
+/// Lowers a projection. Computations over one string column the child has
+/// props for — a stored column reached through a scan or a join's payload,
+/// whose heap outlives the block — are evaluated once per heap entry
+/// (RewriteDictComputations). A string an expression below computed has
+/// no props, so its per-block heaps keep per-row evaluation.
 Result<BuiltPlan> BuildProject(const PlanNode& node, BuiltPlan child) {
   BuiltPlan out;
   out.notes = std::move(child.notes);
@@ -366,11 +379,27 @@ Result<BuiltPlan> BuildProject(const PlanNode& node, BuiltPlan child) {
       if (child.grouped_on == *ref) out.grouped_on = pc.name;
     }
   }
+  std::vector<ProjectedColumn> projections = node.projections;
+  OnClose on_close;
+  if (node.compressed_eval) {
+    Schema heaps;
+    for (const auto& [name, p] : child.props) {
+      if (p.type == TypeId::kString && !p.codes) heaps.AddField({name, p.type});
+    }
+    int rewrites = 0;
+    for (ProjectedColumn& pc : projections) {
+      pc.expr = expr::RewriteDictComputations(pc.expr, heaps, &rewrites);
+    }
+    on_close = NoteDictRewrites(rewrites, "project",
+                                "per-entry computation(s)", &out.notes);
+  }
+  // Copies share the lowered computations, and so their translations.
   Chain(&out, std::move(child), "Project",
-        [projections = node.projections](
+        [projections = std::move(projections)](
             std::unique_ptr<Operator> in) -> std::unique_ptr<Operator> {
           return std::make_unique<Project>(std::move(in), projections);
-        });
+        },
+        std::move(on_close));
   return out;
 }
 
@@ -634,11 +663,9 @@ Result<BuiltPlan> BuildJoinTable(const PlanNode& node, BuiltPlan child) {
   // One build per query, shared by every probe copy; its key index is
   // kept with the inner table for the queries after it.
   const std::string site = "join(" + node.join.inner_key + ")";
-  int dict_rewrites = 0;
   ExprPtr inner_pred =
       LowerPredicate(node.inner_predicate, node.compressed_eval,
-                     node.inner_table->GetSchema(), &out.notes,
-                     &dict_rewrites, site);
+                     node.inner_table->GetSchema(), &out.notes, site);
   auto build = std::make_shared<JoinBuild>(node.inner_table, node.join,
                                            inner_pred);
   if (inner_pred != nullptr) {
@@ -881,10 +908,9 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
     TDE_ASSIGN_OR_RETURN(in, BuildFilterInput(*child));
     // The same dictionary-code lowering as BuildFilter; the wrapper's
     // translation cache is mutex-guarded, so workers share it safely.
-    int dict_rewrites = 0;
     opts.transform = FilterTransform(
         LowerPredicate(child->predicate, child->compressed_eval,
-                       in.op->output_schema(), &in.notes, &dict_rewrites));
+                       in.op->output_schema(), &in.notes));
     for (auto& [name, p] : in.props) p.meta.dense = false;
   } else {
     TDE_ASSIGN_OR_RETURN(in, BuildExecutable(child));

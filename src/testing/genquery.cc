@@ -1,10 +1,13 @@
 #include "src/testing/genquery.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <set>
 #include <utility>
+
+#include "src/common/collation.h"
 
 namespace tde {
 namespace testing {
@@ -447,6 +450,7 @@ class SqlBuilder {
         return "(" + c.name + " BETWEEN " + lo + " AND " + hi + ")";
       }
       case 2: {  // IN / NOT IN
+        if (c.type == TypeId::kString && rng_->Chance(50)) return SpreadIn(c);
         std::string list = SampleLiteral(c);
         const size_t extra = 1 + rng_->U(3);
         for (size_t i = 0; i < extra; ++i) list += ", " + SampleLiteral(c);
@@ -467,6 +471,55 @@ class SqlBuilder {
         return "(" + l.name + " " + kCmp[rng_->U(6)] + " " + r.name + ")";
       }
     }
+  }
+
+  /// `s [NOT] IN (x, z)` over two values of `s` with a third between them
+  /// in collation order, so that over the column's sorted heap the pass
+  /// set is not one interval (TPC-H Q12's `l_shipmode IN ('MAIL',
+  /// 'SHIP')`).
+  std::string SpreadIn(const GenColumn& s) {
+    const auto before = [](const std::string& a, const std::string& b) {
+      return Collate(Collation::kLocale, a, b) < 0;
+    };
+    std::vector<std::string> seen;
+    const auto& rows = s.source->ref.rows;
+    for (int attempt = 0; attempt < 32; ++attempt) {
+      const RefValue& v = rows[rng_->U(rows.size())][s.source_col];
+      if (!v.null) seen.push_back(v.s);
+    }
+    std::sort(seen.begin(), seen.end(), before);
+    seen.erase(std::unique(seen.begin(), seen.end(),
+                           [&](const std::string& a, const std::string& b) {
+                             return !before(a, b) && !before(b, a);
+                           }),
+               seen.end());
+    const char* neg = rng_->Chance(25) ? " NOT" : "";
+    if (seen.size() < 3) {
+      return "(" + s.name + neg + " IN (" + SampleLiteral(s) + ", " +
+             SampleLiteral(s) + "))";
+    }
+    const size_t i = rng_->U(seen.size() - 2);
+    const size_t j = i + 2 + rng_->U(seen.size() - i - 2);
+    return "(" + s.name + neg + " IN ('" + seen[i] + "', '" + seen[j] + "'))";
+  }
+
+  /// An atom over the one string column `s`.
+  std::string StringAtom(const GenColumn& s) {
+    switch (rng_->U(4)) {
+      case 0: return "(" + s.name + " = " + SampleLiteral(s) + ")";
+      case 1: return "(" + s.name + " <> " + SampleLiteral(s) + ")";
+      case 2: return SpreadIn(s);
+      default: return "(" + s.name + " IS NULL)";
+    }
+  }
+
+  /// TPC-H Q12's flag over one string column — a fact column or, in a
+  /// join, a dimension's payload column: `CASE WHEN <atom> OR <atom> THEN
+  /// 1 ELSE 0 END`, which a projection evaluates once per heap entry.
+  std::string FlagCase() {
+    const GenColumn& s = TypedColumn(TypeId::kString);
+    return "CASE WHEN " + StringAtom(s) + " OR " + StringAtom(s) +
+           " THEN 1 ELSE 0 END";
   }
 
   std::string Predicate(int depth = 0) {
@@ -529,23 +582,25 @@ class SqlBuilder {
     }
   }
 
-  /// An aggregate input: any column, or (40%) a string computed per block
-  /// — UPPER/LOWER of a string column or a string CASE, each block's
-  /// values in a heap of their own.
+  /// An aggregate input: any column, or (40%) a computation — UPPER/LOWER
+  /// of a string column or a string CASE, each block's values in a heap of
+  /// their own unless evaluated per heap entry, or Q12's flag.
   std::string AggInput() {
     const GenColumn& c = AnyColumn();
     if (!rng_->Chance(40)) return c.name;
     const GenColumn& s = TypedColumn(TypeId::kString);
-    switch (rng_->U(3)) {
+    switch (rng_->U(4)) {
       case 0:
         if (s.type != TypeId::kString) return c.name;
         return std::string(rng_->Chance(50) ? "UPPER" : "LOWER") + "(" +
                s.name + ")";
       case 1:
         return "CASE WHEN " + Atom() + " THEN 'low' ELSE 'high' END";
-      default:  // a column's strings mixed with a literal's
+      case 2:  // a column's strings mixed with a literal's
         if (s.type != TypeId::kString) return c.name;
         return "CASE WHEN " + Atom() + " THEN " + s.name + " ELSE 'zz' END";
+      default:
+        return FlagCase();
     }
   }
 
@@ -693,6 +748,10 @@ GeneratedQuery GenerateQuery(uint64_t seed, const Dataset& fact,
         choice.sql = "COUNTD(" + b.AggInput() + ")";
         break;
       case 3: {
+        if (rng.Chance(35)) {  // Q12's SUM(CASE ... THEN 1 ELSE 0 END)
+          choice.sql = "SUM(" + b.FlagCase() + ")";
+          break;
+        }
         const GenColumn& c =
             b.TypedColumn(rng.Chance(50) ? TypeId::kInteger : TypeId::kReal);
         choice.sql = "SUM(" + c.name + ")";

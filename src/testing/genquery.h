@@ -84,8 +84,10 @@ struct GeneratedQuery {
 /// Generates one SQL statement, fully determined by `seed`, over the fact
 /// table (and the dimension tables, when joining). Coverage: filters (=,
 /// <>, <, <=, >, >=, BETWEEN, IN, NOT IN, LIKE, IS [NOT] NULL) under
-/// AND/OR/NOT, computed projections (arithmetic, date and string
-/// functions, CASE), single- and multi-key GROUP BY with every aggregate,
+/// AND/OR/NOT, string IN lists whose values are not adjacent in collation
+/// order, computed projections (arithmetic, date and string functions,
+/// CASE, TPC-H Q12's flag CASE over one fact or dimension string column as
+/// an aggregate input), single- and multi-key GROUP BY with every aggregate,
 /// HAVING, ORDER BY ASC/DESC over nullable keys, LIMIT, and fact JOIN dim
 /// joins, part of them chained on to dim2. Predicates over joins mix
 /// columns of every joined table, so filters that can move through a join

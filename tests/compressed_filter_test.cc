@@ -3,12 +3,14 @@
 // predicate shapes, while EXPLAIN ANALYZE and the metrics registry surface
 // what was pruned, skipped, and rewritten.
 
+#include <cstdio>
 #include <random>
 
 #include <gtest/gtest.h>
 
 #include "src/core/engine.h"
 #include "src/exec/compressed_predicate.h"
+#include "src/exec/scheduler.h"
 #include "src/observe/metrics.h"
 #include "src/plan/executor.h"
 #include "src/plan/strategic.h"
@@ -497,6 +499,148 @@ TEST(CompressedFilter, CaseAcrossColumnsMergesBranchHeaps) {
   EXPECT_EQ(r.value().ValueString(0, 1), "one-b");
   EXPECT_EQ(r.value().ValueString(1, 1), "two-a");
   EXPECT_EQ(r.value().ValueString(2, 1), "three-b");
+}
+
+/// Per-entry projections (Sect. 4.1.2): a computation over one stored
+/// string column — read from the scan or from a join's payload, Q12's
+/// shape — is evaluated once per heap entry and gathered by token. Answers
+/// must equal per-row evaluation (`enable_dict_predicates` off) at every
+/// pool size, NULL rows included. A computed column's per-block heaps
+/// keep per-row evaluation, and so does a stored heap past the entry
+/// bound.
+TEST(CompressedFilter, PerEntryProjectionsMatchPerRow) {
+  static const char* kVocab[] = {"a", "b", "cat", "dog", "emu"};
+  std::string facts = "id,g,k,s,w\n";
+  for (int i = 0; i < 3000; ++i) {
+    facts += std::to_string(i) + "," + std::to_string(i % 5) + "," +
+             std::to_string(i % 23) + ",";
+    if (i % 7 != 3) facts += kVocab[(i * 3) % 5];  // every 7th: NULL
+    char w[16];
+    std::snprintf(w, sizeof(w), "w%05d", i % 2000);  // 2000 distinct
+    facts += std::string(",") + (i % 11 == 5 ? "" : w) + "\n";
+  }
+  std::string dims = "dk,ds\n";
+  for (int k = 0; k < 23; ++k) {
+    dims += std::to_string(k) + ",";
+    if (k % 6 != 1) dims += kVocab[(k + 1) % 5];
+    dims += "\n";
+  }
+  Engine e;
+  ImportOptions opts;
+  opts.text.has_header = true;
+  opts.flow.segment_rows = 512;  // six morsels
+  ASSERT_TRUE(e.ImportTextBuffer(facts, "f", opts).ok());
+  ASSERT_TRUE(e.ImportTextBuffer(dims, "d", opts).ok());
+  auto f = e.database()->GetTable("f").value();
+  auto d = e.database()->GetTable("d").value();
+
+  struct Input {
+    const char* name;
+    std::function<Plan()> source;  // emits g and the string column x
+    std::string x;
+    const char* note;  // EXPLAIN's projection note, or null
+  };
+  const std::vector<Input> inputs = {
+      {"stored", [&] { return Plan::Scan(f); }, "s",
+       "project: 1 per-entry computation(s)"},
+      {"join payload",
+       [&] { return Plan::Scan(f).Join(d, {"k", "dk", {"ds"}, {}}); }, "ds",
+       "project: 1 per-entry computation(s)"},
+      {"computed per block",
+       [&] {
+         return Plan::Scan(f).Project(
+             {{Col("g"), "g"},
+              {Case({{Eq(Arith(ArithOp::kMod, Col("id"), Int(3)), Int(0)),
+                      Col("s")}},
+                    Str("b")),
+               "c"}});
+       },
+       "c", nullptr},
+      {"past the entry bound", [&] { return Plan::Scan(f); }, "w",
+       "project: 1 per-entry computation(s)"},
+  };
+  struct ShapeOf {
+    const char* name;
+    std::function<ExprPtr(const std::string&)> make;
+    AggKind agg;
+  };
+  const std::vector<ShapeOf> shapes = {
+      {"SUM(CASE x = 'a' OR x = 'b')",
+       [](const std::string& x) {
+         return Case({{Or(Eq(Col(x), Str("a")), Eq(Col(x), Str("b"))),
+                       Int(1)}},
+                     Int(0));
+       },
+       AggKind::kSum},
+      {"SUM(LENGTH(x))",
+       [](const std::string& x) { return StrF(StrFunc::kLength, Col(x)); },
+       AggKind::kSum},
+      {"COUNTD(UPPER(x))",
+       [](const std::string& x) { return StrF(StrFunc::kUpper, Col(x)); },
+       AggKind::kCountDistinct},
+      // Equal results from different entries: the per-entry heap repeats
+      // strings, and COUNTD must go by the text.
+      {"COUNTD(CASE x = 'a' OR x IS NULL THEN 'z' ELSE 'y')",
+       [](const std::string& x) {
+         return Case({{Or(Eq(Col(x), Str("a")), IsNull(Col(x))), Str("z")}},
+                     Str("y"));
+       },
+       AggKind::kCountDistinct},
+  };
+  StrategicOptions on;
+  on.enable_invisible_join = false;  // keep the Project over the scan
+  StrategicOptions off = on;
+  off.enable_dict_predicates = false;
+  TaskScheduler pool1(1), pool2(2), pool4(4);
+  for (TaskScheduler* pool : {&pool1, &pool2, &pool4}) {
+    TaskScheduler::ScopedOverride override_pool(pool);
+    for (const Input& in : inputs) {
+      for (const ShapeOf& shape : shapes) {
+        const std::string label = std::string(in.name) + " " + shape.name +
+                                  " pool " +
+                                  std::to_string(pool->workers());
+        const Plan plan =
+            in.source()
+                .Project({{Col("g"), "g"}, {shape.make(in.x), "v"}})
+                .Aggregate({"g"}, {{shape.agg, "v", "n"},
+                                   {AggKind::kCount, "v", "c"}})
+                .OrderBy({{"g", true}});
+        QueryResult got;
+        auto analyzed = ExplainAnalyzePlan(plan, &got, on);
+        ASSERT_TRUE(analyzed.ok()) << label << analyzed.status().ToString();
+        auto want = ExecutePlan(plan, off);
+        ASSERT_TRUE(want.ok()) << label << want.status().ToString();
+        ExpectIdentical(got, want.value(), label);
+        ASSERT_EQ(got.num_rows(), 5u) << label;
+        const std::string& text = analyzed.value();
+        if (in.note != nullptr) {
+          EXPECT_NE(text.find(in.note), std::string::npos) << label << text;
+          EXPECT_NE(text.find("dict_rewrites=1"), std::string::npos)
+              << label << text;
+        } else {
+          EXPECT_EQ(text.find("per-entry"), std::string::npos)
+              << label << text;
+        }
+      }
+    }
+  }
+  // What each stored heap translates to: the values for `s`, nothing past
+  // the entry bound for `w` (2000 entries), whose rows stay per row.
+  Schema heaps;
+  heaps.AddField({"s", TypeId::kString});
+  heaps.AddField({"w", TypeId::kString});
+  for (const auto& [column, tabulated] :
+       {std::make_pair("s", true), std::make_pair("w", false)}) {
+    auto col = f->ColumnByName(column).value();
+    std::shared_ptr<const StringHeap> heap(col, col->heap());
+    int rewrites = 0;
+    const ExprPtr wrapped = RewriteDictComputations(
+        StrF(StrFunc::kLength, Col(column)), heaps, &rewrites);
+    ASSERT_EQ(rewrites, 1);
+    auto t = AsDictCodePredicate(wrapped)->Translate(heap);
+    ASSERT_TRUE(t.ok());
+    EXPECT_EQ(!t.value()->values.lanes.empty(), tabulated) << column;
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 //   TDE_DIFF_SEG_ROWS   rows per segment in the segmented layout (default 256)
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -21,6 +22,7 @@
 #include "gtest/gtest.h"
 #include "src/core/engine.h"
 #include "src/exec/scheduler.h"
+#include "src/observe/metrics.h"
 #include "src/plan/strategic.h"
 #include "src/sql/parser.h"
 #include "src/testing/genquery.h"
@@ -324,6 +326,7 @@ TEST_F(DifferentialTest, RandomizedSweep) {
 
   uint64_t executed = 0;
   uint64_t chained = 0;
+  uint64_t per_entry = 0;  // executions with a per-entry projection
   int failures = 0;
   for (uint64_t seed = 1; seed <= num_seeds; ++seed) {
     const testing::GeneratedQuery q =
@@ -414,6 +417,14 @@ TEST_F(DifferentialTest, RandomizedSweep) {
 
     for (Run& run : runs) {
       ++executed;
+      if (run.result.ok() && run.result.value().stats() != nullptr) {
+        for (const std::string& note : run.result.value().stats()->notes) {
+          if (note.find("per-entry computation") != std::string::npos) {
+            ++per_entry;
+            break;
+          }
+        }
+      }
       if (!oracle_res.ok()) {
         // The oracle refused (e.g. integer overflow in SUM): the engine
         // must refuse too. Messages may differ; statuses must agree.
@@ -447,12 +458,20 @@ TEST_F(DifferentialTest, RandomizedSweep) {
   }
   RecordProperty("executions", static_cast<int>(executed));
   RecordProperty("chained_join_queries", static_cast<int>(chained));
+  RecordProperty("per_entry_executions", static_cast<int>(per_entry));
   RecordProperty("array_dictionary_columns", array_dicts_);
+  std::printf("differential: %llu executions, %llu with a per-entry "
+              "projection\n",
+              static_cast<unsigned long long>(executed),
+              static_cast<unsigned long long>(per_entry));
   EXPECT_GE(executed, num_seeds * (configs.size() * 2 + 6));
   EXPECT_GT(array_dicts_, 0);
-  // Q3-shaped fact -> dim -> dim2 chains must be part of every real sweep.
+  // Q3-shaped fact -> dim -> dim2 chains must be part of every real sweep,
+  // and so must per-entry projections (seen through the lowering notes,
+  // which only a run with stats records).
   if (num_seeds >= 100) {
     EXPECT_GT(chained, 0u);
+    if (observe::StatsEnabled()) EXPECT_GT(per_entry, 0u);
   }
 }
 

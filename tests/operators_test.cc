@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <limits>
 #include <numeric>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "src/exec/sort.h"
 #include "src/exec/table_scan.h"
 #include "src/exec/topn.h"
+#include "src/storage/heap_accelerator.h"
 #include "tests/test_util.h"
 
 namespace tde {
@@ -212,6 +214,131 @@ TEST(BoundPredicate, DictionaryCodesUseIntervalBitmapOrSortedTokens) {
     }
     EXPECT_EQ(sel, want) << pred->ToString();
     EXPECT_FALSE(want.empty()) << pred->ToString();
+  }
+}
+
+TEST(DictTranslation, EveryFormPassesExactlyItsKeys) {
+  // One translation per form, built from a mask over ascending keys, each
+  // checked against a std::set of its passing keys at the edges of its
+  // span, the NULL sentinel and the extremes, with either NULL verdict.
+  enum Form { kInterval, kBitmap, kSorted, kEmpty };
+  struct Case {
+    const char* name;
+    std::vector<Lane> keys;
+    std::vector<Lane> mask;
+    Form form;
+  };
+  const std::vector<Case> cases = {
+      {"interval", {10, 20, 30, 40, 50}, {0, 1, 1, 1, 0}, kInterval},
+      {"interval from 0", {0, 3, 7}, {1, 1, 0}, kInterval},
+      {"bitmap", {10, 20, 30, 40, 50}, {0, 1, 0, 1, 0}, kBitmap},
+      {"bitmap from 0", {0, 63, 64, 130}, {1, 0, 1, 1}, kBitmap},
+      {"sorted", {5, 1000000, 2000000000}, {1, 0, 1}, kSorted},
+      {"no key", {10, 20}, {0, 0}, kEmpty},
+  };
+  for (const Case& c : cases) {
+    DictTranslation t = DictTranslation::Of(c.mask, c.keys.size(),
+                                            c.keys.data());
+    EXPECT_EQ(t.interval, c.form == kInterval || c.form == kEmpty) << c.name;
+    EXPECT_EQ(!t.bitmap.empty(), c.form == kBitmap) << c.name;
+    EXPECT_EQ(!t.sorted.empty(), c.form == kSorted) << c.name;
+    std::set<Lane> passing;
+    for (size_t i = 0; i < c.keys.size(); ++i) {
+      if (c.mask[i] == 1) passing.insert(c.keys[i]);
+    }
+    EXPECT_EQ(t.count, passing.size()) << c.name;
+    std::vector<Lane> probes = {t.lo - 1,      t.lo,
+                                t.hi,          t.hi + 1,
+                                0,             kNullSentinel,
+                                std::numeric_limits<Lane>::max()};
+    probes.insert(probes.end(), c.keys.begin(), c.keys.end());
+    if (!t.bitmap.empty()) {  // the first bit of the zero word past hi
+      probes.push_back(t.lo + static_cast<Lane>(t.bitmap.size() - 1) * 64);
+    }
+    for (const bool null_passes : {false, true}) {
+      t.null_result = null_passes;
+      for (const Lane key : probes) {
+        const bool want = passing.count(key) > 0 ||
+                          (null_passes && key == kNullSentinel);
+        const bool got = t.WithPassTest([&](auto pass) { return pass(key); });
+        EXPECT_EQ(got, want) << c.name << " key " << key << " null passes "
+                             << null_passes;
+      }
+    }
+  }
+}
+
+TEST(DictCodePredicate, ComputationsPastTheEntryBoundStayPerRow) {
+  // A computation-form wrapper tabulates a heap of at most kMaxEntries
+  // entries whose token span is under kMaxTokenSpan; any other heap keeps
+  // an empty translation, and its rows evaluate per row. Either way Eval
+  // answers as the wrapped subtree does, NULL rows included.
+  const auto heap_of = [](size_t entries, size_t length) {
+    auto heap = std::make_shared<StringHeap>();
+    HeapAccelerator acc(heap.get());
+    std::vector<Lane> tokens;
+    for (size_t i = 0; i < entries; ++i) {
+      char w[16];
+      std::snprintf(w, sizeof(w), "w%05zu", i);
+      tokens.push_back(acc.Add(std::string(w) + std::string(length, 'x')));
+    }
+    return std::make_pair(std::shared_ptr<const StringHeap>(heap), tokens);
+  };
+  Schema schema;
+  schema.AddField({"s", TypeId::kString});
+  Schema heaps = schema;
+  struct HeapCase {
+    const char* name;
+    size_t entries, length;
+    bool tabulated;
+  };
+  const std::vector<HeapCase> cases = {
+      {"small", 40, 0, true},
+      {"one block of entries", DictCodePredicate::kMaxEntries, 0, true},
+      {"past the entry bound", DictCodePredicate::kMaxEntries + 1, 0, false},
+      {"past the span bound", 700, 100, false},
+  };
+  const std::vector<ExprPtr> computations = {
+      StrF(StrFunc::kLength, Col("s")),
+      Case({{Or(Eq(Col("s"), Str("w00001")), Eq(Col("s"), Str("w00003"))),
+             Int(1)}},
+           Int(0)),
+      StrF(StrFunc::kUpper, Col("s"))};
+  for (const HeapCase& c : cases) {
+    auto [heap, tokens] = heap_of(c.entries, c.length);
+    Block block;
+    block.columns.resize(1);
+    block.columns[0].type = TypeId::kString;
+    block.columns[0].heap = heap;
+    for (size_t r = 0; r < kBlockSize; ++r) {
+      block.columns[0].lanes.push_back(
+          r % 9 == 0 ? kNullSentinel : tokens[(r * 7) % tokens.size()]);
+    }
+    for (const ExprPtr& e : computations) {
+      int rewrites = 0;
+      const ExprPtr wrapped = RewriteDictComputations(e, heaps, &rewrites);
+      ASSERT_EQ(rewrites, 1) << e->ToString();
+      const DictCodePredicate* d = AsDictCodePredicate(wrapped);
+      ASSERT_NE(d, nullptr);
+      auto t = d->Translate(heap);
+      ASSERT_TRUE(t.ok());
+      EXPECT_EQ(!t.value()->values.lanes.empty(), c.tabulated)
+          << c.name << " " << e->ToString();
+      auto got = wrapped->Eval(block, schema);
+      auto want = e->Eval(block, schema);
+      ASSERT_TRUE(got.ok() && want.ok());
+      ASSERT_EQ(got.value().type, want.value().type);
+      for (size_t r = 0; r < block.rows(); ++r) {
+        const Lane g = got.value().lanes[r], w = want.value().lanes[r];
+        if (want.value().type == TypeId::kString && w != kNullSentinel) {
+          ASSERT_NE(g, kNullSentinel);
+          EXPECT_EQ(got.value().heap->Get(g), want.value().heap->Get(w))
+              << c.name << " row " << r;
+        } else {
+          EXPECT_EQ(g, w) << c.name << " " << e->ToString() << " row " << r;
+        }
+      }
+    }
   }
 }
 

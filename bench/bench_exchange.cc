@@ -37,8 +37,8 @@ RunResult RunOnce(const std::shared_ptr<Table>& table, bool ordered) {
   opts.enable_rank_join = false;
   opts.enable_invisible_join = false;
   opts.enforce_order_preserving_exchange = false;  // measure both ways
-  auto built = BuildExecutable(
-      StrategicOptimize(plan.root(), opts).MoveValue());
+  auto built =
+      BuildExecutable(StrategicOptimize(plan.root(), opts).MoveValue(), opts);
   if (!built.ok()) {
     std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
     std::exit(1);

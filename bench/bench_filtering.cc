@@ -68,13 +68,14 @@ PlanNodePtr MakePlan(int plan, const std::shared_ptr<Table>& table,
   return agg;
 }
 
-double RunPlan(const PlanNodePtr& root, uint64_t* rows,
-               std::string* operators = nullptr) {
+/// Runs `root`, lowered under the `options` it was optimized under.
+double RunPlan(const PlanNodePtr& root, const StrategicOptions& options,
+               uint64_t* rows, std::string* operators = nullptr) {
   // Average of 3 runs (paper: 12 with extremes discarded).
   double total = 0;
   for (int i = 0; i < 3; ++i) {
     bench::Timer t;
-    auto r = ExecutePlanNode(root);
+    auto r = ExecutePlanNode(root, options);
     if (!r.ok()) {
       std::fprintf(stderr, "plan failed: %s\n", r.status().ToString().c_str());
       std::exit(1);
@@ -136,8 +137,12 @@ void RunTable(const char* label, uint64_t rows, bench::JsonReport* report) {
       uint64_t out_rows = 0;
       for (int plan = 1; plan <= 3; ++plan) {
         auto root = MakePlan(plan, table, index_col, other, sel);
+        // Plan 1 is optimized under DecodeThenFilterOptions; plans 2 and 3
+        // are built by hand.
+        const StrategicOptions options =
+            plan == 1 ? DecodeThenFilterOptions() : StrategicOptions{};
         std::string operators = "null";
-        ms[plan] = RunPlan(root, &out_rows, &operators) * 1000;
+        ms[plan] = RunPlan(root, options, &out_rows, &operators) * 1000;
         if (report->enabled()) {
           char head[192];
           std::snprintf(head, sizeof(head),
@@ -224,8 +229,9 @@ void RunCompressedPredicates(uint64_t rows, bench::JsonReport* report) {
             .MoveValue();
     auto compressed = StrategicOptimize(make().root(), c.on).MoveValue();
     uint64_t control_rows = 0, compressed_rows = 0;
-    const double decode_ms = RunPlan(control, &control_rows) * 1000;
-    const double comp_ms = RunPlan(compressed, &compressed_rows) * 1000;
+    const double decode_ms =
+        RunPlan(control, DecodeThenFilterOptions(), &control_rows) * 1000;
+    const double comp_ms = RunPlan(compressed, c.on, &compressed_rows) * 1000;
     if (control_rows != compressed_rows) {
       std::fprintf(stderr, "row mismatch: %llu vs %llu\n",
                    static_cast<unsigned long long>(control_rows),
@@ -299,8 +305,10 @@ void RunZoneMapPruning(uint64_t rows, bench::JsonReport* report) {
       return StrategicOptimize(p.root()).MoveValue();
     };
     uint64_t mono_rows = 0, seg_rows = 0;
-    const double mono_ms = RunPlan(make(mono), &mono_rows) * 1000;
-    const double seg_ms = RunPlan(make(seg), &seg_rows) * 1000;
+    const double mono_ms =
+        RunPlan(make(mono), StrategicOptions{}, &mono_rows) * 1000;
+    const double seg_ms =
+        RunPlan(make(seg), StrategicOptions{}, &seg_rows) * 1000;
     if (mono_rows != seg_rows) {
       std::fprintf(stderr, "row mismatch: %llu vs %llu\n",
                    static_cast<unsigned long long>(mono_rows),

@@ -39,14 +39,11 @@ std::shared_ptr<Table> DailyTable(uint64_t rows) {
 
 double RowLevelRollup(const std::shared_ptr<Table>& table, uint64_t* groups) {
   bench::Timer t;
-  auto r = ExecutePlanNode(
-      StrategicOptimize(
-          Plan::Scan(table)
-              .Project({{DateF(DateFunc::kTruncMonth, Col("day")), "m"},
-                        {Col("value"), "value"}})
-              .Aggregate({"m"}, {{AggKind::kSum, "value", "total"}})
-              .root())
-          .MoveValue());
+  auto r = ExecutePlan(
+      Plan::Scan(table)
+          .Project({{DateF(DateFunc::kTruncMonth, Col("day")), "m"},
+                    {Col("value"), "value"}})
+          .Aggregate({"m"}, {{AggKind::kSum, "value", "total"}}));
   if (!r.ok()) std::exit(1);
   *groups = r.value().num_rows();
   return t.Seconds();
@@ -106,13 +103,9 @@ double DictGroupBy(const std::shared_ptr<Table>& table, bool compressed,
   StrategicOptions opts;
   opts.enable_dict_grouping = compressed;
   bench::Timer t;
-  auto r = ExecutePlanNode(
-      StrategicOptimize(Plan::Scan(table)
-                            .Aggregate({"s"}, {{AggKind::kSum, "value",
-                                                "total"}})
-                            .root(),
-                        opts)
-          .MoveValue());
+  auto r = ExecutePlan(
+      Plan::Scan(table).Aggregate({"s"}, {{AggKind::kSum, "value", "total"}}),
+      opts);
   if (!r.ok()) std::exit(1);
   *groups = r.value().num_rows();
   return t.Seconds();
@@ -123,14 +116,10 @@ double RunSumCount(const std::shared_ptr<Table>& table, bool compressed,
   StrategicOptions opts;
   opts.enable_run_aggregation = compressed;
   bench::Timer t;
-  auto r = ExecutePlanNode(
-      StrategicOptimize(Plan::Scan(table)
-                            .Aggregate({"g"}, {{AggKind::kSum, "g", "total"},
-                                               {AggKind::kCountStar, "",
-                                                "n"}})
-                            .root(),
-                        opts)
-          .MoveValue());
+  auto r = ExecutePlan(
+      Plan::Scan(table).Aggregate({"g"}, {{AggKind::kSum, "g", "total"},
+                                          {AggKind::kCountStar, "", "n"}}),
+      opts);
   if (!r.ok()) std::exit(1);
   *groups = r.value().num_rows();
   return t.Seconds();

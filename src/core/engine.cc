@@ -103,13 +103,7 @@ Result<QueryResult> Engine::Execute(const Plan& plan,
   // AppendRows (exclusive) can never mutate a column mid-query, and
   // concurrent queries proceed in parallel on the shared pool.
   std::shared_lock<std::shared_mutex> read(*exec_mu_);
-  // StrategicOptimize rewrites nodes in place (predicates reassigned, scan
-  // column lists narrowed, rewrite flags cleared), so optimize a private
-  // deep copy: the caller's plan stays pristine and can be re-executed,
-  // possibly under different options.
-  TDE_ASSIGN_OR_RETURN(PlanNodePtr optimized,
-                       StrategicOptimize(ClonePlan(plan.root()), strategic));
-  return ExecutePlanNode(optimized);
+  return ExecutePlan(plan, strategic);
 }
 
 namespace {

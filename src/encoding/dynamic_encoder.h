@@ -13,8 +13,8 @@ struct DynamicEncoderOptions {
   /// stream and no statistics are gathered (the paper's "encoding off"
   /// baseline configuration).
   bool enable_encodings = true;
-  /// Bitmask of admissible encodings (EncodingMask). The strategic
-  /// optimizer passes kAllowRandomAccess for hash-join inner sides.
+  /// Bitmask of admissible encodings (EncodingMask); narrowed to
+  /// kAllowUncompressed when encodings are disabled.
   uint32_t allowed = kAllowAll;
   /// Extra packing bits beyond what the observed data requires, so modest
   /// drift does not immediately force a re-encode.

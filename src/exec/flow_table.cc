@@ -101,8 +101,7 @@ ColumnBuildInput GatherColumn(const Field& field, size_t i,
   if (in.type == TypeId::kString) {
     in.heap = std::make_shared<StringHeap>();
     if (options.heap_acceleration) {
-      accel = std::make_unique<HeapAccelerator>(in.heap.get(),
-                                                options.accelerator_threshold);
+      accel = std::make_unique<HeapAccelerator>(in.heap.get());
     }
   }
   for (Block& block : *blocks) {
@@ -138,7 +137,6 @@ Result<std::shared_ptr<Column>> BuildColumn(
     observe::ColumnImportStats* stats_out) {
   DynamicEncoderOptions enc;
   enc.enable_encodings = options.enable_encodings;
-  enc.allowed = options.allowed;
   enc.width = 8;
   enc.sign_extend = in.type != TypeId::kString && IsSignedType(in.type);
   enc.prefer_dictionary = in.type == TypeId::kString;

@@ -15,14 +15,8 @@ namespace tde {
 struct FlowTableOptions {
   /// Apply lightweight encodings (off = the paper's baseline config).
   bool enable_encodings = true;
-  /// Admissible encodings (EncodingMask); the strategic optimizer passes
-  /// kAllowRandomAccess for hash-join inner sides (Sect. 4.3).
-  uint32_t allowed = kAllowAll;
   /// Maintain the heap accelerator for string columns (Sect. 5.1.4).
   bool heap_acceleration = true;
-  /// Element count past which the accelerator gives up hashing (the TDE
-  /// uses 2^31; configurable for tests and memory budgets).
-  uint64_t accelerator_threshold = uint64_t{1} << 31;
   /// Run the post-processing manipulations of Sect. 3.4: type narrowing,
   /// heap sorting for dictionary-encoded string columns, metadata
   /// extraction.

@@ -149,7 +149,7 @@ Result<ParallelRollupResult> ParallelIndexedAggregate(
   // each partition folds its runs in O(1) per entry instead of expanding
   // rows through IndexedScan. Values within a partition are sorted, so
   // first-occurrence group order equals the ordered-aggregate order.
-  bool foldable = options.fold_runs && options.value_type != TypeId::kReal;
+  bool foldable = options.value_type != TypeId::kReal;
   for (const AggSpec& a : options.aggs) {
     if (a.kind == AggKind::kCountStar) continue;
     if (a.input != options.value_name ||

@@ -36,11 +36,6 @@ struct ParallelRollupOptions {
   /// so one query cannot monopolize the pool
   /// (TaskScheduler::SuggestedQueryParallelism).
   int workers = 0;
-  /// When every aggregate reads the index value itself (or is COUNT(*)),
-  /// fold whole runs in O(1) per index entry instead of expanding rows
-  /// through IndexedScan. Kill switch mirrors
-  /// StrategicOptions::enable_run_aggregation.
-  bool fold_runs = true;
 };
 
 struct ParallelRollupResult {

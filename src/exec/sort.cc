@@ -102,7 +102,7 @@ void Sort::SortOrder() {
   TaskScheduler& sched = TaskScheduler::Global();
   const uint64_t workers =
       static_cast<uint64_t>(sched.SuggestedQueryParallelism());
-  if (!options_.parallel || n < kParallelSortMinRows || workers < 2) {
+  if (n < kParallelSortMinRows || workers < 2) {
     std::stable_sort(order_.begin(), order_.end(), cmp);
     return;
   }

@@ -21,9 +21,6 @@ struct SortOptions {
   /// cache. Off = per-comparison CompareTokens (the enable_dict_sort kill
   /// switch).
   bool dict_sort = true;
-  /// Sort contiguous chunks on the shared scheduler and merge, when the
-  /// input is large enough and the pool has more than one worker.
-  bool parallel = true;
 };
 
 /// Stop-and-go sort. String keys compare through the heap: an integer

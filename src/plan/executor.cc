@@ -300,12 +300,13 @@ Result<BuiltPlan> BuildScan(const PlanNode& node,
 /// under the filter is handed its predicate, and segments whose zone maps
 /// prove it false are never visited — their blobs never fault in on the
 /// lazy v3 path.
-Result<BuiltPlan> BuildFilterInput(const PlanNode& filter) {
+Result<BuiltPlan> BuildFilterInput(const PlanNode& filter,
+                                   const StrategicOptions& options) {
   const PlanNodePtr& c = filter.children[0];
   if (c->kind == PlanNodeKind::kScan && c->table != nullptr) {
     return BuildScan(*c, filter.predicate);
   }
-  return BuildExecutable(c);
+  return BuildExecutable(c, options);
 }
 
 /// Records `rewrites` dictionary-code wrappers lowered at `site` (the
@@ -327,12 +328,12 @@ OnClose NoteDictRewrites(int rewrites, const std::string& site,
 /// Rewrites eligible string-column subtrees of `pred` into dictionary-code
 /// predicates against `schema`, noting the rewrites (NoteDictRewrites)
 /// under `site`, and setting *on_close, when given, to the hook that shows
-/// them. Returns `pred` unchanged when the plan opted out.
-ExprPtr LowerPredicate(const ExprPtr& pred, bool compressed_eval,
+/// them. Returns `pred` unchanged when dictionary-code predicates are off.
+ExprPtr LowerPredicate(const ExprPtr& pred, const StrategicOptions& options,
                        const Schema& schema, std::vector<std::string>* notes,
                        const std::string& site = "filter",
                        OnClose* on_close = nullptr) {
-  if (!compressed_eval || pred == nullptr) return pred;
+  if (!options.enable_dict_predicates || pred == nullptr) return pred;
   int rewrites = 0;
   ExprPtr lowered = expr::RewriteDictPredicates(pred, schema, &rewrites);
   OnClose hook = NoteDictRewrites(rewrites, site,
@@ -341,14 +342,14 @@ ExprPtr LowerPredicate(const ExprPtr& pred, bool compressed_eval,
   return lowered;
 }
 
-Result<BuiltPlan> BuildFilter(const PlanNode& node, BuiltPlan child) {
+Result<BuiltPlan> BuildFilter(const PlanNode& node, BuiltPlan child,
+                              const StrategicOptions& options) {
   BuiltPlan out;
   out.notes = std::move(child.notes);
   OnClose on_close;
-  ExprPtr pred =
-      LowerPredicate(node.predicate, node.compressed_eval,
-                     child.op->output_schema(), &out.notes, "filter",
-                     &on_close);
+  ExprPtr pred = LowerPredicate(node.predicate, options,
+                                child.op->output_schema(), &out.notes,
+                                "filter", &on_close);
   // Filtering keeps value bounds and order but can destroy density
   // (Sect. 3.4.2: "the filter will remove an existing dense attribute").
   out.props = std::move(child.props);
@@ -369,7 +370,8 @@ Result<BuiltPlan> BuildFilter(const PlanNode& node, BuiltPlan child) {
 /// whose heap outlives the block — are evaluated once per heap entry
 /// (RewriteDictComputations). A string an expression below computed has
 /// no props, so its per-block heaps keep per-row evaluation.
-Result<BuiltPlan> BuildProject(const PlanNode& node, BuiltPlan child) {
+Result<BuiltPlan> BuildProject(const PlanNode& node, BuiltPlan child,
+                               const StrategicOptions& options) {
   BuiltPlan out;
   out.notes = std::move(child.notes);
   for (const ProjectedColumn& pc : node.projections) {
@@ -381,7 +383,7 @@ Result<BuiltPlan> BuildProject(const PlanNode& node, BuiltPlan child) {
   }
   std::vector<ProjectedColumn> projections = node.projections;
   OnClose on_close;
-  if (node.compressed_eval) {
+  if (options.enable_dict_predicates) {
     Schema heaps;
     for (const auto& [name, p] : child.props) {
       if (p.type == TypeId::kString && !p.codes) heaps.AddField({name, p.type});
@@ -403,8 +405,10 @@ Result<BuiltPlan> BuildProject(const PlanNode& node, BuiltPlan child) {
   return out;
 }
 
-Result<BuiltPlan> BuildAggregate(const PlanNode& node, BuiltPlan child) {
+Result<BuiltPlan> BuildAggregate(const PlanNode& node, BuiltPlan child,
+                                 const StrategicOptions& options) {
   AggregateOptions agg = node.agg;
+  agg.dict_code_keys = options.enable_dict_grouping;
   BuiltPlan out;
   out.notes = std::move(child.notes);
   // Dictionary-code grouping engages per string key (the operator decides
@@ -645,7 +649,8 @@ Result<BuiltPlan> BuildRunFoldAggregate(const PlanNode& node) {
   return out;
 }
 
-Result<BuiltPlan> BuildJoinTable(const PlanNode& node, BuiltPlan child) {
+Result<BuiltPlan> BuildJoinTable(const PlanNode& node, BuiltPlan child,
+                                 const StrategicOptions& options) {
   BuiltPlan out;
   out.notes = std::move(child.notes);
   {
@@ -664,7 +669,7 @@ Result<BuiltPlan> BuildJoinTable(const PlanNode& node, BuiltPlan child) {
   // kept with the inner table for the queries after it.
   const std::string site = "join(" + node.join.inner_key + ")";
   ExprPtr inner_pred =
-      LowerPredicate(node.inner_predicate, node.compressed_eval,
+      LowerPredicate(node.inner_predicate, options,
                      node.inner_table->GetSchema(), &out.notes, site);
   auto build = std::make_shared<JoinBuild>(node.inner_table, node.join,
                                            inner_pred);
@@ -694,7 +699,8 @@ Result<BuiltPlan> BuildJoinTable(const PlanNode& node, BuiltPlan child) {
 /// scan, which emits the joined column as dense codes and is zone-map
 /// pruned by the pushed predicate. The code map is built here, once per
 /// query, and shared by every morsel copy of the join.
-Result<BuiltPlan> BuildInvisibleJoin(const PlanNode& node) {
+Result<BuiltPlan> BuildInvisibleJoin(const PlanNode& node,
+                                     const StrategicOptions& options) {
   const PlanNode& scan = *node.children[0];
   if (scan.kind != PlanNodeKind::kScan) {
     return {Status::Internal("invisible join child must be a scan")};
@@ -739,7 +745,7 @@ Result<BuiltPlan> BuildInvisibleJoin(const PlanNode& node) {
   }
   // Blocks that arrive without codes filter the way a Filter does.
   ExprPtr row_pred = node.inner_predicate;
-  if (row_pred != nullptr && node.compressed_eval) {
+  if (row_pred != nullptr && options.enable_dict_predicates) {
     int rewrites = 0;
     row_pred = expr::RewriteDictPredicates(row_pred, in, &rewrites);
   }
@@ -894,7 +900,8 @@ BlockTransform FilterTransform(ExprPtr pred) {
 /// round robin to at most `workers` partitions, each a copy of the input
 /// chain drained by its own task, so workers share no input queue.
 /// Otherwise one producer task reads the input and fans its blocks out.
-Result<BuiltPlan> BuildExchange(const PlanNode& node) {
+Result<BuiltPlan> BuildExchange(const PlanNode& node,
+                                const StrategicOptions& options) {
   const PlanNodePtr& child = node.children[0];
   ExchangeOptions opts;
   // <= 0 means "size from the shared pool": half the pool per query, so
@@ -905,15 +912,14 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
   opts.order_preserving = node.order_preserving;
   BuiltPlan in;
   if (child->kind == PlanNodeKind::kFilter) {
-    TDE_ASSIGN_OR_RETURN(in, BuildFilterInput(*child));
+    TDE_ASSIGN_OR_RETURN(in, BuildFilterInput(*child, options));
     // The same dictionary-code lowering as BuildFilter; the wrapper's
     // translation cache is mutex-guarded, so workers share it safely.
-    opts.transform = FilterTransform(
-        LowerPredicate(child->predicate, child->compressed_eval,
-                       in.op->output_schema(), &in.notes));
+    opts.transform = FilterTransform(LowerPredicate(
+        child->predicate, options, in.op->output_schema(), &in.notes));
     for (auto& [name, p] : in.props) p.meta.dense = false;
   } else {
-    TDE_ASSIGN_OR_RETURN(in, BuildExecutable(child));
+    TDE_ASSIGN_OR_RETURN(in, BuildExecutable(child, options));
   }
   BuiltPlan out;
   out.notes = std::move(in.notes);
@@ -990,18 +996,19 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node) {
   return out;
 }
 
-/// Lowers kTopN. Directly over a segmented scan (with sort_pruning on and
+/// Lowers kTopN. Directly over a segmented scan (with sort pruning on and
 /// a lane-comparable first key) the scan is cut at the key's segments and
 /// each morsel becomes one source carrying the key's zone: once the heap
 /// is full, TopN skips — never opens, never faults — sources whose best
 /// possible row cannot beat the current worst. Otherwise one source over
 /// the lowered child, with a sorted-input short-circuit when the child is
 /// already ordered on the first key.
-Result<BuiltPlan> BuildTopN(const PlanNode& node) {
+Result<BuiltPlan> BuildTopN(const PlanNode& node,
+                            const StrategicOptions& options) {
   const std::string key0 =
       node.sort_keys.empty() ? std::string() : node.sort_keys[0].column;
   const PlanNode& scan = *node.children[0];
-  bool zoned = node.sort_pruning && !key0.empty() &&
+  bool zoned = options.enable_sort_pruning && !key0.empty() &&
                scan.kind == PlanNodeKind::kScan && scan.table != nullptr &&
                scan.code_columns.empty() &&
                (scan.columns.empty() ||
@@ -1015,13 +1022,13 @@ Result<BuiltPlan> BuildTopN(const PlanNode& node) {
   if (zoned) {
     TDE_ASSIGN_OR_RETURN(in, BuildScan(scan, nullptr, "", key0));
   } else {
-    TDE_ASSIGN_OR_RETURN(in, BuildExecutable(node.children[0]));
+    TDE_ASSIGN_OR_RETURN(in, BuildExecutable(node.children[0], options));
   }
   BuiltPlan out;
   out.notes = std::move(in.notes);
   out.props = std::move(in.props);
   TopNOptions topts;
-  topts.dict_sort = node.dict_sort;
+  topts.dict_sort = options.enable_dict_sort;
   std::vector<TopNSource> sources;
   const auto morsel_stats = std::make_shared<MorselStats>();
   const auto key = key0.empty() ? out.props.end() : out.props.find(key0);
@@ -1091,17 +1098,19 @@ Result<BuiltPlan> BuildTopN(const PlanNode& node) {
 
 }  // namespace
 
-Result<BuiltPlan> BuildExecutable(const PlanNodePtr& node) {
+Result<BuiltPlan> BuildExecutable(const PlanNodePtr& node,
+                                  const StrategicOptions& options) {
   switch (node->kind) {
     case PlanNodeKind::kScan:
       return BuildScan(*node);
     case PlanNodeKind::kFilter: {
-      TDE_ASSIGN_OR_RETURN(BuiltPlan child, BuildFilterInput(*node));
-      return BuildFilter(*node, std::move(child));
+      TDE_ASSIGN_OR_RETURN(BuiltPlan child, BuildFilterInput(*node, options));
+      return BuildFilter(*node, std::move(child), options);
     }
     case PlanNodeKind::kProject: {
-      TDE_ASSIGN_OR_RETURN(BuiltPlan child, BuildExecutable(node->children[0]));
-      return BuildProject(*node, std::move(child));
+      TDE_ASSIGN_OR_RETURN(BuiltPlan child,
+                           BuildExecutable(node->children[0], options));
+      return BuildProject(*node, std::move(child), options);
     }
     case PlanNodeKind::kAggregate: {
       if (node->metadata_answered) return BuildMetadataAggregate(*node);
@@ -1109,11 +1118,13 @@ Result<BuiltPlan> BuildExecutable(const PlanNodePtr& node) {
           node->children[0]->kind == PlanNodeKind::kIndexedScan) {
         return BuildRunFoldAggregate(*node);
       }
-      TDE_ASSIGN_OR_RETURN(BuiltPlan child, BuildExecutable(node->children[0]));
-      return BuildAggregate(*node, std::move(child));
+      TDE_ASSIGN_OR_RETURN(BuiltPlan child,
+                           BuildExecutable(node->children[0], options));
+      return BuildAggregate(*node, std::move(child), options);
     }
     case PlanNodeKind::kSort: {
-      TDE_ASSIGN_OR_RETURN(BuiltPlan child, BuildExecutable(node->children[0]));
+      TDE_ASSIGN_OR_RETURN(BuiltPlan child,
+                           BuildExecutable(node->children[0], options));
       BuiltPlan out;
       out.notes = std::move(child.notes);
       out.props = std::move(child.props);
@@ -1123,7 +1134,7 @@ Result<BuiltPlan> BuildExecutable(const PlanNodePtr& node) {
         if (it != out.props.end()) it->second.meta.sorted = true;
       }
       SortOptions sopts;
-      sopts.dict_sort = node->dict_sort;
+      sopts.dict_sort = options.enable_dict_sort;
       auto sort = std::make_unique<Sort>(std::move(child.op), node->sort_keys,
                                          sopts);
       // The wrapper owns the operator, so the raw pointer outlives Close.
@@ -1152,17 +1163,19 @@ Result<BuiltPlan> BuildExecutable(const PlanNodePtr& node) {
       return out;
     }
     case PlanNodeKind::kJoinTable: {
-      TDE_ASSIGN_OR_RETURN(BuiltPlan child, BuildExecutable(node->children[0]));
-      return BuildJoinTable(*node, std::move(child));
+      TDE_ASSIGN_OR_RETURN(BuiltPlan child,
+                           BuildExecutable(node->children[0], options));
+      return BuildJoinTable(*node, std::move(child), options);
     }
     case PlanNodeKind::kInvisibleJoin:
-      return BuildInvisibleJoin(*node);
+      return BuildInvisibleJoin(*node, options);
     case PlanNodeKind::kIndexedScan: {
       bool grouped = false;
       return BuildIndexedScan(*node, &grouped);
     }
     case PlanNodeKind::kLimit: {
-      TDE_ASSIGN_OR_RETURN(BuiltPlan child, BuildExecutable(node->children[0]));
+      TDE_ASSIGN_OR_RETURN(BuiltPlan child,
+                           BuildExecutable(node->children[0], options));
       BuiltPlan out;
       out.notes = std::move(child.notes);
       out.props = std::move(child.props);
@@ -1187,11 +1200,12 @@ Result<BuiltPlan> BuildExecutable(const PlanNodePtr& node) {
       return out;
     }
     case PlanNodeKind::kTopN:
-      return BuildTopN(*node);
+      return BuildTopN(*node, options);
     case PlanNodeKind::kExchange:
-      return BuildExchange(*node);
+      return BuildExchange(*node, options);
     case PlanNodeKind::kMaterialize: {
-      TDE_ASSIGN_OR_RETURN(BuiltPlan child, BuildExecutable(node->children[0]));
+      TDE_ASSIGN_OR_RETURN(BuiltPlan child,
+                           BuildExecutable(node->children[0], options));
       BuiltPlan out;
       out.notes = std::move(child.notes);
       out.op = std::make_unique<FlowTable>(std::move(child.op), node->flow);
@@ -1275,11 +1289,12 @@ uint64_t PlanFingerprint(const PlanNodePtr& root) {
 
 }  // namespace
 
-Result<QueryResult> ExecutePlanNode(const PlanNodePtr& root) {
+Result<QueryResult> ExecutePlanNode(const PlanNodePtr& root,
+                                    const StrategicOptions& options) {
   if (!observe::StatsEnabled()) {
     // Stats-off hot path: no scope, no journal, no fingerprint — identical
     // to the pre-journal executor (the overhead-measurement mode).
-    TDE_ASSIGN_OR_RETURN(BuiltPlan built, BuildExecutable(root));
+    TDE_ASSIGN_OR_RETURN(BuiltPlan built, BuildExecutable(root, options));
     observe::TraceSpan span("execute", "query");
     std::vector<Block> blocks;
     TDE_RETURN_NOT_OK(DrainOperator(built.op.get(), &blocks));
@@ -1323,7 +1338,7 @@ Result<QueryResult> ExecutePlanNode(const PlanNodePtr& root) {
     journal.Record(std::move(entry));
   };
 
-  Result<BuiltPlan> build = BuildExecutable(root);
+  Result<BuiltPlan> build = BuildExecutable(root, options);
   if (!build.ok()) {
     finish(false, 0);
     return build.status();
@@ -1390,13 +1405,14 @@ std::string QueryResult::ToCsv() const {
 }
 
 // StrategicOptimize rewrites nodes in place, so both entry points optimize
-// a private deep copy (as Engine::Execute does): the caller's plan stays
-// pristine and can be explained, executed or re-optimized afterwards.
+// a private deep copy: the caller's plan stays pristine and can be
+// explained, executed or re-optimized afterwards. Each lowers under the
+// options it optimized under.
 Result<std::string> ExplainPlan(const Plan& plan,
                                 const StrategicOptions& options) {
   TDE_ASSIGN_OR_RETURN(PlanNodePtr optimized,
                        StrategicOptimize(ClonePlan(plan.root()), options));
-  TDE_ASSIGN_OR_RETURN(BuiltPlan built, BuildExecutable(optimized));
+  TDE_ASSIGN_OR_RETURN(BuiltPlan built, BuildExecutable(optimized, options));
   std::string out = PlanToString(optimized);
   if (!built.notes.empty()) {
     out += "tactical decisions:\n";
@@ -1411,7 +1427,7 @@ Result<QueryResult> ExecutePlan(const Plan& plan,
                                 const StrategicOptions& options) {
   TDE_ASSIGN_OR_RETURN(PlanNodePtr optimized,
                        StrategicOptimize(ClonePlan(plan.root()), options));
-  return ExecutePlanNode(optimized);
+  return ExecutePlanNode(optimized, options);
 }
 
 Result<std::string> ExplainAnalyzePlan(const Plan& plan, QueryResult* result,

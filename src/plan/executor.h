@@ -54,8 +54,12 @@ struct BuiltPlan {
 
 /// Lowers a logical plan to an executable operator tree, making tactical
 /// decisions (join strategy, hash algorithm, ordered aggregation, index
-/// sorting) from derived metadata.
-Result<BuiltPlan> BuildExecutable(const PlanNodePtr& node);
+/// sorting) from derived metadata. `options` are the ones the plan was
+/// optimized under: their dictionary-predicate, dictionary-grouping,
+/// dictionary-sort and sort-pruning switches decide which compressed-domain
+/// lowerings apply.
+Result<BuiltPlan> BuildExecutable(const PlanNodePtr& node,
+                                  const StrategicOptions& options = {});
 
 /// A fully materialized query result.
 class QueryResult {
@@ -101,13 +105,15 @@ class QueryResult {
 /// plan.
 Result<QueryResult> ExecutePlan(const Plan& plan,
                                 const StrategicOptions& options = {});
-/// Runs an already-optimized plan tree.
-Result<QueryResult> ExecutePlanNode(const PlanNodePtr& root);
+/// Lowers (under the `options` it was optimized under) and runs an
+/// already-optimized plan tree.
+Result<QueryResult> ExecutePlanNode(const PlanNodePtr& root,
+                                    const StrategicOptions& options);
 
 /// EXPLAIN: the plan tree as optimized under `options` plus the tactical
 /// decisions the executor would make (join strategy, hash algorithm,
-/// index ordering). Lowers the plan — building inner dictionary tables
-/// and indexes — but does not run it.
+/// index ordering). Lowers the plan — building invisible joins' code maps
+/// and indexed scans' run indexes — but does not run it.
 Result<std::string> ExplainPlan(const Plan& plan,
                                 const StrategicOptions& options = {});
 

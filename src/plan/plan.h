@@ -44,16 +44,11 @@ struct PlanNode {
   std::shared_ptr<const Table> table;
   std::vector<std::string> columns;  // empty = all
   /// Group-by keys emitted as dense dictionary codes with the entry table
-  /// attached (set by the dict-grouping rewrite; cleared when
-  /// StrategicOptions::enable_dict_grouping is off).
+  /// attached (set by the dict-grouping rewrite).
   std::vector<std::string> code_columns;
 
   // kFilter
   ExprPtr predicate;
-  /// Lowering may evaluate eligible predicate subtrees in the compressed
-  /// (dictionary-code) domain. Cleared by the strategic optimizer when
-  /// StrategicOptions::enable_dict_predicates is off.
-  bool compressed_eval = true;
 
   // kProject
   std::vector<ProjectedColumn> projections;
@@ -72,20 +67,8 @@ struct PlanNode {
   bool metadata_answered = false;
   std::vector<Lane> metadata_row;
 
-  // kSort / kTopN
+  // kSort / kTopN (kTopN also uses `limit`)
   std::vector<SortKey> sort_keys;
-  /// Lowering may compare string sort keys in the integer domain (raw
-  /// tokens of a sorted heap, else a per-heap code->rank cache). Cleared by
-  /// the strategic optimizer when StrategicOptions::enable_dict_sort is
-  /// off.
-  bool dict_sort = true;
-
-  // kTopN (also uses `limit`)
-  /// The executor may split a Top-N directly over a scan into per-segment
-  /// sources and skip segments whose zone map cannot beat the heap's
-  /// current worst row. Cleared when
-  /// StrategicOptions::enable_sort_pruning is off.
-  bool sort_pruning = true;
 
   // kJoinTable
   std::shared_ptr<const Table> inner_table;
@@ -154,10 +137,10 @@ class Plan {
 std::string PlanToString(const PlanNodePtr& node);
 
 /// Deep-copies a plan tree. Strategic optimization rewrites node fields in
-/// place (predicates are reassigned, scan column lists narrowed, rewrite
-/// flags cleared), so executing one parsed plan twice — or under different
-/// StrategicOptions — requires a fresh tree each time. Expressions and
-/// tables are immutable after construction and stay shared.
+/// place (predicates are reassigned, scan column lists narrowed), so
+/// executing one parsed plan twice — or under different StrategicOptions —
+/// requires a fresh tree each time. Expressions and tables are immutable
+/// after construction and stay shared.
 PlanNodePtr ClonePlan(const PlanNodePtr& node);
 
 }  // namespace tde

@@ -367,7 +367,6 @@ PlanNodePtr TryTopN(const PlanNodePtr& limit) {
   topn->kind = PlanNodeKind::kTopN;
   topn->sort_keys = sort->sort_keys;
   topn->limit = limit->limit;
-  topn->dict_sort = sort->dict_sort;
   topn->children = sort->children;
   return topn;
 }
@@ -433,27 +432,6 @@ PlanNodePtr TrySortRuns(const PlanNodePtr& sort) {
 void PushSortRuns(PlanNodePtr* node) {
   for (auto& c : (*node)->children) PushSortRuns(&c);
   if (PlanNodePtr next = TrySortRuns(*node)) *node = std::move(next);
-}
-
-void DisableDictSort(const PlanNodePtr& node) {
-  node->dict_sort = false;
-  for (const auto& c : node->children) DisableDictSort(c);
-}
-
-void DisableSortPruning(const PlanNodePtr& node) {
-  node->sort_pruning = false;
-  for (const auto& c : node->children) DisableSortPruning(c);
-}
-
-void DisableDictPredicates(const PlanNodePtr& node) {
-  node->compressed_eval = false;
-  for (const auto& c : node->children) DisableDictPredicates(c);
-}
-
-void DisableDictGrouping(const PlanNodePtr& node) {
-  node->agg.dict_code_keys = false;
-  node->code_columns.clear();
-  for (const auto& c : node->children) DisableDictGrouping(c);
 }
 
 // --- Compressed-domain aggregation (Sect. 4 applied to GROUP BY) ----------
@@ -666,8 +644,7 @@ bool PassesOnlyThrough(const PlanNode& node, const std::string& c) {
 /// stay decoded — COUNT/MIN/MAX over codes would see indexes, not values.
 PlanNodePtr TryDictCodeScan(const PlanNodePtr& agg) {
   if (agg->kind != PlanNodeKind::kAggregate || agg->metadata_answered ||
-      agg->fold_runs || !agg->agg.dict_code_keys ||
-      agg->agg.group_by.empty()) {
+      agg->fold_runs || agg->agg.group_by.empty()) {
     return nullptr;
   }
   std::vector<PlanNodePtr> chain;  // the Filters and Projects, top down
@@ -1052,10 +1029,12 @@ void PruneScans(const PlanNodePtr& node, const ColumnSet* required) {
 
 PlanNodePtr Rewrite(PlanNodePtr node, const StrategicOptions& options) {
   for (auto& c : node->children) c = Rewrite(c, options);
-  // Bounded fixpoint: a successful rewrite may expose another (e.g. a
-  // filter pushed through a projection lands on a scan and becomes an
-  // invisible join).
-  for (int round = 0; round < 4; ++round) {
+  // To a fixpoint: after a rule fires, the new node's children are
+  // rewritten (a filter pushed through a projection lands on a scan there
+  // and becomes an invisible join), then every rule is tried on the new
+  // node again. Each rule moves a filter down, dissolves a node or
+  // produces a shape it no longer matches, so the loop ends.
+  for (;;) {
     PlanNodePtr next;
     if (options.enable_simplification && next == nullptr) {
       next = SimplifyNode(node);
@@ -1116,18 +1095,6 @@ Result<PlanNodePtr> StrategicOptimize(PlanNodePtr root,
   }
   if (options.enforce_order_preserving_exchange) {
     EnforceOrderedExchange(root, /*under_encoder=*/false);
-  }
-  if (!options.enable_dict_predicates) {
-    DisableDictPredicates(root);
-  }
-  if (!options.enable_dict_grouping) {
-    DisableDictGrouping(root);
-  }
-  if (!options.enable_dict_sort) {
-    DisableDictSort(root);
-  }
-  if (!options.enable_sort_pruning) {
-    DisableSortPruning(root);
   }
   return root;
 }

@@ -8,6 +8,10 @@
 
 namespace tde {
 
+/// The one place for rewrite and lowering switches: StrategicOptimize reads
+/// them all, and BuildExecutable, given the same struct, reads the
+/// dictionary-predicate, dictionary-grouping, dictionary-sort and
+/// sort-pruning switches.
 struct StrategicOptions {
   /// Rewrite filters over dictionary-compressed columns into invisible
   /// joins with predicate push-down (Sect. 4.1).

@@ -203,8 +203,7 @@ std::shared_ptr<Table> RleTable(size_t rows, uint64_t seed) {
 }
 
 QueryResult RunPlan(const Plan& plan, const StrategicOptions& opts) {
-  return ExecutePlanNode(StrategicOptimize(plan.root(), opts).MoveValue())
-      .MoveValue();
+  return ExecutePlan(plan, opts).MoveValue();
 }
 
 // ---------------------------------------------------------------------------
@@ -345,8 +344,11 @@ TEST(CompressedAgg, DictGroupingKillSwitchFallsBack) {
     return Plan::Scan(t).Aggregate({"s"},
                                    {Agg(AggKind::kSum, "v", "sum")});
   };
-  PlanNodePtr node = StrategicOptimize(make().root(), off).MoveValue();
-  EXPECT_FALSE(node->agg.dict_code_keys);
+  // The lowering reads the switch: no code scan, no code grouping.
+  const std::string on = ExplainPlan(make()).MoveValue();
+  EXPECT_NE(on.find("dictionary codes"), std::string::npos) << on;
+  const std::string shown = ExplainPlan(make(), off).MoveValue();
+  EXPECT_EQ(shown.find("dictionary codes"), std::string::npos) << shown;
   ExpectIdentical(RunPlan(make(), off), RunPlan(make(), DecodeThenAggregate()),
                   "kill switch");
 }
@@ -407,7 +409,7 @@ TEST(CompressedAgg, RunFoldRewriteMatchesDecoded) {
   std::string shape = PlanToString(folded);
   EXPECT_NE(shape.find("[fold-runs]"), std::string::npos) << shape;
   EXPECT_NE(shape.find("IndexedScan(r)"), std::string::npos) << shape;
-  ExpectIdentical(ExecutePlanNode(folded).MoveValue(),
+  ExpectIdentical(ExecutePlanNode(folded, full).MoveValue(),
                   RunPlan(make(), control), "grouped fold");
 
   // Whole-table SUM over the RLE column folds too (group_by_value off).
@@ -417,7 +419,7 @@ TEST(CompressedAgg, RunFoldRewriteMatchesDecoded) {
   };
   PlanNodePtr wnode = StrategicOptimize(whole().root(), full).MoveValue();
   EXPECT_NE(PlanToString(wnode).find("[fold-runs]"), std::string::npos);
-  ExpectIdentical(ExecutePlanNode(wnode).MoveValue(),
+  ExpectIdentical(ExecutePlanNode(wnode, full).MoveValue(),
                   RunPlan(whole(), control), "whole fold");
 }
 
@@ -467,21 +469,22 @@ TEST(CompressedAgg, ParallelRollupFoldParity) {
   auto col = t->ColumnByName("primary").MoveValue();
   auto index = BuildIndexTable(*col).MoveValue();
   SortIndexByValue(&index);
-  ParallelRollupOptions on;
-  on.value_name = "primary";
-  on.aggs = {Agg(AggKind::kSum, "primary", "sum"),
-             Agg(AggKind::kCountStar, "", "n"),
-             Agg(AggKind::kMin, "primary", "lo")};
-  on.workers = 4;
-  ParallelRollupOptions off = on;
-  off.fold_runs = false;
-  auto fold = ParallelIndexedAggregate(t, index, on).MoveValue();
-  auto row = ParallelIndexedAggregate(t, index, off).MoveValue();
+  const std::vector<AggSpec> aggs = {Agg(AggKind::kSum, "primary", "sum"),
+                                     Agg(AggKind::kCountStar, "", "n"),
+                                     Agg(AggKind::kMin, "primary", "lo")};
+  ParallelRollupOptions opts;
+  opts.value_name = "primary";
+  opts.aggs = aggs;
+  opts.workers = 4;
+  auto fold = ParallelIndexedAggregate(t, index, opts).MoveValue();
   EXPECT_GT(fold.runs_folded, 0u);
-  EXPECT_EQ(row.runs_folded, 0u);
-  QueryResult a(fold.schema, std::move(fold.blocks));
-  QueryResult b(row.schema, std::move(row.blocks));
-  ExpectIdentical(a, b, "parallel rollup fold vs rows");
+  QueryResult folded(fold.schema, std::move(fold.blocks));
+  // `primary` is sorted, so the decoded plan's groups, in first-occurrence
+  // order, arrive in the index's value order.
+  ExpectIdentical(folded,
+                  RunPlan(Plan::Scan(t).Aggregate({"primary"}, aggs),
+                          DecodeThenAggregate()),
+                  "parallel rollup fold vs decode-then-aggregate");
 }
 
 // ---------------------------------------------------------------------------
@@ -502,7 +505,7 @@ TEST(CompressedAgg, MetadataAnswersWholeTableAggregates) {
   PlanNodePtr node = StrategicOptimize(make().root(), full).MoveValue();
   EXPECT_TRUE(node->metadata_answered) << PlanToString(node);
   EXPECT_NE(PlanToString(node).find("[metadata]"), std::string::npos);
-  ExpectIdentical(ExecutePlanNode(node).MoveValue(),
+  ExpectIdentical(ExecutePlanNode(node, full).MoveValue(),
                   RunPlan(make(), DecodeThenAggregate()), "metadata");
 }
 
@@ -533,7 +536,7 @@ TEST(CompressedAgg, MetadataDeclinesNullableMin) {
   };
   PlanNodePtr mx = StrategicOptimize(maxq().root(), full).MoveValue();
   EXPECT_TRUE(mx->metadata_answered) << PlanToString(mx);
-  ExpectIdentical(ExecutePlanNode(mx).MoveValue(),
+  ExpectIdentical(ExecutePlanNode(mx, full).MoveValue(),
                   RunPlan(maxq(), DecodeThenAggregate()), "nullable max");
 }
 
@@ -601,12 +604,10 @@ TEST(CompressedAgg, SumOverflowEndToEnd) {
   auto make = [&] {
     return Plan::Scan(t).Aggregate({}, {Agg(AggKind::kSum, "r", "sum")});
   };
-  auto folded = ExecutePlanNode(
-      StrategicOptimize(make().root(), StrategicOptions{}).MoveValue());
+  auto folded = ExecutePlan(make());
   EXPECT_FALSE(folded.ok());
   EXPECT_NE(folded.status().message().find("overflow"), std::string::npos);
-  auto rowwise = ExecutePlanNode(
-      StrategicOptimize(make().root(), DecodeThenAggregate()).MoveValue());
+  auto rowwise = ExecutePlan(make(), DecodeThenAggregate());
   EXPECT_FALSE(rowwise.ok());
   // Near the boundary but not past it: both succeed and agree.
   std::vector<Lane> ok_vals(8, kInt64Max / 8);

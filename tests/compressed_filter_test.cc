@@ -146,15 +146,8 @@ TEST(CompressedFilter, StringPredicatesMatchDecodeThenFilter) {
     auto t = StringTable(4000, with_nulls, with_nulls ? 11 : 7);
     for (const Shape& shape : StringShapes()) {
       auto make = [&] { return Plan::Scan(t).Filter(shape.make()); };
-      auto control =
-          ExecutePlanNode(
-              StrategicOptimize(make().root(), DecodeThenFilter())
-                  .MoveValue())
-              .MoveValue();
-      auto compressed =
-          ExecutePlanNode(
-              StrategicOptimize(make().root(), compressed_opts).MoveValue())
-              .MoveValue();
+      auto control = ExecutePlan(make(), DecodeThenFilter()).MoveValue();
+      auto compressed = ExecutePlan(make(), compressed_opts).MoveValue();
       ExpectIdentical(control, compressed,
                       std::string(shape.name) +
                           (with_nulls ? " (nulls)" : " (no nulls)"));
@@ -168,13 +161,8 @@ TEST(CompressedFilter, RunFilterMatchesDecodeThenFilter) {
             EncodingType::kRunLength);
   for (const Shape& shape : RleShapes()) {
     auto make = [&] { return Plan::Scan(t).Filter(shape.make()); };
-    auto control =
-        ExecutePlanNode(StrategicOptimize(make().root(), DecodeThenFilter())
-                            .MoveValue())
-            .MoveValue();
-    auto compressed =
-        ExecutePlanNode(StrategicOptimize(make().root()).MoveValue())
-            .MoveValue();
+    auto control = ExecutePlan(make(), DecodeThenFilter()).MoveValue();
+    auto compressed = ExecutePlan(make()).MoveValue();
     ExpectIdentical(control, compressed, shape.name);
   }
 }
@@ -195,7 +183,7 @@ TEST(CompressedFilter, RunFilterRewritesPlanAndPreservesRowOrder) {
   // Row order is the physical order: r ascends, and within equal r the
   // payload sequence matches the unrewritten plan exactly (checked by the
   // byte-identical test above); here assert monotone r.
-  auto result = ExecutePlanNode(optimized).MoveValue();
+  auto result = ExecutePlanNode(optimized, StrategicOptions{}).MoveValue();
   for (uint64_t row = 1; row < result.num_rows(); ++row) {
     ASSERT_GE(result.Value(row, 0), result.Value(row - 1, 0)) << row;
   }
@@ -210,7 +198,7 @@ TEST(CompressedFilter, MetadataPruneFalseBecomesLimitZero) {
   ASSERT_EQ(optimized->kind, PlanNodeKind::kLimit);
   EXPECT_EQ(optimized->limit, 0u);
   EXPECT_EQ(optimized->pruned_rows, t->rows());
-  auto result = ExecutePlanNode(optimized).MoveValue();
+  auto result = ExecutePlanNode(optimized, StrategicOptions{}).MoveValue();
   EXPECT_EQ(result.num_rows(), 0u);
   // Schema is preserved even though the scan never opens.
   EXPECT_EQ(result.schema().num_fields(), t->num_columns());
@@ -221,7 +209,7 @@ TEST(CompressedFilter, MetadataPruneTrueDissolvesFilter) {
   auto plan = Plan::Scan(t).Filter(Ge(Col("r"), Int(0)));
   auto optimized = StrategicOptimize(plan.root()).MoveValue();
   EXPECT_EQ(optimized->kind, PlanNodeKind::kScan);
-  auto result = ExecutePlanNode(optimized).MoveValue();
+  auto result = ExecutePlanNode(optimized, StrategicOptions{}).MoveValue();
   EXPECT_EQ(result.num_rows(), t->rows());
 }
 
@@ -238,7 +226,7 @@ TEST(CompressedFilter, MetadataPruneRespectsNulls) {
                     Plan::Scan(t).Filter(Ge(Col("x"), Int(0))).root())
                     .MoveValue();
   EXPECT_EQ(pruned->kind, PlanNodeKind::kFilter);  // not provably true
-  auto result = ExecutePlanNode(pruned).MoveValue();
+  auto result = ExecutePlanNode(pruned, StrategicOptions{}).MoveValue();
   EXPECT_EQ(result.num_rows(), 1600u);  // the 400 NULLs filtered out
 }
 
@@ -331,10 +319,8 @@ TEST(CompressedFilter, MetricsAndExplainAnalyzeSurfaceCounters) {
     const uint64_t before = reg.GetCounter("filter.dict_rewrites")->value();
     const bool was = observe::StatsEnabled();
     observe::SetStatsEnabled(true);
-    auto result = ExecutePlanNode(
-        StrategicOptimize(
-            Plan::Scan(t).Filter(Eq(Col("s"), Str("cherry"))).root(), opts)
-            .MoveValue());
+    auto result =
+        ExecutePlan(Plan::Scan(t).Filter(Eq(Col("s"), Str("cherry"))), opts);
     observe::SetStatsEnabled(was);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(reg.GetCounter("filter.dict_rewrites")->value(), before + 1);
@@ -346,19 +332,9 @@ TEST(CompressedFilter, DictPredicatesDisableOptionFallsBack) {
   StrategicOptions opts;
   opts.enable_invisible_join = false;
   opts.enable_dict_predicates = false;
-  auto plain =
-      ExecutePlanNode(
-          StrategicOptimize(
-              Plan::Scan(t).Filter(Ne(Col("s"), Str("date"))).root(), opts)
-              .MoveValue())
-          .MoveValue();
-  auto control =
-      ExecutePlanNode(
-          StrategicOptimize(
-              Plan::Scan(t).Filter(Ne(Col("s"), Str("date"))).root(),
-              DecodeThenFilter())
-              .MoveValue())
-          .MoveValue();
+  const Plan plan = Plan::Scan(t).Filter(Ne(Col("s"), Str("date")));
+  auto plain = ExecutePlan(plan, opts).MoveValue();
+  auto control = ExecutePlan(plan, DecodeThenFilter()).MoveValue();
   ExpectIdentical(plain, control, "dict predicates disabled");
 }
 

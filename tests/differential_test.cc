@@ -387,7 +387,9 @@ TEST_F(DifferentialTest, RandomizedSweep) {
         auto optimized = StrategicOptimize(wrapped, StrategicOptions{});
         if (optimized.ok()) {
           runs.push_back({e == &mono_ ? "monolithic" : "segmented",
-                          "exchange-wrapped", ExecutePlanNode(optimized.value())});
+                          "exchange-wrapped",
+                          ExecutePlanNode(optimized.value(),
+                                          StrategicOptions{})});
         } else {
           runs.push_back({e == &mono_ ? "monolithic" : "segmented",
                           "exchange-wrapped", optimized.status()});
@@ -406,7 +408,8 @@ TEST_F(DifferentialTest, RandomizedSweep) {
           if (optimized.ok()) {
             runs.push_back({e == &mono_ ? "monolithic" : "segmented",
                             "pool2-exchange",
-                            ExecutePlanNode(optimized.value())});
+                            ExecutePlanNode(optimized.value(),
+                                            StrategicOptions{})});
           } else {
             runs.push_back({e == &mono_ ? "monolithic" : "segmented",
                             "pool2-exchange", optimized.status()});

@@ -263,17 +263,6 @@ TEST(FlowTable, ColumnTaskTimesFitInTheEncodePhase) {
   observe::SetStatsEnabled(stats_were);
 }
 
-TEST(FlowTable, RestrictedEncodingMaskHonored) {
-  std::vector<Lane> runs;
-  for (int i = 0; i < 30; ++i) runs.insert(runs.end(), 2000, i);
-  FlowTableOptions opts;
-  opts.allowed = kAllowRandomAccess;
-  auto table =
-      FlowTable::Build(VectorSource::Ints({{"r", runs}}), opts).MoveValue();
-  EXPECT_NE(table->ColumnByName("r").value()->data()->type(),
-            EncodingType::kRunLength);
-}
-
 TEST(FlowTable, NullStringsSurvive) {
   auto src = VectorSource::Ints({{"id", {0, 1, 2}}});
   Schema schema = src->output_schema();

@@ -103,11 +103,9 @@ TEST(Executor, InvisibleJoinPlanMatchesControl) {
   // Control: no rewrites.
   StrategicOptions off;
   off.enable_invisible_join = false;
-  auto control = ExecutePlanNode(
-      StrategicOptimize(Plan::Scan(t).Filter(pred).root(), off).MoveValue());
+  auto control = ExecutePlan(Plan::Scan(t).Filter(pred), off);
   ASSERT_TRUE(control.ok()) << control.status().ToString();
-  auto rewritten = ExecutePlanNode(
-      StrategicOptimize(Plan::Scan(t).Filter(pred).root()).MoveValue());
+  auto rewritten = ExecutePlan(Plan::Scan(t).Filter(pred));
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
   EXPECT_EQ(control.value().num_rows(), 3u);
   EXPECT_EQ(rewritten.value().num_rows(), 3u);
@@ -135,11 +133,9 @@ TEST(Executor, RankJoinPlanMatchesControl) {
   StrategicOptions off;
   off.enable_rank_join = false;
   off.enable_invisible_join = false;
-  auto control = ExecutePlanNode(
-      StrategicOptimize(make_plan().root(), off).MoveValue());
+  auto control = ExecutePlan(make_plan(), off);
   ASSERT_TRUE(control.ok()) << control.status().ToString();
-  auto indexed =
-      ExecutePlanNode(StrategicOptimize(make_plan().root()).MoveValue());
+  auto indexed = ExecutePlan(make_plan());
   ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
 
   ASSERT_EQ(control.value().num_rows(), 5u);
@@ -274,13 +270,11 @@ std::vector<std::string> SortedRows(const QueryResult& r) {
 /// Runs `plan` optimized and with every rewrite off; the answers must
 /// agree. Returns the optimized tree for shape checks.
 PlanNodePtr OptimizeAndCheck(const Plan& plan, size_t expected_rows) {
-  auto control = ExecutePlanNode(
-      StrategicOptimize(ClonePlan(plan.root()), testutil::AllRewritesOff())
-          .MoveValue());
+  auto control = ExecutePlan(plan, testutil::AllRewritesOff());
   EXPECT_TRUE(control.ok()) << control.status().ToString();
   PlanNodePtr optimized =
       StrategicOptimize(ClonePlan(plan.root())).MoveValue();
-  auto rewritten = ExecutePlanNode(optimized);
+  auto rewritten = ExecutePlanNode(optimized, StrategicOptions{});
   EXPECT_TRUE(rewritten.ok()) << rewritten.status().ToString();
   if (control.ok() && rewritten.ok()) {
     EXPECT_EQ(control.value().num_rows(), expected_rows);
@@ -443,9 +437,7 @@ TEST(Executor, JoinOutputIsNotOrderedByTheInnerTable) {
           .OrderBy({{"rank", true}})
           .Limit(1)};
   for (const Plan& plan : plans) {
-    auto control = ExecutePlanNode(
-        StrategicOptimize(ClonePlan(plan.root()), testutil::AllRewritesOff())
-            .MoveValue());
+    auto control = ExecutePlan(plan, testutil::AllRewritesOff());
     auto rewritten = ExecutePlan(plan);
     ASSERT_TRUE(control.ok()) << control.status().ToString();
     ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
@@ -473,14 +465,60 @@ TEST(Executor, UnorderedExchangeKeepsNoOrderFacts) {
   EXPECT_EQ(explain.value().find("sorted input, early stop"),
             std::string::npos)
       << explain.value();
-  auto control = ExecutePlanNode(
-      StrategicOptimize(ClonePlan(plan.root()), testutil::AllRewritesOff())
-          .MoveValue());
+  auto control = ExecutePlan(plan, testutil::AllRewritesOff());
   auto got = ExecutePlan(plan);
   ASSERT_TRUE(control.ok()) << control.status().ToString();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got.value().ToCsv(), control.value().ToCsv());
   EXPECT_EQ(got.value().num_rows(), 10u);
+}
+
+TEST(Executor, LoweringFollowsTheCallersOptions) {
+  // Each lowering switch decides one compressed-domain lowering: its mark
+  // shows in EXPLAIN (or EXPLAIN ANALYZE) with the switch on and not with
+  // it off. The invisible join is off, so Filters stay Filters.
+  std::vector<Lane> k(4096);
+  std::iota(k.begin(), k.end(), 0);
+  std::vector<std::string> s(k.size());
+  for (size_t i = 0; i < s.size(); ++i) s[i] = "v" + std::to_string(i % 8);
+  auto src = VectorSource::Ints({{"k", k}});
+  src->AddStringColumn("s", s);
+  FlowTableOptions flow;
+  flow.segment_rows = 512;
+  auto t = FlowTable::Build(std::move(src), flow).MoveValue();
+  ASSERT_EQ(t->column(0).SegmentShapes().size(), 8u);
+
+  struct Case {
+    bool StrategicOptions::*flag;
+    Plan plan;
+    bool analyze;
+    const char* mark;
+  };
+  const std::vector<Case> cases = {
+      {&StrategicOptions::enable_dict_predicates,
+       Plan::Scan(t).Filter(Eq(Col("s"), Str("v3"))), false,
+       "dictionary-code predicate"},
+      {&StrategicOptions::enable_dict_grouping,
+       Plan::Scan(t).Aggregate({"s"}, {{AggKind::kCountStar, "", "n"}}),
+       false, "dictionary codes"},
+      {&StrategicOptions::enable_dict_sort,
+       Plan::Scan(t).OrderBy({{"s", true}}), true, "dict_key_sorts"},
+      {&StrategicOptions::enable_sort_pruning,
+       Plan::Scan(t).OrderBy({{"k", false}}).Limit(10), false,
+       "segment sources"},
+  };
+  for (const Case& c : cases) {
+    for (const bool on : {true, false}) {
+      StrategicOptions opts;
+      opts.enable_invisible_join = false;
+      opts.*c.flag = on;
+      auto text = c.analyze ? ExplainAnalyzePlan(c.plan, nullptr, opts)
+                            : ExplainPlan(c.plan, opts);
+      ASSERT_TRUE(text.ok()) << text.status().ToString();
+      EXPECT_EQ(text.value().find(c.mark) != std::string::npos, on)
+          << c.mark << (on ? " (on)\n" : " (off)\n") << text.value();
+    }
+  }
 }
 
 TEST(Plan, ToStringRendersTree) {

@@ -140,12 +140,8 @@ TEST_P(RankJoinEquivalence, RewrittenPlansAnswerIdentically) {
   StrategicOptions off;
   off.enable_rank_join = false;
   off.enable_invisible_join = false;
-  auto control =
-      ExecutePlanNode(StrategicOptimize(make().root(), off).MoveValue())
-          .MoveValue();
-  auto indexed =
-      ExecutePlanNode(StrategicOptimize(make().root()).MoveValue())
-          .MoveValue();
+  auto control = ExecutePlan(make(), off).MoveValue();
+  auto indexed = ExecutePlan(make()).MoveValue();
   ASSERT_EQ(control.num_rows(), indexed.num_rows()) << selectivity;
   std::map<Lane, std::vector<Lane>> c, x;
   for (uint64_t r = 0; r < control.num_rows(); ++r) {

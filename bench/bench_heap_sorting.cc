@@ -90,8 +90,8 @@ double TimeSql(const Engine& engine, const std::string& sql,
   return secs;
 }
 
-/// One gate-able record; names are the stable contract with
-/// ci/BENCH_baseline.json (rename -> rebaseline).
+/// One gate-able record, keyed by name: ci/check_bench.sh compares it with
+/// the base ref's build of this bench and fails a name only the base writes.
 void Report(bench::JsonReport* report, const char* name, double seconds,
             uint64_t rows) {
   if (!report->enabled()) return;

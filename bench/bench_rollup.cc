@@ -125,9 +125,10 @@ double RunSumCount(const std::shared_ptr<Table>& table, bool compressed,
   return t.Seconds();
 }
 
-/// One gate-able record: a named measurement in milliseconds. The names are
-/// the stable contract with ci/BENCH_baseline.json — renaming one means
-/// re-baselining (ci/check_bench.sh --rebaseline).
+/// One gate-able record: a named measurement in milliseconds. The name is
+/// the gate's key: ci/check_bench.sh compares its median with the same
+/// record of this bench built from the base ref, and a name that only the
+/// base writes fails the gate as missing.
 void Report(bench::JsonReport* report, const char* name, double seconds,
             uint64_t groups) {
   if (!report->enabled()) return;

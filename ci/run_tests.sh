@@ -12,8 +12,9 @@
 #   TDE_SKIP_TSAN     set to 1 to skip the ThreadSanitizer stage
 #
 # The suite runs twice up front: once with stats on (default) and once with
-# TDE_STATS=0, with the benchmark self-test (perfbench/selftest.py) in
-# between; the perf-regression gate (ci/check_bench.sh) runs last.
+# TDE_STATS=0, with the batch examples and the benchmark self-test
+# (perfbench/selftest.py) in between; the perf-regression gate
+# (ci/check_bench.sh) runs last.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -24,6 +25,13 @@ cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD" -j"$(nproc)"
 
 ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
+
+# The four batch examples, end to end through the public facade (imports,
+# SQL, save and reopen; url_analysis also runs a plain EXPLAIN). Each exits
+# nonzero when a step fails; together they take under a second.
+for e in quickstart date_rollup url_analysis flights_analysis; do
+  "$BUILD/examples/$e" > /dev/null
+done
 
 # Benchmark self-test: runs every perfbench workload at tiny sizes and
 # checks each answer (TPC-H Q1/Q3/Q4lite/Q6/Q12 through ExecuteSql against

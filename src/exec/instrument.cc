@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "src/observe/metrics.h"
 #include "src/observe/trace.h"
 
 namespace tde {
@@ -65,15 +64,6 @@ void Instrumented::Close() {
 Operator* Unwrap(Operator* op) {
   while (auto* w = dynamic_cast<Instrumented*>(op)) op = w->inner();
   return op;
-}
-
-std::unique_ptr<Operator> Instrument(
-    std::unique_ptr<Operator> op,
-    std::shared_ptr<observe::OperatorStats> stats,
-    std::function<void(observe::OperatorStats*)> on_close) {
-  if (!observe::StatsEnabled() || stats == nullptr) return op;
-  return std::make_unique<Instrumented>(std::move(op), std::move(stats),
-                                        std::move(on_close));
 }
 
 }  // namespace tde

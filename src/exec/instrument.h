@@ -22,8 +22,9 @@ namespace tde {
 class Instrumented : public Operator {
  public:
   /// `on_close` runs once, right after the wrapped operator's Close, with
-  /// the stats node — the hook operators with internal observations (e.g.
-  /// Exchange worker counters) use to export them.
+  /// the stats node — the hook operators export what they observed while
+  /// running through: run-time query counts and extras such as Exchange
+  /// worker counters.
   Instrumented(std::unique_ptr<Operator> op,
                std::shared_ptr<observe::OperatorStats> stats,
                std::function<void(observe::OperatorStats*)> on_close = {})
@@ -47,14 +48,6 @@ class Instrumented : public Operator {
   std::function<void(observe::OperatorStats*)> on_close_;
   bool closed_ = false;
 };
-
-/// Wraps `op` in an Instrumented recording into `stats`. Pass-through
-/// when stats collection is globally disabled (observe::StatsEnabled()),
-/// so the disabled configuration pays nothing.
-std::unique_ptr<Operator> Instrument(
-    std::unique_ptr<Operator> op,
-    std::shared_ptr<observe::OperatorStats> stats,
-    std::function<void(observe::OperatorStats*)> on_close = {});
 
 /// Strips instrumentation wrappers from `op` — for code (tests, benches)
 /// that inspects the concrete operator the executor produced.

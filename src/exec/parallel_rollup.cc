@@ -4,8 +4,6 @@
 
 #include "src/exec/ordered_aggregate.h"
 #include "src/exec/scheduler.h"
-#include "src/observe/journal.h"
-#include "src/observe/metrics.h"
 
 namespace tde {
 
@@ -53,7 +51,6 @@ Status RunFoldAggregate::Open() {
     }
   }
   runs_folded_ = index_.size();
-  observe::QueryCount(observe::QueryCounter::kRunsFolded, runs_folded_);
 
   groups_ = ngroups;
   out_aggs_.assign(naggs, {});

@@ -13,13 +13,16 @@
 namespace tde {
 namespace observe {
 
-/// The registry counters a single query can be charged for — the
-/// compressed-domain wins of PRs 2-4, previously only visible as global
-/// cumulative totals. Every increment flows through QueryCount(), which
-/// adds to the global MetricsRegistry counter *and* to the StatsScope of
-/// the query running on the incrementing thread, so per-query deltas in
-/// the journal sum exactly to the global counters — including under
-/// concurrent queries, because each increment lands in exactly one scope.
+/// The registry counters a single query can be charged for: the bytes its
+/// scans traversed, its pager traffic, and its compressed-domain wins.
+/// Every increment flows through QueryCount(), which adds to the global
+/// MetricsRegistry counter *and* to the StatsScope of the query running on
+/// the incrementing thread, so per-query deltas in the journal sum exactly
+/// to the global counters — including under concurrent queries, because
+/// each increment lands in exactly one scope. The scans and the pager
+/// charge the first five where the work happens; the rest are counted on
+/// the stats node of the operator that shows them (OperatorStats::counts)
+/// and charged once the query has run.
 enum class QueryCounter : int {
   kBytesScannedCompressed = 0,  // stored bytes the scans traversed
   kBytesScannedDecoded,         // bytes after decode (rows * lane width)

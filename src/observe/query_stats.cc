@@ -15,6 +15,22 @@ std::string Ms(uint64_t ns) {
   return buf;
 }
 
+using Numbers = std::vector<std::pair<std::string, uint64_t>>;
+
+/// The node's nonzero query counts, labelled with their tde_queries column
+/// names.
+Numbers Counts(const OperatorStats& node) {
+  Numbers out;
+  for (int i = 0; i < kNumQueryCounters; ++i) {
+    const uint64_t n = node.counts[static_cast<size_t>(i)];
+    if (n > 0) {
+      out.emplace_back(QueryCounterColumnName(static_cast<QueryCounter>(i)),
+                       n);
+    }
+  }
+  return out;
+}
+
 void RenderNode(const OperatorStats& node, int depth, std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
   *out += node.name;
@@ -25,8 +41,10 @@ void RenderNode(const OperatorStats& node, int depth, std::string* out) {
   if (!node.children.empty()) {
     *out += " (self " + Ms(node.self_ns()) + ")";
   }
-  for (const auto& [label, value] : node.extras) {
-    *out += " " + label + "=" + std::to_string(value);
+  for (const Numbers& numbers : {node.extras, Counts(node)}) {
+    for (const auto& [label, value] : numbers) {
+      *out += " " + label + "=" + std::to_string(value);
+    }
   }
   for (const auto& [label, value] : node.tags) {
     *out += " " + label + "=" + value;
@@ -35,6 +53,18 @@ void RenderNode(const OperatorStats& node, int depth, std::string* out) {
   for (const auto& child : node.children) {
     RenderNode(*child, depth + 1, out);
   }
+}
+
+/// ,"key":{"label":value,...}, or nothing when `numbers` is empty.
+void JsonNumbers(const char* key, const Numbers& numbers, std::string* out) {
+  if (numbers.empty()) return;
+  *out += std::string(",\"") + key + "\":{";
+  for (size_t i = 0; i < numbers.size(); ++i) {
+    if (i > 0) *out += ",";
+    *out += "\"" + JsonEscape(numbers[i].first) +
+            "\":" + std::to_string(numbers[i].second);
+  }
+  *out += "}";
 }
 
 void JsonNode(const OperatorStats& node, std::string* out) {
@@ -47,16 +77,8 @@ void JsonNode(const OperatorStats& node, std::string* out) {
   if (node.task_ns > 0) {
     *out += ",\"task_ns\":" + std::to_string(node.task_ns);
   }
-  if (!node.extras.empty()) {
-    *out += ",\"extras\":{";
-    bool first = true;
-    for (const auto& [label, value] : node.extras) {
-      if (!first) *out += ",";
-      first = false;
-      *out += "\"" + JsonEscape(label) + "\":" + std::to_string(value);
-    }
-    *out += "}";
-  }
+  JsonNumbers("extras", node.extras, out);
+  JsonNumbers("counts", Counts(node), out);
   if (!node.tags.empty()) {
     *out += ",\"tags\":{";
     bool first = true;
@@ -86,6 +108,12 @@ uint64_t OperatorStats::self_ns() const {
     t = t > c ? t - c : 0;
   }
   return t;
+}
+
+void OperatorStats::SumCounts(
+    std::array<uint64_t, kNumQueryCounters>* sum) const {
+  for (size_t i = 0; i < counts.size(); ++i) (*sum)[i] += counts[i];
+  for (const auto& child : children) child->SumCounts(sum);
 }
 
 std::string QueryStats::ToString() const {

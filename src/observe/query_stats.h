@@ -1,12 +1,15 @@
 #ifndef TDE_OBSERVE_QUERY_STATS_H_
 #define TDE_OBSERVE_QUERY_STATS_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "src/observe/journal.h"
 
 namespace tde {
 namespace observe {
@@ -31,8 +34,18 @@ struct OperatorStats {
   /// subtracts them from this; the parent still subtracts the wall time,
   /// total_ns(). 0 for every serial operator.
   uint64_t task_ns = 0;
-  /// Operator-specific observations exported at Close (e.g. Exchange's
-  /// per-worker queue-wait and emit counts), as (label, value) pairs.
+  /// The query counters this operator accounts for, in QueryCounter order:
+  /// lowering sets the plan-time ones (pruning, dictionary rewrites,
+  /// metadata answers, runs skipped or sorted) on the node it attaches, and
+  /// Close hooks the run-time ones. This is the one record of an
+  /// operator-level counter: the executor charges the tree's counts to the
+  /// registry and the query's StatsScope once the query has run, and
+  /// EXPLAIN ANALYZE shows each nonzero one under its tde_queries column
+  /// name.
+  std::array<uint64_t, kNumQueryCounters> counts{};
+  /// Operator-specific observations that are not query counters (e.g.
+  /// Exchange's per-worker queue-wait and emit counts), as (label, value)
+  /// pairs.
   std::vector<std::pair<std::string, uint64_t>> extras;
   /// Observations that are words, not counts (e.g. whether a join built
   /// its key index or reused a kept one), as (label, value) pairs.
@@ -43,6 +56,12 @@ struct OperatorStats {
   /// Subtree time spent in this operator alone (time summed over tasks
   /// when task_ns is set), never negative.
   uint64_t self_ns() const;
+
+  void Count(QueryCounter c, uint64_t n) {
+    counts[static_cast<size_t>(c)] += n;
+  }
+  /// Adds the counts of this node and of every node below it to `sum`.
+  void SumCounts(std::array<uint64_t, kNumQueryCounters>* sum) const;
 };
 
 /// The runtime profile of one executed query: the operator stats tree plus

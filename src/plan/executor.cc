@@ -1,6 +1,7 @@
 #include "src/plan/executor.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <mutex>
 #include <optional>
@@ -44,7 +45,9 @@ class MorselStats {
 
   /// Sums the copies' rows, blocks and times into their shown nodes, so
   /// each chain operator shows once with its time summed over morsels.
-  /// Extras describe the query, not the morsel: one copy's are kept.
+  /// Extras describe the query, not the morsel: one copy's are kept. A
+  /// chain operator's counts are plan-time, set on the shown node alone,
+  /// so copies carry none.
   void Fold() {
     for (const auto& [shown, copy] : copies_) {
       shown->rows += copy->rows;
@@ -112,6 +115,13 @@ void Attach(BuiltPlan* out, std::string name,
   out->stats = std::move(node);
 }
 
+/// Adds `n` to counter `c` of the stats node `out`'s operator was last
+/// attached under: a plan-time count, which lowering knows. No-op when
+/// stats collection is disabled.
+void AddCount(BuiltPlan* out, observe::QueryCounter c, uint64_t n) {
+  if (out->stats != nullptr) out->stats->Count(c, n);
+}
+
 /// Fills `out->props` with the column properties a scan of `node` exposes.
 Status ScanProps(const PlanNode& node, BuiltPlan* out) {
   if (node.columns.empty()) {
@@ -152,26 +162,6 @@ struct ScanSegments {
     if (segments_pruned == 0) return {};
     if (ranges.empty()) return {{0, 0}};
     return ranges;
-  }
-
-  /// Records the pruning as EXPLAIN's note and the query's
-  /// kSegmentsPruned / kRowsPruned counts. The operator that applies the
-  /// pruning calls it, once.
-  void Record(std::vector<std::string>* notes) const {
-    if (segments_pruned == 0) return;
-    notes->push_back("scan: " + std::to_string(segments_pruned) +
-                     " segment(s) zone-map pruned (" +
-                     std::to_string(rows_pruned) + " rows skipped)");
-    observe::QueryCount(observe::QueryCounter::kSegmentsPruned,
-                        segments_pruned);
-    observe::QueryCount(observe::QueryCounter::kRowsPruned, rows_pruned);
-  }
-
-  /// The pruning figures as operator stats extras.
-  void AddExtras(observe::OperatorStats* s) const {
-    if (segments_pruned == 0) return;
-    s->extras.emplace_back("segments_pruned", segments_pruned);
-    s->extras.emplace_back("rows_pruned", rows_pruned);
   }
 };
 
@@ -261,7 +251,6 @@ Result<BuiltPlan> BuildScan(const PlanNode& node,
     out.notes.push_back("scan(" + n + "): dictionary codes (group key)");
   }
   const ScanSegments segs = SurvivingSegments(node, predicate, zone_column);
-  segs.Record(&out.notes);
   TableScanOptions opts;
   opts.columns = node.columns;
   opts.code_columns = node.code_columns;
@@ -269,28 +258,29 @@ Result<BuiltPlan> BuildScan(const PlanNode& node,
   opts.ranges = segs.Visit();
   opts.code_tables = std::make_shared<ScanCodeTables>();
   out.op = std::make_unique<TableScan>(node.table, opts);
+  Attach(&out, "TableScan(" + node.table->name() + ")", {});
   // A scan narrowed by projection pruning reports how many columns it
   // decodes (0 = every column, not reported).
-  const uint64_t columns = node.columns.size();
-  OnClose on_close;
-  if (columns > 0 || segs.segments_pruned > 0) {
-    on_close = [columns, segs](observe::OperatorStats* s) {
-      if (columns > 0) s->extras.emplace_back("columns", columns);
-      segs.AddExtras(s);
-    };
+  if (out.stats != nullptr && !node.columns.empty()) {
+    out.stats->extras.emplace_back("columns", node.columns.size());
   }
-  const OnClose copy_close = on_close;
-  Attach(&out, "TableScan(" + node.table->name() + ")", {},
-         std::move(on_close));
+  if (segs.segments_pruned > 0) {
+    out.notes.push_back("scan: " + std::to_string(segs.segments_pruned) +
+                        " segment(s) zone-map pruned (" +
+                        std::to_string(segs.rows_pruned) + " rows skipped)");
+    AddCount(&out, observe::QueryCounter::kSegmentsPruned,
+             segs.segments_pruned);
+    AddCount(&out, observe::QueryCounter::kRowsPruned, segs.rows_pruned);
+  }
   if (segs.segmented) {
     out.morsels = segs.ranges;
     out.zones = segs.zones;
-    out.replicate = [table = node.table, opts, shown = out.stats, copy_close](
+    out.replicate = [table = node.table, opts, shown = out.stats](
                         std::vector<RowRange> ranges, MorselStats* stats) {
       TableScanOptions copy = opts;
       copy.ranges = std::move(ranges);
       return stats->Wrap(std::make_unique<TableScan>(table, std::move(copy)),
-                         shown, copy_close);
+                         shown, {});
     };
   }
   return out;
@@ -309,36 +299,31 @@ Result<BuiltPlan> BuildFilterInput(const PlanNode& filter,
   return BuildExecutable(c, options);
 }
 
-/// Records `rewrites` dictionary-code wrappers lowered at `site` (the
-/// operator that evaluates them) as EXPLAIN's `site: N what` note and the
-/// query's kDictRewrites count, and returns the Close hook that shows them
-/// as the operator's `dict_rewrites`.
-OnClose NoteDictRewrites(int rewrites, const std::string& site,
-                         const std::string& what,
-                         std::vector<std::string>* notes) {
-  if (rewrites == 0) return {};
-  notes->push_back(site + ": " + std::to_string(rewrites) + " " + what);
-  const auto n = static_cast<uint64_t>(rewrites);
-  observe::QueryCount(observe::QueryCounter::kDictRewrites, n);
-  return [n](observe::OperatorStats* s) {
-    s->extras.emplace_back("dict_rewrites", n);
-  };
+/// Notes `rewrites` dictionary-code wrappers lowered at `site` (the
+/// operator that evaluates them) as EXPLAIN's `site: N what` note, and
+/// returns them as that operator's kDictRewrites count.
+uint64_t NoteDictRewrites(int rewrites, const std::string& site,
+                          const std::string& what,
+                          std::vector<std::string>* notes) {
+  if (rewrites > 0) {
+    notes->push_back(site + ": " + std::to_string(rewrites) + " " + what);
+  }
+  return static_cast<uint64_t>(rewrites);
 }
 
 /// Rewrites eligible string-column subtrees of `pred` into dictionary-code
 /// predicates against `schema`, noting the rewrites (NoteDictRewrites)
-/// under `site`, and setting *on_close, when given, to the hook that shows
-/// them. Returns `pred` unchanged when dictionary-code predicates are off.
+/// under `site` and adding them to *rewrites. Returns `pred` unchanged when
+/// dictionary-code predicates are off.
 ExprPtr LowerPredicate(const ExprPtr& pred, const StrategicOptions& options,
-                       const Schema& schema, std::vector<std::string>* notes,
-                       const std::string& site = "filter",
-                       OnClose* on_close = nullptr) {
+                       const Schema& schema, uint64_t* rewrites,
+                       std::vector<std::string>* notes,
+                       const std::string& site = "filter") {
   if (!options.enable_dict_predicates || pred == nullptr) return pred;
-  int rewrites = 0;
-  ExprPtr lowered = expr::RewriteDictPredicates(pred, schema, &rewrites);
-  OnClose hook = NoteDictRewrites(rewrites, site,
-                                  "dictionary-code predicate(s)", notes);
-  if (on_close != nullptr) *on_close = std::move(hook);
+  int n = 0;
+  ExprPtr lowered = expr::RewriteDictPredicates(pred, schema, &n);
+  *rewrites +=
+      NoteDictRewrites(n, site, "dictionary-code predicate(s)", notes);
   return lowered;
 }
 
@@ -346,10 +331,10 @@ Result<BuiltPlan> BuildFilter(const PlanNode& node, BuiltPlan child,
                               const StrategicOptions& options) {
   BuiltPlan out;
   out.notes = std::move(child.notes);
-  OnClose on_close;
+  uint64_t rewrites = 0;
   ExprPtr pred = LowerPredicate(node.predicate, options,
-                                child.op->output_schema(), &out.notes,
-                                "filter", &on_close);
+                                child.op->output_schema(), &rewrites,
+                                &out.notes);
   // Filtering keeps value bounds and order but can destroy density
   // (Sect. 3.4.2: "the filter will remove an existing dense attribute").
   out.props = std::move(child.props);
@@ -360,8 +345,8 @@ Result<BuiltPlan> BuildFilter(const PlanNode& node, BuiltPlan child,
   Chain(&out, std::move(child), "Filter",
         [pred](std::unique_ptr<Operator> in) -> std::unique_ptr<Operator> {
           return std::make_unique<Filter>(std::move(in), pred);
-        },
-        std::move(on_close));
+        });
+  AddCount(&out, observe::QueryCounter::kDictRewrites, rewrites);
   return out;
 }
 
@@ -382,26 +367,26 @@ Result<BuiltPlan> BuildProject(const PlanNode& node, BuiltPlan child,
     }
   }
   std::vector<ProjectedColumn> projections = node.projections;
-  OnClose on_close;
+  uint64_t rewrites = 0;
   if (options.enable_dict_predicates) {
     Schema heaps;
     for (const auto& [name, p] : child.props) {
       if (p.type == TypeId::kString && !p.codes) heaps.AddField({name, p.type});
     }
-    int rewrites = 0;
+    int n = 0;
     for (ProjectedColumn& pc : projections) {
-      pc.expr = expr::RewriteDictComputations(pc.expr, heaps, &rewrites);
+      pc.expr = expr::RewriteDictComputations(pc.expr, heaps, &n);
     }
-    on_close = NoteDictRewrites(rewrites, "project",
-                                "per-entry computation(s)", &out.notes);
+    rewrites = NoteDictRewrites(n, "project", "per-entry computation(s)",
+                                &out.notes);
   }
   // Copies share the lowered computations, and so their translations.
   Chain(&out, std::move(child), "Project",
         [projections = std::move(projections)](
             std::unique_ptr<Operator> in) -> std::unique_ptr<Operator> {
           return std::make_unique<Project>(std::move(in), projections);
-        },
-        std::move(on_close));
+        });
+  AddCount(&out, observe::QueryCounter::kDictRewrites, rewrites);
   return out;
 }
 
@@ -527,13 +512,9 @@ Result<BuiltPlan> BuildAggregate(const PlanNode& node, BuiltPlan child,
         s->extras.emplace_back("cpu_us", hash_raw->morsel_cpu_ns() / 1000);
       }
       if (!dict_keys) return;
-      const uint64_t groups = hash_raw != nullptr
-                                  ? hash_raw->groups_late_materialized()
-                                  : ordered_raw->groups_late_materialized();
-      if (groups == 0) return;
-      s->extras.emplace_back("groups_late_materialized", groups);
-      observe::QueryCount(observe::QueryCounter::kGroupsLateMaterialized,
-                          groups);
+      s->Count(observe::QueryCounter::kGroupsLateMaterialized,
+               hash_raw != nullptr ? hash_raw->groups_late_materialized()
+                                   : ordered_raw->groups_late_materialized());
     };
   }
   const std::string key =
@@ -596,16 +577,22 @@ Result<BuiltPlan> BuildMetadataAggregate(const PlanNode& node) {
   BuiltPlan out;
   out.notes.push_back("aggregate: " + std::to_string(node.metadata_row.size()) +
                       " aggregate(s) answered from metadata, scan elided");
-  observe::QueryCount(observe::QueryCounter::kMetadataAnswers,
-                      node.metadata_row.size());
-  const uint64_t answers = node.metadata_row.size();
   out.op = std::make_unique<MetadataAggregateSource>(std::move(schema),
                                                      node.metadata_row);
-  Attach(&out, "MetadataAggregate(" + scan.table->name() + ")", {},
-         [answers](observe::OperatorStats* s) {
-           s->extras.emplace_back("metadata_answers", answers);
-         });
+  Attach(&out, "MetadataAggregate(" + scan.table->name() + ")", {});
+  AddCount(&out, observe::QueryCounter::kMetadataAnswers,
+           node.metadata_row.size());
   return out;
+}
+
+/// The heap of an index column's token values (null for a column without
+/// one), shared so it outlives an eviction of the cold column.
+Result<std::shared_ptr<const StringHeap>> ValueHeap(
+    const std::shared_ptr<Column>& col) {
+  if (col->compression() != CompressionKind::kHeap) return {nullptr};
+  TDE_ASSIGN_OR_RETURN(auto heap_pin, col->Pin());
+  return heap_pin ? std::shared_ptr<const StringHeap>(heap_pin->heap)
+                  : std::shared_ptr<const StringHeap>(col, col->heap());
 }
 
 Result<BuiltPlan> BuildRunFoldAggregate(const PlanNode& node) {
@@ -613,16 +600,8 @@ Result<BuiltPlan> BuildRunFoldAggregate(const PlanNode& node) {
   TDE_ASSIGN_OR_RETURN(auto col,
                        isnode.table->ColumnByName(isnode.index_column));
   TDE_ASSIGN_OR_RETURN(std::vector<IndexEntry> index, BuildIndexTable(*col));
-
-  // Share the heap for cold token columns so it survives eviction (same as
-  // BuildIndexedScan).
-  std::shared_ptr<const StringHeap> value_heap;
-  if (col->compression() == CompressionKind::kHeap) {
-    TDE_ASSIGN_OR_RETURN(auto heap_pin, col->Pin());
-    value_heap = heap_pin
-                     ? std::shared_ptr<const StringHeap>(heap_pin->heap)
-                     : std::shared_ptr<const StringHeap>(col, col->heap());
-  }
+  TDE_ASSIGN_OR_RETURN(std::shared_ptr<const StringHeap> value_heap,
+                       ValueHeap(col));
 
   RunFoldOptions opts;
   opts.value_name = isnode.index_column;
@@ -644,7 +623,7 @@ Result<BuiltPlan> BuildRunFoldAggregate(const PlanNode& node) {
   out.op = std::move(op);
   Attach(&out, "RunFoldAggregate(" + isnode.index_column + ")", {},
          [raw](observe::OperatorStats* s) {
-           s->extras.emplace_back("runs_folded", raw->runs_folded());
+           s->Count(observe::QueryCounter::kRunsFolded, raw->runs_folded());
          });
   return out;
 }
@@ -668,9 +647,11 @@ Result<BuiltPlan> BuildJoinTable(const PlanNode& node, BuiltPlan child,
   // One build per query, shared by every probe copy; its key index is
   // kept with the inner table for the queries after it.
   const std::string site = "join(" + node.join.inner_key + ")";
+  uint64_t rewrites = 0;
   ExprPtr inner_pred =
       LowerPredicate(node.inner_predicate, options,
-                     node.inner_table->GetSchema(), &out.notes, site);
+                     node.inner_table->GetSchema(), &rewrites, &out.notes,
+                     site);
   auto build = std::make_shared<JoinBuild>(node.inner_table, node.join,
                                            inner_pred);
   if (inner_pred != nullptr) {
@@ -692,6 +673,7 @@ Result<BuiltPlan> BuildJoinTable(const PlanNode& node, BuiltPlan child,
           return std::make_unique<HashJoin>(std::move(outer), build);
         },
         std::move(on_close));
+  AddCount(&out, observe::QueryCounter::kDictRewrites, rewrites);
   return out;
 }
 
@@ -767,16 +749,10 @@ Result<BuiltPlan> BuildInvisibleJoin(const PlanNode& node,
 Result<BuiltPlan> BuildIndexedScan(const PlanNode& node, bool* grouped) {
   TDE_ASSIGN_OR_RETURN(auto col, node.table->ColumnByName(node.index_column));
   TDE_ASSIGN_OR_RETURN(std::vector<IndexEntry> index, BuildIndexTable(*col));
-
-  // Share the payload heap for cold columns so it survives eviction; the
-  // index-side predicate below needs it too when the values are tokens.
-  std::shared_ptr<const StringHeap> value_heap;
-  if (col->compression() == CompressionKind::kHeap) {
-    TDE_ASSIGN_OR_RETURN(auto heap_pin, col->Pin());
-    value_heap = heap_pin
-                     ? std::shared_ptr<const StringHeap>(heap_pin->heap)
-                     : std::shared_ptr<const StringHeap>(col, col->heap());
-  }
+  // The index-side predicate below needs the heap too when the values are
+  // tokens.
+  TDE_ASSIGN_OR_RETURN(std::shared_ptr<const StringHeap> value_heap,
+                       ValueHeap(col));
 
   // Push the predicate down to the (tiny) index side: evaluate it once per
   // run over the entry values and keep qualifying ranges — whole runs are
@@ -802,8 +778,6 @@ Result<BuiltPlan> BuildIndexedScan(const PlanNode& node, bool* grouped) {
     runs_skipped = index.size() - kept.size();
     rows_pruned = IndexRowCount(index) - IndexRowCount(kept);
     index = std::move(kept);
-    observe::QueryCount(observe::QueryCounter::kRunsSkipped, runs_skipped);
-    observe::QueryCount(observe::QueryCounter::kRowsPruned, rows_pruned);
   }
 
   // Tactical decision (Sect. 4.2.2): sort the index for ordered retrieval
@@ -849,26 +823,15 @@ Result<BuiltPlan> BuildIndexedScan(const PlanNode& node, bool* grouped) {
                         std::to_string(runs_sorted) +
                         " runs in the compressed domain, not " +
                         std::to_string(IndexRowCount(index)) + " rows");
-    observe::QueryCount(observe::QueryCounter::kRunsSorted, runs_sorted);
     out.grouped_on = node.index_column;
     out.props[node.index_column].meta.sorted = true;
   }
   out.op = std::make_unique<IndexedScan>(node.table, std::move(index),
                                          std::move(opts));
-  std::function<void(observe::OperatorStats*)> on_close;
-  if (node.index_predicate != nullptr || runs_sorted > 0) {
-    const bool filtered = node.index_predicate != nullptr;
-    on_close = [filtered, runs_skipped, rows_pruned,
-                runs_sorted](observe::OperatorStats* s) {
-      if (filtered) {
-        s->extras.emplace_back("runs_skipped", runs_skipped);
-        s->extras.emplace_back("rows_pruned", rows_pruned);
-      }
-      if (runs_sorted > 0) s->extras.emplace_back("runs_sorted", runs_sorted);
-    };
-  }
-  Attach(&out, "IndexedScan(" + node.index_column + ")", {},
-         std::move(on_close));
+  Attach(&out, "IndexedScan(" + node.index_column + ")", {});
+  AddCount(&out, observe::QueryCounter::kRunsSkipped, runs_skipped);
+  AddCount(&out, observe::QueryCounter::kRowsPruned, rows_pruned);
+  AddCount(&out, observe::QueryCounter::kRunsSorted, runs_sorted);
   return out;
 }
 
@@ -911,12 +874,14 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node,
                      : TaskScheduler::Global().SuggestedQueryParallelism();
   opts.order_preserving = node.order_preserving;
   BuiltPlan in;
+  uint64_t rewrites = 0;
   if (child->kind == PlanNodeKind::kFilter) {
     TDE_ASSIGN_OR_RETURN(in, BuildFilterInput(*child, options));
     // The same dictionary-code lowering as BuildFilter; the wrapper's
     // translation cache is mutex-guarded, so workers share it safely.
-    opts.transform = FilterTransform(LowerPredicate(
-        child->predicate, options, in.op->output_schema(), &in.notes));
+    opts.transform = FilterTransform(
+        LowerPredicate(child->predicate, options, in.op->output_schema(),
+                       &rewrites, &in.notes));
     for (auto& [name, p] : in.props) p.meta.dense = false;
   } else {
     TDE_ASSIGN_OR_RETURN(in, BuildExecutable(child, options));
@@ -993,6 +958,7 @@ Result<BuiltPlan> BuildExchange(const PlanNode& node,
                  rs.workers[i].queue_wait_ns / 1000);
            }
          });
+  AddCount(&out, observe::QueryCounter::kDictRewrites, rewrites);
   return out;
 }
 
@@ -1073,25 +1039,15 @@ Result<BuiltPlan> BuildTopN(const PlanNode& node,
                            : std::string()) +
              ")",
          {std::move(in.stats)},
-         [raw, morsel_stats, nsources](observe::OperatorStats* s) {
+         [raw, morsel_stats](observe::OperatorStats* s) {
            morsel_stats->Fold();
            s->extras.emplace_back("input_rows", raw->input_rows());
-           s->extras.emplace_back("rows_materialized",
-                                  raw->rows_materialized());
-           observe::QueryCount(observe::QueryCounter::kRowsMaterialized,
-                               raw->rows_materialized());
-           if (nsources > 1) {
-             s->extras.emplace_back("segments_skipped",
-                                    raw->segments_skipped());
-             observe::QueryCount(observe::QueryCounter::kTopNSegmentsSkipped,
-                                 raw->segments_skipped());
-           }
            if (raw->early_stopped()) s->extras.emplace_back("early_stop", 1);
-           if (raw->dict_keys() > 0) {
-             s->extras.emplace_back("dict_key_sorts", raw->dict_keys());
-             observe::QueryCount(observe::QueryCounter::kDictKeySorts,
-                                 raw->dict_keys());
-           }
+           s->Count(observe::QueryCounter::kRowsMaterialized,
+                    raw->rows_materialized());
+           s->Count(observe::QueryCounter::kTopNSegmentsSkipped,
+                    raw->segments_skipped());
+           s->Count(observe::QueryCounter::kDictKeySorts, raw->dict_keys());
          });
   return out;
 }
@@ -1146,15 +1102,10 @@ Result<BuiltPlan> BuildExecutable(const PlanNodePtr& node,
                                           : node->sort_keys[0].column) +
                  ")",
              {std::move(child.stats)}, [raw](observe::OperatorStats* s) {
-               s->extras.emplace_back("rows_materialized", raw->rows_sorted());
-               observe::QueryCount(observe::QueryCounter::kRowsMaterialized,
-                                   raw->rows_sorted());
-               if (raw->dict_key_sorts() > 0) {
-                 s->extras.emplace_back("dict_key_sorts",
-                                        raw->dict_key_sorts());
-                 observe::QueryCount(observe::QueryCounter::kDictKeySorts,
-                                     raw->dict_key_sorts());
-               }
+               s->Count(observe::QueryCounter::kRowsMaterialized,
+                        raw->rows_sorted());
+               s->Count(observe::QueryCounter::kDictKeySorts,
+                        raw->dict_key_sorts());
                if (raw->parallel_chunks() > 0) {
                  s->extras.emplace_back("parallel_chunks",
                                         raw->parallel_chunks());
@@ -1181,22 +1132,16 @@ Result<BuiltPlan> BuildExecutable(const PlanNodePtr& node,
       out.props = std::move(child.props);
       out.grouped_on = child.grouped_on;
       out.op = std::make_unique<Limit>(std::move(child.op), node->limit);
-      std::function<void(observe::OperatorStats*)> on_close;
       if (node->pruned_rows > 0) {
         // A metadata-pruned filter: the LIMIT 0 stands in for a scan whose
         // predicate the directory proved always-false.
         out.notes.push_back("metadata prune: filter provably false, " +
                             std::to_string(node->pruned_rows) +
                             " rows eliminated without scanning");
-        observe::QueryCount(observe::QueryCounter::kRowsPruned,
-                            node->pruned_rows);
-        const uint64_t pruned = node->pruned_rows;
-        on_close = [pruned](observe::OperatorStats* s) {
-          s->extras.emplace_back("rows_pruned", pruned);
-        };
       }
       Attach(&out, "Limit(" + std::to_string(node->limit) + ")",
-             {std::move(child.stats)}, std::move(on_close));
+             {std::move(child.stats)});
+      AddCount(&out, observe::QueryCounter::kRowsPruned, node->pruned_rows);
       return out;
     }
     case PlanNodeKind::kTopN:
@@ -1301,10 +1246,11 @@ Result<QueryResult> ExecutePlanNode(const PlanNodePtr& root,
     return QueryResult(built.op->output_schema(), std::move(blocks));
   }
 
-  // The scope opens before lowering: strategic/tactical attribution (rows
-  // pruned at plan time, dictionary rewrites, metadata answers) belongs to
-  // this query too. Everything the operators and the pager count on this
-  // thread — or on worker threads bound via StatsScope::Bind — lands here.
+  // The scope opens before lowering: pager faults while lowering (index
+  // and code-map builds over cold columns) belong to this query too.
+  // Everything the scans and the pager count on this thread — or on worker
+  // threads bound via StatsScope::Bind — lands here, and so do the operator
+  // counts charged after the drain.
   // Concurrency gauge: how many queries this process is executing right
   // now (the load the shared TaskScheduler pool is divided across).
   struct InflightGuard {
@@ -1346,11 +1292,22 @@ Result<QueryResult> ExecutePlanNode(const PlanNodePtr& root,
   BuiltPlan built = build.MoveValue();
   observe::TraceSpan span("execute", "query");
   std::vector<Block> blocks;
-  if (Status st = DrainOperator(built.op.get(), &blocks); !st.ok()) {
-    // A failed drain skips Close, so tear the tree down first: operator
-    // destructors join any worker threads, completing attribution before
-    // the entry's counters are snapshotted.
-    built.op.reset();
+  const Status st = DrainOperator(built.op.get(), &blocks);
+  // A failed drain skips Close, so tear the tree down first: operator
+  // destructors join any worker threads, completing attribution before
+  // the entry's counters are snapshotted.
+  if (!st.ok()) built.op.reset();
+  // The operators' counts are charged here, once per run, and nowhere
+  // else: EXPLAIN lowers the same tree but never runs it.
+  if (built.stats != nullptr) {
+    std::array<uint64_t, observe::kNumQueryCounters> counts{};
+    built.stats->SumCounts(&counts);
+    for (int i = 0; i < observe::kNumQueryCounters; ++i) {
+      observe::QueryCount(static_cast<observe::QueryCounter>(i),
+                          counts[static_cast<size_t>(i)]);
+    }
+  }
+  if (!st.ok()) {
     finish(false, 0);
     return st;
   }

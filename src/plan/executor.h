@@ -106,14 +106,16 @@ class QueryResult {
 Result<QueryResult> ExecutePlan(const Plan& plan,
                                 const StrategicOptions& options = {});
 /// Lowers (under the `options` it was optimized under) and runs an
-/// already-optimized plan tree.
+/// already-optimized plan tree, then charges its operators' counts
+/// (OperatorStats::counts) to the registry and the query's journal entry.
 Result<QueryResult> ExecutePlanNode(const PlanNodePtr& root,
                                     const StrategicOptions& options);
 
 /// EXPLAIN: the plan tree as optimized under `options` plus the tactical
 /// decisions the executor would make (join strategy, hash algorithm,
 /// index ordering). Lowers the plan — building invisible joins' code maps
-/// and indexed scans' run indexes — but does not run it.
+/// and indexed scans' run indexes — but does not run it, so it records no
+/// journal entry and charges no counter.
 Result<std::string> ExplainPlan(const Plan& plan,
                                 const StrategicOptions& options = {});
 

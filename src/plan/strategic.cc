@@ -292,6 +292,38 @@ PlanNodePtr TryMetadataPrune(const PlanNodePtr& filter) {
 
 // --- Run-level predicate evaluation (Sect. 4.2 beyond aggregation) --------
 
+/// An IndexedScan over `scan`'s table on its column `c`, the scan's other
+/// output columns as payload, under a Project that restores the scan's
+/// column order. Returns the Project and sets *iscan to the IndexedScan,
+/// for the rewrite to configure; null when the scan does not output `c`.
+PlanNodePtr IndexedScanInScanOrder(const PlanNode& scan, const std::string& c,
+                                   PlanNode** iscan) {
+  std::vector<std::string> out_cols = scan.columns;
+  if (out_cols.empty()) {
+    for (size_t i = 0; i < scan.table->num_columns(); ++i) {
+      out_cols.push_back(scan.table->column(i).name());
+    }
+  }
+  if (std::find(out_cols.begin(), out_cols.end(), c) == out_cols.end()) {
+    return nullptr;
+  }
+  auto index = std::make_shared<PlanNode>();
+  index->kind = PlanNodeKind::kIndexedScan;
+  index->table = scan.table;
+  index->index_column = c;
+  for (const std::string& n : out_cols) {
+    if (n != c) index->payload.push_back(n);
+  }
+  auto project = std::make_shared<PlanNode>();
+  project->kind = PlanNodeKind::kProject;
+  for (const std::string& n : out_cols) {
+    project->projections.push_back({expr::Col(n), n});
+  }
+  *iscan = index.get();
+  project->children = {std::move(index)};
+  return project;
+}
+
 /// Filter over Scan, single-column predicate on an uncompressed run-length
 /// column -> IndexedScan evaluating the predicate once per run (emitting
 /// or skipping whole runs, in physical row order) under a Project that
@@ -317,32 +349,12 @@ PlanNodePtr TryRunFilter(const PlanNodePtr& filter) {
       col->compression() != CompressionKind::kNone) {
     return nullptr;
   }
-  std::vector<std::string> out_cols = scan->columns;
-  if (out_cols.empty()) {
-    for (size_t i = 0; i < scan->table->num_columns(); ++i) {
-      out_cols.push_back(scan->table->column(i).name());
-    }
-  }
-  if (std::find(out_cols.begin(), out_cols.end(), c) == out_cols.end()) {
-    return nullptr;  // predicate column not in the scan's output
-  }
-
-  auto iscan = std::make_shared<PlanNode>();
-  iscan->kind = PlanNodeKind::kIndexedScan;
-  iscan->table = scan->table;
-  iscan->index_column = c;
+  PlanNode* iscan = nullptr;
+  PlanNodePtr project = IndexedScanInScanOrder(*scan, c, &iscan);
+  if (project == nullptr) return nullptr;
   iscan->index_predicate = filter->predicate;
   // Keep physical row order: a filter must not reorder its input.
   iscan->sort_index_by_value = false;
-  for (const std::string& n : out_cols) {
-    if (n != c) iscan->payload.push_back(n);
-  }
-  auto project = std::make_shared<PlanNode>();
-  project->kind = PlanNodeKind::kProject;
-  for (const std::string& n : out_cols) {
-    project->projections.push_back({expr::Col(n), n});
-  }
-  project->children = {iscan};
   return project;
 }
 
@@ -401,31 +413,11 @@ PlanNodePtr TrySortRuns(const PlanNodePtr& sort) {
       !LaneComparable(col->type())) {
     return nullptr;
   }
-  std::vector<std::string> out_cols = scan->columns;
-  if (out_cols.empty()) {
-    for (size_t i = 0; i < scan->table->num_columns(); ++i) {
-      out_cols.push_back(scan->table->column(i).name());
-    }
-  }
-  if (std::find(out_cols.begin(), out_cols.end(), c) == out_cols.end()) {
-    return nullptr;
-  }
-
-  auto iscan = std::make_shared<PlanNode>();
-  iscan->kind = PlanNodeKind::kIndexedScan;
-  iscan->table = scan->table;
-  iscan->index_column = c;
+  PlanNode* iscan = nullptr;
+  PlanNodePtr project = IndexedScanInScanOrder(*scan, c, &iscan);
+  if (project == nullptr) return nullptr;
   iscan->sort_index_by_value = true;
   iscan->sort_runs = true;
-  for (const std::string& n : out_cols) {
-    if (n != c) iscan->payload.push_back(n);
-  }
-  auto project = std::make_shared<PlanNode>();
-  project->kind = PlanNodeKind::kProject;
-  for (const std::string& n : out_cols) {
-    project->projections.push_back({expr::Col(n), n});
-  }
-  project->children = {iscan};
   return project;
 }
 

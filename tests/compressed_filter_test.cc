@@ -295,6 +295,13 @@ TEST(CompressedFilter, MetricsAndExplainAnalyzeSurfaceCounters) {
     EXPECT_EQ(reg.GetCounter("filter.rows_pruned")->value(),
               before + t->rows());
     EXPECT_NE(analyzed.find("rows_pruned"), std::string::npos) << analyzed;
+    // The JSON profile shows the count under its tde_queries column name.
+    ASSERT_NE(result.stats(), nullptr);
+    const std::string json = result.stats()->ToJson();
+    EXPECT_NE(json.find("\"counts\":{\"rows_pruned\":" +
+                        std::to_string(t->rows()) + "}"),
+              std::string::npos)
+        << json;
   }
 
   // Run-level filtering reports skipped runs.

@@ -4,11 +4,13 @@
 #include <array>
 #include <atomic>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/core/engine.h"
+#include "src/exec/scheduler.h"
 #include "src/observe/json.h"
 #include "src/observe/metrics.h"
 #include "src/plan/executor.h"
@@ -197,64 +199,241 @@ TEST(Journal, TdeQueriesVirtualTable) {
   EXPECT_EQ(rows.value().Value(0, 2), 1);
 }
 
+std::array<uint64_t, observe::kNumQueryCounters> GlobalCounterValues() {
+  std::array<uint64_t, observe::kNumQueryCounters> v{};
+  for (int i = 0; i < observe::kNumQueryCounters; ++i) {
+    v[static_cast<size_t>(i)] =
+        GlobalCounterValue(static_cast<QueryCounter>(i));
+  }
+  return v;
+}
+
 /// The acceptance criterion of the journal design: per-query deltas sum
 /// exactly to the global counter movement, including under concurrent
-/// queries, because every increment lands in exactly one scope.
+/// queries, because every increment lands in exactly one scope. A plain
+/// EXPLAIN lowers its plan but runs nothing, so it records no entry and
+/// moves no counter; a statement that fails at run time records one.
 TEST(Journal, DeltasSumToGlobalsAcrossConcurrentQueries) {
   observe::SetStatsEnabled(true);
   Engine engine;
   auto imported = engine.ImportTextBuffer(
       GenerateTpchTable(TpchTable::kLineitem, 0.005), "lineitem", {});
   ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  // k ascending in 512-row segments, so a range on k prunes segments by
+  // their zone maps; big's sum exceeds int64.
+  ImportOptions segmented;
+  segmented.flow.segment_rows = 512;
+  std::string csv = "k,big\n";
+  for (int64_t i = 0; i < 4096; ++i) {
+    csv += std::to_string(i) + "," +
+           std::to_string(3000000000000000000 + i) + "\n";
+  }
+  imported = engine.ImportTextBuffer(csv, "seg", segmented);
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
 
   QueryJournal& journal = QueryJournal::Global();
   journal.Clear();
   journal.set_capacity(QueryJournal::kDefaultCapacity);
 
-  std::array<uint64_t, observe::kNumQueryCounters> before{};
-  for (int i = 0; i < observe::kNumQueryCounters; ++i) {
-    before[static_cast<size_t>(i)] =
-        GlobalCounterValue(static_cast<QueryCounter>(i));
+  const std::string string_filter =
+      "SELECT COUNT(*) AS n FROM lineitem WHERE l_shipmode = 'AIR' AND "
+      "l_quantity > 25";
+  const std::string zone_filter = "SELECT SUM(k) AS s FROM seg WHERE k < 600";
+  const auto before_explain = GlobalCounterValues();
+  for (const std::string& q : {string_filter, zone_filter}) {
+    auto r = engine.ExecuteSql("EXPLAIN " + q);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
+  EXPECT_EQ(GlobalCounterValues(), before_explain);
+  EXPECT_EQ(journal.size(), 0u);
 
-  const std::vector<std::string> queries = {
-      "SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY "
-      "l_returnflag",
-      "SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity > 25",
-      "SELECT l_linestatus, SUM(l_quantity) AS s FROM lineitem GROUP BY "
-      "l_linestatus",
-      "SELECT MIN(l_quantity) AS lo, MAX(l_quantity) AS hi FROM lineitem",
+  struct Statement {
+    std::string sql;
+    bool runs;   // executed, so journaled
+    bool fails;  // at run time
   };
+  const std::vector<Statement> statements = {
+      {"SELECT l_returnflag, COUNT(*) AS n FROM lineitem GROUP BY "
+       "l_returnflag",
+       true, false},
+      {"SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity > 25", true,
+       false},
+      {"SELECT l_linestatus, SUM(l_quantity) AS s FROM lineitem GROUP BY "
+       "l_linestatus",
+       true, false},
+      {"SELECT MIN(l_quantity) AS lo, MAX(l_quantity) AS hi FROM lineitem",
+       true, false},
+      {string_filter, true, false},
+      {zone_filter, true, false},
+      {"EXPLAIN " + string_filter, false, false},
+      {"EXPLAIN " + zone_filter, false, false},
+      {"EXPLAIN ANALYZE " + string_filter, true, false},
+      {"EXPLAIN ANALYZE " + zone_filter, true, false},
+      // Zone-map pruned at lowering, then the SUM overflows.
+      {"SELECT SUM(big) AS s FROM seg WHERE k >= 1024", true, true},
+  };
+  const auto before = GlobalCounterValues();
   constexpr int kThreads = 4;
-  constexpr int kPerThread = 6;
   const Status st = testutil::RunConcurrently(kThreads, [&](int t) -> Status {
-    for (int i = 0; i < kPerThread; ++i) {
-      auto r = engine.ExecuteSql(
-          queries[static_cast<size_t>(t + i) % queries.size()]);
-      if (!r.ok()) return r.status();
+    for (size_t i = 0; i < statements.size(); ++i) {
+      const Statement& s =
+          statements[(static_cast<size_t>(t) + i) % statements.size()];
+      auto r = engine.ExecuteSql(s.sql);
+      if (r.ok() == s.fails) {
+        return Status::Internal(s.sql + ": " + r.status().ToString());
+      }
     }
     return Status::OK();
   });
   ASSERT_TRUE(st.ok()) << st.ToString();
 
+  size_t runs = 0;
+  size_t fails = 0;
+  for (const Statement& s : statements) {
+    runs += s.runs;
+    fails += s.fails;
+  }
   const auto snap = journal.Snapshot();
-  ASSERT_EQ(snap.size(), static_cast<size_t>(kThreads * kPerThread));
-  for (int i = 0; i < observe::kNumQueryCounters; ++i) {
-    const auto c = static_cast<QueryCounter>(i);
-    uint64_t summed = 0;
-    for (const QueryJournalEntry& e : snap) {
-      summed += e.counters[static_cast<size_t>(i)];
-    }
-    EXPECT_EQ(GlobalCounterValue(c) - before[static_cast<size_t>(i)], summed)
-        << observe::QueryCounterMetricName(c);
-  }
-  // The workload actually exercised the compressed-domain counters.
-  uint64_t scanned = 0;
+  ASSERT_EQ(snap.size(), kThreads * runs);
+  EXPECT_EQ(std::count_if(snap.begin(), snap.end(),
+                          [](const QueryJournalEntry& e) { return !e.ok; }),
+            static_cast<std::ptrdiff_t>(kThreads * fails));
+  const auto after = GlobalCounterValues();
+  std::array<uint64_t, observe::kNumQueryCounters> summed{};
   for (const QueryJournalEntry& e : snap) {
-    scanned += e.counters[static_cast<size_t>(
-        QueryCounter::kBytesScannedCompressed)];
+    for (size_t i = 0; i < summed.size(); ++i) summed[i] += e.counters[i];
   }
-  EXPECT_GT(scanned, 0u);
+  for (int i = 0; i < observe::kNumQueryCounters; ++i) {
+    const auto k = static_cast<size_t>(i);
+    EXPECT_EQ(after[k] - before[k], summed[k])
+        << observe::QueryCounterMetricName(static_cast<QueryCounter>(i));
+  }
+  // The workload exercised the scan, zone-map and dictionary counters.
+  const auto at = [](QueryCounter c) { return static_cast<size_t>(c); };
+  EXPECT_GT(summed[at(QueryCounter::kBytesScannedCompressed)], 0u);
+  EXPECT_GT(summed[at(QueryCounter::kSegmentsPruned)], 0u);
+  EXPECT_GT(summed[at(QueryCounter::kDictRewrites)], 0u);
+}
+
+/// The sum of the `label=N` fields on the operator lines of a rendered
+/// EXPLAIN ANALYZE (everything before its `total:` line).
+uint64_t Shown(const std::string& text, const std::string& label) {
+  const std::string tree = text.substr(0, text.find("total:"));
+  const std::string field = " " + label + "=";
+  uint64_t sum = 0;
+  for (size_t at = tree.find(field); at != std::string::npos;
+       at = tree.find(field, at + 1)) {
+    sum += std::stoull(tree.substr(at + field.size()));
+  }
+  return sum;
+}
+
+/// EXPLAIN ANALYZE shows each operator-level count once, under its
+/// tde_queries column name, with the value the journal charged for that
+/// run: over serial plans and over morsel-parallel ones, whose chain runs
+/// as one copy per segment (the copies must not repeat a count) and whose
+/// Top-N skips sources unopened (a skip must not lose one).
+TEST(Journal, ExplainAnalyzeCountsMatchTheJournal) {
+  observe::SetStatsEnabled(true);
+  // k ascending, so segments' zone maps are disjoint; s four strings; r in
+  // 16 runs of 256 rows.
+  const char* words[] = {"AIR", "RAIL", "SHIP", "TRUCK"};
+  std::string csv = "k,s,r\n";
+  for (int i = 0; i < 4096; ++i) {
+    csv += std::to_string(i) + "," + words[i % 4] + "," +
+           std::to_string((i / 256) * 3 % 7) + "\n";
+  }
+  std::string dim = "dname,region,did\n";
+  for (int i = 0; i < 4; ++i) {
+    dim += std::string(words[i]) + "," + (i % 2 == 0 ? "EU" : "US") + "," +
+           std::to_string(i) + "\n";
+  }
+  Engine engine;
+  ImportOptions one_segment;
+  one_segment.flow.segment_rows = 8192;
+  ImportOptions segmented;
+  segmented.flow.segment_rows = 512;
+  for (const auto& [name, data, opts] :
+       {std::make_tuple("mono", csv, one_segment),
+        std::make_tuple("seg", csv, segmented),
+        std::make_tuple("d", dim, ImportOptions{})}) {
+    auto imported = engine.ImportTextBuffer(data, name, opts);
+    ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  }
+
+  struct Case {
+    std::string sql;
+    std::vector<std::pair<QueryCounter, uint64_t>> want;
+  };
+  const std::vector<Case> cases = {
+      // Serial plans, one per operator that counts.
+      {"SELECT s, COUNT(*) AS n FROM mono WHERE k < 1500 AND s = 'AIR' "
+       "GROUP BY s",
+       {{QueryCounter::kDictRewrites, 1},
+        {QueryCounter::kGroupsLateMaterialized, 1}}},
+      {"SELECT * FROM mono WHERE k > 5000", {{QueryCounter::kRowsPruned, 4096}}},
+      {"SELECT MIN(k) AS lo, MAX(k) AS hi FROM mono",
+       {{QueryCounter::kMetadataAnswers, 2}}},
+      {"SELECT * FROM mono WHERE r > 3",
+       {{QueryCounter::kRunsSkipped, 10}, {QueryCounter::kRowsPruned, 2560}}},
+      {"SELECT * FROM mono ORDER BY r", {{QueryCounter::kRunsSorted, 16}}},
+      {"SELECT r, SUM(r) AS x FROM mono GROUP BY r",
+       {{QueryCounter::kRunsFolded, 16}}},
+      {"SELECT * FROM mono ORDER BY s, k",
+       {{QueryCounter::kRowsMaterialized, 4096}}},
+      // Morsel-parallel plans: 3 and 2 surviving segments, and a Top-N
+      // over 8 segment sources that opens one.
+      {"SELECT s, COUNT(*) AS n FROM seg WHERE k < 1500 AND s = 'AIR' "
+       "GROUP BY s",
+       {{QueryCounter::kSegmentsPruned, 5},
+        {QueryCounter::kRowsPruned, 2560},
+        {QueryCounter::kDictRewrites, 1},
+        {QueryCounter::kGroupsLateMaterialized, 1}}},
+      {"SELECT COUNT(*) AS n FROM seg JOIN d ON seg.s = d.dname "
+       "WHERE d.region = 'EU' AND seg.k < 1000",
+       {{QueryCounter::kSegmentsPruned, 6},
+        {QueryCounter::kRowsPruned, 3072},
+        {QueryCounter::kDictRewrites, 1}}},
+      {"SELECT * FROM seg ORDER BY k LIMIT 100",
+       {{QueryCounter::kTopNSegmentsSkipped, 7},
+        {QueryCounter::kRowsMaterialized, 100}}},
+  };
+  TaskScheduler pool1(1), pool2(2), pool4(4);
+  for (TaskScheduler* pool : {&pool1, &pool2, &pool4}) {
+    TaskScheduler::ScopedOverride override_pool(pool);
+    for (const Case& c : cases) {
+      const std::string label =
+          c.sql + " (pool " + std::to_string(pool->workers()) + ")";
+      auto analyzed = engine.ExecuteSql("EXPLAIN ANALYZE " + c.sql);
+      ASSERT_TRUE(analyzed.ok()) << label << analyzed.status().ToString();
+      std::string text;
+      for (uint64_t r = 0; r < analyzed.value().num_rows(); ++r) {
+        text += analyzed.value().ValueString(r, 0) + "\n";
+      }
+      const uint64_t id = observe::LastJournalIdOnThread();
+      QueryJournalEntry entry;
+      for (const QueryJournalEntry& e : QueryJournal::Global().Snapshot()) {
+        if (e.id == id) entry = e;
+      }
+      ASSERT_EQ(entry.id, id) << label;
+      // The operator-level counters: every one after the pager's.
+      for (int i = static_cast<int>(QueryCounter::kRowsPruned);
+           i < observe::kNumQueryCounters; ++i) {
+        const auto counter = static_cast<QueryCounter>(i);
+        EXPECT_EQ(Shown(text, observe::QueryCounterColumnName(counter)),
+                  entry.counters[static_cast<size_t>(i)])
+            << label << " " << observe::QueryCounterColumnName(counter)
+            << "\n"
+            << text;
+      }
+      for (const auto& [counter, n] : c.want) {
+        EXPECT_EQ(entry.counters[static_cast<size_t>(counter)], n)
+            << label << " " << observe::QueryCounterColumnName(counter)
+            << "\n"
+            << text;
+      }
+    }
+  }
 }
 
 /// Acceptance check for the compressed-domain sort counters: a Top-N over
@@ -310,7 +489,8 @@ TEST(Journal, SortCountersFlowToJournalAndExplain) {
     tree += analyzed.value().ValueString(r, 0) + "\n";
   }
   EXPECT_NE(tree.find("rows_materialized"), std::string::npos) << tree;
-  EXPECT_NE(tree.find("segments_skipped=7"), std::string::npos) << tree;
+  EXPECT_NE(tree.find(" topn_segments_skipped=7"), std::string::npos)
+      << tree;
   // The scan shows under the TopN, with the rows of the one segment read.
   const size_t topn_at = tree.find("TopN(");
   const size_t scan_at = tree.find("  TableScan(seq)  rows=512 ");
